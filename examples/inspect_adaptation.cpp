@@ -62,13 +62,14 @@ int main(int argc, char** argv) {
     models::EncodedEpisode enc = runner.encoder().Encode(episode);
 
     tensor::Tensor phi0 = backbone->ZeroContext();
+    const models::EncodedBatch support = models::PackBatch(enc.support);
     const double before =
-        backbone->BatchLoss(enc.support, phi0, enc.valid_tags).item();
+        backbone->BatchLoss(support, phi0, enc.valid_tags).item();
     tensor::Tensor phi = fewner_method->AdaptContext(
         enc.support, enc.valid_tags, flags.GetInt("inner-steps"),
         static_cast<float>(flags.GetDouble("inner-lr")), /*create_graph=*/false);
     const double after =
-        backbone->BatchLoss(enc.support, phi, enc.valid_tags).item();
+        backbone->BatchLoss(support, phi, enc.valid_tags).item();
     double norm = 0;
     for (float v : phi.data()) norm += static_cast<double>(v) * v;
 

@@ -37,15 +37,14 @@ AdaptedTagger::AdaptedTagger(Fewner* method, const models::EncodedEpisode& episo
 
 std::vector<int64_t> AdaptedTagger::Tag(
     const models::EncodedSentence& sentence) const {
-  tensor::EvalMode eval;
-  return backbone_->Decode(sentence, phi_, valid_tags_);
+  return TagAll({sentence}).front();
 }
 
 std::vector<std::vector<int64_t>> AdaptedTagger::TagAll(
     const std::vector<models::EncodedSentence>& sentences) const {
   if (sentences.empty()) return {};
   // One batched graph-free prefix + suffix for the whole query set, then
-  // per-lane Viterbi — identical tags to sentence-at-a-time Decode (see
+  // per-lane Viterbi — identical tags to decoding each sentence alone (see
   // DESIGN.md §7; the prefix/suffix split changes no op in this regime).
   tensor::EvalMode eval;
   return backbone_->DecodeBatchFromPrefix(

@@ -44,7 +44,7 @@ class AdaptedTagger {
   /// test-time inner-loop settings.
   AdaptedTagger(Fewner* method, const models::EncodedEpisode& episode);
 
-  /// Viterbi tag sequence for one sentence, computed entirely under EvalMode.
+  /// Viterbi tag sequence for one sentence: TagAll on a batch of one.
   std::vector<int64_t> Tag(const models::EncodedSentence& sentence) const;
 
   /// Tags a batch of sentences (one EvalMode scope for the whole batch).

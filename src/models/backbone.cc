@@ -68,6 +68,60 @@ EncodedBatch SubBatch(const EncodedBatch& batch, int64_t begin, int64_t count) {
   }
   return sub;
 }
+
+/// The one lane-run partition: calls fn(run, first_lane) for each LaneRuns
+/// run in ascending lane order.  A batch that is one run is passed through
+/// as is; otherwise each run is repacked by SubBatch.
+template <typename Fn>
+void ForEachLaneRun(const EncodedBatch& batch, Fn&& fn) {
+  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
+  if (runs.size() == 1) {
+    fn(batch, int64_t{0});
+    return;
+  }
+  for (const auto& [begin, count] : runs) {
+    fn(SubBatch(batch, begin, count), begin);
+  }
+}
+
+/// The task-loss fold behind BatchLoss and BatchLossFromPrefix.  `walk`
+/// feeds each run's emissions to a visitor, which builds that run's CRF NLL
+/// before the walk moves on.  Runs are contiguous and ascending, so the
+/// concatenated lane NLLs sit in batch order, and SumAllFloat folds them with
+/// left-associated scalar float adds: the total equals adding per-sentence
+/// losses one at a time, bitwise.  The paper's task loss is the SUM (L =
+/// -Σ p(y|h), §3.2.3); the inner learning rate α = 0.1 is calibrated against
+/// this scale, so a mean would shrink every inner step by the support size.
+template <typename Walk>
+Tensor SumRunLosses(const crf::LinearChainCrf& crf,
+                    const std::vector<bool>& valid_tags, Walk&& walk) {
+  std::vector<Tensor> per_run;
+  walk([&](const EncodedBatch& run, const Tensor& emissions) {
+    per_run.push_back(crf.NegLogLikelihoodBatch(emissions, run.tags,
+                                                run.lengths, &valid_tags));
+  });
+  Tensor per_lane =
+      per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
+  return tensor::SumAllFloat(per_lane);
+}
+
+/// The per-run Viterbi loop behind DecodeBatch and DecodeBatchFromPrefix.
+template <typename Walk>
+std::vector<std::vector<int64_t>> DecodeRuns(const crf::LinearChainCrf& crf,
+                                             const std::vector<bool>& valid_tags,
+                                             Walk&& walk) {
+  std::vector<std::vector<int64_t>> paths;
+  walk([&](const EncodedBatch& run, const Tensor& run_emissions) {
+    // Cut the decode out of a live autodiff graph; under EvalMode no graph
+    // was built, so the copy would only burn an allocation.
+    Tensor emissions = tensor::EvalMode::active() ? run_emissions
+                                                  : run_emissions.Detach();
+    for (auto& path : crf.ViterbiBatch(emissions, run.lengths, &valid_tags)) {
+      paths.push_back(std::move(path));
+    }
+  });
+  return paths;
+}
 }  // namespace
 
 Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
@@ -158,10 +212,12 @@ Tensor Backbone::ZeroContext() const {
 }
 
 Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
-                             const std::vector<util::Rng*>& lane_rngs) const {
+                             const LaneRngs& lane_rngs) const {
   if (!training() || config_.dropout <= 0.0f) return x;
   const float p = config_.dropout;
   FEWNER_CHECK(p < 1.0f, "Dropout rate must be < 1");
+  FEWNER_CHECK(static_cast<int64_t>(lane_rngs.size()) == batch.batch,
+               "LaneDropout lane rng count mismatch");
   const float scale = 1.0f / (1.0f - p);
   const int64_t d = x.shape().dim(2);
   // Padding rows get a 0 mask (dropped) without consuming draws, so lane b's
@@ -179,199 +235,123 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   return tensor::Mul(x, Tensor::FromData(x.shape(), std::move(mask)));
 }
 
-Tensor Backbone::EncodeBatchImpl(const EncodedBatch& batch, const Tensor& phi,
-                                 const std::vector<util::Rng*>& lane_rngs) const {
-  const int64_t lanes = batch.batch;
-  const int64_t max_len = batch.max_len;
-  FEWNER_CHECK(lanes > 0 && max_len > 0, "EncodeBatch on empty batch");
-  FEWNER_CHECK(static_cast<int64_t>(lane_rngs.size()) == lanes,
-               "EncodeBatch lane rng count mismatch");
-
+Tensor Backbone::Prefix(const EncodedBatch& run, const LaneRngs& lane_rngs) const {
+  const int64_t lanes = run.batch;
+  const int64_t max_len = run.max_len;
+  FEWNER_CHECK(lanes > 0 && max_len > 0, "Backbone forward on an empty batch");
   // One embedding gather + one CharCnn pass over all B*Lmax tokens.  Every op
   // here is per-row (GEMM rows are bitwise-independent under the ascending-k
-  // kernel contract), so lane b's rows match the per-sentence pipeline.
-  Tensor words = word_embedding_->Forward(batch.word_ids);  // [B*L, word_dim]
+  // kernel contract), so lane b's rows match running that sentence alone.
+  Tensor words = word_embedding_->Forward(run.word_ids);  // [B*L, word_dim]
   Tensor input = words;
   if (config_.use_char_cnn) {
-    Tensor chars = char_cnn_->ForwardBatch(batch.char_ids);  // [B*L, char_feat]
+    Tensor chars = char_cnn_->ForwardBatch(run.char_ids);  // [B*L, char_feat]
     input = tensor::Concat({words, chars}, 1);
   }
-  Tensor input3 = tensor::Reshape(
-      input, Shape{lanes, max_len, input.shape().dim(1)});
-  input3 = LaneDropout(input3, batch, lane_rngs);
+  Tensor input3 = LaneDropout(
+      tensor::Reshape(input, Shape{lanes, max_len, input.shape().dim(1)}), run,
+      lane_rngs);
+  if (config_.conditioning == Conditioning::kConcat) {
+    // Method A threads φ into the BiGRU input, so the recurrence is
+    // φ-dependent and the θ-prefix stops at the token features.
+    return input3;
+  }
+  // kFilm/kNone: φ enters after the encoder (or never), so the full
+  // recurrent pass — the expensive part — is θ-only.
+  return bigru_ ? bigru_->ForwardBatch(input3, run.lengths)
+                : bilstm_->ForwardBatch(input3, run.lengths);
+}
+
+Tensor Backbone::Suffix(const EncodedBatch& run, const Tensor& features,
+                        const Tensor& phi, const LaneRngs& lane_rngs,
+                        bool emit) const {
+  const int64_t rows = run.batch * run.max_len;
+  Tensor hidden3 = features;  // kNone: the suffix is emission + CRF only
   if (config_.conditioning == Conditioning::kConcat) {
     FEWNER_CHECK(phi.defined(), "kConcat conditioning requires a context vector");
     // Method A (paper Eq. 7): φ joins every token's input features.
     Tensor phi_rows = tensor::BroadcastTo(
         tensor::Reshape(phi, Shape{1, 1, config_.context_dim}),
-        Shape{lanes, max_len, config_.context_dim});
-    input3 = tensor::Concat({input3, phi_rows}, 2);
-  }
-  Tensor hidden3 = bigru_ ? bigru_->ForwardBatch(input3, batch.lengths)
-                          : bilstm_->ForwardBatch(input3, batch.lengths);
-  if (config_.conditioning == Conditioning::kFilm) {
+        Shape{run.batch, run.max_len, config_.context_dim});
+    Tensor input3 = tensor::Concat({features, phi_rows}, 2);
+    hidden3 = bigru_ ? bigru_->ForwardBatch(input3, run.lengths)
+                     : bilstm_->ForwardBatch(input3, run.lengths);
+  } else if (config_.conditioning == Conditioning::kFilm) {
     FEWNER_CHECK(phi.defined(), "kFilm conditioning requires a context vector");
     // Method B (paper Eq. 8-9): modulate the BiGRU output so adapted hidden
     // states feed task-specific label dependencies into the CRF.  FiLM's γ/η
     // broadcast is per-row, so flattening lanes is exact.
     Tensor hidden2 = film_->Forward(
-        tensor::Reshape(hidden3, Shape{lanes * max_len, 2 * config_.hidden_dim}),
-        phi);
-    hidden3 = tensor::Reshape(hidden2,
-                              Shape{lanes, max_len, 2 * config_.hidden_dim});
+        tensor::Reshape(features, Shape{rows, 2 * config_.hidden_dim}), phi);
+    hidden3 = tensor::Reshape(
+        hidden2, Shape{run.batch, run.max_len, 2 * config_.hidden_dim});
   }
-  return LaneDropout(hidden3, batch, lane_rngs);
+  hidden3 = LaneDropout(hidden3, run, lane_rngs);
+  if (!emit) return hidden3;
+  Tensor emissions2 = emission_->Forward(
+      tensor::Reshape(hidden3, Shape{rows, 2 * config_.hidden_dim}));
+  return tensor::Reshape(emissions2,
+                         Shape{run.batch, run.max_len, config_.max_tags});
 }
 
-Tensor Backbone::EmissionsBatchImpl(const EncodedBatch& batch, const Tensor& phi,
-                                    const std::vector<util::Rng*>& lane_rngs) const {
-  Tensor encoded = EncodeBatchImpl(batch, phi, lane_rngs);  // [B, L, 2H]
-  Tensor emissions2 = emission_->Forward(tensor::Reshape(
-      encoded, Shape{batch.batch * batch.max_len, 2 * config_.hidden_dim}));
-  return tensor::Reshape(
-      emissions2, Shape{batch.batch, batch.max_len, config_.max_tags});
-}
-
-Tensor Backbone::Encode(const EncodedSentence& sentence, const Tensor& phi) const {
-  FEWNER_CHECK(sentence.length() > 0, "Encode on empty sentence");
-  // B=1 wrapper over the batched pipeline, continuing the standalone member
-  // dropout stream.  A single-lane batch has no padding, so this is the
-  // sentence-at-a-time computation verbatim.
-  EncodedBatch single = PackBatch({sentence});
-  Tensor encoded = EncodeBatchImpl(single, phi, {&dropout_rng_});
-  return tensor::Reshape(encoded,
-                         Shape{sentence.length(), 2 * config_.hidden_dim});
-}
-
-Tensor Backbone::EncodeBatch(const EncodedBatch& batch, const Tensor& phi) const {
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  std::vector<util::Rng*> lane_rngs;
-  lane_rngs.reserve(owned.size());
-  for (util::Rng& rng : owned) lane_rngs.push_back(&rng);
-  return EncodeBatchImpl(batch, phi, lane_rngs);
-}
-
-Tensor Backbone::Emissions(const EncodedSentence& sentence, const Tensor& phi) const {
-  FEWNER_CHECK(sentence.length() > 0, "Emissions on empty sentence");
-  EncodedBatch single = PackBatch({sentence});
-  Tensor emissions = EmissionsBatchImpl(single, phi, {&dropout_rng_});
-  return tensor::Reshape(emissions, Shape{sentence.length(), config_.max_tags});
-}
-
-Tensor Backbone::EmissionsBatch(const EncodedBatch& batch, const Tensor& phi) const {
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  std::vector<util::Rng*> lane_rngs;
-  lane_rngs.reserve(owned.size());
-  for (util::Rng& rng : owned) lane_rngs.push_back(&rng);
-  return EmissionsBatchImpl(batch, phi, lane_rngs);
-}
-
-Tensor Backbone::SentenceLoss(const EncodedSentence& sentence, const Tensor& phi,
-                              const std::vector<bool>& valid_tags) const {
-  return crf_->NegLogLikelihood(Emissions(sentence, phi), sentence.tags, &valid_tags);
-}
-
-Tensor Backbone::BatchLoss(const std::vector<EncodedSentence>& sentences,
-                           const Tensor& phi,
-                           const std::vector<bool>& valid_tags) const {
-  FEWNER_CHECK(!sentences.empty(), "BatchLoss on zero sentences");
-  // The paper's task loss is the SUM of sentence NLLs (L = -Σ p(y|h), §3.2.3);
-  // the inner learning rate α = 0.1 is calibrated against this scale, so a
-  // mean here would silently shrink every inner step by the support size.
-  //
-  // Sentence i draws dropout from the (episode, call, lane i) stream — the
-  // stream the batched overload hands lane i — which is what makes the two
-  // overloads bitwise-interchangeable.
-  std::vector<util::Rng> lane_rngs = ForkLaneRngs(sentences.size());
-  Tensor total;
-  for (size_t i = 0; i < sentences.size(); ++i) {
-    dropout_rng_ = lane_rngs[i];
-    Tensor loss = SentenceLoss(sentences[i], phi, valid_tags);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
-  }
-  return total;
-}
-
-Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,
-                           const std::vector<bool>& valid_tags) const {
-  FEWNER_CHECK(batch.batch > 0, "BatchLoss on empty batch");
+void Backbone::ForEachRun(const EncodedBatch& batch, const Tensor& phi,
+                          const RunVisitor& visit) const {
+  FEWNER_CHECK(batch.batch > 0, "Backbone forward on an empty batch");
   std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
   // Length-bucketed execution: each near-homogeneous lane run gets its own
   // padded forward, so a ragged batch does not pay every lane at the longest
   // lane's length.  Lane values are identical under any partition.
-  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
-  std::vector<Tensor> per_run;
-  per_run.reserve(runs.size());
-  for (const auto& [begin, count] : runs) {
-    EncodedBatch storage;
-    const EncodedBatch* sub = &batch;
-    if (runs.size() > 1) {
-      storage = SubBatch(batch, begin, count);
-      sub = &storage;
-    }
-    std::vector<util::Rng*> lane_rngs;
-    lane_rngs.reserve(static_cast<size_t>(count));
-    for (int64_t b = begin; b < begin + count; ++b) {
+  ForEachLaneRun(batch, [&](const EncodedBatch& run, int64_t begin) {
+    LaneRngs lane_rngs;
+    lane_rngs.reserve(static_cast<size_t>(run.batch));
+    for (int64_t b = begin; b < begin + run.batch; ++b) {
       lane_rngs.push_back(&owned[static_cast<size_t>(b)]);
     }
-    Tensor emissions = EmissionsBatchImpl(*sub, phi, lane_rngs);
-    per_run.push_back(crf_->NegLogLikelihoodBatch(emissions, sub->tags,
-                                                  sub->lengths, &valid_tags));
-  }
-  // Runs are contiguous and ascending, so the concatenated lane NLLs sit in
-  // batch order; SumAllFloat folds them with the same left-associated scalar
-  // float adds as the per-sentence overload, so the totals agree bitwise,
-  // not just to rounding.
-  Tensor per_lane = per_run.size() == 1 ? per_run.front()
-                                        : tensor::Concat(per_run, 0);
-  return tensor::SumAllFloat(per_lane);
+    visit(run, Suffix(run, Prefix(run, lane_rngs), phi, lane_rngs));
+  });
 }
 
-std::vector<int64_t> Backbone::Decode(const EncodedSentence& sentence,
-                                      const Tensor& phi,
-                                      const std::vector<bool>& valid_tags) const {
-  Tensor emissions = Emissions(sentence, phi);
-  // The Detach exists to cut decode out of a live autodiff graph; under
-  // EvalMode no graph was built, so the copy would only burn an allocation.
-  if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-  return crf_->Viterbi(emissions, &valid_tags);
+void Backbone::ForEachRun(const CachedPrefix& prefix, const Tensor& phi,
+                          const RunVisitor& visit) const {
+  CheckPrefix(prefix);
+  // CheckPrefix pins the dropout-free regime, where LaneDropout never reads
+  // a lane stream.
+  for (const CachedPrefix::Run& run : prefix.runs) {
+    visit(run.batch, Suffix(run.batch, run.features, phi, {}));
+  }
+}
+
+Tensor Backbone::Encode(const EncodedSentence& sentence, const Tensor& phi) const {
+  FEWNER_CHECK(sentence.length() > 0, "Encode on empty sentence");
+  // A single-lane batch has no padding, so this is the sentence-at-a-time
+  // computation verbatim, on the standalone member dropout stream.
+  const EncodedBatch single = PackBatch({sentence});
+  const LaneRngs lane_rngs = {&dropout_rng_};
+  Tensor hidden = Suffix(single, Prefix(single, lane_rngs), phi, lane_rngs,
+                         /*emit=*/false);
+  return tensor::Reshape(hidden,
+                         Shape{sentence.length(), 2 * config_.hidden_dim});
+}
+
+Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,
+                           const std::vector<bool>& valid_tags) const {
+  return SumRunLosses(*crf_, valid_tags, [&](const RunVisitor& visit) {
+    ForEachRun(batch, phi, visit);
+  });
 }
 
 std::vector<std::vector<int64_t>> Backbone::DecodeBatch(
     const EncodedBatch& batch, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  FEWNER_CHECK(batch.batch > 0, "DecodeBatch on empty batch");
-  std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
-  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
-  std::vector<std::vector<int64_t>> paths;
-  paths.reserve(static_cast<size_t>(batch.batch));
-  for (const auto& [begin, count] : runs) {
-    EncodedBatch storage;
-    const EncodedBatch* sub = &batch;
-    if (runs.size() > 1) {
-      storage = SubBatch(batch, begin, count);
-      sub = &storage;
-    }
-    std::vector<util::Rng*> lane_rngs;
-    lane_rngs.reserve(static_cast<size_t>(count));
-    for (int64_t b = begin; b < begin + count; ++b) {
-      lane_rngs.push_back(&owned[static_cast<size_t>(b)]);
-    }
-    Tensor emissions = EmissionsBatchImpl(*sub, phi, lane_rngs);
-    // As in Decode: cut the decode out of a live autodiff graph; under
-    // EvalMode no graph was built, so the copy would only burn an allocation.
-    if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-    std::vector<std::vector<int64_t>> run_paths =
-        crf_->ViterbiBatch(emissions, sub->lengths, &valid_tags);
-    for (auto& path : run_paths) paths.push_back(std::move(path));
-  }
-  return paths;
+  return DecodeRuns(*crf_, valid_tags, [&](const RunVisitor& visit) {
+    ForEachRun(batch, phi, visit);
+  });
 }
 
 bool Backbone::CanCachePrefix() const {
   // Mirrors the LaneDropout/ForkLaneRngs no-op condition: when this holds,
-  // the θ-head draws nothing and touches no shared RNG state, so reusing its
-  // output across calls is exactly what re-running it would compute.
+  // the θ-prefix draws nothing and touches no shared RNG state, so reusing
+  // its output across calls is exactly what re-running it would compute.
   return !training() || config_.dropout <= 0.0f;
 }
 
@@ -392,60 +372,6 @@ uint64_t Backbone::ParameterVersion() const {
     fold(slot->node()->version);
   }
   return h;
-}
-
-Tensor Backbone::EncodePrefixImpl(const EncodedBatch& batch) const {
-  const int64_t lanes = batch.batch;
-  const int64_t max_len = batch.max_len;
-  FEWNER_CHECK(lanes > 0 && max_len > 0, "EncodePrefix on empty batch");
-  // The head of EncodeBatchImpl with the LaneDropout calls elided — legal
-  // because EncodePrefix only runs in the regime where they are identities.
-  Tensor words = word_embedding_->Forward(batch.word_ids);  // [B*L, word_dim]
-  Tensor input = words;
-  if (config_.use_char_cnn) {
-    Tensor chars = char_cnn_->ForwardBatch(batch.char_ids);  // [B*L, char_feat]
-    input = tensor::Concat({words, chars}, 1);
-  }
-  Tensor input3 =
-      tensor::Reshape(input, Shape{lanes, max_len, input.shape().dim(1)});
-  if (config_.conditioning == Conditioning::kConcat) {
-    // Method A threads φ into the BiGRU input, so the recurrence is
-    // φ-dependent and the cacheable prefix stops at the token features.
-    return input3;
-  }
-  // kFilm/kNone: φ enters after the encoder (or never), so the full
-  // recurrent pass — the expensive part — is θ-only and cacheable.
-  return bigru_ ? bigru_->ForwardBatch(input3, batch.lengths)
-                : bilstm_->ForwardBatch(input3, batch.lengths);
-}
-
-Tensor Backbone::SuffixEmissions(const CachedPrefix::Run& run,
-                                 const Tensor& phi) const {
-  const int64_t lanes = run.batch.batch;
-  const int64_t max_len = run.batch.max_len;
-  Tensor hidden3;
-  if (config_.conditioning == Conditioning::kConcat) {
-    FEWNER_CHECK(phi.defined(), "kConcat conditioning requires a context vector");
-    Tensor phi_rows = tensor::BroadcastTo(
-        tensor::Reshape(phi, Shape{1, 1, config_.context_dim}),
-        Shape{lanes, max_len, config_.context_dim});
-    Tensor input3 = tensor::Concat({run.features, phi_rows}, 2);
-    hidden3 = bigru_ ? bigru_->ForwardBatch(input3, run.batch.lengths)
-                     : bilstm_->ForwardBatch(input3, run.batch.lengths);
-  } else if (config_.conditioning == Conditioning::kFilm) {
-    FEWNER_CHECK(phi.defined(), "kFilm conditioning requires a context vector");
-    Tensor hidden2 = film_->Forward(
-        tensor::Reshape(run.features,
-                        Shape{lanes * max_len, 2 * config_.hidden_dim}),
-        phi);
-    hidden3 =
-        tensor::Reshape(hidden2, Shape{lanes, max_len, 2 * config_.hidden_dim});
-  } else {
-    hidden3 = run.features;  // kNone: the suffix is emission + CRF only
-  }
-  Tensor emissions2 = emission_->Forward(tensor::Reshape(
-      hidden3, Shape{lanes * max_len, 2 * config_.hidden_dim}));
-  return tensor::Reshape(emissions2, Shape{lanes, max_len, config_.max_tags});
 }
 
 void Backbone::CheckPrefix(const CachedPrefix& prefix) const {
@@ -469,74 +395,50 @@ CachedPrefix Backbone::EncodePrefix(const EncodedBatch& batch) const {
   prefix.max_len = batch.max_len;
   prefix.conditioning = config_.conditioning;
   prefix.param_version = ParameterVersion();
-  // Same LaneRuns partition as BatchLoss/DecodeBatch, so suffix results fold
-  // back in the same lane order with the same padded shapes — bitwise parity
-  // with the uncached paths needs nothing further.
-  const std::vector<std::pair<int64_t, int64_t>> runs = LaneRuns(batch.lengths);
-  prefix.runs.reserve(runs.size());
-  for (const auto& [begin, count] : runs) {
-    CachedPrefix::Run run;
-    run.batch = runs.size() > 1 ? SubBatch(batch, begin, count) : batch;
-    run.features = EncodePrefixImpl(run.batch);
-    prefix.runs.push_back(std::move(run));
-  }
+  // The uncached walk's partition and the same Prefix, with no lane streams
+  // (the regime draws none): each run's Suffix later sees exactly the values
+  // and padded shapes the uncached path computes.
+  ForEachLaneRun(batch, [&](const EncodedBatch& run, int64_t) {
+    CachedPrefix::Run cached;
+    cached.batch = run;
+    cached.features = Prefix(cached.batch, {});
+    prefix.runs.push_back(std::move(cached));
+  });
   return prefix;
 }
 
 Tensor Backbone::BatchLossFromPrefix(const CachedPrefix& prefix,
                                      const Tensor& phi,
                                      const std::vector<bool>& valid_tags) const {
-  CheckPrefix(prefix);
-  std::vector<Tensor> per_run;
-  per_run.reserve(prefix.runs.size());
-  for (const CachedPrefix::Run& run : prefix.runs) {
-    Tensor emissions = SuffixEmissions(run, phi);
-    per_run.push_back(crf_->NegLogLikelihoodBatch(emissions, run.batch.tags,
-                                                  run.batch.lengths, &valid_tags));
-  }
-  Tensor per_lane = per_run.size() == 1 ? per_run.front()
-                                        : tensor::Concat(per_run, 0);
-  return tensor::SumAllFloat(per_lane);
+  return SumRunLosses(*crf_, valid_tags, [&](const RunVisitor& visit) {
+    ForEachRun(prefix, phi, visit);
+  });
 }
 
 Tensor Backbone::EmissionsFromPrefix(const CachedPrefix& prefix,
                                      const Tensor& phi) const {
-  CheckPrefix(prefix);
   std::vector<Tensor> per_run;
-  per_run.reserve(prefix.runs.size());
-  for (const CachedPrefix::Run& run : prefix.runs) {
-    Tensor em = SuffixEmissions(run, phi);
-    if (run.batch.max_len < prefix.max_len) {
-      // Re-pad to the whole-batch Lmax so the result matches EmissionsBatch's
-      // shape.  Padding rows are unspecified by that contract; zeros are as
-      // good as recomputed garbage and cheaper.
-      em = tensor::Concat(
-          {em, Tensor::Zeros(Shape{run.batch.batch,
-                                   prefix.max_len - run.batch.max_len,
-                                   config_.max_tags})},
-          1);
+  ForEachRun(prefix, phi, [&](const EncodedBatch& run, const Tensor& emissions) {
+    if (run.max_len == prefix.max_len) {
+      per_run.push_back(emissions);
+      return;
     }
-    per_run.push_back(em);
-  }
+    // Re-pad to the whole-batch Lmax; padding rows are unspecified, and
+    // zeros are as good as recomputed garbage and cheaper.
+    per_run.push_back(tensor::Concat(
+        {emissions, Tensor::Zeros(Shape{run.batch, prefix.max_len - run.max_len,
+                                        config_.max_tags})},
+        1));
+  });
   return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
 }
 
 std::vector<std::vector<int64_t>> Backbone::DecodeBatchFromPrefix(
     const CachedPrefix& prefix, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  CheckPrefix(prefix);
-  std::vector<std::vector<int64_t>> paths;
-  paths.reserve(static_cast<size_t>(prefix.batch));
-  for (const CachedPrefix::Run& run : prefix.runs) {
-    Tensor emissions = SuffixEmissions(run, phi);
-    // As in DecodeBatch: cut the decode out of a live autodiff graph; under
-    // EvalMode no graph was built, so the copy would only burn an allocation.
-    if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-    std::vector<std::vector<int64_t>> run_paths =
-        crf_->ViterbiBatch(emissions, run.batch.lengths, &valid_tags);
-    for (auto& path : run_paths) paths.push_back(std::move(path));
-  }
-  return paths;
+  return DecodeRuns(*crf_, valid_tags, [&](const RunVisitor& visit) {
+    ForEachRun(prefix, phi, visit);
+  });
 }
 
 }  // namespace fewner::models

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -95,54 +96,25 @@ class Backbone : public nn::Module {
 
   /// Context-encoded token features [L, 2H]; φ must be defined iff the
   /// conditioning mode uses it (pass ZeroContext() when in doubt).  A B=1
-  /// wrapper over the batched pipeline, drawing dropout from the standalone
-  /// member stream.
+  /// run of Prefix + Suffix stopped before the emission layer, drawing
+  /// dropout from the standalone member stream (ProtoNet, MatchingNet and
+  /// SNAIL read features sentence by sentence).
   tensor::Tensor Encode(const EncodedSentence& sentence,
                         const tensor::Tensor& phi) const;
 
-  /// Batched context-encoded features [B, Lmax, 2H] with FiLM/concat
-  /// conditioning broadcast over all lanes.  Lane b's first lengths[b] rows
-  /// are bitwise-equal to Encode on that sentence alone (given matching
-  /// dropout streams); padding rows are unspecified and must be masked by
-  /// consumers.
-  tensor::Tensor EncodeBatch(const EncodedBatch& batch,
-                             const tensor::Tensor& phi) const;
-
-  /// CRF emission scores [L, max_tags].
-  tensor::Tensor Emissions(const EncodedSentence& sentence,
-                           const tensor::Tensor& phi) const;
-
-  /// Batched CRF emission scores [B, Lmax, max_tags].
-  tensor::Tensor EmissionsBatch(const EncodedBatch& batch,
-                                const tensor::Tensor& phi) const;
-
-  /// CRF negative log-likelihood of the sentence's gold tags.
-  tensor::Tensor SentenceLoss(const EncodedSentence& sentence,
-                              const tensor::Tensor& phi,
-                              const std::vector<bool>& valid_tags) const;
-
-  /// Summed NLL over a set of sentences (the task loss L_T of Eq. 5/6;
-  /// the paper defines L = -Σ p(y|h)).  Sentence i draws dropout from the
-  /// per-lane stream (episode, call, lane i) — the same stream the batched
-  /// overload gives lane i — so the two overloads are bitwise-interchangeable.
-  tensor::Tensor BatchLoss(const std::vector<EncodedSentence>& sentences,
-                           const tensor::Tensor& phi,
-                           const std::vector<bool>& valid_tags) const;
-
-  /// Batch-first task loss: one batched forward + one batched CRF NLL over
-  /// all lanes, folded in lane order with the same left-associated scalar
-  /// adds as the per-sentence overload.  This is the inner-loop fast path;
-  /// second-order meta-gradients flow through it like any other op chain.
+  /// Summed CRF negative log-likelihood over all lanes — the task loss L_T
+  /// of Eq. 5/6 (the paper defines L = -Σ p(y|h)).  Lane b draws dropout
+  /// from `dropout_base().Fork(episode).Fork((call << 32) | b)`, where
+  /// `episode` is the last ReseedDropout id (0 before any) and `call` counts
+  /// the dropout-drawing BatchLoss/DecodeBatch calls since.  Lane NLLs are
+  /// folded in lane order with left-associated scalar float adds, so the
+  /// total is bitwise-equal to adding per-sentence losses one at a time.
+  /// This is the inner-loop path; second-order meta-gradients flow through it.
   tensor::Tensor BatchLoss(const EncodedBatch& batch, const tensor::Tensor& phi,
                            const std::vector<bool>& valid_tags) const;
 
-  /// Viterbi decode of one sentence.
-  std::vector<int64_t> Decode(const EncodedSentence& sentence,
-                              const tensor::Tensor& phi,
-                              const std::vector<bool>& valid_tags) const;
-
-  /// Batched Viterbi decode: one batched forward, then per-lane decoding of
-  /// each lane's real prefix.  The query-serving fast path under EvalMode.
+  /// Batched Viterbi decode of each lane's real prefix.  Lane b's tags are
+  /// identical to decoding that sentence alone.
   std::vector<std::vector<int64_t>> DecodeBatch(
       const EncodedBatch& batch, const tensor::Tensor& phi,
       const std::vector<bool>& valid_tags) const;
@@ -160,7 +132,7 @@ class Backbone : public nn::Module {
   /// swaps in a new node id.  Cheap enough to recompute on every cached call.
   uint64_t ParameterVersion() const;
 
-  /// Runs the θ-only head once over `batch`, bucketed exactly like BatchLoss.
+  /// Runs the θ-prefix once over `batch`, bucketed exactly like BatchLoss.
   /// Aborts unless CanCachePrefix() — a cached prefix must be dropout-free.
   /// Graph-mode callers get a differentiable shared subgraph (the
   /// create_graph meta-training regime); EvalMode callers get arena-backed
@@ -174,9 +146,9 @@ class Backbone : public nn::Module {
                                      const tensor::Tensor& phi,
                                      const std::vector<bool>& valid_tags) const;
 
-  /// Batched emission scores [B, Lmax, max_tags] from a cached prefix.
-  /// Real rows match EmissionsBatch bitwise; padding rows (unspecified by the
-  /// EmissionsBatch contract) are zero here.
+  /// Batched emission scores [B, Lmax, max_tags] from a cached prefix.  Lane
+  /// b's real rows are bitwise-equal to that sentence's emissions alone;
+  /// padding rows are zero.
   tensor::Tensor EmissionsFromPrefix(const CachedPrefix& prefix,
                                      const tensor::Tensor& phi) const;
 
@@ -210,26 +182,42 @@ class Backbone : public nn::Module {
   void set_dropout_base(const util::Rng& base) { dropout_base_ = base; }
 
  private:
-  /// The shared batched pipeline.  `lane_rngs[b]` supplies lane b's dropout
-  /// draws (input mask first, then hidden mask — the per-sentence order).
-  tensor::Tensor EncodeBatchImpl(const EncodedBatch& batch,
-                                 const tensor::Tensor& phi,
-                                 const std::vector<util::Rng*>& lane_rngs) const;
+  /// The one test-only seam: tests/reference/ reaches Prefix/Suffix through
+  /// it to build the per-sentence oracles the batched paths are checked
+  /// against.
+  friend class BackboneTestPeer;
 
-  tensor::Tensor EmissionsBatchImpl(const EncodedBatch& batch,
-                                    const tensor::Tensor& phi,
-                                    const std::vector<util::Rng*>& lane_rngs) const;
+  /// Per-lane dropout streams of one run; lane b draws from lane_rngs[b].
+  /// May be empty when the backbone draws no dropout (CanCachePrefix()).
+  using LaneRngs = std::vector<util::Rng*>;
 
-  /// θ-only head of EncodeBatchImpl for one (sub-)batch: embeddings + CharCNN
-  /// [+ BiGRU for kFilm/kNone].  Only callable in the dropout-free regime, so
-  /// the elided LaneDropout calls are exactly the identities EncodeBatchImpl
-  /// would have applied.
-  tensor::Tensor EncodePrefixImpl(const EncodedBatch& batch) const;
+  /// Called once per lane run, in ascending lane order, with the run's
+  /// lanes and its emissions [count, run_max_len, max_tags].
+  using RunVisitor = std::function<void(const EncodedBatch& run,
+                                        const tensor::Tensor& emissions)>;
 
-  /// φ-dependent tail over one cached run: conditioning + emission linear.
-  /// Returns [count, run_max_len, max_tags].
-  tensor::Tensor SuffixEmissions(const CachedPrefix::Run& run,
-                                 const tensor::Tensor& phi) const;
+  /// θ-prefix of one run: embeddings + CharCNN, input LaneDropout, and the
+  /// BiGRU/BiLSTM for kFilm/kNone.  Returns the [B, L, D] features φ first
+  /// touches (see CachedPrefix for the split point per mode).
+  tensor::Tensor Prefix(const EncodedBatch& run, const LaneRngs& lane_rngs) const;
+
+  /// φ-suffix of one run: conditioning (the BiGRU/BiLSTM too for kConcat),
+  /// hidden LaneDropout and the emission layer.  Returns [B, L, max_tags]
+  /// emissions, or the [B, L, 2H] hidden states when `emit` is false.
+  tensor::Tensor Suffix(const EncodedBatch& run, const tensor::Tensor& features,
+                        const tensor::Tensor& phi, const LaneRngs& lane_rngs,
+                        bool emit = true) const;
+
+  /// The uncached run walk: forks the lane streams, partitions `batch` into
+  /// lane runs, and builds run r's Prefix and Suffix (and `visit`s it) before
+  /// run r + 1.  Grad's fan-in accumulation order follows this node-creation
+  /// order, so the meta-gradient bits depend on it.
+  void ForEachRun(const EncodedBatch& batch, const tensor::Tensor& phi,
+                  const RunVisitor& visit) const;
+
+  /// The cached run walk: the Suffix of each run of a checked prefix.
+  void ForEachRun(const CachedPrefix& prefix, const tensor::Tensor& phi,
+                  const RunVisitor& visit) const;
 
   /// Aborts when `prefix` is stale (θ changed since EncodePrefix), was built
   /// for a different conditioning mode, or the backbone left the cacheable
@@ -242,10 +230,10 @@ class Backbone : public nn::Module {
   /// get a 0 mask (dropped) without consuming draws.
   tensor::Tensor LaneDropout(const tensor::Tensor& x,
                              const EncodedBatch& batch,
-                             const std::vector<util::Rng*>& lane_rngs) const;
+                             const LaneRngs& lane_rngs) const;
 
-  /// Forks the per-lane dropout streams for the next BatchLoss-style call:
-  /// stream id (call_index << 32) | lane, under the episode fork.  Advancing
+  /// Forks the per-lane dropout streams for the next BatchLoss/DecodeBatch
+  /// call: stream id (call_index << 32) | lane, under the episode fork.  Advancing
   /// the call counter decorrelates successive inner steps (and the query
   /// pass) while staying a pure function of (episode id, call index, lane).
   std::vector<util::Rng> ForkLaneRngs(size_t lanes) const;
@@ -260,7 +248,7 @@ class Backbone : public nn::Module {
   std::unique_ptr<crf::LinearChainCrf> crf_;
   util::Rng dropout_base_;
   mutable util::Rng dropout_episode_;  ///< episode fork; lane streams hang off it
-  mutable uint64_t dropout_call_ = 0;  ///< BatchLoss calls since ReseedDropout
+  mutable uint64_t dropout_call_ = 0;  ///< lane-stream forks since ReseedDropout
   mutable util::Rng dropout_rng_;      ///< standalone (non-lane) stream
 };
 

@@ -30,7 +30,7 @@ struct EncodedEpisode {
 };
 
 /// A padded, length-masked batch of sentences in `[B, Lmax]` layout — the unit
-/// of work for the batch-first pipeline (Backbone::EncodeBatch and friends).
+/// of work for the batch-first pipeline (Backbone::BatchLoss and friends).
 /// Lane b occupies flat positions [b*max_len, b*max_len + lengths[b]); the
 /// tail of each lane is padding (word id 0, empty char sequence, tag 0) that
 /// every consumer masks by `lengths`.

@@ -59,26 +59,6 @@ BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng)
   RegisterModule("backward", backward_cell_.get());
 }
 
-Tensor BiGru::RunDirection(const GruCell& cell, const Tensor& x, bool reverse) const {
-  const int64_t length = x.shape().dim(0);
-  Tensor projected = cell.ProjectInput(x);  // [L, 3H]
-  Tensor h = Tensor::Zeros(Shape{1, hidden_dim_});
-  std::vector<Tensor> states(static_cast<size_t>(length));
-  for (int64_t step = 0; step < length; ++step) {
-    const int64_t t = reverse ? length - 1 - step : step;
-    Tensor row = tensor::Slice(projected, 0, t, 1);  // [1, 3H]
-    h = cell.Step(row, h);
-    states[static_cast<size_t>(t)] = h;
-  }
-  return tensor::Concat(states, 0);  // [L, H]
-}
-
-Tensor BiGru::Forward(const Tensor& x) const {
-  Tensor fwd = RunDirection(*forward_cell_, x, /*reverse=*/false);
-  Tensor bwd = RunDirection(*backward_cell_, x, /*reverse=*/true);
-  return tensor::Concat({fwd, bwd}, 1);  // [L, 2H]
-}
-
 void BuildStepMasks(const std::vector<int64_t>& lengths, int64_t max_len,
                     std::vector<Tensor>* masks, std::vector<bool>* full) {
   const int64_t lanes = static_cast<int64_t>(lengths.size());

@@ -26,9 +26,9 @@ class GruCell : public Module {
   /// Hoisting this matmul out of the recurrence is the standard optimization.
   tensor::Tensor ProjectInput(const tensor::Tensor& x) const;
 
-  /// One step given pre-projected input rows [B, 3H] and states [B, H] (B=1
-  /// for the sentence-at-a-time path).  Every op inside is per-row, so lane b
-  /// of a batched step is bitwise-equal to a B=1 step on that lane alone.
+  /// One step given pre-projected input rows [B, 3H] and states [B, H].
+  /// Every op inside is per-row, so lane b of a batched step is
+  /// bitwise-equal to a B=1 step on that lane alone.
   tensor::Tensor Step(const tensor::Tensor& projected_row,
                       const tensor::Tensor& h) const;
 
@@ -44,19 +44,18 @@ class GruCell : public Module {
   tensor::Tensor b_hh_;  ///< [3H]
 };
 
-/// Bidirectional GRU over a sentence: concatenates forward and backward hidden
-/// states per token, [L, input] -> [L, 2H].
+/// Bidirectional GRU: concatenates forward and backward hidden states per
+/// token.
 class BiGru : public Module {
  public:
   BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
-
-  tensor::Tensor Forward(const tensor::Tensor& x) const;
 
   /// Batched time loop over padded lanes: [B, L, input] -> [B, L, 2H], one
   /// GEMM per timestep per direction over all B lanes.  Lane b is active at
   /// step t iff t < lengths[b]; finished (or, in reverse, not-yet-started)
   /// lanes carry their state through unchanged via an exact Where select, so
-  /// lane b's real positions are bitwise-equal to Forward on that sentence.
+  /// lane b's real positions are bitwise-equal to ForwardBatch on that lane
+  /// alone (B=1 is the sentence-at-a-time case).
   tensor::Tensor ForwardBatch(const tensor::Tensor& x,
                               const std::vector<int64_t>& lengths) const;
 
@@ -65,9 +64,6 @@ class BiGru : public Module {
 
  private:
   /// Runs one direction; `reverse` processes the sequence back to front.
-  tensor::Tensor RunDirection(const GruCell& cell, const tensor::Tensor& x,
-                              bool reverse) const;
-
   tensor::Tensor RunDirectionBatch(const GruCell& cell, const tensor::Tensor& x,
                                    const std::vector<tensor::Tensor>& step_masks,
                                    const std::vector<bool>& step_full,

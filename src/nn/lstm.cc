@@ -57,30 +57,6 @@ BiLstm::BiLstm(int64_t input_dim, int64_t hidden_dim, util::Rng* rng)
   RegisterModule("backward", backward_cell_.get());
 }
 
-Tensor BiLstm::RunDirection(const LstmCell& cell, const Tensor& x,
-                            bool reverse) const {
-  const int64_t length = x.shape().dim(0);
-  Tensor projected = cell.ProjectInput(x);
-  Tensor h = Tensor::Zeros(Shape{1, hidden_dim_});
-  Tensor c = Tensor::Zeros(Shape{1, hidden_dim_});
-  std::vector<Tensor> states(static_cast<size_t>(length));
-  for (int64_t step = 0; step < length; ++step) {
-    const int64_t t = reverse ? length - 1 - step : step;
-    Tensor h_next, c_next;
-    cell.Step(tensor::Slice(projected, 0, t, 1), h, c, &h_next, &c_next);
-    h = h_next;
-    c = c_next;
-    states[static_cast<size_t>(t)] = h;
-  }
-  return tensor::Concat(states, 0);
-}
-
-Tensor BiLstm::Forward(const Tensor& x) const {
-  Tensor fwd = RunDirection(*forward_cell_, x, /*reverse=*/false);
-  Tensor bwd = RunDirection(*backward_cell_, x, /*reverse=*/true);
-  return tensor::Concat({fwd, bwd}, 1);
-}
-
 Tensor BiLstm::RunDirectionBatch(const LstmCell& cell, const Tensor& x,
                                  const std::vector<Tensor>& step_masks,
                                  const std::vector<bool>& step_full,

@@ -43,12 +43,11 @@ class LstmCell : public Module {
   tensor::Tensor bias_;  ///< [4H], forget slice initialized to 1
 };
 
-/// Bidirectional LSTM: [L, input] -> [L, 2H].
+/// Bidirectional LSTM: concatenates forward and backward hidden states per
+/// token.
 class BiLstm : public Module {
  public:
   BiLstm(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
-
-  tensor::Tensor Forward(const tensor::Tensor& x) const;
 
   /// Batched time loop over padded lanes: [B, L, input] -> [B, L, 2H].  Same
   /// masking contract as BiGru::ForwardBatch — inactive lanes carry (h, c)
@@ -60,9 +59,6 @@ class BiLstm : public Module {
   int64_t hidden_dim() const { return hidden_dim_; }
 
  private:
-  tensor::Tensor RunDirection(const LstmCell& cell, const tensor::Tensor& x,
-                              bool reverse) const;
-
   tensor::Tensor RunDirectionBatch(const LstmCell& cell, const tensor::Tensor& x,
                                    const std::vector<tensor::Tensor>& step_masks,
                                    const std::vector<bool>& step_full,

@@ -2,9 +2,10 @@
 //
 // The contract under test: for any padded, length-masked batch, lane b of the
 // batched pipeline is BITWISE-identical (0 ULP, compared with memcmp) to
-// running that lane's sentence alone through the per-sentence path — for
-// emissions, CRF negative log-likelihoods, the summed task loss (including
-// training-mode dropout given matching streams), and Viterbi tag sequences.
+// running that lane's sentence alone through the per-sentence oracles in
+// tests/reference/ — for emissions, CRF negative log-likelihoods, the summed
+// task loss (including training-mode dropout given matching streams), and
+// Viterbi tag sequences.
 // Meta-gradients are only required to agree to tolerance (backward reduction
 // orders differ), and the second-order path through the batched inner loop is
 // checked against central finite differences.  The new batched tensor ops
@@ -24,6 +25,7 @@
 #include "meta/fewner.h"
 #include "models/backbone.h"
 #include "models/encoding.h"
+#include "reference/backbone_reference.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/intraop.h"
@@ -323,32 +325,39 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
     const models::EncodedBatch batch = models::PackBatch(sentences);
     Tensor phi = net.ZeroContext();
 
-    // Emissions: lane b's real prefix must match the sentence alone, 0 ULP.
-    Tensor batched = net.EmissionsBatch(batch, phi);
+    // Emissions: lane b's real prefix must match the sentence alone, 0 ULP —
+    // both through one unbucketed padded run (padding invariance) and
+    // through the library's bucketed prefix/suffix path.
+    Tensor batched = reference::PaddedEmissions(net, batch, phi);
+    Tensor bucketed = net.EmissionsFromPrefix(net.EncodePrefix(batch), phi);
     for (size_t b = 0; b < sentences.size(); ++b) {
-      Tensor lane_rows = tensor::Reshape(
-          tensor::Slice(batched, 0, static_cast<int64_t>(b), 1),
-          Shape{batch.max_len, net.config().max_tags});
-      Tensor prefix =
-          tensor::Slice(lane_rows, 0, 0, sentences[b].length()).Detach();
-      Tensor alone = net.Emissions(sentences[b], phi).Detach();
-      ExpectBitwise(alone, prefix,
-                    "emissions lane " + std::to_string(b) + " episode " +
-                        std::to_string(id));
+      Tensor alone = reference::Emissions(net, sentences[b], phi).Detach();
+      for (const Tensor* emissions : {&batched, &bucketed}) {
+        Tensor lane_rows = tensor::Reshape(
+            tensor::Slice(*emissions, 0, static_cast<int64_t>(b), 1),
+            Shape{batch.max_len, net.config().max_tags});
+        Tensor prefix =
+            tensor::Slice(lane_rows, 0, 0, sentences[b].length()).Detach();
+        const std::string path = emissions == &batched ? "padded" : "bucketed";
+        ExpectBitwise(alone, prefix,
+                      path + " emissions lane " + std::to_string(b) +
+                          " episode " + std::to_string(id));
+      }
     }
 
     // CRF NLL: batched lane values against the per-sentence loss, and the
-    // lane-folded totals of the two BatchLoss overloads.
+    // lane-folded task loss against the per-sentence sum.
     Tensor per_lane = net.crf()->NegLogLikelihoodBatch(
         batched, batch.tags, batch.lengths, &valid_tags);
     for (size_t b = 0; b < sentences.size(); ++b) {
       const float alone =
-          net.SentenceLoss(sentences[b], phi, valid_tags).item();
+          reference::SentenceLoss(net, sentences[b], phi, valid_tags).item();
       const float lane = per_lane.at(static_cast<int64_t>(b));
       EXPECT_EQ(std::memcmp(&alone, &lane, sizeof(float)), 0)
           << "NLL lane " << b << " episode " << id;
     }
-    const float serial = net.BatchLoss(sentences, phi, valid_tags).item();
+    const float serial =
+        reference::BatchLoss(net, sentences, phi, valid_tags).item();
     const float fused = net.BatchLoss(batch, phi, valid_tags).item();
     EXPECT_EQ(std::memcmp(&serial, &fused, sizeof(float)), 0)
         << "task loss, episode " << id;
@@ -357,16 +366,17 @@ TEST_F(BatchParityTest, EmissionsNllAndViterbiBitwiseEqualOn100RaggedEpisodes) {
     const auto batched_tags = net.DecodeBatch(batch, phi, valid_tags);
     ASSERT_EQ(batched_tags.size(), sentences.size());
     for (size_t b = 0; b < sentences.size(); ++b) {
-      EXPECT_EQ(batched_tags[b], net.Decode(sentences[b], phi, valid_tags))
+      EXPECT_EQ(batched_tags[b],
+                reference::Decode(net, sentences[b], phi, valid_tags))
           << "viterbi lane " << b << " episode " << id;
     }
   }
 }
 
 TEST_F(BatchParityTest, TrainingModeDropoutLossesAgreeBitwise) {
-  // With dropout ON, the two BatchLoss overloads must still agree bitwise:
-  // lane b of the batched pass draws from the same (episode, call, lane)
-  // stream the per-sentence pass hands sentence b.
+  // With dropout ON, BatchLoss must still equal the per-sentence sum
+  // bitwise: lane b of the batched pass draws from the (episode, call, lane)
+  // stream the oracle derives from dropout_base() for sentence b.
   util::Rng init(0xC33);
   models::Backbone net(
       SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
@@ -381,17 +391,23 @@ TEST_F(BatchParityTest, TrainingModeDropoutLossesAgreeBitwise) {
     const models::EncodedBatch batch = models::PackBatch(sentences);
     Tensor phi = net.ZeroContext();
 
-    net.ReseedDropout(id);
-    const float serial = net.BatchLoss(sentences, phi, valid_tags).item();
+    const float serial =
+        reference::BatchLoss(net, sentences, phi, valid_tags, id, /*call=*/0)
+            .item();
     net.ReseedDropout(id);
     const float fused = net.BatchLoss(batch, phi, valid_tags).item();
     EXPECT_EQ(std::memcmp(&serial, &fused, sizeof(float)), 0)
         << "dropout episode " << id;
 
     // Successive calls under one reseed must decorrelate (fresh call index),
-    // while a reseed restores the exact stream.
+    // and the second call's streams are call index 1's.
     const float second = net.BatchLoss(batch, phi, valid_tags).item();
     EXPECT_NE(fused, second) << "episode " << id;
+    const float serial_second =
+        reference::BatchLoss(net, sentences, phi, valid_tags, id, /*call=*/1)
+            .item();
+    EXPECT_EQ(std::memcmp(&serial_second, &second, sizeof(float)), 0)
+        << "second call, dropout episode " << id;
   }
   net.SetTraining(false);
 }
@@ -417,13 +433,15 @@ TEST_F(BatchParityTest, MetaGradientsMatchPerSentencePathToTolerance) {
   auto meta_grads = [&](bool batched) {
     Tensor phi = net.ZeroContext();
     for (int k = 0; k < 2; ++k) {
-      Tensor loss = batched ? net.BatchLoss(support_batch, phi, valid_tags)
-                            : net.BatchLoss(support, phi, valid_tags);
+      Tensor loss = batched
+                        ? net.BatchLoss(support_batch, phi, valid_tags)
+                        : reference::BatchLoss(net, support, phi, valid_tags);
       Tensor g = Grad(loss, {phi}, /*create_graph=*/true)[0];
       phi = tensor::Sub(phi, tensor::MulScalar(g, 0.05f));
     }
-    Tensor query_loss = batched ? net.BatchLoss(query_batch, phi, valid_tags)
-                                : net.BatchLoss(query, phi, valid_tags);
+    Tensor query_loss =
+        batched ? net.BatchLoss(query_batch, phi, valid_tags)
+                : reference::BatchLoss(net, query, phi, valid_tags);
     return Grad(query_loss, nn::ParameterTensors(&net));
   };
 
@@ -527,7 +545,8 @@ TEST_F(BatchParityTest, WholeModelBitwiseInvariantAcrossIntraOpBudgets) {
     tensor::ParallelismBudget budget(threads);
     Run out;
     Tensor phi0 = net.ZeroContext();
-    out.emissions = net.EmissionsBatch(batch, phi0).Detach();
+    out.emissions =
+        net.EmissionsFromPrefix(net.EncodePrefix(batch), phi0).Detach();
     // One differentiated adaptation step before the outer loss, so the
     // meta-gradient routes through second-order NT/TN backward GEMMs too.
     Tensor phi = tensor::Sub(

@@ -20,6 +20,7 @@
 #include "data/synthetic.h"
 #include "meta/adapted_tagger.h"
 #include "meta/fewner.h"
+#include "reference/backbone_reference.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
@@ -286,7 +287,8 @@ TEST(EvalModeTest, GraphModeUnaffectedAfterEvalScope) {
 }
 
 /// Whole-model differential: AdaptedTagger (eval path) against graph-mode
-/// decoding with the same adapted context, over 100 sampled episodes.
+/// per-sentence decoding with the same adapted context, over 100 sampled
+/// episodes.
 TEST(EvalModeModelTest, AdaptedTaggerMatchesGraphModeOn100Episodes) {
   data::SyntheticSpec spec;
   spec.name = "evalparity";
@@ -327,8 +329,8 @@ TEST(EvalModeModelTest, AdaptedTaggerMatchesGraphModeOn100Episodes) {
                                episode.valid_tags, /*inner_steps=*/2,
                                /*inner_lr=*/0.1f);
     for (const auto& sentence : episode.query) {
-      std::vector<int64_t> graph_tags = fewner.backbone()->Decode(
-          sentence, tagger.phi(), episode.valid_tags);
+      std::vector<int64_t> graph_tags = reference::Decode(
+          *fewner.backbone(), sentence, tagger.phi(), episode.valid_tags);
       std::vector<int64_t> eval_tags = tagger.Tag(sentence);
       ASSERT_EQ(eval_tags, graph_tags) << "episode " << id;
     }
@@ -374,11 +376,12 @@ TEST(EvalModeModelTest, EmissionsBitwiseIdenticalAcrossModes) {
                    .Detach();
 
   for (const auto& sentence : episode.query) {
-    Tensor graph_emissions = fewner.backbone()->Emissions(sentence, phi);
+    Tensor graph_emissions =
+        reference::Emissions(*fewner.backbone(), sentence, phi);
     Tensor eval_emissions;
     {
       EvalMode eval;
-      eval_emissions = fewner.backbone()->Emissions(sentence, phi);
+      eval_emissions = reference::Emissions(*fewner.backbone(), sentence, phi);
     }
     ExpectBitwise(graph_emissions, eval_emissions, "emissions");
   }

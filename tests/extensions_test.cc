@@ -122,16 +122,23 @@ TEST(SlotFillingTest, Deterministic) {
 
 // ----------------------------------------------------------------- BiLSTM
 
+/// One sentence [L, D] through the BiLSTM's batched forward as a B=1 batch.
+Tensor ForwardOne(const nn::BiLstm& lstm, const Tensor& x) {
+  const int64_t length = x.shape().dim(0);
+  return lstm.ForwardBatch(
+      tensor::Reshape(x, Shape{1, length, x.shape().dim(1)}), {length});
+}
+
 TEST(LstmTest, ShapesAndBidirectionality) {
   util::Rng rng(5);
   nn::BiLstm lstm(3, 4, &rng);
   Tensor x = Tensor::Randn(Shape{6, 3}, &rng);
-  Tensor out = lstm.Forward(x);
-  EXPECT_EQ(out.shape(), (Shape{6, 8}));
+  Tensor out = ForwardOne(lstm, x);
+  EXPECT_EQ(out.shape(), (Shape{1, 6, 8}));
   // Perturbing the last token changes the first token's backward features only.
   std::vector<float> perturbed = x.data();
   perturbed[15] += 1.0f;
-  Tensor out2 = lstm.Forward(Tensor::FromData(Shape{6, 3}, perturbed));
+  Tensor out2 = ForwardOne(lstm, Tensor::FromData(Shape{6, 3}, perturbed));
   for (int64_t j = 0; j < 4; ++j) EXPECT_FLOAT_EQ(out.at(j), out2.at(j));
   double delta = 0;
   for (int64_t j = 4; j < 8; ++j) delta += std::abs(out.at(j) - out2.at(j));
@@ -142,18 +149,18 @@ TEST(LstmTest, GradCheckThroughTime) {
   util::Rng rng(7);
   nn::BiLstm lstm(2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{3, 2}, &rng, 0.5f, /*requires_grad=*/true);
-  Tensor loss = tensor::SumAll(tensor::Square(lstm.Forward(x)));
+  Tensor loss = tensor::SumAll(tensor::Square(ForwardOne(lstm, x)));
   auto g = tensor::autodiff::Grad(loss, {x});
   const float eps = 1e-2f;
   for (int64_t i = 0; i < x.numel(); ++i) {
     std::vector<float> plus = x.data(), minus = x.data();
     plus[static_cast<size_t>(i)] += eps;
     minus[static_cast<size_t>(i)] -= eps;
-    const float lp = tensor::SumAll(tensor::Square(lstm.Forward(
-                                        Tensor::FromData(x.shape(), plus))))
+    const float lp = tensor::SumAll(tensor::Square(ForwardOne(
+                         lstm, Tensor::FromData(x.shape(), plus))))
                          .item();
-    const float lm = tensor::SumAll(tensor::Square(lstm.Forward(
-                                        Tensor::FromData(x.shape(), minus))))
+    const float lm = tensor::SumAll(tensor::Square(ForwardOne(
+                         lstm, Tensor::FromData(x.shape(), minus))))
                          .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 5e-2) << "element " << i;
   }

@@ -104,12 +104,13 @@ TEST_F(MetaTest, FewnerInnerLoopReducesSupportLoss) {
   fewner.backbone()->SetTraining(false);
   models::EncodedEpisode episode = EncodeEpisode(0);
   Tensor phi0 = fewner.backbone()->ZeroContext();
+  const models::EncodedBatch support = models::PackBatch(episode.support);
   const float before =
-      fewner.backbone()->BatchLoss(episode.support, phi0, episode.valid_tags).item();
+      fewner.backbone()->BatchLoss(support, phi0, episode.valid_tags).item();
   Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 6, 0.1f,
                                    /*create_graph=*/false);
   const float after =
-      fewner.backbone()->BatchLoss(episode.support, phi, episode.valid_tags).item();
+      fewner.backbone()->BatchLoss(support, phi, episode.valid_tags).item();
   EXPECT_LT(after, before);
 }
 
@@ -160,15 +161,16 @@ TEST_F(MetaTest, MamlInnerAdaptReducesSupportLossAndRestores) {
   maml.backbone()->SetTraining(false);
   models::EncodedEpisode episode = EncodeEpisode(0);
   auto snapshot = nn::SnapshotParameterValues(maml.backbone());
+  const models::EncodedBatch support = models::PackBatch(episode.support);
   const float before =
-      maml.backbone()->BatchLoss(episode.support, Tensor(), episode.valid_tags).item();
+      maml.backbone()->BatchLoss(support, Tensor(), episode.valid_tags).item();
   auto adapted = maml.InnerAdapt(episode.support, episode.valid_tags, 4, 0.1f,
                                  /*create_graph=*/false);
   float after = 0;
   {
     nn::ParameterPatch patch(maml.backbone()->Parameters(), adapted);
     after = maml.backbone()
-                ->BatchLoss(episode.support, Tensor(), episode.valid_tags)
+                ->BatchLoss(support, Tensor(), episode.valid_tags)
                 .item();
   }
   EXPECT_LT(after, before);
@@ -228,6 +230,7 @@ std::vector<float> PhiGradientByFiniteDifference(
     const models::Backbone& net,
     const std::vector<models::EncodedSentence>& support,
     const std::vector<bool>& valid_tags, double h) {
+  const models::EncodedBatch packed = models::PackBatch(support);
   const int64_t dim = net.ZeroContext().shape().dim(0);
   std::vector<float> grad(static_cast<size_t>(dim));
   for (int64_t i = 0; i < dim; ++i) {
@@ -236,12 +239,12 @@ std::vector<float> PhiGradientByFiniteDifference(
     up[static_cast<size_t>(i)] = static_cast<float>(h);
     down[static_cast<size_t>(i)] = static_cast<float>(-h);
     const float loss_up =
-        net.BatchLoss(support,
+        net.BatchLoss(packed,
                       Tensor::FromData(tensor::Shape{dim}, std::move(up)),
                       valid_tags)
             .item();
     const float loss_down =
-        net.BatchLoss(support,
+        net.BatchLoss(packed,
                       Tensor::FromData(tensor::Shape{dim}, std::move(down)),
                       valid_tags)
             .item();

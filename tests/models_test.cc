@@ -10,6 +10,7 @@
 #include "models/encoding.h"
 #include "models/lm_encoder.h"
 #include "nn/optim.h"
+#include "reference/backbone_reference.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "text/bio.h"
@@ -96,7 +97,7 @@ TEST_F(BackboneTest, EmissionShapes) {
   util::Rng rng(1);
   Backbone backbone(config_, &rng);
   Tensor phi = backbone.ZeroContext();
-  Tensor emissions = backbone.Emissions(encoded_, phi);
+  Tensor emissions = reference::Emissions(backbone, encoded_, phi);
   EXPECT_EQ(emissions.shape(), (Shape{5, config_.max_tags}));
 }
 
@@ -111,7 +112,7 @@ TEST_F(BackboneTest, ConditioningModesAffectInputDim) {
   config_.context_dim = 0;
   Backbone none(config_, &rng);
   EXPECT_FALSE(none.ZeroContext().defined());
-  Tensor emissions = none.Emissions(encoded_, Tensor());
+  Tensor emissions = reference::Emissions(none, encoded_, Tensor());
   EXPECT_EQ(emissions.shape(), (Shape{5, config_.max_tags}));
 }
 
@@ -119,8 +120,10 @@ TEST_F(BackboneTest, ContextChangesEmissionsUnderFilm) {
   util::Rng rng(1);
   Backbone backbone(config_, &rng);
   backbone.SetTraining(false);
-  Tensor e0 = backbone.Emissions(encoded_, Tensor::Zeros(Shape{6}, true));
-  Tensor e1 = backbone.Emissions(encoded_, Tensor::Ones(Shape{6}, true));
+  Tensor e0 =
+      reference::Emissions(backbone, encoded_, Tensor::Zeros(Shape{6}, true));
+  Tensor e1 =
+      reference::Emissions(backbone, encoded_, Tensor::Ones(Shape{6}, true));
   double delta = 0;
   for (int64_t i = 0; i < e0.numel(); ++i) delta += std::abs(e0.at(i) - e1.at(i));
   EXPECT_GT(delta, 1e-4);
@@ -130,7 +133,7 @@ TEST_F(BackboneTest, GradFlowsToContextAndTheta) {
   util::Rng rng(1);
   Backbone backbone(config_, &rng);
   Tensor phi = backbone.ZeroContext();
-  Tensor loss = backbone.SentenceLoss(encoded_, phi, valid_);
+  Tensor loss = reference::SentenceLoss(backbone, encoded_, phi, valid_);
   EXPECT_GE(loss.item(), -1e-3);
   auto phi_grads = tensor::autodiff::Grad(loss, {phi});
   double norm = 0;
@@ -146,7 +149,8 @@ TEST_F(BackboneTest, NoCharCnnAblation) {
   config_.use_char_cnn = false;
   Backbone backbone(config_, &rng);
   EXPECT_EQ(backbone.token_input_dim(), config_.word_dim);
-  Tensor emissions = backbone.Emissions(encoded_, backbone.ZeroContext());
+  Tensor emissions =
+      reference::Emissions(backbone, encoded_, backbone.ZeroContext());
   EXPECT_EQ(emissions.shape(), (Shape{5, config_.max_tags}));
 }
 
@@ -155,7 +159,8 @@ TEST_F(BackboneTest, DecodeRespectsValidMask) {
   Backbone backbone(config_, &rng);
   backbone.SetTraining(false);
   std::vector<bool> narrow = text::ValidTagMask(2, config_.max_tags);
-  auto tags = backbone.Decode(encoded_, backbone.ZeroContext(), narrow);
+  auto tags =
+      reference::Decode(backbone, encoded_, backbone.ZeroContext(), narrow);
   EXPECT_EQ(tags.size(), 5u);
   for (int64_t tag : tags) EXPECT_LT(tag, text::NumTags(2));
 }
@@ -165,15 +170,16 @@ TEST_F(BackboneTest, TrainingReducesLossOnFixedSentence) {
   Backbone backbone(config_, &rng);
   backbone.SetTraining(false);  // keep dropout off for determinism
   Tensor phi = backbone.ZeroContext();
-  const float initial = backbone.SentenceLoss(encoded_, phi, valid_).item();
+  const float initial =
+      reference::SentenceLoss(backbone, encoded_, phi, valid_).item();
   nn::Adam adam(backbone.Parameters(), 0.02f);
   for (int step = 0; step < 25; ++step) {
-    Tensor loss =
-        backbone.SentenceLoss(encoded_, backbone.ZeroContext(), valid_);
+    Tensor loss = reference::SentenceLoss(backbone, encoded_,
+                                          backbone.ZeroContext(), valid_);
     adam.Step(tensor::autodiff::Grad(loss, nn::ParameterTensors(&backbone)));
   }
-  const float final_loss =
-      backbone.SentenceLoss(encoded_, backbone.ZeroContext(), valid_).item();
+  const float final_loss = reference::SentenceLoss(
+      backbone, encoded_, backbone.ZeroContext(), valid_).item();
   EXPECT_LT(final_loss, initial * 0.5f);
 }
 

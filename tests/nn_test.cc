@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "nn/attention.h"
 #include "nn/char_cnn.h"
 #include "nn/gru.h"
 #include "nn/init.h"
 #include "nn/layers.h"
+#include "nn/lstm.h"
 #include "nn/module.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
@@ -214,18 +218,26 @@ TEST(GruTest, ShapesAndStatePropagation) {
   EXPECT_GT(norm, 1e-4);
 }
 
+/// One sentence [L, D] through `rnn`'s batched forward as a B=1 batch.
+template <typename Rnn>
+Tensor ForwardOne(const Rnn& rnn, const Tensor& x) {
+  const int64_t length = x.shape().dim(0);
+  return rnn.ForwardBatch(
+      tensor::Reshape(x, Shape{1, length, x.shape().dim(1)}), {length});
+}
+
 TEST(BiGruTest, OutputShapeAndDirectionality) {
   util::Rng rng(15);
   BiGru gru(3, 4, &rng);
   Tensor x = Tensor::Randn(Shape{6, 3}, &rng);
-  Tensor out = gru.Forward(x);
-  EXPECT_EQ(out.shape(), (Shape{6, 8}));
+  Tensor out = ForwardOne(gru, x);
+  EXPECT_EQ(out.shape(), (Shape{1, 6, 8}));
 
   // Changing the LAST token must change the backward features of the FIRST
   // token (information flows right-to-left) but not its forward features.
   std::vector<float> perturbed = x.data();
   perturbed[15] += 1.0f;  // last row, first feature
-  Tensor out2 = gru.Forward(Tensor::FromData(Shape{6, 3}, perturbed));
+  Tensor out2 = ForwardOne(gru, Tensor::FromData(Shape{6, 3}, perturbed));
   for (int64_t j = 0; j < 4; ++j) {
     EXPECT_FLOAT_EQ(out.at(j), out2.at(j)) << "forward feature " << j;
   }
@@ -238,21 +250,57 @@ TEST(BiGruTest, GradCheckThroughTime) {
   util::Rng rng(17);
   BiGru gru(2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{3, 2}, &rng, 0.5f, /*requires_grad=*/true);
-  Tensor loss = tensor::SumAll(tensor::Square(gru.Forward(x)));
+  Tensor loss = tensor::SumAll(tensor::Square(ForwardOne(gru, x)));
   auto g = Grad(loss, {x});
   const float eps = 1e-2f;
   for (int64_t i = 0; i < x.numel(); ++i) {
     std::vector<float> plus = x.data(), minus = x.data();
     plus[static_cast<size_t>(i)] += eps;
     minus[static_cast<size_t>(i)] -= eps;
-    const float lp = tensor::SumAll(tensor::Square(gru.Forward(
-                                        Tensor::FromData(x.shape(), plus))))
+    const float lp = tensor::SumAll(tensor::Square(ForwardOne(
+                         gru, Tensor::FromData(x.shape(), plus))))
                          .item();
-    const float lm = tensor::SumAll(tensor::Square(gru.Forward(
-                                        Tensor::FromData(x.shape(), minus))))
+    const float lm = tensor::SumAll(tensor::Square(ForwardOne(
+                         gru, Tensor::FromData(x.shape(), minus))))
                          .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 5e-2) << "element " << i;
   }
+}
+
+/// Lane b of a ragged ForwardBatch must equal ForwardBatch on lane b alone,
+/// 0 ULP, in both directions: forward lanes that finished early and reverse
+/// lanes that have not started yet are carried by Where, and the garbage in
+/// their padding rows must not leak into real rows.
+template <typename Rnn>
+void ExpectRaggedLanesEqualLanesAlone(const Rnn& rnn, int64_t input_dim,
+                                      util::Rng* rng) {
+  const std::vector<int64_t> lengths = {5, 2, 7, 1, 7, 3};
+  const int64_t lanes = static_cast<int64_t>(lengths.size());
+  const int64_t max_len = 7;
+  Tensor x = Tensor::Randn(Shape{lanes, max_len, input_dim}, rng);
+  Tensor batched = rnn.ForwardBatch(x, lengths);
+  const int64_t width = batched.shape().dim(2);
+  for (int64_t b = 0; b < lanes; ++b) {
+    const int64_t length = lengths[static_cast<size_t>(b)];
+    Tensor lane_input = tensor::Slice(tensor::Slice(x, 0, b, 1), 1, 0, length);
+    Tensor alone = rnn.ForwardBatch(lane_input, {length});
+    Tensor lane_rows =
+        tensor::Slice(tensor::Slice(batched, 0, b, 1), 1, 0, length);
+    ASSERT_EQ(alone.shape(), (Shape{1, length, width})) << "lane " << b;
+    EXPECT_EQ(std::memcmp(alone.data().data(), lane_rows.data().data(),
+                          alone.data().size() * sizeof(float)),
+              0)
+        << "lane " << b << " (length " << length << ") diverges from the lane "
+        << "alone";
+  }
+}
+
+TEST(RnnLaneTest, RaggedBatchLanesEqualLanesAloneBitwise) {
+  util::Rng rng(23);
+  BiGru gru(4, 3, &rng);
+  ExpectRaggedLanesEqualLanesAlone(gru, 4, &rng);
+  BiLstm lstm(4, 3, &rng);
+  ExpectRaggedLanesEqualLanesAlone(lstm, 4, &rng);
 }
 
 TEST(AttentionTest, CausalMaskBlocksFuture) {

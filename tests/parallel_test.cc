@@ -205,7 +205,8 @@ TEST_F(ParallelTest, AccumulatorBuffersBitIdenticalAcrossThreadCounts) {
           auto* net = static_cast<models::Backbone*>(model);
           models::EncodedEpisode enc = PrepareTrainingTask(
               *sampler_, *encoder_, train_config_, static_cast<uint64_t>(t), net);
-          Tensor loss = net->BatchLoss(enc.support, Tensor(), enc.valid_tags);
+          Tensor loss = net->BatchLoss(models::PackBatch(enc.support), Tensor(),
+                                       enc.valid_tags);
           *grads = tensor::autodiff::Grad(loss, replica_params);
           return loss.item();
         },
@@ -256,7 +257,8 @@ TEST_F(ParallelTest, SecondOrderMetaGradientMatchesFiniteDifferenceThreaded) {
     models::EncodedEpisode enc = PrepareTrainingTask(*sampler_, *encoder_,
                                                      bounds, candidate, master);
     Tensor phi = master->ZeroContext();
-    Tensor loss = master->BatchLoss(enc.support, phi, enc.valid_tags);
+    Tensor loss =
+        master->BatchLoss(models::PackBatch(enc.support), phi, enc.valid_tags);
     Tensor grad = tensor::autodiff::Grad(loss, {phi})[0];
     double norm_sq = 0.0;
     for (float v : grad.data()) norm_sq += static_cast<double>(v) * v;
@@ -273,7 +275,8 @@ TEST_F(ParallelTest, SecondOrderMetaGradientMatchesFiniteDifferenceThreaded) {
       Tensor phi =
           Fewner::AdaptContextOn(*master, enc.support, enc.valid_tags, kSteps,
                                  kInnerLr, /*create_graph=*/false);
-      total += master->BatchLoss(enc.query, phi, enc.valid_tags).item();
+      total += master->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags)
+                   .item();
     }
     return total / num_tasks;
   };
@@ -292,7 +295,8 @@ TEST_F(ParallelTest, SecondOrderMetaGradientMatchesFiniteDifferenceThreaded) {
         Tensor phi =
             Fewner::AdaptContextOn(*net, enc.support, enc.valid_tags, kSteps,
                                    kInnerLr, /*create_graph=*/true);
-        Tensor loss = net->BatchLoss(enc.query, phi, enc.valid_tags);
+        Tensor loss =
+            net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags);
         *grads = tensor::autodiff::Grad(loss, replica_params);
         return loss.item();
       },

@@ -25,6 +25,7 @@
 #include "models/encoding.h"
 #include "nn/module.h"
 #include "nn/optim.h"
+#include "reference/backbone_reference.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
@@ -159,22 +160,37 @@ class PrefixCacheTest : public ::testing::Test {
 
 TEST_F(PrefixCacheTest, CachedAdaptationBitwiseEqualOn100RaggedEpisodes) {
   // Two backbones cover both encoders and both conditioning modes; episodes
-  // cover B=1 and multi-run ragged shapes.
-  util::Rng init_a(0xA11), init_b(0xB22);
+  // cover B=1 and multi-run ragged shapes.  A third backbone at paper dims
+  // (word 300, char 100, 50 filters per width, hidden 128, |φ| 256) runs a
+  // few more episodes, so the served model's shapes are gated too.
+  util::Rng init_a(0xA11), init_b(0xB22), init_c(0xC33);
   models::Backbone gru_film(
       SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
       &init_a);
   models::Backbone lstm_concat(
       SmallConfig(models::EncoderKind::kBiLstm, models::Conditioning::kConcat),
       &init_b);
+  models::BackboneConfig paper_config =
+      SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm);
+  paper_config.word_dim = 300;
+  paper_config.char_dim = 100;
+  paper_config.filters_per_width = 50;
+  paper_config.hidden_dim = 128;
+  paper_config.context_dim = 256;
+  models::Backbone paper(paper_config, &init_c);
   gru_film.SetTraining(false);
   lstm_concat.SetTraining(false);
+  paper.SetTraining(false);
 
   constexpr int64_t kSteps = 3;
   constexpr float kLr = 0.1f;
+  constexpr uint64_t kEpisodes = 100;
+  constexpr uint64_t kPaperEpisodes = 6;  // ids 100..105: B=1 and multi-run
   util::Rng rng(0x9E01);
-  for (uint64_t id = 0; id < 100; ++id) {
-    models::Backbone& net = (id % 2 == 0) ? gru_film : lstm_concat;
+  for (uint64_t id = 0; id < kEpisodes + kPaperEpisodes; ++id) {
+    models::Backbone& net = id >= kEpisodes ? paper
+                            : (id % 2 == 0) ? gru_film
+                                            : lstm_concat;
     const int64_t n_way = 1 + static_cast<int64_t>(rng.UniformInt(5));
     const std::vector<bool> valid_tags =
         text::ValidTagMask(n_way, net.config().max_tags);
@@ -270,10 +286,11 @@ TEST_F(PrefixCacheTest, SplitPointsAndEmissionsPerConditioningMode) {
       EXPECT_EQ(run.features.shape().dim(2), expect_dim) << c.name;
     }
 
-    // Emission parity: every lane's real rows match EmissionsBatch bitwise
-    // (padding rows are unspecified there, zero here).
+    // Emission parity: every lane's real rows match one unbucketed padded
+    // run of the whole batch bitwise (padding rows are unspecified there,
+    // zero here).
     Tensor phi = net.ZeroContext();
-    Tensor plain = net.EmissionsBatch(batch, phi).Detach();
+    Tensor plain = reference::PaddedEmissions(net, batch, phi).Detach();
     Tensor cached = net.EmissionsFromPrefix(prefix, phi).Detach();
     ASSERT_EQ(plain.shape(), cached.shape()) << c.name;
     for (size_t b = 0; b < sentences.size(); ++b) {

@@ -7,7 +7,10 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "crf/linear_chain_crf.h"
 #include "data/episode_sampler.h"
@@ -29,6 +32,22 @@ struct BroadcastCase {
   std::vector<int64_t> a;
   std::vector<int64_t> b;
 };
+
+// Prints a case as its shapes, e.g. "a2x3x4_b1x4". Test discovery names each
+// case after this text; the default would print the vectors' raw bytes, heap
+// addresses included, so the test names would change from one build to the next.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  auto dims = [](const std::vector<int64_t>& shape) {
+    if (shape.empty()) return std::string("scalar");
+    std::string out;
+    for (size_t i = 0; i < shape.size(); ++i) {
+      if (i > 0) out += "x";
+      out += std::to_string(shape[i]);
+    }
+    return out;
+  };
+  *os << "a" << dims(c.a) << "_b" << dims(c.b);
+}
 
 class BroadcastProperty : public ::testing::TestWithParam<BroadcastCase> {};
 

