@@ -39,75 +39,6 @@ Tensor LinearChainCrf::ValidityMask(const std::vector<bool>* valid_tags) const {
   return Tensor::FromData(Shape{num_tags_}, std::move(mask));
 }
 
-Tensor LinearChainCrf::NegLogLikelihood(const Tensor& emissions,
-                                        const std::vector<int64_t>& tags,
-                                        const std::vector<bool>* valid_tags) const {
-  const int64_t length = emissions.shape().dim(0);
-  FEWNER_CHECK(emissions.rank() == 2 && emissions.shape().dim(1) == num_tags_,
-               "emissions must be [L, " << num_tags_ << "], got "
-                                        << emissions.shape().ToString());
-  FEWNER_CHECK(static_cast<int64_t>(tags.size()) == length,
-               "got " << tags.size() << " tags for " << length << " tokens");
-  for (int64_t tag : tags) {
-    FEWNER_CHECK(tag >= 0 && tag < num_tags_, "tag " << tag << " out of range");
-    FEWNER_CHECK(valid_tags == nullptr || (*valid_tags)[static_cast<size_t>(tag)],
-                 "gold tag " << tag << " is masked invalid");
-  }
-
-  // Crush invalid tags out of every path (gold path checked valid above).
-  Tensor masked = tensor::Add(emissions, ValidityMask(valid_tags));  // broadcast [Y]
-
-  // --- log partition function via the forward algorithm ---
-  Tensor alpha = tensor::Add(tensor::Reshape(start_, Shape{1, num_tags_}),
-                             tensor::Slice(masked, 0, 0, 1));  // [1, Y]
-  // transitions^T hoisted out of the time loop, same construction as the
-  // batched path below: by_to[j, i] = alpha[i] + transitions[i, j], built
-  // directly in [to, from] layout via the trailing-[Y] broadcast.  Each
-  // element is the same float addition, with the same operand order, that the
-  // old alpha-column-broadcast + per-timestep Transpose performed, so values
-  // AND gradients are bitwise-unchanged — but the T-1 materialized [Y, Y]
-  // transposes (and their backward nodes) are gone.
-  Tensor trans_by_to = tensor::Transpose(transitions_);  // [to, from]
-  for (int64_t t = 1; t < length; ++t) {
-    Tensor by_to =
-        tensor::Add(tensor::Reshape(alpha, Shape{num_tags_}), trans_by_to);
-    alpha = tensor::Add(
-        tensor::Reshape(tensor::LogSumExpLastDim(by_to), Shape{1, num_tags_}),
-        tensor::Slice(masked, 0, t, 1));
-  }
-  Tensor final_scores = tensor::Add(alpha, end_);
-  Tensor log_z = tensor::Reshape(tensor::LogSumExpLastDim(final_scores), Shape{});
-
-  // --- score of the gold path, via constant selection masks ---
-  std::vector<float> emit_mask(static_cast<size_t>(length * num_tags_), 0.0f);
-  for (int64_t t = 0; t < length; ++t) {
-    emit_mask[static_cast<size_t>(t * num_tags_ + tags[static_cast<size_t>(t)])] = 1.0f;
-  }
-  std::vector<float> trans_count(static_cast<size_t>(num_tags_ * num_tags_), 0.0f);
-  for (int64_t t = 1; t < length; ++t) {
-    trans_count[static_cast<size_t>(tags[static_cast<size_t>(t - 1)] * num_tags_ +
-                                    tags[static_cast<size_t>(t)])] += 1.0f;
-  }
-  std::vector<float> start_mask(static_cast<size_t>(num_tags_), 0.0f);
-  start_mask[static_cast<size_t>(tags.front())] = 1.0f;
-  std::vector<float> end_mask(static_cast<size_t>(num_tags_), 0.0f);
-  end_mask[static_cast<size_t>(tags.back())] = 1.0f;
-
-  Tensor gold_emit = tensor::SumAll(tensor::Mul(
-      masked, Tensor::FromData(Shape{length, num_tags_}, std::move(emit_mask))));
-  Tensor gold_trans = tensor::SumAll(tensor::Mul(
-      transitions_,
-      Tensor::FromData(Shape{num_tags_, num_tags_}, std::move(trans_count))));
-  Tensor gold_start = tensor::SumAll(tensor::Mul(
-      start_, Tensor::FromData(Shape{num_tags_}, std::move(start_mask))));
-  Tensor gold_end = tensor::SumAll(
-      tensor::Mul(end_, Tensor::FromData(Shape{num_tags_}, std::move(end_mask))));
-  Tensor gold_score =
-      tensor::Add(tensor::Add(gold_emit, gold_trans), tensor::Add(gold_start, gold_end));
-
-  return tensor::Sub(log_z, gold_score);  // NLL >= 0 up to float error
-}
-
 Tensor LinearChainCrf::NegLogLikelihoodBatch(
     const Tensor& emissions, const std::vector<int64_t>& tags,
     const std::vector<int64_t>& lengths, const std::vector<bool>* valid_tags) const {
@@ -133,8 +64,12 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
     }
   }
 
+  // Lane b equals the per-sentence recursion on its [len, Y] block alone, bit
+  // for bit (the tests hold it to the oracle reference::CrfNll); the comments
+  // below give the reason at each step.
+  //
   // Crush invalid tags out of every path.  The trailing [Y] broadcast applies
-  // the same per-element addition the per-sentence path applies.
+  // the same per-element addition to every lane.
   Tensor masked = tensor::Add(emissions, ValidityMask(valid_tags));  // [B, L, Y]
 
   // --- log partition function: one masked forward step per timestep ---
@@ -147,9 +82,9 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
   // transitions^T hoisted out of the time loop: by_to[b, j, i] = alpha[b, i] +
   // transitions[i, j], built directly in [B, to, from] layout.  Each element
   // is the same float addition, with the same operand order, that the
-  // single-sentence path's hoisted [to, from] recursion produces — so the
-  // LogSumExpLastDim rows match that path bitwise with no per-timestep
-  // [B, Y, Y] transpose (or its backward) in either path.
+  // per-sentence hoisted [to, from] recursion produces — so the
+  // LogSumExpLastDim rows match it bitwise with no per-timestep [B, Y, Y]
+  // transpose (or its backward).
   Tensor trans_by_to = tensor::Transpose(transitions_);  // [to, from]
   for (int64_t t = 1; t < max_len; ++t) {
     Tensor by_to = tensor::Add(tensor::Reshape(alpha, Shape{lanes, 1, num_tags_}),
@@ -218,15 +153,6 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
       tensor::Add(tensor::Add(gold_emit, gold_trans), tensor::Add(gold_start, gold_end));
 
   return tensor::Sub(log_z, gold_score);  // [B], lane b == per-sentence NLL
-}
-
-std::vector<int64_t> LinearChainCrf::Viterbi(const Tensor& emissions,
-                                             const std::vector<bool>* valid_tags) const {
-  const int64_t length = emissions.shape().dim(0);
-  FEWNER_CHECK(emissions.rank() == 2 && emissions.shape().dim(1) == num_tags_,
-               "emissions must be [L, " << num_tags_ << "]");
-  FEWNER_CHECK(length > 0, "Viterbi on empty sentence");
-  return ViterbiCore(emissions.data().data(), length, valid_tags);
 }
 
 std::vector<std::vector<int64_t>> LinearChainCrf::ViterbiBatch(

@@ -24,33 +24,25 @@ class LinearChainCrf : public nn::Module {
  public:
   explicit LinearChainCrf(int64_t num_tags);
 
-  /// Negative log-likelihood of `tags` given per-token emissions [L, num_tags].
-  /// If `valid_tags` is non-null it must have num_tags entries; invalid tags are
-  /// excluded from the partition function (their emissions are crushed).
-  tensor::Tensor NegLogLikelihood(const tensor::Tensor& emissions,
-                                  const std::vector<int64_t>& tags,
-                                  const std::vector<bool>* valid_tags = nullptr) const;
-
-  /// Batched negative log-likelihood over padded emissions [B, Lmax, num_tags]
-  /// with lane-major gold tags (`tags.size() == B * Lmax`, padding entries
-  /// ignored).  Returns a [B] tensor whose lane b is bitwise-equal to
-  /// NegLogLikelihood on that lane's [lengths[b], num_tags] slice: the masked
+  /// Negative log-likelihood of lane-major gold `tags` given padded emissions
+  /// [B, Lmax, num_tags] (`tags.size() == B * Lmax`, padding entries ignored).
+  /// If `valid_tags` is non-null it must have num_tags entries; invalid tags
+  /// are excluded from the partition function (their emissions are crushed).
+  /// Returns a [B] tensor whose lane b is bitwise-equal to the same recursion
+  /// run on that lane's [lengths[b], num_tags] slice alone: the masked
   /// log-space forward runs one batched step per timestep with finished lanes
   /// carrying alpha through an exact Where select, and the gold score sums
-  /// per lane in the same double-precision ascending order as SumAll.
+  /// per lane in the same double-precision ascending order as SumAll.  A
+  /// single sentence is the B=1 call on its [1, L, num_tags] emissions.
   tensor::Tensor NegLogLikelihoodBatch(const tensor::Tensor& emissions,
                                        const std::vector<int64_t>& tags,
                                        const std::vector<int64_t>& lengths,
                                        const std::vector<bool>* valid_tags =
                                            nullptr) const;
 
-  /// Highest-scoring tag sequence for emissions [L, num_tags].
-  std::vector<int64_t> Viterbi(const tensor::Tensor& emissions,
-                               const std::vector<bool>* valid_tags = nullptr) const;
-
-  /// Batched Viterbi over padded emissions [B, Lmax, num_tags]: decodes lane b
-  /// from its first lengths[b] rows with the same float recurrence as
-  /// Viterbi, so the paths are identical given identical emissions.
+  /// Highest-scoring tag sequence of each lane of padded emissions
+  /// [B, Lmax, num_tags], decoded from the lane's first lengths[b] rows alone
+  /// (a single sentence is the B=1 call).
   std::vector<std::vector<int64_t>> ViterbiBatch(
       const tensor::Tensor& emissions, const std::vector<int64_t>& lengths,
       const std::vector<bool>* valid_tags = nullptr) const;
@@ -78,9 +70,9 @@ class LinearChainCrf : public nn::Module {
   /// Additive [num_tags] mask: 0 for valid tags, a large negative otherwise.
   tensor::Tensor ValidityMask(const std::vector<bool>* valid_tags) const;
 
-  /// The shared max-product float recurrence: decodes one sentence from a raw
-  /// [length, num_tags] emission block.  Viterbi and ViterbiBatch both call
-  /// this, which is what makes their paths identical by construction.
+  /// The max-product float recurrence: decodes one sentence from a raw
+  /// [length, num_tags] emission block.  ViterbiBatch runs it per lane, so a
+  /// lane's path never depends on the other lanes.
   std::vector<int64_t> ViterbiCore(const float* emit, int64_t length,
                                    const std::vector<bool>* valid_tags) const;
 

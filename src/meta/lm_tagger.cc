@@ -31,12 +31,19 @@ Tensor LmCrfTagger::Features(const models::EncodedSentence& sentence) {
   return features;
 }
 
+Tensor LmCrfTagger::Emissions(const models::EncodedSentence& sentence) {
+  Tensor emissions = head_.emission->Forward(Features(sentence));  // [L, Y]
+  return tensor::Reshape(emissions, tensor::Shape{1, sentence.length(),
+                                                  head_.crf->num_tags()});
+}
+
 Tensor LmCrfTagger::BatchLoss(const std::vector<models::EncodedSentence>& sentences,
                               const std::vector<bool>& valid_tags) {
   Tensor total;
   for (const auto& sentence : sentences) {
-    Tensor emissions = head_.emission->Forward(Features(sentence));
-    Tensor loss = head_.crf->NegLogLikelihood(emissions, sentence.tags, &valid_tags);
+    // Each sentence is its own B=1 batch; the losses fold in sentence order.
+    Tensor loss = head_.crf->NegLogLikelihoodBatch(
+        Emissions(sentence), sentence.tags, {sentence.length()}, &valid_tags);
     total = total.defined() ? tensor::Add(total, loss) : loss;
   }
   return tensor::MulScalar(total, 1.0f / static_cast<float>(sentences.size()));
@@ -81,8 +88,8 @@ std::vector<std::vector<int64_t>> LmCrfTagger::AdaptAndPredict(
   std::vector<std::vector<int64_t>> predictions;
   predictions.reserve(episode.query.size());
   for (const auto& sentence : episode.query) {
-    Tensor emissions = head_.emission->Forward(Features(sentence)).Detach();
-    predictions.push_back(head_.crf->Viterbi(emissions, &episode.valid_tags));
+    predictions.push_back(head_.crf->ViterbiBatch(
+        Emissions(sentence).Detach(), {sentence.length()}, &episode.valid_tags)[0]);
   }
   nn::RestoreParameterValues(&head_, snapshot);
   return predictions;

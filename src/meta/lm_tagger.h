@@ -40,6 +40,9 @@ class LmCrfTagger : public FewShotMethod {
   /// changes after pre-training, so features are reusable across episodes).
   tensor::Tensor Features(const models::EncodedSentence& sentence);
 
+  /// The head's emissions for one sentence as a batch of one, [1, L, max_tags].
+  tensor::Tensor Emissions(const models::EncodedSentence& sentence);
+
   tensor::Tensor BatchLoss(const std::vector<models::EncodedSentence>& sentences,
                            const std::vector<bool>& valid_tags);
 

@@ -30,44 +30,13 @@ int64_t CharCnn::output_dim() const {
          config_.filters_per_width;
 }
 
-Tensor CharCnn::EncodeWord(const std::vector<int64_t>& chars) const {
-  // Pad short words with the reserved pad id 0 so every filter width fits;
-  // words already long enough are used as-is, no copy.
-  const std::vector<int64_t>* ids = &chars;
-  std::vector<int64_t> padded;
-  if (static_cast<int64_t>(chars.size()) < max_width_) {
-    padded.reserve(static_cast<size_t>(max_width_));
-    padded = chars;
-    padded.resize(static_cast<size_t>(max_width_), 0);
-    ids = &padded;
-  }
-
-  Tensor embedded = char_embedding_->Forward(*ids);  // [T, char_dim]
-  std::vector<Tensor> pooled;
-  pooled.reserve(filters_.size());
-  for (size_t i = 0; i < filters_.size(); ++i) {
-    const int64_t width = config_.filter_widths[i];
-    Tensor windows = tensor::Unfold1d(embedded, width);     // [T-w+1, w*char_dim]
-    Tensor conv = tensor::Relu(filters_[i]->Forward(windows));  // [T-w+1, F]
-    pooled.push_back(tensor::MaxAxis(conv, 0, /*keepdim=*/false));  // [F]
-  }
-  return tensor::Concat(pooled, 0);  // rank-1 [output_dim]
-}
-
-Tensor CharCnn::Forward(const std::vector<std::vector<int64_t>>& chars) const {
-  FEWNER_CHECK(!chars.empty(), "CharCnn::Forward on empty sentence");
-  std::vector<Tensor> rows;
-  rows.reserve(chars.size());
-  for (const auto& word : chars) rows.push_back(EncodeWord(word));
-  return tensor::StackRows(rows);  // [num_words, output_dim]
-}
-
 Tensor CharCnn::ForwardBatch(const std::vector<std::vector<int64_t>>& chars) const {
   FEWNER_CHECK(!chars.empty(), "CharCnn::ForwardBatch on empty batch");
   const int64_t n = static_cast<int64_t>(chars.size());
   // Common padded char length: every token gets the same T so one [N, T, D]
-  // tensor covers the batch.  Each token's own padded length (what the
-  // per-word path uses) is max(|word|, max_width_); T is the max over tokens.
+  // tensor covers the batch.  Each token's own padded length is
+  // max(|word|, max_width_) (short words padded with the reserved id 0); T is
+  // the max over tokens.
   int64_t t_max = max_width_;
   for (const auto& word : chars) {
     t_max = std::max(t_max, static_cast<int64_t>(word.size()));
@@ -95,7 +64,7 @@ Tensor CharCnn::ForwardBatch(const std::vector<std::vector<int64_t>>& chars) con
         tensor::Reshape(conv, Shape{n, m, config_.filters_per_width});
     // Windows past a token's own padded length exist only because other
     // tokens are longer; sink them far below any ReLU output so the ascending
-    // max-over-time scan resolves to the same argmax as the per-word path.
+    // max-over-time scan resolves to the same argmax as the token alone.
     // Valid windows get an exact +0.0f (bitwise identity on ReLU outputs).
     std::vector<float> mask(static_cast<size_t>(n * m), 0.0f);
     bool any_invalid = false;

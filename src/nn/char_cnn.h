@@ -27,26 +27,21 @@ class CharCnn : public Module {
  public:
   CharCnn(const CharCnnConfig& config, util::Rng* rng);
 
-  /// chars: per-word character id sequences for one sentence.
-  /// Returns [num_words, output_dim()].
-  tensor::Tensor Forward(const std::vector<std::vector<int64_t>>& chars) const;
-
-  /// Convolves all tokens of a padded batch in one shot: one embedding gather,
-  /// one GEMM per filter width over every window of every token.  `chars`
-  /// holds the character ids of all B*Lmax tokens in lane-major order (padding
-  /// tokens may be empty).  Returns [chars.size(), output_dim()], row i
-  /// bitwise-equal to the per-word path on chars[i]: windows that exist only
-  /// because of cross-token padding are pushed below zero with an additive
-  /// -1e30 before max-over-time, which never wins against a ReLU output.
+  /// Convolves a list of tokens in one shot: one embedding gather, one GEMM
+  /// per filter width over every window of every token.  `chars` holds the
+  /// character ids of each token (for a padded batch, all B*Lmax tokens in
+  /// lane-major order; padding tokens may be empty).  Returns
+  /// [chars.size(), output_dim()], row i bitwise-equal to convolving chars[i]
+  /// alone at its own padded length max(|chars[i]|, widest filter): windows
+  /// that exist only because other tokens are longer are pushed below zero
+  /// with an additive -1e30 before max-over-time, which never wins against a
+  /// ReLU output.
   tensor::Tensor ForwardBatch(const std::vector<std::vector<int64_t>>& chars) const;
 
   /// Total feature size: filter_widths.size() * filters_per_width.
   int64_t output_dim() const;
 
  private:
-  /// One word's [T, char_dim] -> [output_dim].
-  tensor::Tensor EncodeWord(const std::vector<int64_t>& chars) const;
-
   CharCnnConfig config_;
   int64_t max_width_ = 0;  ///< widest filter; minimum padded word length
   std::unique_ptr<Embedding> char_embedding_;

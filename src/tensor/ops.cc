@@ -30,6 +30,12 @@ struct OpOutput {
   float* data() { return node->values.data(); }
 };
 
+/// memcpy of n floats that does nothing for n == 0: the buffer of an empty
+/// tensor may have a null data(), which memcpy must never be handed.
+void CopyFloats(float* dst, const float* src, int64_t n) {
+  if (n > 0) std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
+}
+
 /// Output for an op result.  Recycled buffers hold stale values: ops that
 /// accumulate (rather than overwrite every element) pass zero=true.  The
 /// copy-assignment of `shape` into a recycled node reuses the node's dims
@@ -410,7 +416,7 @@ Tensor Reshape(const Tensor& t, Shape shape) {
                                                       << shape.ToString());
   const auto& tv = t.data();
   OpOutput out = NewOutput("reshape", std::move(shape));
-  if (!tv.empty()) std::memcpy(out.data(), tv.data(), tv.size() * sizeof(float));
+  CopyFloats(out.data(), tv.data(), t.numel());
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape original = t.shape();
   return SealGraph(std::move(out), {t},
@@ -542,8 +548,8 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t axis) {
     const int64_t ta = t.shape().dim(axis);
     const float* tv = t.data().data();
     for (int64_t o = 0; o < outer; ++o) {
-      std::memcpy(ov + (o * axis_total + offset) * inner, tv + o * ta * inner,
-                  static_cast<size_t>(ta * inner) * sizeof(float));
+      CopyFloats(ov + (o * axis_total + offset) * inner, tv + o * ta * inner,
+                 ta * inner);
     }
     offset += ta;
   }
@@ -580,8 +586,8 @@ Tensor Slice(const Tensor& t, int64_t axis, int64_t start, int64_t length) {
   float* ov = out.data();
   const float* tv = t.data().data();
   for (int64_t o = 0; o < outer; ++o) {
-    std::memcpy(ov + o * length * inner, tv + (o * axis_size + start) * inner,
-                static_cast<size_t>(length * inner) * sizeof(float));
+    CopyFloats(ov + o * length * inner, tv + (o * axis_size + start) * inner,
+               length * inner);
   }
   if (EvalMode::active()) return SealEval(std::move(out));
 
@@ -830,8 +836,7 @@ Tensor IndexSelectRows(const Tensor& t, const std::vector<int64_t>& indices) {
     const int64_t row = indices[i];
     FEWNER_CHECK(row >= 0 && row < v, "IndexSelectRows index " << row << " out of [0, "
                                                                << v << ")");
-    std::memcpy(ov + i * static_cast<size_t>(d), tv + row * d,
-                static_cast<size_t>(d) * sizeof(float));
+    CopyFloats(ov + i * static_cast<size_t>(d), tv + row * d, d);
   }
   if (EvalMode::active()) return SealEval(std::move(out));
   std::vector<int64_t> idx = indices;
@@ -866,52 +871,6 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
                    });
 }
 
-Tensor Unfold1d(const Tensor& t, int64_t window) {
-  FEWNER_CHECK(t.rank() == 2, "Unfold1d requires rank 2");
-  const int64_t length = t.shape().dim(0);
-  const int64_t d = t.shape().dim(1);
-  FEWNER_CHECK(window >= 1 && window <= length,
-               "Unfold1d window " << window << " for length " << length);
-  const int64_t m = length - window + 1;
-  OpOutput out = NewOutput("unfold1d", Shape{m, window * d});
-  float* ov = out.data();
-  const float* tv = t.data().data();
-  for (int64_t i = 0; i < m; ++i) {
-    std::memcpy(ov + i * window * d, tv + i * d,
-                static_cast<size_t>(window * d) * sizeof(float));
-  }
-  if (EvalMode::active()) return SealEval(std::move(out));
-  return SealGraph(std::move(out), {t},
-                   [window](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     return {Fold1d(grad, window)};
-                   });
-}
-
-Tensor Fold1d(const Tensor& t, int64_t window) {
-  FEWNER_CHECK(t.rank() == 2, "Fold1d requires rank 2");
-  const int64_t m = t.shape().dim(0);
-  const int64_t wd = t.shape().dim(1);
-  FEWNER_CHECK(window >= 1 && wd % window == 0,
-               "Fold1d: window " << window << " does not divide row size " << wd);
-  const int64_t d = wd / window;
-  const int64_t length = m + window - 1;
-  OpOutput out = NewOutput("fold1d", Shape{length, d}, /*zero=*/true);
-  float* ov = out.data();
-  const float* tv = t.data().data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t w = 0; w < window; ++w) {
-      for (int64_t j = 0; j < d; ++j) {
-        ov[(i + w) * d + j] += tv[i * wd + w * d + j];
-      }
-    }
-  }
-  if (EvalMode::active()) return SealEval(std::move(out));
-  return SealGraph(std::move(out), {t},
-                   [window](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     return {Unfold1d(grad, window)};
-                   });
-}
-
 Tensor UnfoldTimeBatch(const Tensor& t, int64_t window) {
   FEWNER_CHECK(t.rank() == 3, "UnfoldTimeBatch requires rank 3");
   const int64_t lanes = t.shape().dim(0);
@@ -927,8 +886,7 @@ Tensor UnfoldTimeBatch(const Tensor& t, int64_t window) {
     const float* src = tv + b * length * d;
     float* dst = ov + b * m * window * d;
     for (int64_t i = 0; i < m; ++i) {
-      std::memcpy(dst + i * window * d, src + i * d,
-                  static_cast<size_t>(window * d) * sizeof(float));
+      CopyFloats(dst + i * window * d, src + i * d, window * d);
     }
   }
   if (EvalMode::active()) return SealEval(std::move(out));
@@ -1036,18 +994,6 @@ Tensor Dropout(const Tensor& t, float p, util::Rng* rng, bool training) {
   std::vector<float> mask(t.data().size());
   for (float& v : mask) v = rng->Bernoulli(p) ? 0.0f : scale;
   return Mul(t, Tensor::FromData(t.shape(), std::move(mask)));
-}
-
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  FEWNER_CHECK(!rows.empty(), "StackRows of zero rows");
-  std::vector<Tensor> reshaped;
-  reshaped.reserve(rows.size());
-  const int64_t d = rows[0].numel();
-  for (const Tensor& row : rows) {
-    FEWNER_CHECK(row.numel() == d, "StackRows size mismatch");
-    reshaped.push_back(Reshape(row, Shape{1, d}));
-  }
-  return Concat(reshaped, 0);
 }
 
 }  // namespace fewner::tensor

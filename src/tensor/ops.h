@@ -120,15 +120,9 @@ Tensor IndexSelectRows(const Tensor& t, const std::vector<int64_t>& indices);
 Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
                       int64_t num_rows);
 
-/// Sliding windows for 1-D convolution: [T, D] -> [T-w+1, w*D], row i being the
-/// concatenation of rows i..i+w-1.  Requires T >= w.
-Tensor Unfold1d(const Tensor& t, int64_t window);
-
-/// Adjoint of Unfold1d: overlap-adds [M, w*D] windows back into [M+w-1, D].
-Tensor Fold1d(const Tensor& t, int64_t window);
-
-/// Batched sliding windows: [N, T, D] -> [N, T-w+1, w*D], each lane unfolded
-/// independently exactly as Unfold1d would unfold its [T, D] slice.
+/// Sliding windows for 1-D convolution, per lane: [N, T, D] -> [N, T-w+1, w*D],
+/// window i of lane n being the concatenation of that lane's rows i..i+w-1.
+/// Requires T >= w.
 Tensor UnfoldTimeBatch(const Tensor& t, int64_t window);
 
 /// Adjoint of UnfoldTimeBatch: overlap-adds [N, M, w*D] back into
@@ -157,8 +151,5 @@ Tensor SoftmaxLastDim(const Tensor& t);
 /// Inverted dropout: scales kept activations by 1/(1-p).  Identity when
 /// `training` is false or p == 0.
 Tensor Dropout(const Tensor& t, float p, util::Rng* rng, bool training);
-
-/// Stacks n rank-1 tensors of size D into an [n, D] matrix.
-Tensor StackRows(const std::vector<Tensor>& rows);
 
 }  // namespace fewner::tensor

@@ -338,10 +338,12 @@ TEST(GradCheckTest, GatherScatter) {
 }
 
 TEST(GradCheckTest, UnfoldFold) {
-  CheckGradient([](const Tensor& x) { return SumAll(Square(Unfold1d(x, 3))); },
-                RandTensor(Shape{5, 2}, 60));
-  CheckGradient([](const Tensor& x) { return SumAll(Square(Fold1d(x, 2))); },
-                RandTensor(Shape{3, 4}, 61));
+  CheckGradient(
+      [](const Tensor& x) { return SumAll(Square(UnfoldTimeBatch(x, 3))); },
+      RandTensor(Shape{1, 5, 2}, 60));
+  CheckGradient(
+      [](const Tensor& x) { return SumAll(Square(FoldTimeBatch(x, 2))); },
+      RandTensor(Shape{1, 3, 4}, 61));
 }
 
 TEST(GradCheckTest, SoftmaxFamily) {

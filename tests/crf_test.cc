@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "crf/linear_chain_crf.h"
+#include "crf_sentence.h"
 #include "nn/module.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
@@ -18,6 +19,8 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using crf_testing::SentenceNll;
+using crf_testing::SentenceViterbi;
 
 /// Brute-force score of a tag path under the CRF's current parameters.
 double PathScore(const LinearChainCrf& crf, const Tensor& emissions,
@@ -78,7 +81,7 @@ class CrfTest : public ::testing::Test {
 
 TEST_F(CrfTest, NllMatchesBruteForce) {
   const std::vector<int64_t> gold = {0, 2, 1, 2};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold);
 
   double log_z = -1e30;
   for (const auto& path : AllPaths(3, 4, nullptr)) {
@@ -92,13 +95,13 @@ TEST_F(CrfTest, NllMatchesBruteForce) {
 
 TEST_F(CrfTest, NllIsNonNegative) {
   for (const auto& path : AllPaths(3, 4, nullptr)) {
-    Tensor nll = crf_->NegLogLikelihood(emissions_, path);
+    Tensor nll = SentenceNll(*crf_, emissions_, path);
     EXPECT_GE(nll.item(), -1e-4);
   }
 }
 
 TEST_F(CrfTest, ViterbiIsArgmaxPath) {
-  std::vector<int64_t> decoded = crf_->Viterbi(emissions_);
+  std::vector<int64_t> decoded = SentenceViterbi(*crf_, emissions_);
   double best = -1e30;
   std::vector<int64_t> best_path;
   for (const auto& path : AllPaths(3, 4, nullptr)) {
@@ -114,7 +117,7 @@ TEST_F(CrfTest, ViterbiIsArgmaxPath) {
 TEST_F(CrfTest, MaskedNllMatchesRestrictedBruteForce) {
   const std::vector<bool> valid = {true, false, true};  // tag 1 excluded
   const std::vector<int64_t> gold = {0, 2, 0, 2};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold, &valid);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold, &valid);
 
   double log_z = -1e30;
   for (const auto& path : AllPaths(3, 4, &valid)) {
@@ -128,13 +131,13 @@ TEST_F(CrfTest, MaskedNllMatchesRestrictedBruteForce) {
 
 TEST_F(CrfTest, MaskedViterbiAvoidsInvalidTags) {
   const std::vector<bool> valid = {true, false, true};
-  std::vector<int64_t> decoded = crf_->Viterbi(emissions_, &valid);
+  std::vector<int64_t> decoded = SentenceViterbi(*crf_, emissions_, &valid);
   for (int64_t tag : decoded) EXPECT_NE(tag, 1);
 }
 
 TEST_F(CrfTest, GradCheckEmissions) {
   const std::vector<int64_t> gold = {1, 0, 2, 1};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold);
   auto g = tensor::autodiff::Grad(nll, {emissions_});
   const float eps = 1e-2f;
   for (int64_t i = 0; i < emissions_.numel(); ++i) {
@@ -142,10 +145,10 @@ TEST_F(CrfTest, GradCheckEmissions) {
     plus[static_cast<size_t>(i)] += eps;
     minus[static_cast<size_t>(i)] -= eps;
     const float lp =
-        crf_->NegLogLikelihood(Tensor::FromData(emissions_.shape(), plus), gold)
+        SentenceNll(*crf_, Tensor::FromData(emissions_.shape(), plus), gold)
             .item();
     const float lm =
-        crf_->NegLogLikelihood(Tensor::FromData(emissions_.shape(), minus), gold)
+        SentenceNll(*crf_, Tensor::FromData(emissions_.shape(), minus), gold)
             .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 2e-2) << "emission " << i;
   }
@@ -153,7 +156,7 @@ TEST_F(CrfTest, GradCheckEmissions) {
 
 TEST_F(CrfTest, GradCheckTransitions) {
   const std::vector<int64_t> gold = {1, 0, 2, 1};
-  Tensor nll = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll = SentenceNll(*crf_, emissions_, gold);
   Tensor trans = *crf_->Parameters()[0];
   auto g = tensor::autodiff::Grad(nll, {trans});
   const float eps = 1e-2f;
@@ -161,9 +164,9 @@ TEST_F(CrfTest, GradCheckTransitions) {
     std::vector<float>* values = crf_->Parameters()[0]->mutable_data();
     const float saved = (*values)[static_cast<size_t>(i)];
     (*values)[static_cast<size_t>(i)] = saved + eps;
-    const float lp = crf_->NegLogLikelihood(emissions_, gold).item();
+    const float lp = SentenceNll(*crf_, emissions_, gold).item();
     (*values)[static_cast<size_t>(i)] = saved - eps;
-    const float lm = crf_->NegLogLikelihood(emissions_, gold).item();
+    const float lm = SentenceNll(*crf_, emissions_, gold).item();
     (*values)[static_cast<size_t>(i)] = saved;
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 2e-2) << "transition " << i;
   }
@@ -183,7 +186,7 @@ TEST_F(CrfTest, HoistedRecursionMatchesPerTimestepTransposeBitwise) {
   Tensor start = *crf_->Parameters()[1];
   Tensor end = *crf_->Parameters()[2];
 
-  Tensor nll_new = crf_->NegLogLikelihood(emissions_, gold);
+  Tensor nll_new = SentenceNll(*crf_, emissions_, gold);
   auto g_new = tensor::autodiff::Grad(nll_new, {emissions_, trans, start, end});
 
   // Old formulation, reconstructed op-for-op (ValidityMask with no mask is a
@@ -247,7 +250,7 @@ TEST_F(CrfTest, TrainingOnFixedPatternLearnsIt) {
   util::Rng rng(7);
   Tensor fixed_emissions = Tensor::Randn(Shape{4, 3}, &rng, 0.1f);
   for (int step = 0; step < 80; ++step) {
-    Tensor nll = crf_->NegLogLikelihood(fixed_emissions, gold);
+    Tensor nll = SentenceNll(*crf_, fixed_emissions, gold);
     auto params = nn::ParameterTensors(crf_.get());
     auto grads = tensor::autodiff::Grad(nll, params);
     for (size_t i = 0; i < params.size(); ++i) {
@@ -257,16 +260,16 @@ TEST_F(CrfTest, TrainingOnFixedPatternLearnsIt) {
       }
     }
   }
-  EXPECT_EQ(crf_->Viterbi(fixed_emissions), gold);
+  EXPECT_EQ(SentenceViterbi(*crf_, fixed_emissions), gold);
 }
 
 TEST(CrfEdgeTest, SingleTokenSentence) {
   LinearChainCrf crf(4);
   util::Rng rng(1);
   Tensor emissions = Tensor::Randn(Shape{1, 4}, &rng);
-  Tensor nll = crf.NegLogLikelihood(emissions, {2});
+  Tensor nll = SentenceNll(crf, emissions, {2});
   EXPECT_GE(nll.item(), -1e-4);
-  auto decoded = crf.Viterbi(emissions);
+  auto decoded = SentenceViterbi(crf, emissions);
   EXPECT_EQ(decoded.size(), 1u);
 }
 
@@ -276,7 +279,7 @@ TEST(CrfEdgeTest, SecondOrderThroughNll) {
   LinearChainCrf crf(2);
   util::Rng rng(3);
   Tensor emissions = Tensor::Randn(Shape{3, 2}, &rng, 1.0f, true);
-  Tensor nll = crf.NegLogLikelihood(emissions, {0, 1, 0});
+  Tensor nll = SentenceNll(crf, emissions, {0, 1, 0});
   auto g1 = tensor::autodiff::Grad(nll, {emissions}, /*create_graph=*/true);
   Tensor g_sum = tensor::SumAll(tensor::Square(g1[0]));
   auto g2 = tensor::autodiff::Grad(g_sum, {emissions});
@@ -333,7 +336,7 @@ TEST(CrfPropertyTest, ViterbiMatchesBruteForceOnRandomInstances) {
     }
     ASSERT_FALSE(best_path.empty());
 
-    std::vector<int64_t> viterbi = crf.Viterbi(emissions, mask);
+    std::vector<int64_t> viterbi = SentenceViterbi(crf, emissions, mask);
     const double viterbi_score = PathScore(crf, emissions, viterbi);
     EXPECT_NEAR(viterbi_score, best_score, 1e-3)
         << "instance " << instance << " T=" << length << " N=" << num_tags;

@@ -153,9 +153,6 @@ TEST_F(EvalModeOpTest, ShapeManipulation) {
                                 rng_.UniformInt(static_cast<uint64_t>(n - start)));
     CheckOp("Slice", [&] { return Slice(t, 1, start, len); });
     CheckOp("Slice/empty", [&] { return Slice(t, 0, 0, 0); });  // zero-length
-    CheckOp("StackRows", [&] {
-      return StackRows({Slice(t, 0, 0, 1), Slice(u, 0, m - 1, 1)});
-    });
   }
 }
 
@@ -191,9 +188,10 @@ TEST_F(EvalModeOpTest, MatMulAndGatherScatter) {
 
     const int64_t window = 1 + static_cast<int64_t>(
                                    rng_.UniformInt(static_cast<uint64_t>(m)));
-    CheckOp("Unfold1d", [&] { return Unfold1d(a, window); });
-    Tensor folded_src = RandTensor(Shape{m, window * k}, &rng_);
-    CheckOp("Fold1d", [&] { return Fold1d(folded_src, window); });
+    Tensor lane = Reshape(a, Shape{1, m, k});
+    CheckOp("UnfoldTimeBatch", [&] { return UnfoldTimeBatch(lane, window); });
+    Tensor folded_src = RandTensor(Shape{1, m, window * k}, &rng_);
+    CheckOp("FoldTimeBatch", [&] { return FoldTimeBatch(folded_src, window); });
   }
 }
 

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "crf/linear_chain_crf.h"
+#include "crf_sentence.h"
 #include "data/conll.h"
 #include "data/slot_filling.h"
 #include "meta/matching_net.h"
@@ -22,6 +23,8 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using crf_testing::SentenceNll;
+using crf_testing::SentenceViterbi;
 
 // ----------------------------------------------------------------- CoNLL I/O
 
@@ -177,7 +180,7 @@ TEST(CrfKBestTest, FirstPathMatchesViterbiAndOrderingHolds) {
   Tensor emissions = Tensor::Randn(Shape{4, 3}, &rng);
   auto paths = crf.ViterbiKBest(emissions, 5);
   ASSERT_GE(paths.size(), 2u);
-  EXPECT_EQ(paths[0].tags, crf.Viterbi(emissions));
+  EXPECT_EQ(paths[0].tags, SentenceViterbi(crf, emissions));
   for (size_t i = 1; i < paths.size(); ++i) {
     EXPECT_LE(paths[i].score, paths[i - 1].score + 1e-5f);
     EXPECT_NE(paths[i].tags, paths[i - 1].tags);
@@ -210,7 +213,7 @@ TEST(CrfMarginalsTest, RowsSumToOneAndAgreeWithEnumeration) {
   double target = 0;
   std::vector<int64_t> path(3, 0);
   for (;;) {
-    const double p = std::exp(-crf.NegLogLikelihood(emissions, path).item());
+    const double p = std::exp(-SentenceNll(crf, emissions, path).item());
     if (path[1] == 2) target += p;
     int pos = 2;
     while (pos >= 0) {

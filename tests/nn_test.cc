@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,9 @@
 #include "nn/lstm.h"
 #include "nn/module.h"
 #include "nn/optim.h"
+#include "reference/layer_reference.h"
 #include "tensor/autodiff.h"
+#include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 
 namespace fewner::nn {
@@ -174,7 +177,7 @@ TEST(CharCnnTest, ShapesAndShortWordPadding) {
   CharCnn cnn(config, &rng);
   EXPECT_EQ(cnn.output_dim(), 8);
   // Words shorter than the widest filter must still encode (padding).
-  Tensor out = cnn.Forward({{5}, {3, 4, 5, 6, 7}, {2, 2}});
+  Tensor out = cnn.ForwardBatch({{5}, {3, 4, 5, 6, 7}, {2, 2}});
   EXPECT_EQ(out.shape(), (Shape{3, 8}));
 }
 
@@ -188,7 +191,7 @@ TEST(CharCnnTest, SuffixSensitivity) {
   config.filters_per_width = 8;
   CharCnn cnn(config, &rng);
   auto encode = [&](std::vector<int64_t> word) {
-    return cnn.Forward({std::move(word)});
+    return cnn.ForwardBatch({std::move(word)});
   };
   Tensor a = encode({4, 5, 10, 11, 12});   // stem A + suffix
   Tensor b = encode({7, 8, 10, 11, 12});   // stem B + same suffix
@@ -201,6 +204,65 @@ TEST(CharCnnTest, SuffixSensitivity) {
     return d;
   };
   EXPECT_LT(dist(a, b), dist(a, c));
+}
+
+TEST(CharCnnTest, BatchRowsEqualPerWordOracleBitwise) {
+  // Row i of ForwardBatch must equal the word convolved alone
+  // (reference::CharCnnWord) to the last bit, in graph mode and under
+  // EvalMode.  Each list mixes empty (padding) tokens, words shorter than the
+  // widest filter and one word much longer than the rest, so every other row
+  // has windows past its own padded length that the -1e30 mask must sink.
+  const std::vector<std::vector<int64_t>> width_sets = {
+      {1}, {2, 3}, {2, 3, 4}, {1, 4, 6}};
+  util::Rng rng(0xC4A2);
+  for (const auto& widths : width_sets) {
+    CharCnnConfig config;
+    config.char_vocab_size = 25;
+    config.char_dim = 5;
+    config.filter_widths = widths;
+    config.filters_per_width = 3;
+    CharCnn cnn(config, &rng);
+    const int64_t dim = cnn.output_dim();
+    for (int list = 0; list < 10; ++list) {
+      std::vector<std::vector<int64_t>> words;
+      const int64_t count = 1 + static_cast<int64_t>(rng.UniformInt(12));
+      for (int64_t i = 0; i < count; ++i) {
+        const int64_t length =
+            rng.Bernoulli(0.15) ? 0 : 1 + static_cast<int64_t>(rng.UniformInt(6));
+        std::vector<int64_t> word;
+        for (int64_t c = 0; c < length; ++c) {
+          word.push_back(1 + static_cast<int64_t>(rng.UniformInt(24)));
+        }
+        words.push_back(std::move(word));
+      }
+      const int64_t long_length = 20 + static_cast<int64_t>(rng.UniformInt(6));
+      std::vector<int64_t> long_word;
+      for (int64_t c = 0; c < long_length; ++c) {
+        long_word.push_back(1 + static_cast<int64_t>(rng.UniformInt(24)));
+      }
+      words.insert(words.begin() + static_cast<int64_t>(rng.UniformInt(
+                                       static_cast<uint64_t>(count + 1))),
+                   std::move(long_word));
+
+      for (const bool eval : {false, true}) {
+        std::optional<tensor::EvalMode> scope;
+        if (eval) scope.emplace();
+        Tensor batch = cnn.ForwardBatch(words);
+        ASSERT_EQ(batch.shape(), (Shape{static_cast<int64_t>(words.size()), dim}));
+        for (size_t i = 0; i < words.size(); ++i) {
+          Tensor alone = reference::CharCnnWord(cnn, words[i]);
+          ASSERT_EQ(alone.shape(), (Shape{dim}));
+          EXPECT_EQ(std::memcmp(batch.data().data() + i * static_cast<size_t>(dim),
+                                alone.data().data(),
+                                static_cast<size_t>(dim) * sizeof(float)),
+                    0)
+              << (eval ? "eval" : "graph") << " mode, widths " << widths.size()
+              << ", list " << list << ", word " << i << " of length "
+              << words[i].size();
+        }
+      }
+    }
+  }
 }
 
 TEST(GruTest, ShapesAndStatePropagation) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crf/linear_chain_crf.h"
+#include "crf_sentence.h"
 #include "data/episode_sampler.h"
 #include "data/synthetic.h"
 #include "tensor/autodiff.h"
@@ -25,6 +26,8 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using crf_testing::SentenceNll;
+using crf_testing::SentenceViterbi;
 
 // ---------------------------------------------------------------- broadcasting
 
@@ -177,9 +180,9 @@ TEST_P(CrfProperty, NllNonNegativeAndViterbiIsModal) {
   Tensor emissions =
       Tensor::Randn(Shape{param.length, param.num_tags}, &rng, 1.0f);
 
-  std::vector<int64_t> decoded = crf.Viterbi(emissions);
+  std::vector<int64_t> decoded = SentenceViterbi(crf, emissions);
   ASSERT_EQ(static_cast<int64_t>(decoded.size()), param.length);
-  const float decoded_nll = crf.NegLogLikelihood(emissions, decoded).item();
+  const float decoded_nll = SentenceNll(crf, emissions, decoded).item();
   EXPECT_GE(decoded_nll, -1e-3);
 
   // The Viterbi path's NLL must lower-bound any random path's NLL.
@@ -188,7 +191,7 @@ TEST_P(CrfProperty, NllNonNegativeAndViterbiIsModal) {
     for (auto& tag : random_path) {
       tag = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(param.num_tags)));
     }
-    const float random_nll = crf.NegLogLikelihood(emissions, random_path).item();
+    const float random_nll = SentenceNll(crf, emissions, random_path).item();
     EXPECT_GE(random_nll, decoded_nll - 1e-3);
   }
 }
@@ -207,7 +210,7 @@ TEST_P(CrfProperty, ProbabilitiesOfAllPathsSumToOneOnTinyInstances) {
   double total = 0.0;
   std::vector<int64_t> path(static_cast<size_t>(param.length), 0);
   for (;;) {
-    total += std::exp(-crf.NegLogLikelihood(emissions, path).item());
+    total += std::exp(-SentenceNll(crf, emissions, path).item());
     int64_t pos = param.length - 1;
     while (pos >= 0) {
       if (++path[static_cast<size_t>(pos)] < param.num_tags) break;
@@ -217,6 +220,52 @@ TEST_P(CrfProperty, ProbabilitiesOfAllPathsSumToOneOnTinyInstances) {
     if (pos < 0) break;
   }
   EXPECT_NEAR(total, 1.0, 1e-3);
+}
+
+TEST(CrfRaggedBatchProperty, ProbabilitiesOfAllPathsSumToOnePerPaddedLane) {
+  // One [3, 3, Y] batch with lane lengths 3, 1 and 2: the short lanes carry
+  // alpha through padded timesteps whose emissions hold large junk values,
+  // which must not reach any lane's partition function.  Per lane, the sum of
+  // exp(-NLL) over all of its paths must be 1.
+  const int64_t num_tags = 3;
+  const std::vector<int64_t> lengths = {3, 1, 2};
+  const int64_t lanes = 3, max_len = 3;
+  crf::LinearChainCrf crf(num_tags);
+  util::Rng rng(404);
+  for (tensor::Tensor* p : crf.Parameters()) {
+    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0, 0.5));
+  }
+  std::vector<float> values(static_cast<size_t>(lanes * max_len * num_tags));
+  for (int64_t b = 0; b < lanes; ++b) {
+    for (int64_t t = 0; t < max_len; ++t) {
+      const double scale = t < lengths[static_cast<size_t>(b)] ? 1.0 : 40.0;
+      for (int64_t y = 0; y < num_tags; ++y) {
+        values[static_cast<size_t>((b * max_len + t) * num_tags + y)] =
+            static_cast<float>(rng.Gaussian(0, scale));
+      }
+    }
+  }
+  Tensor emissions =
+      Tensor::FromData(Shape{lanes, max_len, num_tags}, std::move(values));
+
+  for (int64_t lane = 0; lane < lanes; ++lane) {
+    const int64_t length = lengths[static_cast<size_t>(lane)];
+    std::vector<int64_t> tags(static_cast<size_t>(lanes * max_len), 0);
+    int64_t* path = tags.data() + lane * max_len;
+    double total = 0.0;
+    for (;;) {
+      Tensor nll = crf.NegLogLikelihoodBatch(emissions, tags, lengths);
+      total += std::exp(-nll.at(lane));
+      int64_t pos = length - 1;
+      while (pos >= 0) {
+        if (++path[pos] < num_tags) break;
+        path[pos] = 0;
+        --pos;
+      }
+      if (pos < 0) break;
+    }
+    EXPECT_NEAR(total, 1.0, 1e-3) << "lane " << lane << " (length " << length << ")";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, CrfProperty,

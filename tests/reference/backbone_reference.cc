@@ -1,5 +1,6 @@
 #include "reference/backbone_reference.h"
 
+#include "reference/layer_reference.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 
@@ -43,8 +44,8 @@ Tensor Emissions(const models::Backbone& net,
 Tensor SentenceLoss(const models::Backbone& net,
                     const models::EncodedSentence& sentence, const Tensor& phi,
                     const std::vector<bool>& valid_tags, util::Rng* rng) {
-  return BackboneTestPeer::Crf(net).NegLogLikelihood(
-      Emissions(net, sentence, phi, rng), sentence.tags, &valid_tags);
+  return CrfNll(BackboneTestPeer::Crf(net), Emissions(net, sentence, phi, rng),
+                sentence.tags, &valid_tags);
 }
 
 Tensor BatchLoss(const models::Backbone& net,
@@ -64,9 +65,12 @@ std::vector<int64_t> Decode(const models::Backbone& net,
                             const models::EncodedSentence& sentence,
                             const Tensor& phi,
                             const std::vector<bool>& valid_tags) {
-  Tensor emissions = Emissions(net, sentence, phi);
+  Tensor emissions = tensor::Reshape(
+      Emissions(net, sentence, phi),
+      Shape{1, sentence.length(), net.config().max_tags});
   if (!tensor::EvalMode::active()) emissions = emissions.Detach();
-  return BackboneTestPeer::Crf(net).Viterbi(emissions, &valid_tags);
+  return BackboneTestPeer::Crf(net).ViterbiBatch(emissions, {sentence.length()},
+                                                 &valid_tags)[0];
 }
 
 Tensor PaddedEmissions(const models::Backbone& net,

@@ -48,7 +48,7 @@ tensor::Tensor Emissions(const models::Backbone& net,
                          const models::EncodedSentence& sentence,
                          const tensor::Tensor& phi, util::Rng* rng = nullptr);
 
-/// CRF negative log-likelihood of the sentence's gold tags.
+/// CRF negative log-likelihood of the sentence's gold tags (CrfNll).
 tensor::Tensor SentenceLoss(const models::Backbone& net,
                             const models::EncodedSentence& sentence,
                             const tensor::Tensor& phi,
@@ -64,7 +64,7 @@ tensor::Tensor BatchLoss(const models::Backbone& net,
                          const std::vector<bool>& valid_tags,
                          uint64_t episode = 0, uint64_t call = 0);
 
-/// Viterbi decode of `sentence` alone.
+/// Viterbi decode of `sentence` alone (ViterbiBatch at B=1).
 std::vector<int64_t> Decode(const models::Backbone& net,
                             const models::EncodedSentence& sentence,
                             const tensor::Tensor& phi,

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "crf/linear_chain_crf.h"
+#include "crf_sentence.h"
 #include "data/episode_sampler.h"
 #include "data/synthetic.h"
 #include "meta/grad_accumulator.h"
@@ -25,6 +26,8 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using crf_testing::SentenceNll;
+using crf_testing::SentenceViterbi;
 
 // ------------------------------------------------------------------ tensors
 
@@ -65,9 +68,9 @@ TEST(TensorEdgeTest, ChainedBroadcasts) {
 }
 
 TEST(TensorEdgeTest, UnfoldWindowEqualsLength) {
-  Tensor t = Tensor::FromData(Shape{3, 2}, {1, 2, 3, 4, 5, 6});
-  Tensor u = tensor::Unfold1d(t, 3);
-  EXPECT_EQ(u.shape(), (Shape{1, 6}));
+  Tensor t = Tensor::FromData(Shape{1, 3, 2}, {1, 2, 3, 4, 5, 6});
+  Tensor u = tensor::UnfoldTimeBatch(t, 3);
+  EXPECT_EQ(u.shape(), (Shape{1, 1, 6}));
   EXPECT_FLOAT_EQ(u.at(5), 6.0f);
 }
 
@@ -95,9 +98,9 @@ TEST(TensorEdgeTest, SecondOrderThroughLogSumExp) {
 TEST(CrfEdgeTest, SingleTagInventory) {
   crf::LinearChainCrf crf(1);
   Tensor emissions = Tensor::FromData(Shape{4, 1}, {1, 2, 3, 4});
-  Tensor nll = crf.NegLogLikelihood(emissions, {0, 0, 0, 0});
+  Tensor nll = SentenceNll(crf, emissions, {0, 0, 0, 0});
   EXPECT_NEAR(nll.item(), 0.0f, 1e-4);  // only one path exists
-  EXPECT_EQ(crf.Viterbi(emissions), (std::vector<int64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(SentenceViterbi(crf, emissions), (std::vector<int64_t>{0, 0, 0, 0}));
 }
 
 TEST(CrfEdgeTest, KBestWithKOne) {
@@ -106,7 +109,7 @@ TEST(CrfEdgeTest, KBestWithKOne) {
   Tensor emissions = Tensor::Randn(Shape{3, 3}, &rng);
   auto paths = crf.ViterbiKBest(emissions, 1);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].tags, crf.Viterbi(emissions));
+  EXPECT_EQ(paths[0].tags, SentenceViterbi(crf, emissions));
 }
 
 TEST(CrfEdgeTest, MarginalsSingleToken) {

@@ -238,16 +238,16 @@ TEST(OpsTest, IndexSelectAndScatterAdd) {
 }
 
 TEST(OpsTest, UnfoldFold) {
-  // [4, 2] sequence, window 2 -> [3, 4].
-  Tensor t = Tensor::FromData(Shape{4, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor u = Unfold1d(t, 2);
-  EXPECT_EQ(u.shape(), (Shape{3, 4}));
-  // Row 1 is rows 1..2 of the input: [3, 4, 5, 6].
+  // One lane of a [4, 2] sequence, window 2 -> [1, 3, 4].
+  Tensor t = Tensor::FromData(Shape{1, 4, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
+  Tensor u = UnfoldTimeBatch(t, 2);
+  EXPECT_EQ(u.shape(), (Shape{1, 3, 4}));
+  // Window 1 is rows 1..2 of the input: [3, 4, 5, 6].
   EXPECT_FLOAT_EQ(u.at(4), 3.0f);
   EXPECT_FLOAT_EQ(u.at(7), 6.0f);
 
-  Tensor f = Fold1d(u, 2);
-  EXPECT_EQ(f.shape(), (Shape{4, 2}));
+  Tensor f = FoldTimeBatch(u, 2);
+  EXPECT_EQ(f.shape(), (Shape{1, 4, 2}));
   // Middle rows are double-counted by overlap-add.
   EXPECT_FLOAT_EQ(f.at(0), 1.0f);
   EXPECT_FLOAT_EQ(f.at(2), 6.0f);
@@ -296,14 +296,6 @@ TEST(OpsTest, DropoutPreservesExpectation) {
   EXPECT_NEAR(mean, 1.0, 0.05);
 }
 
-TEST(OpsTest, StackRows) {
-  Tensor a = Tensor::FromData(Shape{3}, {1, 2, 3});
-  Tensor b = Tensor::FromData(Shape{3}, {4, 5, 6});
-  Tensor m = StackRows({a, b});
-  EXPECT_EQ(m.shape(), (Shape{2, 3}));
-  EXPECT_FLOAT_EQ(m.at(4), 5.0f);
-}
-
 TEST(OpsTest, RequiresGradPropagates) {
   Tensor a = Tensor::Ones(Shape{2}, true);
   Tensor b = Tensor::Ones(Shape{2});
@@ -346,10 +338,10 @@ TEST(OpsTest, UnfoldFoldAreAdjoint) {
   // adjoint pair, which is exactly what autodiff uses them as.
   util::Rng rng(81);
   for (int64_t window = 1; window <= 3; ++window) {
-    Tensor x = Tensor::Randn(Shape{6, 2}, &rng);
-    Tensor y = Tensor::Randn(Shape{6 - window + 1, window * 2}, &rng);
-    const Tensor ux = Unfold1d(x, window);
-    const Tensor fy = Fold1d(y, window);
+    Tensor x = Tensor::Randn(Shape{1, 6, 2}, &rng);
+    Tensor y = Tensor::Randn(Shape{1, 6 - window + 1, window * 2}, &rng);
+    const Tensor ux = UnfoldTimeBatch(x, window);
+    const Tensor fy = FoldTimeBatch(y, window);
     double lhs = 0.0, rhs = 0.0;
     for (int64_t i = 0; i < ux.numel(); ++i) lhs += ux.at(i) * y.at(i);
     for (int64_t i = 0; i < x.numel(); ++i) rhs += x.at(i) * fy.at(i);
@@ -360,13 +352,13 @@ TEST(OpsTest, UnfoldFoldAreAdjoint) {
 TEST(OpsTest, UnfoldFoldGradientsMatchFiniteDifferences) {
   util::Rng rng(82);
   const int64_t window = 2;
-  Tensor x = Tensor::Randn(Shape{5, 3}, &rng, 1.0f, /*requires_grad=*/true);
-  Tensor w = Tensor::Randn(Shape{4, 6}, &rng);  // random probe direction
+  Tensor x = Tensor::Randn(Shape{1, 5, 3}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn(Shape{1, 4, 6}, &rng);  // random probe direction
   auto loss_at = [&](const std::vector<float>& values) {
     Tensor t = Tensor::FromData(x.shape(), values);
-    return SumAll(Mul(Unfold1d(t, window), w)).item();
+    return SumAll(Mul(UnfoldTimeBatch(t, window), w)).item();
   };
-  Tensor loss = SumAll(Mul(Unfold1d(x, window), w));
+  Tensor loss = SumAll(Mul(UnfoldTimeBatch(x, window), w));
   auto g = autodiff::Grad(loss, {x});
   const float eps = 1e-2f;
   for (int64_t i = 0; i < x.numel(); ++i) {
