@@ -5,13 +5,10 @@
 #include <utility>
 
 #include "meta/adapted_tagger.h"
-#include "meta/grad_accumulator.h"
 #include "meta/parallel.h"
-
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -117,55 +114,33 @@ void Fewner::Train(const data::EpisodeSampler& sampler,
                    const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   test_inner_steps_ = config.inner_steps_test;
   inner_lr_ = config.inner_lr;
-  backbone_->SetTraining(true);
-
-  std::vector<tensor::Tensor*> slots = backbone_->Parameters();
-  nn::Adam optimizer(slots, config.meta_lr, 0.9f, 0.999f, 1e-8f,
+  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
-  int64_t tasks_seen = 0;
-
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  const std::vector<Tensor> params = nn::ParameterTensors(backbone_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* net = static_cast<models::Backbone*>(model);
-          const uint64_t episode_id = base + static_cast<uint64_t>(t);
-          models::EncodedEpisode enc =
-              PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-          Tensor phi = AdaptContextOn(*net, enc.support, enc.valid_tags,
-                                      config.inner_steps_train, config.inner_lr,
-                                      /*create_graph=*/!config.first_order);
-          // Eq. 6: meta-gradient through the inner updates (second order).
-          // Each task backpropagates separately; summed gradients equal the
-          // gradient of the summed loss, at a fraction of the peak memory.
-          Tensor query_loss =
-              net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags);
-          *grads = tensor::autodiff::Grad(query_loss, replica_params);
-          return query_loss.item();
-        },
-        &accumulator);
-    tasks_seen += config.meta_batch;
-    std::vector<Tensor> grads =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    if (tasks_seen / config.lr_decay_every !=
-        (tasks_seen - config.meta_batch) / config.lr_decay_every) {
-      optimizer.DecayLr(config.lr_decay);
-    }
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " query loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  backbone_->SetTraining(false);
+  RunOuterLoop(
+      config, backbone_.get(), &batch, name(), "query loss",
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* net = static_cast<models::Backbone*>(model);
+        models::EncodedEpisode enc =
+            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
+        Tensor phi = AdaptContextOn(*net, enc.support, enc.valid_tags,
+                                    config.inner_steps_train, config.inner_lr,
+                                    /*create_graph=*/!config.first_order);
+        // Eq. 6: meta-gradient through the inner updates (second order).
+        // Each task backpropagates separately; summed gradients equal the
+        // gradient of the summed loss, at a fraction of the peak memory.
+        Tensor query_loss =
+            net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags);
+        *grads = tensor::autodiff::Grad(query_loss, replica_params);
+        return query_loss.item();
+      },
+      [&](int64_t iteration, std::vector<Tensor> grads) {
+        nn::ClipGradNorm(&grads, config.grad_clip);
+        optimizer.Step(grads);
+        if (LrDecayDue(config, iteration)) optimizer.DecayLr(config.lr_decay);
+      });
 }
 
 std::vector<std::vector<int64_t>> Fewner::AdaptAndPredict(

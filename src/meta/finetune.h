@@ -13,6 +13,20 @@
 
 namespace fewner::meta {
 
+/// Runs `steps` SGD steps (global-norm clip 5.0) on the support loss against
+/// `net`'s parameters in place; returns the last step's loss.  The caller
+/// snapshots and restores the parameters as needed.
+double SgdOnSupport(models::Backbone* net,
+                    const std::vector<models::EncodedSentence>& support,
+                    const std::vector<bool>& valid_tags, int64_t steps, float lr);
+
+/// Test-time whole-network fine-tuning, shared by FineTune and Reptile: puts
+/// `net` in eval mode, runs SgdOnSupport on the episode's support set, decodes
+/// its query sentences and restores `net`'s parameters.
+std::vector<std::vector<int64_t>> FineTuneAndDecode(
+    models::Backbone* net, const models::EncodedEpisode& episode, int64_t steps,
+    float lr);
+
 /// Conventional train-then-fine-tune baseline.
 class FineTune : public FewShotMethod {
  public:

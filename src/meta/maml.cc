@@ -2,13 +2,10 @@
 
 #include <cmath>
 
-#include "meta/grad_accumulator.h"
 #include "meta/parallel.h"
-
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -88,64 +85,40 @@ void Maml::Train(const data::EpisodeSampler& sampler,
                  const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   test_inner_steps_ = config.inner_steps_test;
   inner_lr_ = config.inner_lr;
-  backbone_->SetTraining(true);
-
-  std::vector<Tensor*> slots = backbone_->Parameters();
-  nn::Adam optimizer(slots, config.meta_lr, 0.9f, 0.999f, 1e-8f,
+  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
-  int64_t tasks_seen = 0;
-
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  const std::vector<Tensor> params = nn::ParameterTensors(backbone_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* net = static_cast<models::Backbone*>(model);
-          const uint64_t episode_id = base + static_cast<uint64_t>(t);
-          models::EncodedEpisode enc =
-              PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-          std::vector<Tensor> adapted =
-              InnerAdaptOn(net, enc.support, enc.valid_tags,
-                           config.inner_steps_train, config.inner_lr,
-                           /*create_graph=*/!config.first_order);
-          Tensor query_loss;
-          {
-            nn::ParameterPatch patch(net->Parameters(), adapted);
-            query_loss = net->BatchLoss(models::PackBatch(enc.query), Tensor(),
-                                        enc.valid_tags);
-          }
-          // Eq. 3: meta-gradient w.r.t. the original parameters (the
-          // replica's own leaves), flowing through the full-network inner
-          // updates; per-task backward bounds peak memory.  In first-order
-          // mode the inner updates are detached, so the FOMAML gradient is
-          // taken at the adapted parameters and applied to the originals
-          // (identical layouts).
-          *grads = tensor::autodiff::Grad(
-              query_loss, config.first_order ? adapted : replica_params);
-          return query_loss.item();
-        },
-        &accumulator);
-    tasks_seen += config.meta_batch;
-    std::vector<Tensor> grads =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    if (tasks_seen / config.lr_decay_every !=
-        (tasks_seen - config.meta_batch) / config.lr_decay_every) {
-      optimizer.DecayLr(config.lr_decay);
-    }
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " query loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  backbone_->SetTraining(false);
+  RunOuterLoop(
+      config, backbone_.get(), &batch, name(), "query loss",
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* net = static_cast<models::Backbone*>(model);
+        models::EncodedEpisode enc =
+            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
+        std::vector<Tensor> adapted =
+            InnerAdaptOn(net, enc.support, enc.valid_tags, config.inner_steps_train,
+                         config.inner_lr, /*create_graph=*/!config.first_order);
+        Tensor query_loss;
+        {
+          nn::ParameterPatch patch(net->Parameters(), adapted);
+          query_loss = net->BatchLoss(models::PackBatch(enc.query), Tensor(),
+                                      enc.valid_tags);
+        }
+        // Eq. 3: meta-gradient w.r.t. the original parameters (the replica's
+        // own leaves), flowing through the full-network inner updates;
+        // per-task backward bounds peak memory.  In first-order mode the inner
+        // updates are detached, so the FOMAML gradient is taken at the adapted
+        // parameters and applied to the originals (identical layouts).
+        *grads = tensor::autodiff::Grad(
+            query_loss, config.first_order ? adapted : replica_params);
+        return query_loss.item();
+      },
+      [&](int64_t iteration, std::vector<Tensor> grads) {
+        nn::ClipGradNorm(&grads, config.grad_clip);
+        optimizer.Step(grads);
+        if (LrDecayDue(config, iteration)) optimizer.DecayLr(config.lr_decay);
+      });
 }
 
 std::vector<std::vector<int64_t>> Maml::AdaptAndPredict(

@@ -1,15 +1,12 @@
 #include "meta/matching_net.h"
 
-#include "meta/grad_accumulator.h"
 #include "meta/parallel.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
-using tensor::Shape;
 using tensor::Tensor;
 
 MatchingNet::MatchingNet(const models::BackboneConfig& config, util::Rng* rng) {
@@ -39,40 +36,34 @@ Tensor MatchingNet::QueryLogProbs(const models::Backbone& net,
   return tensor::Log(tensor::AddScalar(votes, 1e-6f));
 }
 
-Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
-                                const models::EncodedEpisode& episode) const {
-  const int64_t num_classes = net.config().max_tags;
+void MatchingNet::BuildSupport(const models::Backbone& net,
+                               const std::vector<models::EncodedSentence>& support,
+                               Tensor* features, Tensor* labels) {
   std::vector<Tensor> feature_blocks;
   std::vector<int64_t> tags;
-  for (const auto& sentence : episode.support) {
+  for (const auto& sentence : support) {
     feature_blocks.push_back(NormalizedFeatures(net, sentence));
     tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
   }
-  Tensor support_features = tensor::Concat(feature_blocks, 0);
-  const int64_t total = support_features.shape().dim(0);
-  std::vector<float> onehot(static_cast<size_t>(total * num_classes), 0.0f);
-  for (int64_t t = 0; t < total; ++t) {
-    onehot[static_cast<size_t>(t * num_classes + tags[static_cast<size_t>(t)])] =
-        1.0f;
-  }
-  Tensor support_labels =
-      Tensor::FromData(Shape{total, num_classes}, std::move(onehot));
+  *features = tensor::Concat(feature_blocks, 0);
+  *labels = OneHotLabels(tags, net.config().max_tags);
+}
+
+Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
+                                const models::EncodedEpisode& episode) const {
+  const int64_t num_classes = net.config().max_tags;
+  Tensor support_features, support_labels;
+  BuildSupport(net, episode.support, &support_features, &support_labels);
 
   Tensor loss_total;
   int64_t tokens = 0;
   for (const auto& sentence : episode.query) {
     Tensor logp = QueryLogProbs(net, sentence, support_features, support_labels);
-    const int64_t length = sentence.length();
-    std::vector<float> select(static_cast<size_t>(length * num_classes), 0.0f);
-    for (int64_t t = 0; t < length; ++t) {
-      select[static_cast<size_t>(t * num_classes +
-                                 sentence.tags[static_cast<size_t>(t)])] = 1.0f;
-    }
-    Tensor gold = tensor::SumAll(tensor::Mul(
-        logp, Tensor::FromData(Shape{length, num_classes}, std::move(select))));
+    Tensor gold =
+        tensor::SumAll(tensor::Mul(logp, OneHotLabels(sentence.tags, num_classes)));
     Tensor loss = tensor::Neg(gold);
     loss_total = loss_total.defined() ? tensor::Add(loss_total, loss) : loss;
-    tokens += length;
+    tokens += sentence.length();
   }
   FEWNER_CHECK(loss_total.defined(), "MatchingNet episode without query tokens");
   return tensor::MulScalar(loss_total, 1.0f / static_cast<float>(tokens));
@@ -81,81 +72,37 @@ Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
 void MatchingNet::Train(const data::EpisodeSampler& sampler,
                         const models::EpisodeEncoder& encoder,
                         const TrainConfig& config) {
-  backbone_->SetTraining(true);
   nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  const std::vector<Tensor> params = nn::ParameterTensors(backbone_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* net = static_cast<models::Backbone*>(model);
-          models::EncodedEpisode enc = PrepareTrainingTask(
-              sampler, encoder, config, base + static_cast<uint64_t>(t), net);
-          Tensor loss = EpisodeLoss(*net, enc);
-          *grads = tensor::autodiff::Grad(loss, replica_params);
-          return loss.item();
-        },
-        &accumulator);
-    std::vector<Tensor> grads =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  backbone_->SetTraining(false);
+  RunOuterLoop(
+      config, backbone_.get(), &batch, name(), "loss",
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* net = static_cast<models::Backbone*>(model);
+        models::EncodedEpisode enc =
+            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
+        Tensor loss = EpisodeLoss(*net, enc);
+        *grads = tensor::autodiff::Grad(loss, replica_params);
+        return loss.item();
+      },
+      [&](int64_t, std::vector<Tensor> grads) {
+        nn::ClipGradNorm(&grads, config.grad_clip);
+        optimizer.Step(grads);
+      });
 }
 
 std::vector<std::vector<int64_t>> MatchingNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   backbone_->SetTraining(false);
-  const int64_t num_classes = backbone_->config().max_tags;
-  std::vector<Tensor> feature_blocks;
-  std::vector<int64_t> tags;
-  for (const auto& sentence : episode.support) {
-    feature_blocks.push_back(NormalizedFeatures(*backbone_, sentence));
-    tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
-  }
-  Tensor support_features = tensor::Concat(feature_blocks, 0);
-  const int64_t total = support_features.shape().dim(0);
-  std::vector<float> onehot(static_cast<size_t>(total * num_classes), 0.0f);
-  for (int64_t t = 0; t < total; ++t) {
-    onehot[static_cast<size_t>(t * num_classes + tags[static_cast<size_t>(t)])] =
-        1.0f;
-  }
-  Tensor support_labels =
-      Tensor::FromData(Shape{total, num_classes}, std::move(onehot));
-
+  Tensor support_features, support_labels;
+  BuildSupport(*backbone_, episode.support, &support_features, &support_labels);
   std::vector<std::vector<int64_t>> predictions;
   predictions.reserve(episode.query.size());
   for (const auto& sentence : episode.query) {
-    Tensor logp =
-        QueryLogProbs(*backbone_, sentence, support_features, support_labels);
-    const auto& values = logp.data();
-    const int64_t length = sentence.length();
-    std::vector<int64_t> best_tags(static_cast<size_t>(length));
-    for (int64_t t = 0; t < length; ++t) {
-      int64_t best = 0;
-      float best_v = values[static_cast<size_t>(t * num_classes)];
-      for (int64_t c = 1; c < num_classes; ++c) {
-        const float v = values[static_cast<size_t>(t * num_classes + c)];
-        if (v > best_v) {
-          best_v = v;
-          best = c;
-        }
-      }
-      best_tags[static_cast<size_t>(t)] = best;
-    }
-    predictions.push_back(std::move(best_tags));
+    predictions.push_back(ArgmaxTags(
+        QueryLogProbs(*backbone_, sentence, support_features, support_labels)));
   }
   return predictions;
 }

@@ -46,6 +46,12 @@ class MatchingNet : public FewShotMethod {
                                const tensor::Tensor& support_features,
                                const tensor::Tensor& support_labels) const;
 
+  /// Builds (normalized features [T, D], label one-hots [T, max_tags]) from
+  /// the support set.
+  static void BuildSupport(const models::Backbone& net,
+                           const std::vector<models::EncodedSentence>& support,
+                           tensor::Tensor* features, tensor::Tensor* labels);
+
   tensor::Tensor EpisodeLoss(const models::Backbone& net,
                              const models::EncodedEpisode& episode) const;
 

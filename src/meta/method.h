@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/episode_sampler.h"
 #include "models/encoding.h"
+#include "tensor/tensor.h"
 
 namespace fewner::meta {
 
@@ -26,8 +28,10 @@ struct TrainConfig {
   float meta_lr = 8e-4f;          ///< β (paper: 0.0008)
   float grad_clip = 5.0f;         ///< paper: 5.0
   float weight_decay = 1e-7f;     ///< paper: fixed L2 of 1e-7
-  float lr_decay = 0.9f;          ///< paper: 0.9 ...
-  int64_t lr_decay_every = 5000;  ///< ... every 5000 tasks
+  /// Meta learning-rate decay (paper: 0.9 every 5000 tasks).  Only FEWNER
+  /// and MAML apply it; the other methods train at a constant meta_lr.
+  float lr_decay = 0.9f;
+  int64_t lr_decay_every = 5000;  ///< tasks between decays; must be > 0
   int64_t train_query_size = 3;   ///< query sentences used per training task
   /// Cap on support sentences consumed per TRAINING task (0 = unlimited).
   /// 5-shot supports reach ~25 sentences; capping bounds the per-iteration
@@ -72,6 +76,41 @@ inline void BoundTrainingEpisode(const TrainConfig& config, data::Episode* episo
       static_cast<int64_t>(episode->support.size()) > config.train_support_cap) {
     episode->support.resize(static_cast<size_t>(config.train_support_cap));
   }
+}
+
+// Token read-out shared by the metric baselines (ProtoNet, MatchingNet, SNAIL),
+// which classify each token independently instead of decoding a CRF.
+
+/// One-hot label matrix [T, num_classes] for `tags` (one tag per token).
+inline tensor::Tensor OneHotLabels(const std::vector<int64_t>& tags,
+                                   int64_t num_classes) {
+  const auto total = static_cast<int64_t>(tags.size());
+  std::vector<float> onehot(static_cast<size_t>(total * num_classes), 0.0f);
+  for (int64_t t = 0; t < total; ++t) {
+    onehot[static_cast<size_t>(t * num_classes + tags[static_cast<size_t>(t)])] = 1.0f;
+  }
+  return tensor::Tensor::FromData(tensor::Shape{total, num_classes}, std::move(onehot));
+}
+
+/// Per-token argmax of `scores` [L, C]; ties go to the lowest class.
+inline std::vector<int64_t> ArgmaxTags(const tensor::Tensor& scores) {
+  const int64_t length = scores.shape().dim(0);
+  const int64_t num_classes = scores.shape().dim(1);
+  const auto& values = scores.data();
+  std::vector<int64_t> tags(static_cast<size_t>(length));
+  for (int64_t t = 0; t < length; ++t) {
+    int64_t best = 0;
+    float best_v = values[static_cast<size_t>(t * num_classes)];
+    for (int64_t c = 1; c < num_classes; ++c) {
+      const float v = values[static_cast<size_t>(t * num_classes + c)];
+      if (v > best_v) {
+        best_v = v;
+        best = c;
+      }
+    }
+    tags[static_cast<size_t>(t)] = best;
+  }
+  return tags;
 }
 
 /// A few-shot sequence-labeling method.

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "tensor/intraop.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -124,6 +125,42 @@ models::EncodedEpisode PrepareTrainingTask(const data::EpisodeSampler& sampler,
   models::EncodedEpisode enc = encoder.Encode(episode);
   if (net != nullptr) net->ReseedDropout(episode_id);
   return enc;
+}
+
+void RunOuterLoop(const TrainConfig& config, nn::Module* master,
+                  ParallelMetaBatch* batch, std::string_view name,
+                  std::string_view loss_name, const OuterTaskFn& task,
+                  const OuterUpdateFn& update) {
+  FEWNER_CHECK(config.meta_batch > 0, "meta_batch must be positive");
+  FEWNER_CHECK(config.lr_decay_every > 0, "lr_decay_every must be positive");
+  FEWNER_CHECK(config.iterations >= 0, "iterations must not be negative");
+  master->SetTraining(true);
+  const std::vector<tensor::Tensor> params = nn::ParameterTensors(master);
+  for (int64_t it = 0; it < config.iterations; ++it) {
+    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
+    GradAccumulator accumulator(params);
+    const double loss_sum = batch->Run(
+        config.meta_batch,
+        [&](int64_t t, nn::Module* model,
+            const std::vector<tensor::Tensor>& replica_params,
+            std::vector<tensor::Tensor>* grads) {
+          return task(base + static_cast<uint64_t>(t), model, replica_params, grads);
+        },
+        &accumulator);
+    update(it, accumulator.Finish(1.0 / static_cast<double>(config.meta_batch)));
+    MaybeInvokeCallback(config, it);
+    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
+      FEWNER_LOG(INFO) << name << " iteration " << it << " " << loss_name << " "
+                       << loss_sum / static_cast<double>(config.meta_batch);
+    }
+  }
+  master->SetTraining(false);
+}
+
+bool LrDecayDue(const TrainConfig& config, int64_t iteration) {
+  const int64_t tasks_seen = (iteration + 1) * config.meta_batch;
+  return tasks_seen / config.lr_decay_every !=
+         (tasks_seen - config.meta_batch) / config.lr_decay_every;
 }
 
 }  // namespace fewner::meta

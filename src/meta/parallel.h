@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "data/episode_sampler.h"
@@ -109,5 +110,36 @@ models::EncodedEpisode PrepareTrainingTask(const data::EpisodeSampler& sampler,
                                            const TrainConfig& config,
                                            uint64_t episode_id,
                                            models::Backbone* net);
+
+/// One task of the outer loop: the method's inner loop and loss for episode
+/// `episode_id` on the synced replica `model`.  Same contract as TaskFn
+/// otherwise: fills `grads` in accumulator layout and returns the task loss.
+using OuterTaskFn = std::function<double(uint64_t episode_id, nn::Module* model,
+                                         const std::vector<tensor::Tensor>& params,
+                                         std::vector<tensor::Tensor>* grads)>;
+
+/// The method's outer update after iteration `iteration`, given the
+/// 1/meta_batch mean of the meta-batch's task gradients.
+using OuterUpdateFn =
+    std::function<void(int64_t iteration, std::vector<tensor::Tensor> mean)>;
+
+/// Algorithm 1's outer loop, shared by every episode-trained method.  Puts
+/// `master` in training mode, then for each of `config.iterations` iterations
+/// runs `config.meta_batch` tasks with episode ids `it * meta_batch + t`
+/// through `batch`, reduces their gradients in task order, hands the mean to
+/// `update`, invokes the iteration callback and logs
+/// "<name> iteration <it> <loss_name> <mean task loss>".  Leaves `master` in
+/// eval mode when every iteration has run; an exception thrown by the
+/// callback propagates after that iteration's update.  Checks `config` at
+/// entry: meta_batch > 0, lr_decay_every > 0 and iterations >= 0.
+void RunOuterLoop(const TrainConfig& config, nn::Module* master,
+                  ParallelMetaBatch* batch, std::string_view name,
+                  std::string_view loss_name, const OuterTaskFn& task,
+                  const OuterUpdateFn& update);
+
+/// True when the tasks of iteration `iteration` cross a multiple of
+/// `config.lr_decay_every` — when FEWNER and MAML decay their meta learning
+/// rate.  Only valid for a config RunOuterLoop accepted.
+bool LrDecayDue(const TrainConfig& config, int64_t iteration);
 
 }  // namespace fewner::meta

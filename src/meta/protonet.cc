@@ -1,12 +1,9 @@
 #include "meta/protonet.h"
 
-#include "meta/grad_accumulator.h"
 #include "meta/parallel.h"
-
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -108,38 +105,25 @@ Tensor ProtoNet::EpisodeLoss(const models::Backbone& net,
 void ProtoNet::Train(const data::EpisodeSampler& sampler,
                      const models::EpisodeEncoder& encoder,
                      const TrainConfig& config) {
-  backbone_->SetTraining(true);
   nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  const std::vector<Tensor> params = nn::ParameterTensors(backbone_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* net = static_cast<models::Backbone*>(model);
-          models::EncodedEpisode enc = PrepareTrainingTask(
-              sampler, encoder, config, base + static_cast<uint64_t>(t), net);
-          Tensor loss = EpisodeLoss(*net, enc);
-          *grads = tensor::autodiff::Grad(loss, replica_params);
-          return loss.item();
-        },
-        &accumulator);
-    std::vector<Tensor> grads =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  backbone_->SetTraining(false);
+  RunOuterLoop(
+      config, backbone_.get(), &batch, name(), "loss",
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* net = static_cast<models::Backbone*>(model);
+        models::EncodedEpisode enc =
+            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
+        Tensor loss = EpisodeLoss(*net, enc);
+        *grads = tensor::autodiff::Grad(loss, replica_params);
+        return loss.item();
+      },
+      [&](int64_t, std::vector<Tensor> grads) {
+        nn::ClipGradNorm(&grads, config.grad_clip);
+        optimizer.Step(grads);
+      });
 }
 
 std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
@@ -150,24 +134,8 @@ std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
   std::vector<std::vector<int64_t>> predictions;
   predictions.reserve(episode.query.size());
   for (const auto& sentence : episode.query) {
-    Tensor logits = TokenLogits(*backbone_, sentence, prototypes, class_present);
-    const int64_t length = sentence.length();
-    const int64_t num_classes = backbone_->config().max_tags;
-    std::vector<int64_t> tags(static_cast<size_t>(length));
-    const auto& values = logits.data();
-    for (int64_t t = 0; t < length; ++t) {
-      int64_t best = 0;
-      float best_v = values[static_cast<size_t>(t * num_classes)];
-      for (int64_t c = 1; c < num_classes; ++c) {
-        const float v = values[static_cast<size_t>(t * num_classes + c)];
-        if (v > best_v) {
-          best_v = v;
-          best = c;
-        }
-      }
-      tags[static_cast<size_t>(t)] = best;
-    }
-    predictions.push_back(std::move(tags));
+    predictions.push_back(
+        ArgmaxTags(TokenLogits(*backbone_, sentence, prototypes, class_present)));
   }
   return predictions;
 }

@@ -1,11 +1,7 @@
 #include "meta/reptile.h"
 
-#include "meta/grad_accumulator.h"
+#include "meta/finetune.h"
 #include "meta/parallel.h"
-
-#include "nn/optim.h"
-#include "tensor/autodiff.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -19,103 +15,57 @@ Reptile::Reptile(const models::BackboneConfig& config, util::Rng* rng) {
   backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
 }
 
-double Reptile::SgdOnSupport(models::Backbone* net,
-                             const std::vector<models::EncodedSentence>& support,
-                             const std::vector<bool>& valid_tags, int64_t steps,
-                             float lr) {
-  nn::Sgd sgd(net->Parameters(), lr);
-  double last_loss = 0.0;
-  // Packed once; every SGD step runs the batch-first forward.  The parameter
-  // snapshot is likewise loop-invariant: Sgd::Step writes values in place, so
-  // the handles keep aliasing the live leaves across steps.
-  const models::EncodedBatch packed = models::PackBatch(support);
-  const std::vector<Tensor> net_params = nn::ParameterTensors(net);
-  for (int64_t k = 0; k < steps; ++k) {
-    Tensor loss = net->BatchLoss(packed, Tensor(), valid_tags);
-    std::vector<Tensor> grads = tensor::autodiff::Grad(loss, net_params);
-    nn::ClipGradNorm(&grads, 5.0f);
-    sgd.Step(grads);
-    last_loss = loss.item();
-  }
-  return last_loss;
-}
-
 void Reptile::Train(const data::EpisodeSampler& sampler,
                     const models::EpisodeEncoder& encoder,
                     const TrainConfig& config) {
   test_steps_ = config.inner_steps_test;
   inner_lr_ = config.inner_lr;
-  backbone_->SetTraining(true);
   // ε: the meta step toward adapted weights.  Reuses meta_lr scaled up since
   // Reptile's update is a convex interpolation, not an Adam-preconditioned one.
   const float epsilon = config.meta_lr * 25.0f;
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
   const std::vector<Tensor> params = nn::ParameterTensors(backbone_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* net = static_cast<models::Backbone*>(model);
-          models::EncodedEpisode enc = PrepareTrainingTask(
-              sampler, encoder, config, base + static_cast<uint64_t>(t), net);
-          const double loss = SgdOnSupport(net, enc.support, enc.valid_tags,
-                                           config.inner_steps_train,
-                                           config.inner_lr);
-          // The task's contribution is its parameter delta θ'_task − θ,
-          // reduced like a (pseudo-)gradient.  The inner SGD mutated the
-          // replica's leaves in place, so `replica_params` now reads the
-          // adapted values while `params` still holds the master's θ.
-          const std::vector<Tensor>& adapted = replica_params;
-          grads->reserve(adapted.size());
-          for (size_t i = 0; i < adapted.size(); ++i) {
-            const auto& a = adapted[i].data();
-            const auto& b = params[i].data();
-            std::vector<float> delta(a.size());
-            for (size_t j = 0; j < a.size(); ++j) delta[j] = a[j] - b[j];
-            grads->push_back(
-                Tensor::FromData(adapted[i].shape(), std::move(delta)));
+  RunOuterLoop(
+      config, backbone_.get(), &batch, name(), "support loss",
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* net = static_cast<models::Backbone*>(model);
+        models::EncodedEpisode enc =
+            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
+        const double loss = SgdOnSupport(net, enc.support, enc.valid_tags,
+                                         config.inner_steps_train, config.inner_lr);
+        // The task's contribution is its parameter delta θ'_task − θ, reduced
+        // like a (pseudo-)gradient.  The inner SGD mutated the replica's
+        // leaves in place, so `replica_params` now reads the adapted values
+        // while `params` still holds the master's θ.
+        const std::vector<Tensor>& adapted = replica_params;
+        grads->reserve(adapted.size());
+        for (size_t i = 0; i < adapted.size(); ++i) {
+          const auto& a = adapted[i].data();
+          const auto& b = params[i].data();
+          std::vector<float> delta(a.size());
+          for (size_t j = 0; j < a.size(); ++j) delta[j] = a[j] - b[j];
+          grads->push_back(Tensor::FromData(adapted[i].shape(), std::move(delta)));
+        }
+        return loss;
+      },
+      // Batched Reptile step: θ ← θ + ε · mean_task(θ'_task − θ).
+      [&](int64_t, std::vector<Tensor> deltas) {
+        std::vector<Tensor*> slots = backbone_->Parameters();
+        for (size_t i = 0; i < slots.size(); ++i) {
+          std::vector<float>* values = slots[i]->mutable_data();
+          const auto& d = deltas[i].data();
+          for (size_t j = 0; j < values->size(); ++j) {
+            (*values)[j] += epsilon * d[j];
           }
-          return loss;
-        },
-        &accumulator);
-    // Batched Reptile step: θ ← θ + ε · mean_task(θ'_task − θ).
-    std::vector<Tensor> deltas =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    std::vector<Tensor*> slots = backbone_->Parameters();
-    for (size_t i = 0; i < slots.size(); ++i) {
-      std::vector<float>* values = slots[i]->mutable_data();
-      const auto& d = deltas[i].data();
-      for (size_t j = 0; j < values->size(); ++j) {
-        (*values)[j] += epsilon * d[j];
-      }
-    }
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " support loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  backbone_->SetTraining(false);
+        }
+      });
 }
 
 std::vector<std::vector<int64_t>> Reptile::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
-  backbone_->SetTraining(false);
-  std::vector<std::vector<float>> snapshot =
-      nn::SnapshotParameterValues(backbone_.get());
-  SgdOnSupport(backbone_.get(), episode.support, episode.valid_tags, test_steps_,
-               inner_lr_);
-  std::vector<std::vector<int64_t>> predictions;
-  if (!episode.query.empty()) {
-    predictions = backbone_->DecodeBatch(models::PackBatch(episode.query),
-                                         Tensor(), episode.valid_tags);
-  }
-  nn::RestoreParameterValues(backbone_.get(), snapshot);
-  return predictions;
+  return FineTuneAndDecode(backbone_.get(), episode, test_steps_, inner_lr_);
 }
 
 }  // namespace fewner::meta

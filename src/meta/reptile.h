@@ -37,13 +37,6 @@ class Reptile : public FewShotMethod {
   models::Backbone* backbone() { return backbone_.get(); }
 
  private:
-  /// Runs `steps` SGD steps on the support loss against `net`'s parameters in
-  /// place (caller snapshots/restores as needed); returns the last step's loss.
-  static double SgdOnSupport(models::Backbone* net,
-                             const std::vector<models::EncodedSentence>& support,
-                             const std::vector<bool>& valid_tags, int64_t steps,
-                             float lr);
-
   std::unique_ptr<models::Backbone> backbone_;
   int64_t test_steps_ = TrainConfig{}.inner_steps_test;
   float inner_lr_ = TrainConfig{}.inner_lr;

@@ -1,6 +1,5 @@
 #include "meta/snail.h"
 
-#include "meta/grad_accumulator.h"
 #include "meta/parallel.h"
 
 #include <cmath>
@@ -8,7 +7,6 @@
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
-#include "util/logging.h"
 
 namespace fewner::meta {
 
@@ -53,7 +51,6 @@ Tensor Snail::Enrich(const Model& m, const models::EncodedSentence& sentence) {
 void Snail::BuildSupport(const Model& m,
                          const std::vector<models::EncodedSentence>& support,
                          Tensor* keys, Tensor* labels) {
-  const int64_t num_classes = m.backbone->config().max_tags;
   std::vector<Tensor> feature_blocks;
   std::vector<int64_t> tags;
   for (const auto& sentence : support) {
@@ -62,12 +59,7 @@ void Snail::BuildSupport(const Model& m,
   }
   Tensor all = tensor::Concat(feature_blocks, 0);  // [T, tc_dim]
   *keys = m.key_proj->Forward(all);                // [T, attn_dim]
-  const int64_t total = all.shape().dim(0);
-  std::vector<float> onehot(static_cast<size_t>(total * num_classes), 0.0f);
-  for (int64_t t = 0; t < total; ++t) {
-    onehot[static_cast<size_t>(t * num_classes + tags[static_cast<size_t>(t)])] = 1.0f;
-  }
-  *labels = Tensor::FromData(Shape{total, num_classes}, std::move(onehot));
+  *labels = OneHotLabels(tags, m.backbone->config().max_tags);
 }
 
 Tensor Snail::QueryLogProbs(const Model& m,
@@ -103,17 +95,11 @@ Tensor Snail::EpisodeLoss(const Model& m, const models::EncodedEpisode& episode)
   int64_t tokens = 0;
   for (const auto& sentence : episode.query) {
     Tensor logp = QueryLogProbs(m, sentence, keys, labels, episode.valid_tags);
-    const int64_t length = sentence.length();
-    std::vector<float> select(static_cast<size_t>(length * num_classes), 0.0f);
-    for (int64_t t = 0; t < length; ++t) {
-      select[static_cast<size_t>(t * num_classes +
-                                 sentence.tags[static_cast<size_t>(t)])] = 1.0f;
-    }
-    Tensor gold = tensor::SumAll(tensor::Mul(
-        logp, Tensor::FromData(Shape{length, num_classes}, std::move(select))));
+    Tensor gold =
+        tensor::SumAll(tensor::Mul(logp, OneHotLabels(sentence.tags, num_classes)));
     Tensor loss = tensor::Neg(gold);
     total = total.defined() ? tensor::Add(total, loss) : loss;
-    tokens += length;
+    tokens += sentence.length();
   }
   FEWNER_CHECK(total.defined() && tokens > 0, "SNAIL episode without query tokens");
   return tensor::MulScalar(total, 1.0f / static_cast<float>(tokens));
@@ -121,7 +107,6 @@ Tensor Snail::EpisodeLoss(const Model& m, const models::EncodedEpisode& episode)
 
 void Snail::Train(const data::EpisodeSampler& sampler,
                   const models::EpisodeEncoder& encoder, const TrainConfig& config) {
-  model_->SetTraining(true);
   nn::Adam optimizer(model_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
                      config.weight_decay);
   Model* master = model_.get();
@@ -138,36 +123,22 @@ void Snail::Train(const data::EpisodeSampler& sampler,
         m->SetTraining(master->training());
         m->backbone->set_dropout_base(master->backbone->dropout_base());
       });
-  const std::vector<Tensor> params = nn::ParameterTensors(model_.get());
-  for (int64_t it = 0; it < config.iterations; ++it) {
-    const uint64_t base = static_cast<uint64_t>(it * config.meta_batch);
-    GradAccumulator accumulator(params);
-    const double loss_sum = batch.Run(
-        config.meta_batch,
-        [&](int64_t t, nn::Module* model,
-            const std::vector<Tensor>& replica_params,
-            std::vector<Tensor>* grads) -> double {
-          auto* m = static_cast<Model*>(model);
-          models::EncodedEpisode enc =
-              PrepareTrainingTask(sampler, encoder, config,
-                                  base + static_cast<uint64_t>(t),
-                                  m->backbone.get());
-          Tensor loss = EpisodeLoss(*m, enc);
-          *grads = tensor::autodiff::Grad(loss, replica_params);
-          return loss.item();
-        },
-        &accumulator);
-    std::vector<Tensor> grads =
-        accumulator.Finish(1.0 / static_cast<double>(config.meta_batch));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
-    MaybeInvokeCallback(config, it);
-    if (config.verbose && (it % 10 == 0 || it + 1 == config.iterations)) {
-      FEWNER_LOG(INFO) << name() << " iteration " << it << " loss "
-                       << loss_sum / static_cast<double>(config.meta_batch);
-    }
-  }
-  model_->SetTraining(false);
+  RunOuterLoop(
+      config, master, &batch, name(), "loss",
+      [&](uint64_t episode_id, nn::Module* model,
+          const std::vector<Tensor>& replica_params,
+          std::vector<Tensor>* grads) -> double {
+        auto* m = static_cast<Model*>(model);
+        models::EncodedEpisode enc = PrepareTrainingTask(
+            sampler, encoder, config, episode_id, m->backbone.get());
+        Tensor loss = EpisodeLoss(*m, enc);
+        *grads = tensor::autodiff::Grad(loss, replica_params);
+        return loss.item();
+      },
+      [&](int64_t, std::vector<Tensor> grads) {
+        nn::ClipGradNorm(&grads, config.grad_clip);
+        optimizer.Step(grads);
+      });
 }
 
 std::vector<std::vector<int64_t>> Snail::AdaptAndPredict(
@@ -175,27 +146,11 @@ std::vector<std::vector<int64_t>> Snail::AdaptAndPredict(
   model_->SetTraining(false);
   Tensor keys, labels;
   BuildSupport(*model_, episode.support, &keys, &labels);
-  const int64_t num_classes = model_->backbone->config().max_tags;
   std::vector<std::vector<int64_t>> predictions;
   predictions.reserve(episode.query.size());
   for (const auto& sentence : episode.query) {
-    Tensor logp = QueryLogProbs(*model_, sentence, keys, labels, episode.valid_tags);
-    const auto& values = logp.data();
-    const int64_t length = sentence.length();
-    std::vector<int64_t> tags(static_cast<size_t>(length));
-    for (int64_t t = 0; t < length; ++t) {
-      int64_t best = 0;
-      float best_v = values[static_cast<size_t>(t * num_classes)];
-      for (int64_t c = 1; c < num_classes; ++c) {
-        const float v = values[static_cast<size_t>(t * num_classes + c)];
-        if (v > best_v) {
-          best_v = v;
-          best = c;
-        }
-      }
-      tags[static_cast<size_t>(t)] = best;
-    }
-    predictions.push_back(std::move(tags));
+    predictions.push_back(ArgmaxTags(
+        QueryLogProbs(*model_, sentence, keys, labels, episode.valid_tags)));
   }
   return predictions;
 }

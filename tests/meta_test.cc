@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -14,7 +15,9 @@
 #include "meta/grad_accumulator.h"
 #include "meta/lm_tagger.h"
 #include "meta/maml.h"
+#include "meta/matching_net.h"
 #include "meta/protonet.h"
+#include "meta/reptile.h"
 #include "meta/snail.h"
 #include "models/lm_encoder.h"
 #include "tensor/autodiff.h"
@@ -88,6 +91,25 @@ class MetaTest : public ::testing::Test {
     const double f1 = eval::EpisodeF1(episode, predictions);
     EXPECT_GE(f1, 0.0);
     EXPECT_LE(f1, 1.0);
+  }
+
+  /// θ after `iterations` outer iterations of a fixed-seed Train whose
+  /// config asks for the meta learning rate to decay by `lr_decay` every two
+  /// iterations' worth of tasks.
+  template <typename Method>
+  std::vector<std::vector<float>> ThetaAfter(int64_t iterations, float lr_decay) {
+    util::Rng rng(1);
+    Method method(config_, &rng);
+    TrainConfig config = train_config_;
+    config.iterations = iterations;
+    config.lr_decay = lr_decay;
+    config.lr_decay_every = 2 * config.meta_batch;
+    method.Train(*sampler_, *encoder_, config);
+    if constexpr (std::is_same_v<Method, Snail>) {
+      return nn::SnapshotParameterValues(method.model());
+    } else {
+      return nn::SnapshotParameterValues(method.backbone());
+    }
   }
 
   data::Corpus corpus_;
@@ -339,6 +361,42 @@ TEST_F(MetaTest, FewnerInnerStepMatchesFiniteDifferenceClipActive) {
     EXPECT_NEAR(actual[i], expected, 0.05 * std::abs(expected) + 1e-3)
         << "φ entry " << i;
   }
+}
+
+// ------------------------------------------------------------ outer loop
+
+TEST_F(MetaTest, TrainRejectsInvalidOuterLoopConfig) {
+  util::Rng rng(1);
+  Fewner fewner(config_, &rng);
+  TrainConfig no_decay_period = train_config_;
+  no_decay_period.lr_decay_every = 0;
+  EXPECT_DEATH(fewner.Train(*sampler_, *encoder_, no_decay_period),
+               "lr_decay_every must be positive");
+  TrainConfig empty_batch = train_config_;
+  empty_batch.meta_batch = 0;
+  EXPECT_DEATH(fewner.Train(*sampler_, *encoder_, empty_batch),
+               "meta_batch must be positive");
+  TrainConfig negative_iterations = train_config_;
+  negative_iterations.iterations = -1;
+  EXPECT_DEATH(fewner.Train(*sampler_, *encoder_, negative_iterations),
+               "iterations must not be negative");
+}
+
+TEST_F(MetaTest, FewnerAndMamlLrDecayTakesEffectFromTheThirdStep) {
+  // The decay is due once the tasks of iteration 1 cross lr_decay_every; it
+  // follows that iteration's Adam step, so only the third step sees it.
+  EXPECT_EQ(ThetaAfter<Fewner>(2, 0.5f), ThetaAfter<Fewner>(2, 1.0f));
+  EXPECT_NE(ThetaAfter<Fewner>(3, 0.5f), ThetaAfter<Fewner>(3, 1.0f));
+  EXPECT_EQ(ThetaAfter<Maml>(2, 0.5f), ThetaAfter<Maml>(2, 1.0f));
+  EXPECT_NE(ThetaAfter<Maml>(3, 0.5f), ThetaAfter<Maml>(3, 1.0f));
+}
+
+TEST_F(MetaTest, OtherMethodsIgnoreLrDecay) {
+  EXPECT_EQ(ThetaAfter<FineTune>(3, 0.5f), ThetaAfter<FineTune>(3, 1.0f));
+  EXPECT_EQ(ThetaAfter<ProtoNet>(3, 0.5f), ThetaAfter<ProtoNet>(3, 1.0f));
+  EXPECT_EQ(ThetaAfter<MatchingNet>(3, 0.5f), ThetaAfter<MatchingNet>(3, 1.0f));
+  EXPECT_EQ(ThetaAfter<Snail>(3, 0.5f), ThetaAfter<Snail>(3, 1.0f));
+  EXPECT_EQ(ThetaAfter<Reptile>(3, 0.5f), ThetaAfter<Reptile>(3, 1.0f));
 }
 
 // ------------------------------------------------------- GradAccumulator
