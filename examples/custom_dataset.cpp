@@ -23,7 +23,7 @@ namespace {
 
 /// A miniature hand-written corpus: sports / politics / science sentences with
 /// PLAYER, TEAM, POLITICIAN, AGENCY, ELEMENT, UNIT mentions.  A real loader
-/// would fill the same structures from CoNLL-style files.
+/// would fill the same structures from its annotated files.
 data::Corpus BuildCorpus() {
   data::Corpus corpus;
   corpus.name = "handmade";

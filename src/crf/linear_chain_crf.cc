@@ -1,7 +1,6 @@
 #include "crf/linear_chain_crf.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "tensor/ops.h"
 
@@ -24,12 +23,19 @@ LinearChainCrf::LinearChainCrf(int64_t num_tags) : num_tags_(num_tags) {
   RegisterParameter("end", &end_);
 }
 
+void LinearChainCrf::CheckValidTags(const std::vector<bool>* valid_tags) const {
+  if (valid_tags == nullptr) return;
+  FEWNER_CHECK(static_cast<int64_t>(valid_tags->size()) == num_tags_,
+               "valid_tags has " << valid_tags->size() << " entries for "
+                                 << num_tags_ << " tags");
+  FEWNER_CHECK(std::find(valid_tags->begin(), valid_tags->end(), true) !=
+                   valid_tags->end(),
+               "valid_tags marks no tag valid");
+}
+
 Tensor LinearChainCrf::ValidityMask(const std::vector<bool>* valid_tags) const {
   std::vector<float> mask(static_cast<size_t>(num_tags_), 0.0f);
   if (valid_tags != nullptr) {
-    FEWNER_CHECK(static_cast<int64_t>(valid_tags->size()) == num_tags_,
-                 "valid_tags has " << valid_tags->size() << " entries for "
-                                   << num_tags_ << " tags");
     for (int64_t i = 0; i < num_tags_; ++i) {
       if (!(*valid_tags)[static_cast<size_t>(i)]) {
         mask[static_cast<size_t>(i)] = kInvalidScore;
@@ -42,6 +48,7 @@ Tensor LinearChainCrf::ValidityMask(const std::vector<bool>* valid_tags) const {
 Tensor LinearChainCrf::NegLogLikelihoodBatch(
     const Tensor& emissions, const std::vector<int64_t>& tags,
     const std::vector<int64_t>& lengths, const std::vector<bool>* valid_tags) const {
+  CheckValidTags(valid_tags);
   FEWNER_CHECK(emissions.rank() == 3 && emissions.shape().dim(2) == num_tags_,
                "batched emissions must be [B, L, " << num_tags_ << "], got "
                                                    << emissions.shape().ToString());
@@ -158,6 +165,7 @@ Tensor LinearChainCrf::NegLogLikelihoodBatch(
 std::vector<std::vector<int64_t>> LinearChainCrf::ViterbiBatch(
     const Tensor& emissions, const std::vector<int64_t>& lengths,
     const std::vector<bool>* valid_tags) const {
+  CheckValidTags(valid_tags);
   FEWNER_CHECK(emissions.rank() == 3 && emissions.shape().dim(2) == num_tags_,
                "batched emissions must be [B, L, " << num_tags_ << "]");
   const int64_t lanes = emissions.shape().dim(0);
@@ -240,201 +248,6 @@ std::vector<int64_t> LinearChainCrf::ViterbiCore(
     path[static_cast<size_t>(t - 1)] = best_tag;
   }
   return path;
-}
-
-std::vector<LinearChainCrf::ScoredPath> LinearChainCrf::ViterbiKBest(
-    const Tensor& emissions, int64_t k, const std::vector<bool>* valid_tags) const {
-  const int64_t length = emissions.shape().dim(0);
-  const int64_t y = num_tags_;
-  FEWNER_CHECK(k >= 1, "ViterbiKBest requires k >= 1");
-  FEWNER_CHECK(emissions.rank() == 2 && emissions.shape().dim(1) == y,
-               "emissions must be [L, " << y << "]");
-  auto is_valid = [&](int64_t tag) {
-    return valid_tags == nullptr || (*valid_tags)[static_cast<size_t>(tag)];
-  };
-  const auto& emit = emissions.data();
-  const auto& trans = transitions_.data();
-  const auto& start = start_.data();
-  const auto& end = end_.data();
-
-  // candidates[t][j] = up to k (score, from_tag, from_rank), best first.
-  struct Candidate {
-    float score;
-    int64_t from_tag;
-    int64_t from_rank;
-  };
-  std::vector<std::vector<std::vector<Candidate>>> candidates(
-      static_cast<size_t>(length),
-      std::vector<std::vector<Candidate>>(static_cast<size_t>(y)));
-
-  for (int64_t j = 0; j < y; ++j) {
-    if (!is_valid(j)) continue;
-    candidates[0][static_cast<size_t>(j)].push_back(
-        {start[static_cast<size_t>(j)] + emit[static_cast<size_t>(j)], -1, -1});
-  }
-  for (int64_t t = 1; t < length; ++t) {
-    for (int64_t j = 0; j < y; ++j) {
-      if (!is_valid(j)) continue;
-      std::vector<Candidate> merged;
-      for (int64_t i = 0; i < y; ++i) {
-        const auto& previous = candidates[static_cast<size_t>(t - 1)]
-                                         [static_cast<size_t>(i)];
-        for (size_t r = 0; r < previous.size(); ++r) {
-          merged.push_back({previous[r].score +
-                                trans[static_cast<size_t>(i * y + j)] +
-                                emit[static_cast<size_t>(t * y + j)],
-                            i, static_cast<int64_t>(r)});
-        }
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.score > b.score;
-                });
-      if (static_cast<int64_t>(merged.size()) > k) {
-        merged.resize(static_cast<size_t>(k));
-      }
-      candidates[static_cast<size_t>(t)][static_cast<size_t>(j)] =
-          std::move(merged);
-    }
-  }
-
-  // Final ranking with end scores.
-  struct FinalEntry {
-    float score;
-    int64_t tag;
-    int64_t rank;
-  };
-  std::vector<FinalEntry> finals;
-  for (int64_t j = 0; j < y; ++j) {
-    const auto& list =
-        candidates[static_cast<size_t>(length - 1)][static_cast<size_t>(j)];
-    for (size_t r = 0; r < list.size(); ++r) {
-      finals.push_back({list[r].score + end[static_cast<size_t>(j)], j,
-                        static_cast<int64_t>(r)});
-    }
-  }
-  std::sort(finals.begin(), finals.end(),
-            [](const FinalEntry& a, const FinalEntry& b) {
-              return a.score > b.score;
-            });
-  if (static_cast<int64_t>(finals.size()) > k) finals.resize(static_cast<size_t>(k));
-
-  std::vector<ScoredPath> paths;
-  for (const FinalEntry& final_entry : finals) {
-    ScoredPath path;
-    path.score = final_entry.score;
-    path.tags.assign(static_cast<size_t>(length), 0);
-    int64_t tag = final_entry.tag;
-    int64_t rank = final_entry.rank;
-    for (int64_t t = length - 1; t >= 0; --t) {
-      path.tags[static_cast<size_t>(t)] = tag;
-      const Candidate& c =
-          candidates[static_cast<size_t>(t)][static_cast<size_t>(tag)]
-                    [static_cast<size_t>(rank)];
-      tag = c.from_tag;
-      rank = c.from_rank;
-    }
-    paths.push_back(std::move(path));
-  }
-  return paths;
-}
-
-std::vector<std::vector<double>> LinearChainCrf::Marginals(
-    const Tensor& emissions, const std::vector<bool>* valid_tags) const {
-  const int64_t length = emissions.shape().dim(0);
-  const int64_t y = num_tags_;
-  FEWNER_CHECK(emissions.rank() == 2 && emissions.shape().dim(1) == y,
-               "emissions must be [L, " << y << "]");
-  auto is_valid = [&](int64_t tag) {
-    return valid_tags == nullptr || (*valid_tags)[static_cast<size_t>(tag)];
-  };
-  const auto& emit = emissions.data();
-  const auto& trans = transitions_.data();
-  const auto& start = start_.data();
-  const auto& end = end_.data();
-  constexpr double kNegInf = -1e30;
-
-  auto lse = [](const std::vector<double>& values) {
-    double best = kNegInf;
-    for (double v : values) best = std::max(best, v);
-    if (best <= kNegInf) return kNegInf;
-    double total = 0.0;
-    for (double v : values) total += std::exp(v - best);
-    return best + std::log(total);
-  };
-
-  // Forward (alpha includes the emission at t).
-  std::vector<std::vector<double>> alpha(
-      static_cast<size_t>(length), std::vector<double>(static_cast<size_t>(y),
-                                                       kNegInf));
-  for (int64_t j = 0; j < y; ++j) {
-    if (is_valid(j)) {
-      alpha[0][static_cast<size_t>(j)] =
-          start[static_cast<size_t>(j)] + emit[static_cast<size_t>(j)];
-    }
-  }
-  for (int64_t t = 1; t < length; ++t) {
-    for (int64_t j = 0; j < y; ++j) {
-      if (!is_valid(j)) continue;
-      std::vector<double> terms;
-      terms.reserve(static_cast<size_t>(y));
-      for (int64_t i = 0; i < y; ++i) {
-        if (!is_valid(i)) continue;
-        terms.push_back(alpha[static_cast<size_t>(t - 1)][static_cast<size_t>(i)] +
-                        trans[static_cast<size_t>(i * y + j)]);
-      }
-      alpha[static_cast<size_t>(t)][static_cast<size_t>(j)] =
-          lse(terms) + emit[static_cast<size_t>(t * y + j)];
-    }
-  }
-
-  // Backward (beta excludes the emission at t).
-  std::vector<std::vector<double>> beta(
-      static_cast<size_t>(length), std::vector<double>(static_cast<size_t>(y),
-                                                       kNegInf));
-  for (int64_t j = 0; j < y; ++j) {
-    if (is_valid(j)) {
-      beta[static_cast<size_t>(length - 1)][static_cast<size_t>(j)] =
-          end[static_cast<size_t>(j)];
-    }
-  }
-  for (int64_t t = length - 2; t >= 0; --t) {
-    for (int64_t i = 0; i < y; ++i) {
-      if (!is_valid(i)) continue;
-      std::vector<double> terms;
-      terms.reserve(static_cast<size_t>(y));
-      for (int64_t j = 0; j < y; ++j) {
-        if (!is_valid(j)) continue;
-        terms.push_back(trans[static_cast<size_t>(i * y + j)] +
-                        emit[static_cast<size_t>((t + 1) * y + j)] +
-                        beta[static_cast<size_t>(t + 1)][static_cast<size_t>(j)]);
-      }
-      beta[static_cast<size_t>(t)][static_cast<size_t>(i)] = lse(terms);
-    }
-  }
-
-  std::vector<double> final_terms;
-  for (int64_t j = 0; j < y; ++j) {
-    if (is_valid(j)) {
-      final_terms.push_back(
-          alpha[static_cast<size_t>(length - 1)][static_cast<size_t>(j)] +
-          end[static_cast<size_t>(j)]);
-    }
-  }
-  const double log_z = lse(final_terms);
-
-  std::vector<std::vector<double>> marginals(
-      static_cast<size_t>(length), std::vector<double>(static_cast<size_t>(y),
-                                                       0.0));
-  for (int64_t t = 0; t < length; ++t) {
-    for (int64_t j = 0; j < y; ++j) {
-      if (!is_valid(j)) continue;
-      marginals[static_cast<size_t>(t)][static_cast<size_t>(j)] =
-          std::exp(alpha[static_cast<size_t>(t)][static_cast<size_t>(j)] +
-                   beta[static_cast<size_t>(t)][static_cast<size_t>(j)] - log_z);
-    }
-  }
-  return marginals;
 }
 
 }  // namespace fewner::crf

@@ -26,8 +26,9 @@ class LinearChainCrf : public nn::Module {
 
   /// Negative log-likelihood of lane-major gold `tags` given padded emissions
   /// [B, Lmax, num_tags] (`tags.size() == B * Lmax`, padding entries ignored).
-  /// If `valid_tags` is non-null it must have num_tags entries; invalid tags
-  /// are excluded from the partition function (their emissions are crushed).
+  /// If `valid_tags` is non-null it must have num_tags entries, at least one
+  /// of them true; invalid tags are excluded from the partition function
+  /// (their emissions are crushed).
   /// Returns a [B] tensor whose lane b is bitwise-equal to the same recursion
   /// run on that lane's [lengths[b], num_tags] slice alone: the masked
   /// log-space forward runs one batched step per timestep with finished lanes
@@ -42,31 +43,19 @@ class LinearChainCrf : public nn::Module {
 
   /// Highest-scoring tag sequence of each lane of padded emissions
   /// [B, Lmax, num_tags], decoded from the lane's first lengths[b] rows alone
-  /// (a single sentence is the B=1 call).
+  /// (a single sentence is the B=1 call).  A non-null `valid_tags` follows
+  /// the NegLogLikelihoodBatch contract; paths use valid tags only.
   std::vector<std::vector<int64_t>> ViterbiBatch(
       const tensor::Tensor& emissions, const std::vector<int64_t>& lengths,
       const std::vector<bool>* valid_tags = nullptr) const;
 
-  /// The k highest-scoring tag sequences with their (unnormalized) path
-  /// scores, best first.  Returns fewer than k when the (valid-tag) path space
-  /// is smaller.  Useful for downstream rerankers and for confidence triage.
-  struct ScoredPath {
-    std::vector<int64_t> tags;
-    float score;
-  };
-  std::vector<ScoredPath> ViterbiKBest(const tensor::Tensor& emissions, int64_t k,
-                                       const std::vector<bool>* valid_tags =
-                                           nullptr) const;
-
-  /// Posterior tag marginals p(y_t = j | h) via forward-backward, [L, num_tags]
-  /// rows summing to 1 over valid tags.  Inference-only (plain float math).
-  std::vector<std::vector<double>> Marginals(const tensor::Tensor& emissions,
-                                             const std::vector<bool>* valid_tags =
-                                                 nullptr) const;
-
   int64_t num_tags() const { return num_tags_; }
 
  private:
+  /// Aborts unless `valid_tags` is null or has num_tags entries with at least
+  /// one valid tag.  Both entry points run it before reading the mask.
+  void CheckValidTags(const std::vector<bool>* valid_tags) const;
+
   /// Additive [num_tags] mask: 0 for valid tags, a large negative otherwise.
   tensor::Tensor ValidityMask(const std::vector<bool>* valid_tags) const;
 

@@ -65,19 +65,4 @@ void AdaptedTagger::ReAdapt(int64_t extra_steps) {
   phi_ = phi.Detach();
 }
 
-models::CachedPrefix AdaptedTagger::PrepareWorkload(
-    const std::vector<models::EncodedSentence>& sentences) const {
-  FEWNER_CHECK(!sentences.empty(), "PrepareWorkload on zero sentences");
-  tensor::EvalMode eval;
-  return backbone_->EncodePrefix(models::PackBatch(sentences));
-}
-
-std::vector<std::vector<int64_t>> AdaptedTagger::TagPrepared(
-    const models::CachedPrefix& prefix) const {
-  // Suffix + Viterbi only.  Reads the shared prefix, writes only this
-  // thread's arena — safe to fan out across serving threads.
-  tensor::EvalMode eval;
-  return backbone_->DecodeBatchFromPrefix(prefix, phi_, valid_tags_);
-}
-
 }  // namespace fewner::meta

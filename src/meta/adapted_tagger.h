@@ -58,18 +58,6 @@ class AdaptedTagger {
   /// if θ changed since construction (the prefix would be stale).
   void ReAdapt(int64_t extra_steps);
 
-  /// θ-only features for a query workload, encoded once under EvalMode.
-  /// A prepared workload is immutable; many threads may TagPrepared() the
-  /// same one concurrently, each decoding on its own workspace arena.
-  models::CachedPrefix PrepareWorkload(
-      const std::vector<models::EncodedSentence>& sentences) const;
-
-  /// Tags a prepared workload through the φ-suffix only — the serving path
-  /// when the same sentences are decoded repeatedly (e.g. after ReAdapt) or
-  /// fanned out across threads.
-  std::vector<std::vector<int64_t>> TagPrepared(
-      const models::CachedPrefix& prefix) const;
-
   /// The adapted context vector φ* (a detached constant).
   const tensor::Tensor& phi() const { return phi_; }
 

@@ -51,9 +51,8 @@ struct TrainConfig {
   bool verbose = false;           ///< log outer-loop losses
 
   /// Optional hook invoked after every `callback_every` outer iterations (and
-  /// after the last one).  Used for validation-based model selection (see
-  /// eval::BestSnapshotTracker) and for live monitoring.  Never invoked when
-  /// callback_every == 0.
+  /// after the last one), e.g. for validation checks or live monitoring.
+  /// Never invoked when callback_every == 0.
   int64_t callback_every = 0;
   std::function<void(int64_t iteration)> iteration_callback;
 };

@@ -658,10 +658,6 @@ Tensor SumAxis(const Tensor& t, int64_t axis, bool keepdim) {
   return Reshape(summed, Shape{std::move(out_dims)});
 }
 
-Tensor MeanAll(const Tensor& t) {
-  return MulScalar(SumAll(t), 1.0f / static_cast<float>(t.numel()));
-}
-
 Tensor RowSum(const Tensor& t) {
   FEWNER_CHECK(t.rank() == 2, "RowSum requires rank 2, got " << t.shape().ToString());
   const int64_t r = t.shape().dim(0);

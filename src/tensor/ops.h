@@ -80,9 +80,6 @@ Tensor SumAllFloat(const Tensor& t);
 /// Sum along one axis; keepdim retains the axis with size 1.
 Tensor SumAxis(const Tensor& t, int64_t axis, bool keepdim);
 
-/// Mean of all elements as a rank-0 scalar.
-Tensor MeanAll(const Tensor& t);
-
 /// Per-row sum of an [R, C] matrix as a rank-1 [R] tensor.  Each row
 /// accumulates in double precision in ascending column order — the same
 /// summation SumAll performs over a whole tensor — so lane r of a padded

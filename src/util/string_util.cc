@@ -20,28 +20,10 @@ std::vector<std::string> Split(const std::string& s, char delim) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& pieces, const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out += sep;
-    out += pieces[i];
-  }
-  return out;
-}
-
 std::string ToLower(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::string FormatDouble(double value, int decimals) {

@@ -10,17 +10,8 @@ namespace fewner::util {
 /// Splits on any run of the delimiter; no empty pieces are produced.
 std::vector<std::string> Split(const std::string& s, char delim);
 
-/// Joins pieces with the separator.
-std::string Join(const std::vector<std::string>& pieces, const std::string& sep);
-
 /// Lowercases ASCII characters.
 std::string ToLower(const std::string& s);
-
-/// True if the string starts with the prefix.
-bool StartsWith(const std::string& s, const std::string& prefix);
-
-/// True if the string ends with the suffix.
-bool EndsWith(const std::string& s, const std::string& suffix);
 
 /// Formats a double with the given number of decimal places.
 std::string FormatDouble(double value, int decimals);

@@ -1,5 +1,5 @@
 // Tests for the linear-chain CRF: NLL against brute-force enumeration,
-// Viterbi optimality, tag masking, and gradient checks.
+// Viterbi optimality, tag masking and its entry checks, and gradient checks.
 
 #include <gtest/gtest.h>
 
@@ -287,6 +287,34 @@ TEST(CrfEdgeTest, SecondOrderThroughNll) {
   double norm = 0;
   for (float v : g2[0].data()) norm += std::abs(v);
   EXPECT_GT(norm, 1e-6);  // non-degenerate second-order signal
+}
+
+// A mask is checked at entry, before any read: a short mask would index past
+// its end, and an all-false mask would leave Viterbi backtracking through -1
+// backpointers.
+TEST(CrfMaskDeathTest, ViterbiBatchRejectsShortOrAllFalseMask) {
+  LinearChainCrf crf(3);
+  util::Rng rng(5);
+  Tensor emissions = Tensor::Randn(Shape{1, 4, 3}, &rng);
+  const std::vector<bool> short_mask = {true, true};
+  EXPECT_DEATH(crf.ViterbiBatch(emissions, {4}, &short_mask),
+               "valid_tags has 2 entries for 3 tags");
+  const std::vector<bool> all_false(3, false);
+  EXPECT_DEATH(crf.ViterbiBatch(emissions, {4}, &all_false),
+               "valid_tags marks no tag valid");
+}
+
+TEST(CrfMaskDeathTest, NllRejectsShortOrAllFalseMask) {
+  LinearChainCrf crf(3);
+  util::Rng rng(6);
+  Tensor emissions = Tensor::Randn(Shape{1, 4, 3}, &rng);
+  const std::vector<int64_t> gold = {0, 2, 2, 1};
+  const std::vector<bool> short_mask = {true, true};
+  EXPECT_DEATH(crf.NegLogLikelihoodBatch(emissions, gold, {4}, &short_mask),
+               "valid_tags has 2 entries for 3 tags");
+  const std::vector<bool> all_false(3, false);
+  EXPECT_DEATH(crf.NegLogLikelihoodBatch(emissions, gold, {4}, &all_false),
+               "valid_tags marks no tag valid");
 }
 
 TEST(CrfPropertyTest, ViterbiMatchesBruteForceOnRandomInstances) {

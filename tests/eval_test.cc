@@ -239,31 +239,10 @@ TEST(PerTypeScorerTest, ReportAndCsv) {
 }  // namespace
 }  // namespace fewner::eval
 
-#include "eval/model_selection.h"
 #include "meta/fewner.h"
 
 namespace fewner::eval {
 namespace {
-
-TEST(ModelSelectionTest, KeepsBestSnapshot) {
-  util::Rng rng(1);
-  nn::Linear layer(2, 2, &rng);
-  // Scores rise then fall; the tracker must restore the peak's parameters.
-  std::vector<double> scores = {0.1, 0.7, 0.3};
-  size_t call = 0;
-  std::vector<float> value_at_best;
-  BestSnapshotTracker tracker(&layer, [&]() {
-    (*layer.Parameters()[0]->mutable_data())[0] = static_cast<float>(call);
-    if (call == 1) value_at_best = layer.Parameters()[0]->data();
-    return scores[call++];
-  });
-  auto callback = tracker.Callback();
-  for (int64_t it = 0; it < 3; ++it) callback(it);
-  EXPECT_EQ(tracker.evaluations(), 3);
-  EXPECT_EQ(tracker.best_iteration(), 1);
-  EXPECT_NEAR(tracker.RestoreBest(), 0.7, 1e-9);
-  EXPECT_EQ(layer.Parameters()[0]->data(), value_at_best);
-}
 
 TEST(ModelSelectionTest, CallbackCadence) {
   meta::TrainConfig config;

@@ -1,15 +1,10 @@
-// Tests for the extension features: CoNLL I/O, slot-filling corpus, BiLSTM
-// encoder, CRF k-best + marginals, serialization of whole methods, and the
-// Reptile / MatchingNet baselines.
+// Tests for the extension features: slot-filling corpus, BiLSTM encoder, and
+// the Reptile / MatchingNet baselines.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
-#include "crf/linear_chain_crf.h"
-#include "crf_sentence.h"
-#include "data/conll.h"
 #include "data/slot_filling.h"
 #include "meta/matching_net.h"
 #include "meta/reptile.h"
@@ -23,76 +18,6 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
-using crf_testing::SentenceNll;
-using crf_testing::SentenceViterbi;
-
-// ----------------------------------------------------------------- CoNLL I/O
-
-TEST(ConllTest, ParsesTokensAndSpans) {
-  std::istringstream in(
-      "Jordan B-PER\n"
-      "visited O\n"
-      "Atlantic B-LOC\n"
-      "City I-LOC\n"
-      ". O\n"
-      "\n"
-      "-DOCSTART- O\n"
-      "\n"
-      "NBA B-ORG\n"
-      "star O\n");
-  auto result = data::ReadConllStream(&in, "test");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const data::Corpus& corpus = result.value();
-  ASSERT_EQ(corpus.sentences.size(), 2u);
-  const auto& first = corpus.sentences[0];
-  EXPECT_EQ(first.tokens.size(), 5u);
-  ASSERT_EQ(first.entities.size(), 2u);
-  EXPECT_EQ(first.entities[0].label, "PER");
-  EXPECT_EQ(first.entities[1].start, 2);
-  EXPECT_EQ(first.entities[1].end, 4);
-  EXPECT_EQ(corpus.entity_types.size(), 3u);  // PER, LOC, ORG
-}
-
-TEST(ConllTest, DanglingInsideRecovers) {
-  std::istringstream in("word I-GENE\nmore I-GENE\n");
-  auto result = data::ReadConllStream(&in, "test");
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().sentences[0].entities.size(), 1u);
-  EXPECT_EQ(result.value().sentences[0].entities[0].end, 2);
-}
-
-TEST(ConllTest, TabSeparatedAndComments) {
-  std::istringstream in("# comment\nword\tPOS\tB-X\n");
-  auto result = data::ReadConllStream(&in, "test");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().sentences[0].entities[0].label, "X");
-}
-
-TEST(ConllTest, BadLabelIsError) {
-  std::istringstream in("word Q-BAD\n");
-  EXPECT_FALSE(data::ReadConllStream(&in, "test").ok());
-}
-
-TEST(ConllTest, EmptyInputIsError) {
-  std::istringstream in("\n\n");
-  EXPECT_FALSE(data::ReadConllStream(&in, "test").ok());
-}
-
-TEST(ConllTest, WriteReadRoundTrip) {
-  data::SlotFillingSpec spec;
-  spec.num_utterances = 25;
-  data::Corpus corpus = data::GenerateSlotFillingCorpus(spec);
-  std::ostringstream out;
-  ASSERT_TRUE(data::WriteConllStream(corpus, &out).ok());
-  std::istringstream in(out.str());
-  auto parsed = data::ReadConllStream(&in, "roundtrip");
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed.value().sentences.size(), corpus.sentences.size());
-  for (size_t i = 0; i < corpus.sentences.size(); ++i) {
-    EXPECT_EQ(parsed.value().sentences[i].tokens, corpus.sentences[i].tokens);
-    EXPECT_EQ(parsed.value().sentences[i].entities, corpus.sentences[i].entities);
-  }
-}
 
 // ----------------------------------------------------------- slot filling
 
@@ -166,75 +91,6 @@ TEST(LstmTest, GradCheckThroughTime) {
                          lstm, Tensor::FromData(x.shape(), minus))))
                          .item();
     EXPECT_NEAR(g[0].at(i), (lp - lm) / (2 * eps), 5e-2) << "element " << i;
-  }
-}
-
-// ----------------------------------------------------- CRF k-best / marginals
-
-TEST(CrfKBestTest, FirstPathMatchesViterbiAndOrderingHolds) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(11);
-  for (tensor::Tensor* p : crf.Parameters()) {
-    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0, 0.5));
-  }
-  Tensor emissions = Tensor::Randn(Shape{4, 3}, &rng);
-  auto paths = crf.ViterbiKBest(emissions, 5);
-  ASSERT_GE(paths.size(), 2u);
-  EXPECT_EQ(paths[0].tags, SentenceViterbi(crf, emissions));
-  for (size_t i = 1; i < paths.size(); ++i) {
-    EXPECT_LE(paths[i].score, paths[i - 1].score + 1e-5f);
-    EXPECT_NE(paths[i].tags, paths[i - 1].tags);
-  }
-}
-
-TEST(CrfKBestTest, ExhaustsSmallPathSpaces) {
-  crf::LinearChainCrf crf(2);
-  util::Rng rng(13);
-  Tensor emissions = Tensor::Randn(Shape{2, 2}, &rng);
-  auto paths = crf.ViterbiKBest(emissions, 100);
-  EXPECT_EQ(paths.size(), 4u);  // 2^2 distinct paths
-}
-
-TEST(CrfMarginalsTest, RowsSumToOneAndAgreeWithEnumeration) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(17);
-  for (tensor::Tensor* p : crf.Parameters()) {
-    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0, 0.5));
-  }
-  Tensor emissions = Tensor::Randn(Shape{3, 3}, &rng);
-  auto marginals = crf.Marginals(emissions);
-  ASSERT_EQ(marginals.size(), 3u);
-  for (const auto& row : marginals) {
-    double total = 0;
-    for (double p : row) total += p;
-    EXPECT_NEAR(total, 1.0, 1e-4);
-  }
-  // Enumerated check: P(y_1 = 2) from all 27 paths' probabilities.
-  double target = 0;
-  std::vector<int64_t> path(3, 0);
-  for (;;) {
-    const double p = std::exp(-SentenceNll(crf, emissions, path).item());
-    if (path[1] == 2) target += p;
-    int pos = 2;
-    while (pos >= 0) {
-      if (++path[static_cast<size_t>(pos)] < 3) break;
-      path[static_cast<size_t>(pos)] = 0;
-      --pos;
-    }
-    if (pos < 0) break;
-  }
-  EXPECT_NEAR(marginals[1][2], target, 1e-3);
-}
-
-TEST(CrfMarginalsTest, MaskedTagsGetZeroMass) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(19);
-  Tensor emissions = Tensor::Randn(Shape{4, 3}, &rng);
-  std::vector<bool> valid = {true, false, true};
-  auto marginals = crf.Marginals(emissions, &valid);
-  for (const auto& row : marginals) {
-    EXPECT_EQ(row[1], 0.0);
-    EXPECT_NEAR(row[0] + row[2], 1.0, 1e-4);
   }
 }
 

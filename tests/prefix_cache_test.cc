@@ -582,10 +582,10 @@ TEST_F(PrefixCacheTest, ReAdaptMatchesLongerConstructionTimeAdaptation) {
 }
 
 TEST_F(PrefixCacheTest, ConcurrentServingFromOneSharedPrefix) {
-  // One AdaptedTagger, one prepared workload, many threads: TagPrepared only
-  // reads the shared CachedPrefix and writes each thread's own arena, so
-  // every thread must reproduce the single-threaded tags exactly.  Run under
-  // -DFEWNER_SANITIZE=thread in CI (tsan label).
+  // One AdaptedTagger, one query set, many threads: TagAll only reads the
+  // shared θ and φ* and builds each thread's prefix and suffix in that
+  // thread's own arena, so every thread must reproduce the single-threaded
+  // tags exactly.  Run under -DFEWNER_SANITIZE=thread in CI (tsan label).
   util::Rng init(0x4AA);
   models::Backbone net(
       SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
@@ -601,10 +601,7 @@ TEST_F(PrefixCacheTest, ConcurrentServingFromOneSharedPrefix) {
   }
 
   AdaptedTagger tagger(&net, support, valid_tags, 3, 0.1f);
-  const models::CachedPrefix workload = tagger.PrepareWorkload(query);
   const std::vector<std::vector<int64_t>> expected = tagger.TagAll(query);
-  ASSERT_EQ(tagger.TagPrepared(workload), expected)
-      << "prepared decode differs from TagAll";
 
   constexpr int kThreads = 8;
   std::vector<std::vector<std::vector<int64_t>>> results(kThreads);
@@ -613,7 +610,7 @@ TEST_F(PrefixCacheTest, ConcurrentServingFromOneSharedPrefix) {
   for (int w = 0; w < kThreads; ++w) {
     threads.emplace_back([&, w] {
       for (int repeat = 0; repeat < 4; ++repeat) {
-        results[static_cast<size_t>(w)] = tagger.TagPrepared(workload);
+        results[static_cast<size_t>(w)] = tagger.TagAll(query);
       }
     });
   }

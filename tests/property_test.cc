@@ -222,6 +222,30 @@ TEST_P(CrfProperty, ProbabilitiesOfAllPathsSumToOneOnTinyInstances) {
   EXPECT_NEAR(total, 1.0, 1e-3);
 }
 
+/// Randomizes `crf`'s parameters (σ=0.5), then returns lane-major padded
+/// emissions [lanes, max_len, Y] holding N(0, 1) in each lane's first
+/// lengths[b] rows and N(0, 40) junk in its padded rows.
+std::vector<float> RaggedCrfBatch(crf::LinearChainCrf* crf,
+                                  const std::vector<int64_t>& lengths,
+                                  int64_t max_len, util::Rng* rng) {
+  for (tensor::Tensor* p : crf->Parameters()) {
+    for (float& v : *p->mutable_data()) v = static_cast<float>(rng->Gaussian(0, 0.5));
+  }
+  const int64_t lanes = static_cast<int64_t>(lengths.size());
+  const int64_t num_tags = crf->num_tags();
+  std::vector<float> values(static_cast<size_t>(lanes * max_len * num_tags));
+  for (int64_t b = 0; b < lanes; ++b) {
+    for (int64_t t = 0; t < max_len; ++t) {
+      const double scale = t < lengths[static_cast<size_t>(b)] ? 1.0 : 40.0;
+      for (int64_t y = 0; y < num_tags; ++y) {
+        values[static_cast<size_t>((b * max_len + t) * num_tags + y)] =
+            static_cast<float>(rng->Gaussian(0, scale));
+      }
+    }
+  }
+  return values;
+}
+
 TEST(CrfRaggedBatchProperty, ProbabilitiesOfAllPathsSumToOnePerPaddedLane) {
   // One [3, 3, Y] batch with lane lengths 3, 1 and 2: the short lanes carry
   // alpha through padded timesteps whose emissions hold large junk values,
@@ -232,21 +256,8 @@ TEST(CrfRaggedBatchProperty, ProbabilitiesOfAllPathsSumToOnePerPaddedLane) {
   const int64_t lanes = 3, max_len = 3;
   crf::LinearChainCrf crf(num_tags);
   util::Rng rng(404);
-  for (tensor::Tensor* p : crf.Parameters()) {
-    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0, 0.5));
-  }
-  std::vector<float> values(static_cast<size_t>(lanes * max_len * num_tags));
-  for (int64_t b = 0; b < lanes; ++b) {
-    for (int64_t t = 0; t < max_len; ++t) {
-      const double scale = t < lengths[static_cast<size_t>(b)] ? 1.0 : 40.0;
-      for (int64_t y = 0; y < num_tags; ++y) {
-        values[static_cast<size_t>((b * max_len + t) * num_tags + y)] =
-            static_cast<float>(rng.Gaussian(0, scale));
-      }
-    }
-  }
-  Tensor emissions =
-      Tensor::FromData(Shape{lanes, max_len, num_tags}, std::move(values));
+  Tensor emissions = Tensor::FromData(Shape{lanes, max_len, num_tags},
+                                      RaggedCrfBatch(&crf, lengths, max_len, &rng));
 
   for (int64_t lane = 0; lane < lanes; ++lane) {
     const int64_t length = lengths[static_cast<size_t>(lane)];
@@ -265,6 +276,68 @@ TEST(CrfRaggedBatchProperty, ProbabilitiesOfAllPathsSumToOnePerPaddedLane) {
       if (pos < 0) break;
     }
     EXPECT_NEAR(total, 1.0, 1e-3) << "lane " << lane << " (length " << length << ")";
+  }
+}
+
+TEST(CrfRaggedBatchProperty, ViterbiPerLaneMatchesBruteForceIgnoringPadding) {
+  // One [3, 3, Y] batch with lane lengths 3, 1 and 2, junk emissions in the
+  // padded slots and tag 1 masked invalid.  Each lane's decoded path must be
+  // the enumeration argmax over the valid paths of that lane's own rows.
+  const int64_t num_tags = 4;
+  const std::vector<int64_t> lengths = {3, 1, 2};
+  const int64_t lanes = 3, max_len = 3;
+  const std::vector<bool> valid = {true, false, true, true};
+  crf::LinearChainCrf crf(num_tags);
+  util::Rng rng(505);
+  const std::vector<float> emit = RaggedCrfBatch(&crf, lengths, max_len, &rng);
+  Tensor emissions = Tensor::FromData(Shape{lanes, max_len, num_tags}, emit);
+  const auto decoded = crf.ViterbiBatch(emissions, lengths, &valid);
+  ASSERT_EQ(static_cast<int64_t>(decoded.size()), lanes);
+
+  const auto params = crf.Parameters();  // transitions, start, end
+  const auto& trans = params[0]->data();
+  const auto& start = params[1]->data();
+  const auto& end = params[2]->data();
+  for (int64_t lane = 0; lane < lanes; ++lane) {
+    const int64_t length = lengths[static_cast<size_t>(lane)];
+    const float* rows = emit.data() + lane * max_len * num_tags;
+    std::vector<int64_t> path(static_cast<size_t>(length), 0);
+    std::vector<int64_t> best_path;
+    double best = -1e300, runner_up = -1e300;
+    for (;;) {
+      bool ok = true;
+      for (int64_t tag : path) ok = ok && valid[static_cast<size_t>(tag)];
+      if (ok) {
+        double score = static_cast<double>(start[static_cast<size_t>(path.front())]) +
+                       end[static_cast<size_t>(path.back())];
+        for (int64_t t = 0; t < length; ++t) {
+          score += rows[t * num_tags + path[static_cast<size_t>(t)]];
+          if (t > 0) {
+            score += trans[static_cast<size_t>(path[static_cast<size_t>(t - 1)] *
+                                                   num_tags +
+                                               path[static_cast<size_t>(t)])];
+          }
+        }
+        if (score > best) {
+          runner_up = best;
+          best = score;
+          best_path = path;
+        } else if (score > runner_up) {
+          runner_up = score;
+        }
+      }
+      int64_t pos = length - 1;
+      while (pos >= 0) {
+        if (++path[static_cast<size_t>(pos)] < num_tags) break;
+        path[static_cast<size_t>(pos)] = 0;
+        --pos;
+      }
+      if (pos < 0) break;
+    }
+    // A clear winner, so float-vs-double rounding cannot flip the argmax.
+    ASSERT_GT(best - runner_up, 1e-3) << "lane " << lane;
+    EXPECT_EQ(decoded[static_cast<size_t>(lane)], best_path)
+        << "lane " << lane << " (length " << length << ")";
   }
 }
 

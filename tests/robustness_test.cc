@@ -103,24 +103,6 @@ TEST(CrfEdgeTest, SingleTagInventory) {
   EXPECT_EQ(SentenceViterbi(crf, emissions), (std::vector<int64_t>{0, 0, 0, 0}));
 }
 
-TEST(CrfEdgeTest, KBestWithKOne) {
-  crf::LinearChainCrf crf(3);
-  util::Rng rng(3);
-  Tensor emissions = Tensor::Randn(Shape{3, 3}, &rng);
-  auto paths = crf.ViterbiKBest(emissions, 1);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].tags, SentenceViterbi(crf, emissions));
-}
-
-TEST(CrfEdgeTest, MarginalsSingleToken) {
-  crf::LinearChainCrf crf(2);
-  Tensor emissions = Tensor::FromData(Shape{1, 2}, {1.0f, 3.0f});
-  auto marginals = crf.Marginals(emissions);
-  ASSERT_EQ(marginals.size(), 1u);
-  EXPECT_GT(marginals[0][1], marginals[0][0]);
-  EXPECT_NEAR(marginals[0][0] + marginals[0][1], 1.0, 1e-6);
-}
-
 // ------------------------------------------------------------------- optim
 
 TEST(OptimEdgeTest, ClipZeroGradientsIsNoOp) {

@@ -217,16 +217,8 @@ TEST(StringUtilTest, SplitSkipsEmpty) {
   EXPECT_EQ(parts[2], "c");
 }
 
-TEST(StringUtilTest, JoinRoundTrips) {
-  EXPECT_EQ(Join({"x", "y", "z"}, ", "), "x, y, z");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(StringUtilTest, CaseAndAffixes) {
   EXPECT_EQ(ToLower("AbC"), "abc");
-  EXPECT_TRUE(StartsWith("B-PER", "B-"));
-  EXPECT_FALSE(StartsWith("O", "B-"));
-  EXPECT_TRUE(EndsWith("kinase", "ase"));
 }
 
 TEST(StringUtilTest, FormatAndPad) {
