@@ -42,13 +42,30 @@ std::vector<int64_t> AdaptedTagger::Tag(
 
 std::vector<std::vector<int64_t>> AdaptedTagger::TagAll(
     const std::vector<models::EncodedSentence>& sentences) const {
-  if (sentences.empty()) return {};
+  // A zero-token sentence has the empty tag sequence; the rest are tagged as
+  // one batch (PackBatch rejects empty lanes), which leaves their tags what
+  // they would be without the empty sentences in the request.
+  std::vector<size_t> lanes;
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    if (sentences[i].length() > 0) lanes.push_back(i);
+  }
+  std::vector<std::vector<int64_t>> tags(sentences.size());
+  if (lanes.empty()) return tags;
+  std::vector<models::EncodedSentence> nonempty;
+  if (lanes.size() < sentences.size()) {
+    nonempty.reserve(lanes.size());
+    for (size_t i : lanes) nonempty.push_back(sentences[i]);
+  }
   // One batched graph-free prefix + suffix for the whole query set, then
   // per-lane Viterbi — identical tags to decoding each sentence alone (see
   // DESIGN.md §7; the prefix/suffix split changes no op in this regime).
   tensor::EvalMode eval;
-  return backbone_->DecodeBatchFromPrefix(
-      backbone_->EncodePrefix(models::PackBatch(sentences)), phi_, valid_tags_);
+  std::vector<std::vector<int64_t>> paths = backbone_->DecodeBatchFromPrefix(
+      backbone_->EncodePrefix(
+          models::PackBatch(nonempty.empty() ? sentences : nonempty)),
+      phi_, valid_tags_);
+  for (size_t k = 0; k < lanes.size(); ++k) tags[lanes[k]] = std::move(paths[k]);
+  return tags;
 }
 
 void AdaptedTagger::ReAdapt(int64_t extra_steps) {

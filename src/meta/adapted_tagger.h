@@ -47,7 +47,8 @@ class AdaptedTagger {
   /// Viterbi tag sequence for one sentence: TagAll on a batch of one.
   std::vector<int64_t> Tag(const models::EncodedSentence& sentence) const;
 
-  /// Tags a batch of sentences (one EvalMode scope for the whole batch).
+  /// Tags a batch of sentences (one EvalMode scope for the whole batch).  A
+  /// zero-token sentence gets an empty tag sequence.
   std::vector<std::vector<int64_t>> TagAll(
       const std::vector<models::EncodedSentence>& sentences) const;
 

@@ -239,9 +239,11 @@ Tensor Backbone::Prefix(const EncodedBatch& run, const LaneRngs& lane_rngs) cons
   const int64_t lanes = run.batch;
   const int64_t max_len = run.max_len;
   FEWNER_CHECK(lanes > 0 && max_len > 0, "Backbone forward on an empty batch");
-  // One embedding gather + one CharCnn pass over all B*Lmax tokens.  Every op
-  // here is per-row (GEMM rows are bitwise-independent under the ascending-k
-  // kernel contract), so lane b's rows match running that sentence alone.
+  // One embedding gather + one CharCnn call for all B*Lmax token slots (under
+  // EvalMode it convolves each distinct word once; in graph mode every slot).
+  // Every op here is per-row (GEMM rows are bitwise-independent under the
+  // ascending-k kernel contract), so lane b's rows match running that
+  // sentence alone.
   Tensor words = word_embedding_->Forward(run.word_ids);  // [B*L, word_dim]
   Tensor input = words;
   if (config_.use_char_cnn) {

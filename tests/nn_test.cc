@@ -265,6 +265,68 @@ TEST(CharCnnTest, BatchRowsEqualPerWordOracleBitwise) {
   }
 }
 
+TEST(CharCnnTest, DuplicateHeavyRowsEqualPerWordOracleBitwise) {
+  // Under EvalMode ForwardBatch convolves each distinct word once per padded
+  // length bucket and gathers rows back; graph mode keeps one row per token.
+  // Lists full of repeats, empty tokens and several padded lengths must still
+  // give every row the word-alone bits in both modes.
+  util::Rng rng(0xD0B1);
+  const auto random_word = [&rng](int64_t length) {
+    std::vector<int64_t> word;
+    for (int64_t c = 0; c < length; ++c) {
+      word.push_back(1 + static_cast<int64_t>(rng.UniformInt(24)));
+    }
+    return word;
+  };
+  for (const auto& widths : std::vector<std::vector<int64_t>>{{2, 3, 4}, {1, 4, 6}}) {
+    CharCnnConfig config;
+    config.char_vocab_size = 25;
+    config.char_dim = 5;
+    config.filter_widths = widths;
+    config.filters_per_width = 3;
+    CharCnn cnn(config, &rng);
+    const int64_t dim = cnn.output_dim();
+
+    std::vector<std::vector<std::vector<int64_t>>> lists;
+    for (int list = 0; list < 6; ++list) {
+      // Lengths 1..3 pad to the widest filter; 7, 9 and 12 pad to
+      // themselves: at least three distinct padded lengths per list.
+      std::vector<std::vector<int64_t>> words;
+      for (int64_t length : {1, 2, 3, 7, 9, 12}) {
+        const std::vector<int64_t> word = random_word(length);
+        const int64_t repeats = 2 + static_cast<int64_t>(rng.UniformInt(3));
+        for (int64_t r = 0; r < repeats; ++r) words.push_back(word);
+      }
+      const int64_t empties = 2 + static_cast<int64_t>(rng.UniformInt(4));
+      for (int64_t e = 0; e < empties; ++e) words.emplace_back();
+      rng.Shuffle(&words);
+      lists.push_back(std::move(words));
+    }
+    lists.push_back(std::vector<std::vector<int64_t>>(7));  // only empty tokens
+    lists.push_back(std::vector<std::vector<int64_t>>(11, random_word(5)));
+
+    for (size_t list = 0; list < lists.size(); ++list) {
+      const auto& words = lists[list];
+      for (const bool eval : {false, true}) {
+        std::optional<tensor::EvalMode> scope;
+        if (eval) scope.emplace();
+        Tensor batch = cnn.ForwardBatch(words);
+        ASSERT_EQ(batch.shape(), (Shape{static_cast<int64_t>(words.size()), dim}));
+        for (size_t i = 0; i < words.size(); ++i) {
+          Tensor alone = reference::CharCnnWord(cnn, words[i]);
+          EXPECT_EQ(std::memcmp(batch.data().data() + i * static_cast<size_t>(dim),
+                                alone.data().data(),
+                                static_cast<size_t>(dim) * sizeof(float)),
+                    0)
+              << (eval ? "eval" : "graph") << " mode, widths " << widths.size()
+              << ", list " << list << ", word " << i << " of length "
+              << words[i].size();
+        }
+      }
+    }
+  }
+}
+
 TEST(GruTest, ShapesAndStatePropagation) {
   util::Rng rng(13);
   GruCell cell(4, 3, &rng);

@@ -581,6 +581,90 @@ TEST_F(PrefixCacheTest, ReAdaptMatchesLongerConstructionTimeAdaptation) {
   EXPECT_EQ(straight.TagAll(query), resumed.TagAll(query));
 }
 
+TEST_F(PrefixCacheTest, DuplicateHeavyQueryEvalPrefixEqualsGraphPrefix) {
+  // Serving builds the query prefix under EvalMode, where the CharCNN
+  // convolves each distinct word once; graph mode convolves every token
+  // slot.  On a ragged query drawn from a six-word pool (so nearly every
+  // token repeats) the two prefixes must agree bit for bit, run by run, and
+  // batched tagging must equal tagging each sentence alone.
+  util::Rng rng(0x9E09);
+  std::vector<std::vector<int64_t>> pool;
+  for (int64_t length : {1, 2, 4, 6, 8, 11}) {
+    std::vector<int64_t> word;
+    for (int64_t c = 0; c < length; ++c) {
+      word.push_back(1 + static_cast<int64_t>(
+                             rng.UniformInt(static_cast<uint64_t>(kCharVocab - 1))));
+    }
+    pool.push_back(std::move(word));
+  }
+  for (const models::Conditioning mode :
+       {models::Conditioning::kFilm, models::Conditioning::kConcat}) {
+    util::Rng init(0x5AB);
+    models::Backbone net(SmallConfig(models::EncoderKind::kBiGru, mode), &init);
+    net.SetTraining(false);
+    const std::vector<bool> valid_tags =
+        text::ValidTagMask(3, net.config().max_tags);
+    std::vector<models::EncodedSentence> query;
+    for (int64_t length : {12, 1, 2, 9, 1, 3, 12, 5}) {
+      models::EncodedSentence s = RandomSentence(&rng, length, valid_tags);
+      for (int64_t t = 0; t < length; ++t) {
+        const size_t pick = static_cast<size_t>(rng.UniformInt(pool.size()));
+        s.word_ids[static_cast<size_t>(t)] = static_cast<int64_t>(pick);
+        s.char_ids[static_cast<size_t>(t)] = pool[pick];
+      }
+      query.push_back(std::move(s));
+    }
+    const models::EncodedBatch batch = models::PackBatch(query);
+
+    models::CachedPrefix graph = net.EncodePrefix(batch);
+    models::CachedPrefix eval;
+    {
+      tensor::EvalMode scope;
+      eval = net.EncodePrefix(batch);
+    }
+    ASSERT_GE(graph.runs.size(), 2u) << "query batch is not multi-run";
+    ASSERT_EQ(graph.runs.size(), eval.runs.size());
+    for (size_t r = 0; r < graph.runs.size(); ++r) {
+      ExpectBitwise(graph.runs[r].features.Detach(), eval.runs[r].features,
+                    "run " + std::to_string(r) + " features");
+    }
+
+    AdaptedTagger tagger(&net, RandomEpisode(3, &rng, valid_tags), valid_tags,
+                         3, 0.1f);
+    const std::vector<std::vector<int64_t>> batched = tagger.TagAll(query);
+    ASSERT_EQ(batched.size(), query.size());
+    for (size_t i = 0; i < query.size(); ++i) {
+      EXPECT_EQ(batched[i], tagger.Tag(query[i])) << "sentence " << i;
+    }
+  }
+}
+
+TEST_F(PrefixCacheTest, EmptySentencesTagEmptyAndLeaveTheRestUnchanged) {
+  util::Rng init(0x4AB);
+  models::Backbone net(
+      SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
+      &init);
+  util::Rng rng(0x9E0A);
+  const std::vector<bool> valid_tags = text::ValidTagMask(3, net.config().max_tags);
+  AdaptedTagger tagger(&net, RandomEpisode(2, &rng, valid_tags), valid_tags, 3,
+                       0.1f);
+  const models::EncodedSentence four = RandomSentence(&rng, 4, valid_tags);
+  const models::EncodedSentence seven = RandomSentence(&rng, 7, valid_tags);
+  const models::EncodedSentence empty;
+
+  const std::vector<std::vector<int64_t>> alone = tagger.TagAll({four});
+  EXPECT_EQ(tagger.TagAll({four, empty}),
+            (std::vector<std::vector<int64_t>>{alone[0], {}}));
+  const std::vector<std::vector<int64_t>> pair = tagger.TagAll({four, seven});
+  EXPECT_EQ(tagger.TagAll({empty, four, empty, seven, empty}),
+            (std::vector<std::vector<int64_t>>{{}, pair[0], {}, pair[1], {}}));
+  EXPECT_EQ(tagger.TagAll({empty, empty}),
+            (std::vector<std::vector<int64_t>>{{}, {}}));
+  EXPECT_TRUE(tagger.Tag(empty).empty());
+  // Adaptation and training still reject empty input.
+  EXPECT_DEATH(models::PackBatch({four, empty}), "PackBatch on empty sentence");
+}
+
 TEST_F(PrefixCacheTest, ConcurrentServingFromOneSharedPrefix) {
   // One AdaptedTagger, one query set, many threads: TagAll only reads the
   // shared θ and φ* and builds each thread's prefix and suffix in that
