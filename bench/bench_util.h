@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -53,13 +54,24 @@ inline std::vector<eval::MethodId> ParseMethods(const std::string& value) {
   return methods;
 }
 
-/// Parses the --shots flag.
+/// Parses the --shots flag: a comma list of positive integers.  An empty,
+/// non-integer, trailing-junk or < 1 entry prints an error and exits 1.
 inline std::vector<int64_t> ParseShots(const std::string& value) {
   std::vector<int64_t> shots;
-  for (const std::string& s : util::Split(value, ',')) {
-    shots.push_back(std::stoll(s));
+  size_t begin = 0;
+  while (true) {
+    const size_t comma = value.find(',', begin);
+    const std::string s = value.substr(begin, comma - begin);
+    char* end = nullptr;
+    const long long k = std::strtoll(s.c_str(), &end, 10);
+    if (s.empty() || *end != '\0' || k < 1) {
+      std::cerr << "invalid --shots entry '" << s << "'\n";
+      std::exit(1);
+    }
+    shots.push_back(k);
+    if (comma == std::string::npos) return shots;
+    begin = comma + 1;
   }
-  return shots;
 }
 
 /// Builds the experiment config shared by the table benches.

@@ -17,20 +17,19 @@ MatchingNet::MatchingNet(const models::BackboneConfig& config, util::Rng* rng) {
   backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
 }
 
-Tensor MatchingNet::NormalizedFeatures(const models::Backbone& net,
-                                       const models::EncodedSentence& sentence) {
-  Tensor features = net.Encode(sentence, Tensor());  // [L, D]
+Tensor MatchingNet::NormalizedFeatures(
+    const models::Backbone& net,
+    const std::vector<models::EncodedSentence>& sentences) {
+  Tensor features = net.Hidden(models::PackBatch(sentences));  // [T, D]
   Tensor norm = tensor::Sqrt(tensor::AddScalar(
       tensor::SumAxis(tensor::Square(features), 1, /*keepdim=*/true), 1e-8f));
   return tensor::Div(features, norm);
 }
 
-Tensor MatchingNet::QueryLogProbs(const models::Backbone& net,
-                                  const models::EncodedSentence& sentence,
+Tensor MatchingNet::QueryLogProbs(const Tensor& queries,
                                   const Tensor& support_features,
                                   const Tensor& support_labels) const {
-  Tensor queries = NormalizedFeatures(net, sentence);  // [L, D]
-  Tensor cosine = tensor::MatMulNT(queries, support_features);  // [L, S·L]
+  Tensor cosine = tensor::MatMulNT(queries, support_features);  // [T, S]
   Tensor attention = tensor::SoftmaxLastDim(tensor::MulScalar(cosine, temperature_));
   Tensor votes = tensor::MatMul(attention, support_labels);  // rows sum to 1
   return tensor::Log(tensor::AddScalar(votes, 1e-6f));
@@ -39,34 +38,21 @@ Tensor MatchingNet::QueryLogProbs(const models::Backbone& net,
 void MatchingNet::BuildSupport(const models::Backbone& net,
                                const std::vector<models::EncodedSentence>& support,
                                Tensor* features, Tensor* labels) {
-  std::vector<Tensor> feature_blocks;
-  std::vector<int64_t> tags;
-  for (const auto& sentence : support) {
-    feature_blocks.push_back(NormalizedFeatures(net, sentence));
-    tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
-  }
-  *features = tensor::Concat(feature_blocks, 0);
-  *labels = OneHotLabels(tags, net.config().max_tags);
+  *features = NormalizedFeatures(net, support);
+  *labels = OneHotLabels(TokenTags(support), net.config().max_tags);
 }
 
 Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
                                 const models::EncodedEpisode& episode) const {
-  const int64_t num_classes = net.config().max_tags;
   Tensor support_features, support_labels;
   BuildSupport(net, episode.support, &support_features, &support_labels);
-
-  Tensor loss_total;
-  int64_t tokens = 0;
-  for (const auto& sentence : episode.query) {
-    Tensor logp = QueryLogProbs(net, sentence, support_features, support_labels);
-    Tensor gold =
-        tensor::SumAll(tensor::Mul(logp, OneHotLabels(sentence.tags, num_classes)));
-    Tensor loss = tensor::Neg(gold);
-    loss_total = loss_total.defined() ? tensor::Add(loss_total, loss) : loss;
-    tokens += sentence.length();
-  }
-  FEWNER_CHECK(loss_total.defined(), "MatchingNet episode without query tokens");
-  return tensor::MulScalar(loss_total, 1.0f / static_cast<float>(tokens));
+  Tensor logp = QueryLogProbs(NormalizedFeatures(net, episode.query),
+                              support_features, support_labels);
+  const std::vector<int64_t> tags = TokenTags(episode.query);
+  Tensor gold = tensor::SumAll(
+      tensor::Mul(logp, OneHotLabels(tags, net.config().max_tags)));
+  return tensor::MulScalar(tensor::Neg(gold),
+                           1.0f / static_cast<float>(tags.size()));
 }
 
 void MatchingNet::Train(const data::EpisodeSampler& sampler,
@@ -96,15 +82,12 @@ void MatchingNet::Train(const data::EpisodeSampler& sampler,
 std::vector<std::vector<int64_t>> MatchingNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   backbone_->SetTraining(false);
+  if (episode.query.empty()) return {};
   Tensor support_features, support_labels;
   BuildSupport(*backbone_, episode.support, &support_features, &support_labels);
-  std::vector<std::vector<int64_t>> predictions;
-  predictions.reserve(episode.query.size());
-  for (const auto& sentence : episode.query) {
-    predictions.push_back(ArgmaxTags(
-        QueryLogProbs(*backbone_, sentence, support_features, support_labels)));
-  }
-  return predictions;
+  return ArgmaxTags(QueryLogProbs(NormalizedFeatures(*backbone_, episode.query),
+                                  support_features, support_labels),
+                    episode.query);
 }
 
 }  // namespace fewner::meta

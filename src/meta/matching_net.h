@@ -5,6 +5,9 @@
 // ProtoNet there is no class averaging, and unlike SNAIL no temporal
 // convolution or learned read-out.  An extension beyond the paper's baseline
 // set (see bench/extension_methods).
+//
+// Read-out: one Backbone::Hidden call each encodes the support and the query
+// set; the cosine attention and the [T, C] votes cover all tokens at once.
 
 #pragma once
 
@@ -36,13 +39,15 @@ class MatchingNet : public FewShotMethod {
   // The forward helpers take the backbone explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 
-  /// L2-normalized encoder features for one sentence, [L, D].
-  static tensor::Tensor NormalizedFeatures(const models::Backbone& net,
-                                           const models::EncodedSentence& sentence);
+  /// L2-normalized encoder features [T, D] of every token of `sentences`:
+  /// one Backbone::Hidden call on their packed batch.
+  static tensor::Tensor NormalizedFeatures(
+      const models::Backbone& net,
+      const std::vector<models::EncodedSentence>& sentences);
 
-  /// Log label distribution [L, max_tags] for a query sentence.
-  tensor::Tensor QueryLogProbs(const models::Backbone& net,
-                               const models::EncodedSentence& sentence,
+  /// Log label distribution [T, max_tags] for normalized query token
+  /// features [T, D], every query token at once.
+  tensor::Tensor QueryLogProbs(const tensor::Tensor& queries,
                                const tensor::Tensor& support_features,
                                const tensor::Tensor& support_labels) const;
 

@@ -80,6 +80,16 @@ inline void BoundTrainingEpisode(const TrainConfig& config, data::Episode* episo
 // Token read-out shared by the metric baselines (ProtoNet, MatchingNet, SNAIL),
 // which classify each token independently instead of decoding a CRF.
 
+/// Tags of every token of `sentences`, in Backbone::Hidden's row order.
+inline std::vector<int64_t> TokenTags(
+    const std::vector<models::EncodedSentence>& sentences) {
+  std::vector<int64_t> tags;
+  for (const auto& sentence : sentences) {
+    tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
+  }
+  return tags;
+}
+
 /// One-hot label matrix [T, num_classes] for `tags` (one tag per token).
 inline tensor::Tensor OneHotLabels(const std::vector<int64_t>& tags,
                                    int64_t num_classes) {
@@ -91,23 +101,26 @@ inline tensor::Tensor OneHotLabels(const std::vector<int64_t>& tags,
   return tensor::Tensor::FromData(tensor::Shape{total, num_classes}, std::move(onehot));
 }
 
-/// Per-token argmax of `scores` [L, C]; ties go to the lowest class.
-inline std::vector<int64_t> ArgmaxTags(const tensor::Tensor& scores) {
-  const int64_t length = scores.shape().dim(0);
+/// Per-token argmax of `scores` [T, C], split back into one tag sequence per
+/// sentence by their lengths; ties go to the lowest class.
+inline std::vector<std::vector<int64_t>> ArgmaxTags(
+    const tensor::Tensor& scores,
+    const std::vector<models::EncodedSentence>& sentences) {
   const int64_t num_classes = scores.shape().dim(1);
   const auto& values = scores.data();
-  std::vector<int64_t> tags(static_cast<size_t>(length));
-  for (int64_t t = 0; t < length; ++t) {
-    int64_t best = 0;
-    float best_v = values[static_cast<size_t>(t * num_classes)];
-    for (int64_t c = 1; c < num_classes; ++c) {
-      const float v = values[static_cast<size_t>(t * num_classes + c)];
-      if (v > best_v) {
-        best_v = v;
-        best = c;
+  std::vector<std::vector<int64_t>> tags;
+  tags.reserve(sentences.size());
+  size_t row = 0;
+  for (const auto& sentence : sentences) {
+    std::vector<int64_t>& out = tags.emplace_back();
+    for (int64_t t = 0; t < sentence.length(); ++t, ++row) {
+      const float* v = values.data() + row * static_cast<size_t>(num_classes);
+      int64_t best = 0;
+      for (int64_t c = 1; c < num_classes; ++c) {
+        if (v[c] > v[best]) best = c;
       }
+      out.push_back(best);
     }
-    tags[static_cast<size_t>(t)] = best;
   }
   return tags;
 }

@@ -22,13 +22,8 @@ Tensor ProtoNet::BuildPrototypes(const models::Backbone& net,
                                  const std::vector<models::EncodedSentence>& support,
                                  std::vector<bool>* class_present) {
   const int64_t num_classes = net.config().max_tags;
-  std::vector<Tensor> features;
-  std::vector<int64_t> tags;
-  for (const auto& sentence : support) {
-    features.push_back(net.Encode(sentence, Tensor()));
-    tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
-  }
-  Tensor all = tensor::Concat(features, 0);  // [T, D]
+  Tensor all = net.Hidden(models::PackBatch(support));  // [T, D]
+  const std::vector<int64_t> tags = TokenTags(support);
   const int64_t total = all.shape().dim(0);
 
   std::vector<int64_t> counts(static_cast<size_t>(num_classes), 0);
@@ -48,18 +43,16 @@ Tensor ProtoNet::BuildPrototypes(const models::Backbone& net,
                         all);  // [C, D]
 }
 
-Tensor ProtoNet::TokenLogits(const models::Backbone& net,
-                             const models::EncodedSentence& sentence,
-                             const Tensor& prototypes,
+Tensor ProtoNet::TokenLogits(const Tensor& queries, const Tensor& prototypes,
                              const std::vector<bool>& class_present) {
-  const int64_t num_classes = net.config().max_tags;
-  Tensor q = net.Encode(sentence, Tensor());  // [L, D]
+  const int64_t num_classes = prototypes.shape().dim(0);
   // -||q - p||^2 = -(||q||^2 - 2 q·p + ||p||^2)
-  Tensor q_sq = tensor::SumAxis(tensor::Square(q), 1, /*keepdim=*/true);  // [L, 1]
+  Tensor q_sq =
+      tensor::SumAxis(tensor::Square(queries), 1, /*keepdim=*/true);  // [T, 1]
   Tensor p_sq = tensor::Reshape(
       tensor::SumAxis(tensor::Square(prototypes), 1, /*keepdim=*/false),
-      Shape{1, num_classes});                                             // [1, C]
-  Tensor cross = tensor::MatMulNT(q, prototypes);                         // [L, C]
+      Shape{1, num_classes});                                         // [1, C]
+  Tensor cross = tensor::MatMulNT(queries, prototypes);               // [T, C]
   Tensor logits = tensor::Neg(
       tensor::Add(tensor::Sub(q_sq, tensor::MulScalar(cross, 2.0f)), p_sq));
   // Classes absent from the support set cannot be predicted.
@@ -75,31 +68,24 @@ Tensor ProtoNet::EpisodeLoss(const models::Backbone& net,
   std::vector<bool> class_present;
   Tensor prototypes = BuildPrototypes(net, episode.support, &class_present);
   const int64_t num_classes = net.config().max_tags;
+  Tensor logp = tensor::LogSoftmaxLastDim(TokenLogits(
+      net.Hidden(models::PackBatch(episode.query)), prototypes, class_present));
 
-  Tensor total;
-  int64_t tokens = 0;
-  for (const auto& sentence : episode.query) {
-    Tensor logp = tensor::LogSoftmaxLastDim(
-        TokenLogits(net, sentence, prototypes, class_present));
-    // Select gold log-probs; skip tokens whose gold class has no prototype.
-    const int64_t length = sentence.length();
-    std::vector<float> select(static_cast<size_t>(length * num_classes), 0.0f);
-    int64_t used = 0;
-    for (int64_t t = 0; t < length; ++t) {
-      const int64_t gold = sentence.tags[static_cast<size_t>(t)];
-      if (!class_present[static_cast<size_t>(gold)]) continue;
-      select[static_cast<size_t>(t * num_classes + gold)] = 1.0f;
-      ++used;
-    }
-    if (used == 0) continue;
-    Tensor gold_sum = tensor::SumAll(tensor::Mul(
-        logp, Tensor::FromData(Shape{length, num_classes}, std::move(select))));
-    Tensor loss = tensor::MulScalar(tensor::Neg(gold_sum), 1.0f);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
-    tokens += used;
+  // Select gold log-probs; skip tokens whose gold class has no prototype.
+  const std::vector<int64_t> tags = TokenTags(episode.query);
+  const auto total = static_cast<int64_t>(tags.size());
+  std::vector<float> select(static_cast<size_t>(total * num_classes), 0.0f);
+  int64_t used = 0;
+  for (int64_t t = 0; t < total; ++t) {
+    const int64_t gold = tags[static_cast<size_t>(t)];
+    if (!class_present[static_cast<size_t>(gold)]) continue;
+    select[static_cast<size_t>(t * num_classes + gold)] = 1.0f;
+    ++used;
   }
-  FEWNER_CHECK(total.defined(), "episode with no usable query tokens");
-  return tensor::MulScalar(total, 1.0f / static_cast<float>(tokens));
+  FEWNER_CHECK(used > 0, "episode with no usable query tokens");
+  Tensor gold_sum = tensor::SumAll(tensor::Mul(
+      logp, Tensor::FromData(Shape{total, num_classes}, std::move(select))));
+  return tensor::MulScalar(tensor::Neg(gold_sum), 1.0f / static_cast<float>(used));
 }
 
 void ProtoNet::Train(const data::EpisodeSampler& sampler,
@@ -129,15 +115,12 @@ void ProtoNet::Train(const data::EpisodeSampler& sampler,
 std::vector<std::vector<int64_t>> ProtoNet::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   backbone_->SetTraining(false);
+  if (episode.query.empty()) return {};
   std::vector<bool> class_present;
   Tensor prototypes = BuildPrototypes(*backbone_, episode.support, &class_present);
-  std::vector<std::vector<int64_t>> predictions;
-  predictions.reserve(episode.query.size());
-  for (const auto& sentence : episode.query) {
-    predictions.push_back(
-        ArgmaxTags(TokenLogits(*backbone_, sentence, prototypes, class_present)));
-  }
-  return predictions;
+  return ArgmaxTags(TokenLogits(backbone_->Hidden(models::PackBatch(episode.query)),
+                                prototypes, class_present),
+                    episode.query);
 }
 
 }  // namespace fewner::meta

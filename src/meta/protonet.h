@@ -4,6 +4,9 @@
 // each BIO tag; query tokens are classified by (negative squared) distance to
 // the prototypes.  There is no CRF and no gradient-based adaptation — the
 // adaptation is entirely the recomputation of prototypes.
+//
+// Read-out: one Backbone::Hidden call each encodes the support and the query
+// set; prototypes and the [T, C] logits cover all their tokens at once.
 
 #pragma once
 
@@ -39,15 +42,15 @@ class ProtoNet : public FewShotMethod {
   static tensor::Tensor EpisodeLoss(const models::Backbone& net,
                                     const models::EncodedEpisode& episode);
 
-  /// Per-token logits [L, max_tags] for one query sentence given prototypes
+  /// Per-token logits [T, max_tags] for query token features [T, D] (every
+  /// query token at once, Backbone::Hidden rows) given prototypes
   /// [max_tags, D] and a present-class mask.
-  static tensor::Tensor TokenLogits(const models::Backbone& net,
-                                    const models::EncodedSentence& sentence,
+  static tensor::Tensor TokenLogits(const tensor::Tensor& queries,
                                     const tensor::Tensor& prototypes,
                                     const std::vector<bool>& class_present);
 
-  /// Builds prototypes from support features; `class_present` marks classes
-  /// with at least one support token.
+  /// Builds prototypes from the support set's Backbone::Hidden rows;
+  /// `class_present` marks classes with at least one support token.
   static tensor::Tensor BuildPrototypes(
       const models::Backbone& net,
       const std::vector<models::EncodedSentence>& support,

@@ -43,39 +43,32 @@ Snail::Snail(const models::BackboneConfig& config, util::Rng* rng) {
   model_ = std::make_unique<Model>(config, &init_rng);
 }
 
-Tensor Snail::Enrich(const Model& m, const models::EncodedSentence& sentence) {
-  Tensor features = m.backbone->Encode(sentence, Tensor());
-  return m.tc2->Forward(m.tc1->Forward(features));
+Tensor Snail::Enrich(const Model& m,
+                     const std::vector<models::EncodedSentence>& sentences) {
+  const models::EncodedBatch batch = models::PackBatch(sentences);
+  Tensor features = m.backbone->Hidden(batch);  // [T, 2H]
+  return m.tc2->Forward(m.tc1->Forward(features, batch.lengths), batch.lengths);
 }
 
 void Snail::BuildSupport(const Model& m,
                          const std::vector<models::EncodedSentence>& support,
                          Tensor* keys, Tensor* labels) {
-  std::vector<Tensor> feature_blocks;
-  std::vector<int64_t> tags;
-  for (const auto& sentence : support) {
-    feature_blocks.push_back(Enrich(m, sentence));
-    tags.insert(tags.end(), sentence.tags.begin(), sentence.tags.end());
-  }
-  Tensor all = tensor::Concat(feature_blocks, 0);  // [T, tc_dim]
-  *keys = m.key_proj->Forward(all);                // [T, attn_dim]
-  *labels = OneHotLabels(tags, m.backbone->config().max_tags);
+  *keys = m.key_proj->Forward(Enrich(m, support));  // [T, attn_dim]
+  *labels = OneHotLabels(TokenTags(support), m.backbone->config().max_tags);
 }
 
-Tensor Snail::QueryLogProbs(const Model& m,
-                            const models::EncodedSentence& sentence,
+Tensor Snail::QueryLogProbs(const Model& m, const Tensor& enriched,
                             const Tensor& support_keys,
                             const Tensor& support_labels,
                             const std::vector<bool>& valid_tags) {
-  Tensor enriched = Enrich(m, sentence);                       // [L, tc]
-  Tensor queries = m.query_proj->Forward(enriched);            // [L, A]
+  Tensor queries = m.query_proj->Forward(enriched);            // [T, A]
   const float scale = 1.0f / std::sqrt(static_cast<float>(m.attn_dim));
   Tensor scores = tensor::MulScalar(
-      tensor::MatMulNT(queries, support_keys), scale);  // [L, T], q·keysᵀ
+      tensor::MatMulNT(queries, support_keys), scale);  // [T, S], q·keysᵀ
   Tensor attention = tensor::SoftmaxLastDim(scores);
   // Attention-weighted label read-out, re-weighted by a learned classifier so
   // the model can counteract the O-class prior of the support tokens.
-  Tensor votes = tensor::MatMul(attention, support_labels);  // [L, C]
+  Tensor votes = tensor::MatMul(attention, support_labels);  // [T, C]
   Tensor logits = m.classifier->Forward(tensor::Concat({enriched, votes}, 1));
   // Tags outside the episode's N ways are masked out of the softmax.
   const int64_t num_classes = m.backbone->config().max_tags;
@@ -90,19 +83,13 @@ Tensor Snail::QueryLogProbs(const Model& m,
 Tensor Snail::EpisodeLoss(const Model& m, const models::EncodedEpisode& episode) {
   Tensor keys, labels;
   BuildSupport(m, episode.support, &keys, &labels);
-  const int64_t num_classes = m.backbone->config().max_tags;
-  Tensor total;
-  int64_t tokens = 0;
-  for (const auto& sentence : episode.query) {
-    Tensor logp = QueryLogProbs(m, sentence, keys, labels, episode.valid_tags);
-    Tensor gold =
-        tensor::SumAll(tensor::Mul(logp, OneHotLabels(sentence.tags, num_classes)));
-    Tensor loss = tensor::Neg(gold);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
-    tokens += sentence.length();
-  }
-  FEWNER_CHECK(total.defined() && tokens > 0, "SNAIL episode without query tokens");
-  return tensor::MulScalar(total, 1.0f / static_cast<float>(tokens));
+  Tensor logp = QueryLogProbs(m, Enrich(m, episode.query), keys, labels,
+                              episode.valid_tags);
+  const std::vector<int64_t> tags = TokenTags(episode.query);
+  Tensor gold = tensor::SumAll(
+      tensor::Mul(logp, OneHotLabels(tags, m.backbone->config().max_tags)));
+  return tensor::MulScalar(tensor::Neg(gold),
+                           1.0f / static_cast<float>(tags.size()));
 }
 
 void Snail::Train(const data::EpisodeSampler& sampler,
@@ -144,15 +131,12 @@ void Snail::Train(const data::EpisodeSampler& sampler,
 std::vector<std::vector<int64_t>> Snail::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   model_->SetTraining(false);
+  if (episode.query.empty()) return {};
   Tensor keys, labels;
   BuildSupport(*model_, episode.support, &keys, &labels);
-  std::vector<std::vector<int64_t>> predictions;
-  predictions.reserve(episode.query.size());
-  for (const auto& sentence : episode.query) {
-    predictions.push_back(ArgmaxTags(
-        QueryLogProbs(*model_, sentence, keys, labels, episode.valid_tags)));
-  }
-  return predictions;
+  return ArgmaxTags(QueryLogProbs(*model_, Enrich(*model_, episode.query), keys,
+                                  labels, episode.valid_tags),
+                    episode.query);
 }
 
 }  // namespace fewner::meta

@@ -9,6 +9,10 @@
 // The attention read-out is a label distribution; training maximizes the gold
 // label's log-probability.  Like ProtoNet there is no gradient-based
 // adaptation at test time — the "fast weights" are the attention reads.
+//
+// Read-out: one Backbone::Hidden call each encodes the support and the query
+// set; the TC blocks take the sentence lengths, so no shift crosses a
+// sentence boundary, and attention and the [T, C] read-out cover all tokens.
 
 #pragma once
 
@@ -59,14 +63,17 @@ class Snail : public FewShotMethod {
   // The forward helpers take the model explicitly so the episode-parallel
   // trainer can run them against per-worker replicas.
 
-  /// Encoder features + TC enrichment for one sentence: [L, tc_dim].
-  static tensor::Tensor Enrich(const Model& m,
-                               const models::EncodedSentence& sentence);
+  /// Encoder features + TC enrichment of every token of `sentences`,
+  /// [T, tc_dim]: one Backbone::Hidden call on their packed batch, then the
+  /// TC blocks, which never shift across a sentence boundary.
+  static tensor::Tensor Enrich(
+      const Model& m, const std::vector<models::EncodedSentence>& sentences);
 
-  /// Per-token log label distribution [L, max_tags] for a query sentence given
-  /// stacked support keys and their label one-hots.
+  /// Per-token log label distribution [T, max_tags] for enriched query
+  /// tokens [T, tc_dim], every query token at once, given stacked support
+  /// keys and their label one-hots.
   static tensor::Tensor QueryLogProbs(const Model& m,
-                                      const models::EncodedSentence& sentence,
+                                      const tensor::Tensor& enriched,
                                       const tensor::Tensor& support_keys,
                                       const tensor::Tensor& support_labels,
                                       const std::vector<bool>& valid_tags);

@@ -12,10 +12,6 @@ using tensor::Shape;
 using tensor::Tensor;
 
 namespace {
-/// Stream id of the standalone (non-lane) dropout stream, kept clear of the
-/// (call << 32) | lane ids ForkLaneRngs hands to batch lanes.
-constexpr uint64_t kStandaloneDropoutStream = ~0ull;
-
 /// Contiguous lane runs with bounded padding: a run closes before a lane that
 /// would stretch its max/min length ratio beyond 2.  Per-lane batched results
 /// are bitwise lane-independent (DESIGN.md §7), so any partition computes
@@ -127,8 +123,7 @@ std::vector<std::vector<int64_t>> DecodeRuns(const crf::LinearChainCrf& crf,
 Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
     : config_(config),
       dropout_base_(rng->Fork(0xD409u)),
-      dropout_episode_(dropout_base_.Fork(0)),
-      dropout_rng_(dropout_episode_.Fork(kStandaloneDropoutStream)) {
+      dropout_episode_(dropout_base_.Fork(0)) {
   FEWNER_CHECK(config.word_vocab_size > 0, "backbone needs a word vocabulary");
   word_embedding_ =
       std::make_unique<nn::Embedding>(config.word_vocab_size, config.word_dim, rng);
@@ -174,7 +169,6 @@ Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
 void Backbone::ReseedDropout(uint64_t stream) {
   dropout_episode_ = dropout_base_.Fork(stream);
   dropout_call_ = 0;
-  dropout_rng_ = dropout_episode_.Fork(kStandaloneDropoutStream);
 }
 
 std::vector<util::Rng> Backbone::ForkLaneRngs(size_t lanes) const {
@@ -297,7 +291,7 @@ Tensor Backbone::Suffix(const EncodedBatch& run, const Tensor& features,
 }
 
 void Backbone::ForEachRun(const EncodedBatch& batch, const Tensor& phi,
-                          const RunVisitor& visit) const {
+                          const RunVisitor& visit, bool emit) const {
   FEWNER_CHECK(batch.batch > 0, "Backbone forward on an empty batch");
   std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
   // Length-bucketed execution: each near-homogeneous lane run gets its own
@@ -309,7 +303,7 @@ void Backbone::ForEachRun(const EncodedBatch& batch, const Tensor& phi,
     for (int64_t b = begin; b < begin + run.batch; ++b) {
       lane_rngs.push_back(&owned[static_cast<size_t>(b)]);
     }
-    visit(run, Suffix(run, Prefix(run, lane_rngs), phi, lane_rngs));
+    visit(run, Suffix(run, Prefix(run, lane_rngs), phi, lane_rngs, emit));
   });
 }
 
@@ -323,16 +317,25 @@ void Backbone::ForEachRun(const CachedPrefix& prefix, const Tensor& phi,
   }
 }
 
-Tensor Backbone::Encode(const EncodedSentence& sentence, const Tensor& phi) const {
-  FEWNER_CHECK(sentence.length() > 0, "Encode on empty sentence");
-  // A single-lane batch has no padding, so this is the sentence-at-a-time
-  // computation verbatim, on the standalone member dropout stream.
-  const EncodedBatch single = PackBatch({sentence});
-  const LaneRngs lane_rngs = {&dropout_rng_};
-  Tensor hidden = Suffix(single, Prefix(single, lane_rngs), phi, lane_rngs,
-                         /*emit=*/false);
-  return tensor::Reshape(hidden,
-                         Shape{sentence.length(), 2 * config_.hidden_dim});
+Tensor Backbone::Hidden(const EncodedBatch& batch) const {
+  FEWNER_CHECK(config_.conditioning == Conditioning::kNone,
+               "Hidden reads a kNone backbone (it takes no context vector)");
+  const int64_t dim = 2 * config_.hidden_dim;
+  std::vector<Tensor> per_run;
+  ForEachRun(
+      batch, Tensor(),
+      [&](const EncodedBatch& run, const Tensor& hidden3) {
+        std::vector<int64_t> rows;
+        for (int64_t b = 0; b < run.batch; ++b) {
+          for (int64_t t = 0; t < run.lengths[static_cast<size_t>(b)]; ++t) {
+            rows.push_back(b * run.max_len + t);
+          }
+        }
+        per_run.push_back(tensor::IndexSelectRows(
+            tensor::Reshape(hidden3, Shape{run.batch * run.max_len, dim}), rows));
+      },
+      /*emit=*/false);
+  return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
 }
 
 Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,

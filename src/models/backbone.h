@@ -94,21 +94,21 @@ class Backbone : public nn::Module {
  public:
   Backbone(const BackboneConfig& config, util::Rng* rng);
 
-  /// Context-encoded token features [L, 2H]; φ must be defined iff the
-  /// conditioning mode uses it (pass ZeroContext() when in doubt).  A B=1
-  /// run of Prefix + Suffix stopped before the emission layer, drawing
-  /// dropout from the standalone member stream (ProtoNet, MatchingNet and
-  /// SNAIL read features sentence by sentence).
-  tensor::Tensor Encode(const EncodedSentence& sentence,
-                        const tensor::Tensor& phi) const;
+  /// Hidden states [Σ lengths, 2H] of every real token, lanes in order: the
+  /// lane-run walk stopped before the emission layer, each run's real rows
+  /// gathered with IndexSelectRows.  The token features ProtoNet, MatchingNet
+  /// and SNAIL read; only a kNone backbone (no φ) has them.  Dropout is drawn
+  /// exactly as in BatchLoss, so lane b's rows equal that sentence alone on
+  /// its (episode, call, b) stream.
+  tensor::Tensor Hidden(const EncodedBatch& batch) const;
 
   /// Summed CRF negative log-likelihood over all lanes — the task loss L_T
   /// of Eq. 5/6 (the paper defines L = -Σ p(y|h)).  Lane b draws dropout
   /// from `dropout_base().Fork(episode).Fork((call << 32) | b)`, where
   /// `episode` is the last ReseedDropout id (0 before any) and `call` counts
-  /// the dropout-drawing BatchLoss/DecodeBatch calls since.  Lane NLLs are
-  /// folded in lane order with left-associated scalar float adds, so the
-  /// total is bitwise-equal to adding per-sentence losses one at a time.
+  /// the dropout-drawing BatchLoss/DecodeBatch/Hidden calls since.  Lane
+  /// NLLs are folded in lane order with left-associated scalar float adds, so
+  /// the total is bitwise-equal to adding per-sentence losses one at a time.
   /// This is the inner-loop path; second-order meta-gradients flow through it.
   tensor::Tensor BatchLoss(const EncodedBatch& batch, const tensor::Tensor& phi,
                            const std::vector<bool>& valid_tags) const;
@@ -192,9 +192,10 @@ class Backbone : public nn::Module {
   using LaneRngs = std::vector<util::Rng*>;
 
   /// Called once per lane run, in ascending lane order, with the run's
-  /// lanes and its emissions [count, run_max_len, max_tags].
+  /// lanes and its Suffix output: emissions [count, run_max_len, max_tags],
+  /// or hidden states [count, run_max_len, 2H] on a walk that does not emit.
   using RunVisitor = std::function<void(const EncodedBatch& run,
-                                        const tensor::Tensor& emissions)>;
+                                        const tensor::Tensor& output)>;
 
   /// θ-prefix of one run: embeddings + CharCNN, input LaneDropout, and the
   /// BiGRU/BiLSTM for kFilm/kNone.  Returns the [B, L, D] features φ first
@@ -211,9 +212,9 @@ class Backbone : public nn::Module {
   /// The uncached run walk: forks the lane streams, partitions `batch` into
   /// lane runs, and builds run r's Prefix and Suffix (and `visit`s it) before
   /// run r + 1.  Grad's fan-in accumulation order follows this node-creation
-  /// order, so the meta-gradient bits depend on it.
+  /// order, so the meta-gradient bits depend on it.  `emit` goes to Suffix.
   void ForEachRun(const EncodedBatch& batch, const tensor::Tensor& phi,
-                  const RunVisitor& visit) const;
+                  const RunVisitor& visit, bool emit = true) const;
 
   /// The cached run walk: the Suffix of each run of a checked prefix.
   void ForEachRun(const CachedPrefix& prefix, const tensor::Tensor& phi,
@@ -232,10 +233,11 @@ class Backbone : public nn::Module {
                              const EncodedBatch& batch,
                              const LaneRngs& lane_rngs) const;
 
-  /// Forks the per-lane dropout streams for the next BatchLoss/DecodeBatch
-  /// call: stream id (call_index << 32) | lane, under the episode fork.  Advancing
-  /// the call counter decorrelates successive inner steps (and the query
-  /// pass) while staying a pure function of (episode id, call index, lane).
+  /// Forks the per-lane dropout streams for the next BatchLoss/DecodeBatch/
+  /// Hidden call: stream id (call_index << 32) | lane, under the episode
+  /// fork.  Advancing the call counter decorrelates successive inner steps
+  /// (and the query pass) while staying a pure function of (episode id, call
+  /// index, lane).
   std::vector<util::Rng> ForkLaneRngs(size_t lanes) const;
 
   BackboneConfig config_;
@@ -249,7 +251,6 @@ class Backbone : public nn::Module {
   util::Rng dropout_base_;
   mutable util::Rng dropout_episode_;  ///< episode fork; lane streams hang off it
   mutable uint64_t dropout_call_ = 0;  ///< lane-stream forks since ReseedDropout
-  mutable util::Rng dropout_rng_;      ///< standalone (non-lane) stream
 };
 
 }  // namespace fewner::models

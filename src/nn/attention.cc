@@ -75,20 +75,30 @@ DilatedCausalConv::DilatedCausalConv(int64_t input_dim, int64_t filters,
   RegisterModule("signal", signal_.get());
 }
 
-Tensor DilatedCausalConv::Forward(const Tensor& x) const {
+Tensor DilatedCausalConv::Forward(const Tensor& x,
+                                  const std::vector<int64_t>& lengths) const {
   FEWNER_CHECK(x.rank() == 2 && x.shape().dim(1) == input_dim_,
-               "DilatedCausalConv expects [L, " << input_dim_ << "], got "
+               "DilatedCausalConv expects [T, " << input_dim_ << "], got "
                                                 << x.shape().ToString());
-  const int64_t length = x.shape().dim(0);
-  // Pair each position t with position t - dilation (zeros before the start):
-  // pad `dilation` zero rows in front, take the first L rows, concat features.
-  Tensor padded = tensor::Concat(
-      {Tensor::Zeros(Shape{dilation_, input_dim_}), x}, 0);         // [L+d, D]
-  Tensor shifted = tensor::Slice(padded, 0, 0, length);             // [L, D]
-  Tensor pair = tensor::Concat({x, shifted}, 1);                    // [L, 2D]
+  const int64_t total = x.shape().dim(0);
+  // Pair each position t with position t - dilation of the same sentence: one
+  // row gather over [x; zero row], where index `total` is the zero row.
+  std::vector<int64_t> rows;
+  int64_t begin = 0;
+  for (int64_t length : lengths) {
+    for (int64_t t = 0; t < length; ++t) {
+      rows.push_back(t >= dilation_ ? begin + t - dilation_ : total);
+    }
+    begin += length;
+  }
+  FEWNER_CHECK(begin == total, "DilatedCausalConv lengths sum to "
+                                   << begin << ", input has " << total << " rows");
+  Tensor shifted = tensor::IndexSelectRows(
+      tensor::Concat({x, Tensor::Zeros(Shape{1, input_dim_})}, 0), rows);  // [T, D]
+  Tensor pair = tensor::Concat({x, shifted}, 1);                           // [T, 2D]
   Tensor activation = tensor::Mul(tensor::Tanh(signal_->Forward(pair)),
                                   tensor::Sigmoid(gate_->Forward(pair)));
-  return tensor::Concat({x, activation}, 1);  // dense growth: [L, D + F]
+  return tensor::Concat({x, activation}, 1);  // dense growth: [T, D + F]
 }
 
 }  // namespace fewner::nn

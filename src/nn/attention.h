@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -59,8 +60,12 @@ class DilatedCausalConv : public Module {
   DilatedCausalConv(int64_t input_dim, int64_t filters, int64_t dilation,
                     util::Rng* rng);
 
-  /// [L, input_dim] -> [L, input_dim + filters].
-  tensor::Tensor Forward(const tensor::Tensor& x) const;
+  /// [T, input_dim] -> [T, input_dim + filters] over sentences stacked row
+  /// after row (`lengths` sum to T).  Position t pairs with position
+  /// t - dilation of its own sentence, zeros before that sentence's start, so
+  /// nothing shifts across a sentence boundary.
+  tensor::Tensor Forward(const tensor::Tensor& x,
+                         const std::vector<int64_t>& lengths) const;
 
   int64_t output_dim() const { return input_dim_ + filters_; }
 

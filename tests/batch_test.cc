@@ -3,9 +3,9 @@
 // The contract under test: for any padded, length-masked batch, lane b of the
 // batched pipeline is BITWISE-identical (0 ULP, compared with memcmp) to
 // running that lane's sentence alone through the per-sentence oracles in
-// tests/reference/ — for emissions, CRF negative log-likelihoods, the summed
-// task loss (including training-mode dropout given matching streams), and
-// Viterbi tag sequences.
+// tests/reference/ — for emissions, hidden states, CRF negative
+// log-likelihoods, the summed task loss (including training-mode dropout
+// given matching streams), and Viterbi tag sequences.
 // Meta-gradients are only required to agree to tolerance (backward reduction
 // orders differ), and the second-order path through the batched inner loop is
 // checked against central finite differences.  The new batched tensor ops
@@ -410,6 +410,71 @@ TEST_F(BatchParityTest, TrainingModeDropoutLossesAgreeBitwise) {
         << "second call, dropout episode " << id;
   }
   net.SetTraining(false);
+}
+
+TEST_F(BatchParityTest, HiddenRowsEqualPerSentenceOracleBitwise) {
+  // The metric baselines' read-out: every real row of Hidden on a ragged
+  // batch that spans several lane runs must memcmp-equal the sentence alone,
+  // in eval mode and with training-mode dropout, where lane b draws from the
+  // (episode, call, b) stream.
+  const std::vector<bool> valid_tags = text::ValidTagMask(3, text::NumTags(5));
+  util::Rng rng(0xEE06);
+  std::vector<models::EncodedSentence> sentences;
+  for (int64_t length : {3, 4, 12, 11, 1, 2, 9, 5}) {
+    sentences.push_back(RandomSentence(&rng, length, valid_tags));
+  }
+  const models::EncodedBatch batch = models::PackBatch(sentences);
+  int64_t tokens = 0;
+  for (int64_t length : batch.lengths) tokens += length;
+
+  uint64_t init_seed = 0xE55;
+  for (models::EncoderKind encoder :
+       {models::EncoderKind::kBiGru, models::EncoderKind::kBiLstm}) {
+    util::Rng init(init_seed++);
+    models::Backbone net(SmallConfig(encoder, models::Conditioning::kNone),
+                         &init);
+    const int64_t dim = 2 * net.config().hidden_dim;
+    const auto expect_rows = [&](const Tensor& hidden,
+                                 const std::function<Tensor(size_t)>& alone,
+                                 const std::string& what) {
+      ASSERT_EQ(hidden.shape(), (Shape{tokens, dim})) << what;
+      int64_t row = 0;
+      for (size_t b = 0; b < sentences.size(); ++b) {
+        const int64_t length = sentences[b].length();
+        ExpectBitwise(alone(b), tensor::Slice(hidden, 0, row, length).Detach(),
+                      what + " lane " + std::to_string(b));
+        row += length;
+      }
+    };
+
+    net.SetTraining(false);
+    ASSERT_GE(net.EncodePrefix(batch).runs.size(), 2u);
+    expect_rows(
+        net.Hidden(batch),
+        [&](size_t b) { return reference::Hidden(net, sentences[b]).Detach(); },
+        "eval");
+
+    net.SetTraining(true);
+    const uint64_t episode = 41;
+    net.ReseedDropout(episode);
+    for (uint64_t call = 0; call < 2; ++call) {
+      Tensor hidden = net.Hidden(batch);
+      expect_rows(
+          hidden,
+          [&](size_t b) {
+            util::Rng stream = reference::LaneStream(net, episode, call, b);
+            return reference::Hidden(net, sentences[b], &stream).Detach();
+          },
+          "dropout call " + std::to_string(call));
+    }
+    // Dropout really drew: the training rows differ from the eval rows.
+    Tensor dropped = net.Hidden(batch);
+    net.SetTraining(false);
+    Tensor clean = net.Hidden(batch);
+    EXPECT_NE(std::memcmp(dropped.data().data(), clean.data().data(),
+                          clean.data().size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST_F(BatchParityTest, MetaGradientsMatchPerSentencePathToTolerance) {

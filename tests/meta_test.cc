@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
 #include <type_traits>
 
 #include "data/synthetic.h"
@@ -91,6 +92,32 @@ class MetaTest : public ::testing::Test {
     const double f1 = eval::EpisodeF1(episode, predictions);
     EXPECT_GE(f1, 0.0);
     EXPECT_LE(f1, 1.0);
+  }
+
+  /// Trains `method` briefly, then requires its tags for ragged queries of
+  /// eight sentences, predicted in one call, to equal the tags of each
+  /// sentence predicted alone against the same support set.
+  void ExpectBatchCompositionInvariant(FewShotMethod* method) {
+    method->Train(*sampler_, *encoder_, train_config_);
+    data::EpisodeSampler sampler(&corpus_, corpus_.entity_types, 3, 1, 8, 17);
+    for (uint64_t id = 100; id < 110; ++id) {
+      models::EncodedEpisode episode = encoder_->Encode(sampler.Sample(id));
+      ASSERT_GE(episode.query.size(), 5u);
+      std::set<int64_t> lengths;
+      for (const auto& sentence : episode.query) lengths.insert(sentence.length());
+      ASSERT_GE(lengths.size(), 3u) << "query is not ragged, episode " << id;
+
+      const auto batched = method->AdaptAndPredict(episode);
+      ASSERT_EQ(batched.size(), episode.query.size());
+      for (size_t q = 0; q < episode.query.size(); ++q) {
+        models::EncodedEpisode single = episode;
+        single.query = {episode.query[q]};
+        const auto alone = method->AdaptAndPredict(single);
+        ASSERT_EQ(alone.size(), 1u);
+        EXPECT_EQ(batched[q], alone[0])
+            << method->name() << " episode " << id << " query sentence " << q;
+      }
+    }
   }
 
   /// θ after `iterations` outer iterations of a fixed-seed Train whose
@@ -230,6 +257,24 @@ TEST_F(MetaTest, SnailTrainsAndPredicts) {
   Snail snail(config_, &rng);
   snail.Train(*sampler_, *encoder_, train_config_);
   CheckPredictions(&snail);
+}
+
+TEST_F(MetaTest, ProtoNetTagsInvariantToQueryBatchComposition) {
+  util::Rng rng(1);
+  ProtoNet protonet(config_, &rng);
+  ExpectBatchCompositionInvariant(&protonet);
+}
+
+TEST_F(MetaTest, MatchingNetTagsInvariantToQueryBatchComposition) {
+  util::Rng rng(1);
+  MatchingNet matching(config_, &rng);
+  ExpectBatchCompositionInvariant(&matching);
+}
+
+TEST_F(MetaTest, SnailTagsInvariantToQueryBatchComposition) {
+  util::Rng rng(1);
+  Snail snail(config_, &rng);
+  ExpectBatchCompositionInvariant(&snail);
 }
 
 TEST_F(MetaTest, LmTaggerTrainsAndPredicts) {

@@ -466,13 +466,34 @@ TEST(DilatedCausalConvTest, CausalityAndGrowth) {
   util::Rng rng(23);
   DilatedCausalConv conv(3, 2, 2, &rng);
   Tensor x = Tensor::Randn(Shape{5, 3}, &rng);
-  Tensor out = conv.Forward(x);
+  Tensor out = conv.Forward(x, {5});
   EXPECT_EQ(out.shape(), (Shape{5, 5}));
   // Perturb the last position: outputs at position 0 must not change.
   std::vector<float> perturbed = x.data();
   perturbed[12] += 1.0f;
-  Tensor out2 = conv.Forward(Tensor::FromData(Shape{5, 3}, perturbed));
+  Tensor out2 = conv.Forward(Tensor::FromData(Shape{5, 3}, perturbed), {5});
   for (int64_t j = 0; j < 5; ++j) EXPECT_FLOAT_EQ(out.at(j), out2.at(j));
+}
+
+TEST(DilatedCausalConvTest, NeverShiftsAcrossSentenceBoundary) {
+  // Two sentences stacked row-wise: each one's rows must be bitwise what the
+  // conv computes on that sentence alone.
+  util::Rng rng(24);
+  DilatedCausalConv conv(3, 2, 2, &rng);
+  Tensor x = Tensor::Randn(Shape{7, 3}, &rng);
+  Tensor both = conv.Forward(x, {3, 4});
+  ASSERT_EQ(both.shape(), (Shape{7, 5}));
+  int64_t row = 0;
+  for (int64_t length : {3, 4}) {
+    Tensor alone = conv.Forward(tensor::Slice(x, 0, row, length), {length});
+    Tensor rows = tensor::Slice(both, 0, row, length);
+    EXPECT_EQ(std::memcmp(alone.data().data(), rows.data().data(),
+                          alone.data().size() * sizeof(float)),
+              0)
+        << "sentence at row " << row;
+    row += length;
+  }
+  EXPECT_DEATH(conv.Forward(x, {3, 3}), "lengths sum to 6");
 }
 
 TEST(OptimTest, ClipGradNorm) {

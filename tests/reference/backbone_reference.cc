@@ -13,6 +13,13 @@ tensor::Tensor BackboneTestPeer::Emissions(
   return net.Suffix(batch, net.Prefix(batch, lane_rngs), phi, lane_rngs);
 }
 
+tensor::Tensor BackboneTestPeer::Hidden(
+    const Backbone& net, const EncodedBatch& batch,
+    const std::vector<util::Rng*>& lane_rngs) {
+  return net.Suffix(batch, net.Prefix(batch, lane_rngs), tensor::Tensor(),
+                    lane_rngs, /*emit=*/false);
+}
+
 const crf::LinearChainCrf& BackboneTestPeer::Crf(const Backbone& net) {
   return *net.crf_;
 }
@@ -39,6 +46,16 @@ Tensor Emissions(const models::Backbone& net,
       net, single, phi, {rng != nullptr ? rng : &fallback});
   return tensor::Reshape(emissions,
                          Shape{sentence.length(), net.config().max_tags});
+}
+
+Tensor Hidden(const models::Backbone& net,
+              const models::EncodedSentence& sentence, util::Rng* rng) {
+  util::Rng fallback;
+  const models::EncodedBatch single = models::PackBatch({sentence});
+  Tensor hidden = BackboneTestPeer::Hidden(
+      net, single, {rng != nullptr ? rng : &fallback});
+  return tensor::Reshape(hidden,
+                         Shape{sentence.length(), 2 * net.config().hidden_dim});
 }
 
 Tensor SentenceLoss(const models::Backbone& net,

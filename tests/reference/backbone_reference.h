@@ -29,6 +29,11 @@ class BackboneTestPeer {
                                   const tensor::Tensor& phi,
                                   const std::vector<util::Rng*>& lane_rngs);
 
+  /// Prefix + Suffix stopped before the emission layer, over all of `batch`
+  /// as ONE padded run: hidden states [B, Lmax, 2H] of a kNone backbone.
+  static tensor::Tensor Hidden(const Backbone& net, const EncodedBatch& batch,
+                               const std::vector<util::Rng*>& lane_rngs);
+
   static const crf::LinearChainCrf& Crf(const Backbone& net);
 };
 
@@ -47,6 +52,13 @@ util::Rng LaneStream(const models::Backbone& net, uint64_t episode,
 tensor::Tensor Emissions(const models::Backbone& net,
                          const models::EncodedSentence& sentence,
                          const tensor::Tensor& phi, util::Rng* rng = nullptr);
+
+/// Hidden states [L, 2H] of `sentence` alone on a kNone backbone — the B=1
+/// forward whose rows Backbone::Hidden must reproduce.  Dropout as in
+/// Emissions.
+tensor::Tensor Hidden(const models::Backbone& net,
+                      const models::EncodedSentence& sentence,
+                      util::Rng* rng = nullptr);
 
 /// CRF negative log-likelihood of the sentence's gold tags (CrfNll).
 tensor::Tensor SentenceLoss(const models::Backbone& net,
