@@ -75,9 +75,9 @@ void BM_FewnerInnerLoopTraining(benchmark::State& state) {
   const models::EncodedEpisode& episode =
       state.range(0) == 1 ? world.episode_1shot : world.episode_5shot;
   for (auto _ : state) {
-    tensor::Tensor phi = world.fewner_method->AdaptContext(
-        episode.support, episode.valid_tags, /*steps=*/1, 0.1f,
-        /*create_graph=*/true);
+    tensor::Tensor phi = meta::Fewner::AdaptContextOn(
+        *world.fewner_method->backbone(), episode.support, episode.valid_tags,
+        /*steps=*/1, 0.1f, /*create_graph=*/true);
     benchmark::DoNotOptimize(phi);
   }
 }
@@ -88,9 +88,9 @@ void BM_FewnerInnerLoopAdaptation(benchmark::State& state) {
   const models::EncodedEpisode& episode =
       state.range(0) == 1 ? world.episode_1shot : world.episode_5shot;
   for (auto _ : state) {
-    tensor::Tensor phi = world.fewner_method->AdaptContext(
-        episode.support, episode.valid_tags, /*steps=*/1, 0.1f,
-        /*create_graph=*/false);
+    tensor::Tensor phi = meta::Fewner::AdaptContextOn(
+        *world.fewner_method->backbone(), episode.support, episode.valid_tags,
+        /*steps=*/1, 0.1f, /*create_graph=*/false);
     benchmark::DoNotOptimize(phi);
   }
 }
@@ -104,10 +104,9 @@ void BM_MamlInnerLoopAdaptation(benchmark::State& state) {
   const models::EncodedEpisode& episode =
       state.range(0) == 1 ? world.episode_1shot : world.episode_5shot;
   for (auto _ : state) {
-    auto adapted = world.maml_method->InnerAdapt(episode.support,
-                                                 episode.valid_tags,
-                                                 /*steps=*/1, 0.1f,
-                                                 /*create_graph=*/false);
+    auto adapted = meta::Maml::InnerAdaptOn(
+        world.maml_method->backbone(), episode.support, episode.valid_tags,
+        /*steps=*/1, 0.1f, /*create_graph=*/false);
     benchmark::DoNotOptimize(adapted);
   }
 }

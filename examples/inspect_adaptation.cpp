@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
     const models::EncodedBatch support = models::PackBatch(enc.support);
     const double before =
         backbone->BatchLoss(support, phi0, enc.valid_tags).item();
-    tensor::Tensor phi = fewner_method->AdaptContext(
-        enc.support, enc.valid_tags, flags.GetInt("inner-steps"),
+    tensor::Tensor phi = meta::Fewner::AdaptContextOn(
+        *backbone, enc.support, enc.valid_tags, flags.GetInt("inner-steps"),
         static_cast<float>(flags.GetDouble("inner-lr")), /*create_graph=*/false);
     const double after =
         backbone->BatchLoss(support, phi, enc.valid_tags).item();

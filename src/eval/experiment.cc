@@ -255,12 +255,4 @@ EvalResult ExperimentRunner::Run(MethodId id) {
                         config_.eval_episodes, config_.eval_query_size);
 }
 
-std::vector<EvalResult> ExperimentRunner::RunMethods(
-    const std::vector<MethodId>& ids) {
-  std::vector<EvalResult> results;
-  results.reserve(ids.size());
-  for (MethodId id : ids) results.push_back(Run(id));
-  return results;
-}
-
 }  // namespace fewner::eval

@@ -95,8 +95,6 @@ class ExperimentRunner {
   /// CreateTrained + EvaluateMethod on the shared held-out task list.
   EvalResult Run(MethodId id);
 
-  std::vector<EvalResult> RunMethods(const std::vector<MethodId>& ids);
-
   const models::EpisodeEncoder& encoder() const { return *encoder_; }
 
   /// The backbone configuration with vocabulary sizes, tag inventory and the

@@ -9,25 +9,17 @@ AdaptedTagger::AdaptedTagger(models::Backbone* backbone,
                              const std::vector<models::EncodedSentence>& support,
                              std::vector<bool> valid_tags, int64_t inner_steps,
                              float inner_lr)
-    : backbone_(backbone),
-      valid_tags_(std::move(valid_tags)),
-      inner_lr_(inner_lr) {
+    : backbone_(backbone), valid_tags_(std::move(valid_tags)) {
   FEWNER_CHECK(backbone != nullptr, "AdaptedTagger needs a backbone");
   // Dropout off + deterministic forward, for adaptation and serving alike.
   backbone->SetTraining(false);
-  {
-    // The support θ-prefix: encoded once, graph-free, and kept — ReAdapt()
-    // continues the descent from it without touching the encoder again.
-    tensor::EvalMode eval;
-    support_prefix_ = backbone->EncodePrefix(models::PackBatch(support));
-  }
   // The inner loop differentiates the support loss w.r.t. φ, so the suffix
   // must run in graph mode — this is the one-off cost the snapshot amortizes
-  // away (and with the cached prefix it is suffix-sized, not encoder-sized).
-  tensor::Tensor phi =
-      Fewner::AdaptOnPrefix(*backbone, support_prefix_, valid_tags_,
-                            inner_steps, inner_lr, /*create_graph=*/false);
-  phi_ = phi.Detach();  // plain constant: no grad flag, no graph edges
+  // away (AdaptContextOn encodes the support θ-prefix once, graph-free, so
+  // each step is suffix-sized, not encoder-sized).
+  phi_ = Fewner::AdaptContextOn(*backbone, support, valid_tags_, inner_steps,
+                                inner_lr, /*create_graph=*/false)
+             .Detach();  // plain constant: no grad flag, no graph edges
 }
 
 AdaptedTagger::AdaptedTagger(Fewner* method, const models::EncodedEpisode& episode)
@@ -56,30 +48,19 @@ std::vector<std::vector<int64_t>> AdaptedTagger::TagAll(
     nonempty.reserve(lanes.size());
     for (size_t i : lanes) nonempty.push_back(sentences[i]);
   }
-  // One batched graph-free prefix + suffix for the whole query set, then
-  // per-lane Viterbi — identical tags to decoding each sentence alone (see
-  // DESIGN.md §7; the prefix/suffix split changes no op in this regime).
+  // One batched graph-free forward for the whole query set, then per-lane
+  // Viterbi — identical tags to decoding each sentence alone (see DESIGN.md
+  // §7).  Both dropout layers are identities in this regime; a backbone put
+  // back into training since construction would draw masks, so it aborts.
+  FEWNER_CHECK(backbone_->CanCachePrefix(),
+               "AdaptedTagger::TagAll on a backbone in the training-dropout "
+               "regime");
   tensor::EvalMode eval;
-  std::vector<std::vector<int64_t>> paths = backbone_->DecodeBatchFromPrefix(
-      backbone_->EncodePrefix(
-          models::PackBatch(nonempty.empty() ? sentences : nonempty)),
-      phi_, valid_tags_);
+  std::vector<std::vector<int64_t>> paths = backbone_->DecodeBatch(
+      models::PackBatch(nonempty.empty() ? sentences : nonempty), phi_,
+      valid_tags_);
   for (size_t k = 0; k < lanes.size(); ++k) tags[lanes[k]] = std::move(paths[k]);
   return tags;
-}
-
-void AdaptedTagger::ReAdapt(int64_t extra_steps) {
-  if (extra_steps <= 0) return;
-  // The test-time inner loop re-leafs φ after every step, so resuming from
-  // the frozen φ* reproduces exactly the steps a longer construction-time
-  // loop would have taken.  AdaptOnPrefix re-checks the prefix against the
-  // backbone's current parameter version — θ drift aborts here.
-  tensor::Tensor phi = phi_.Detach();
-  phi.set_requires_grad(true);
-  phi = Fewner::AdaptOnPrefix(*backbone_, support_prefix_, valid_tags_,
-                              extra_steps, inner_lr_, /*create_graph=*/false,
-                              std::move(phi));
-  phi_ = phi.Detach();
 }
 
 }  // namespace fewner::meta

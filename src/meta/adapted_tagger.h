@@ -32,9 +32,9 @@ class Fewner;
 class AdaptedTagger {
  public:
   /// Adapts φ on `support` with `inner_steps` gradient steps of size
-  /// `inner_lr` (paper Eq. 5, create_graph=false), then freezes.  The support
-  /// θ-prefix is encoded once (graph-free, arena-backed) and every inner step
-  /// runs the φ-suffix only; the prefix is kept for ReAdapt().  `backbone`
+  /// `inner_lr` through Fewner::AdaptContextOn (paper Eq. 5,
+  /// create_graph=false: the support θ-prefix is encoded once, graph-free,
+  /// and every inner step runs the φ-suffix only), then freezes.  `backbone`
   /// must outlive the tagger and stays in inference mode afterwards.
   AdaptedTagger(models::Backbone* backbone,
                 const std::vector<models::EncodedSentence>& support,
@@ -47,17 +47,10 @@ class AdaptedTagger {
   /// Viterbi tag sequence for one sentence: TagAll on a batch of one.
   std::vector<int64_t> Tag(const models::EncodedSentence& sentence) const;
 
-  /// Tags a batch of sentences (one EvalMode scope for the whole batch).  A
-  /// zero-token sentence gets an empty tag sequence.
+  /// Tags a batch of sentences: one Backbone::DecodeBatch under EvalMode for
+  /// the whole batch.  A zero-token sentence gets an empty tag sequence.
   std::vector<std::vector<int64_t>> TagAll(
       const std::vector<models::EncodedSentence>& sentences) const;
-
-  /// Continues the φ descent for `extra_steps` more steps on the cached
-  /// support prefix — no support re-encode.  Equivalent to having constructed
-  /// with `inner_steps + extra_steps` (bitwise: the test-time inner loop
-  /// re-leafs φ every step, so it carries no other per-step state).  Aborts
-  /// if θ changed since construction (the prefix would be stale).
-  void ReAdapt(int64_t extra_steps);
 
   /// The adapted context vector φ* (a detached constant).
   const tensor::Tensor& phi() const { return phi_; }
@@ -66,10 +59,8 @@ class AdaptedTagger {
 
  private:
   const models::Backbone* backbone_;
-  models::CachedPrefix support_prefix_;  ///< adaptation-era θ features
   tensor::Tensor phi_;
   std::vector<bool> valid_tags_;
-  float inner_lr_ = 0.0f;
 };
 
 }  // namespace fewner::meta

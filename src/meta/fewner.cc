@@ -54,24 +54,6 @@ Fewner::Fewner(const models::BackboneConfig& config, util::Rng* rng)
   backbone_ = std::make_unique<models::Backbone>(config, &init_rng);
 }
 
-Tensor Fewner::AdaptContext(const std::vector<models::EncodedSentence>& support,
-                            const std::vector<bool>& valid_tags, int64_t steps,
-                            float inner_lr, bool create_graph) const {
-  return AdaptContextOn(*backbone_, support, valid_tags, steps, inner_lr,
-                        create_graph);
-}
-
-Tensor Fewner::AdaptOnPrefix(const models::Backbone& net,
-                             const models::CachedPrefix& prefix,
-                             const std::vector<bool>& valid_tags, int64_t steps,
-                             float inner_lr, bool create_graph, Tensor phi) {
-  if (!phi.defined()) phi = net.ZeroContext();
-  return DescendPhi(std::move(phi), steps, inner_lr, create_graph,
-                    [&](const Tensor& p) {
-                      return net.BatchLossFromPrefix(prefix, p, valid_tags);
-                    });
-}
-
 Tensor Fewner::AdaptContextOn(const models::Backbone& net,
                               const std::vector<models::EncodedSentence>& support,
                               const std::vector<bool>& valid_tags, int64_t steps,
@@ -99,8 +81,10 @@ Tensor Fewner::AdaptContextOn(const models::Backbone& net,
       tensor::EvalMode eval;
       prefix = net.EncodePrefix(packed);
     }
-    return AdaptOnPrefix(net, prefix, valid_tags, steps, inner_lr, create_graph,
-                         std::move(phi));
+    return DescendPhi(std::move(phi), steps, inner_lr, create_graph,
+                      [&](const Tensor& p) {
+                        return net.BatchLossFromPrefix(prefix, p, valid_tags);
+                      });
   }
   // Training-mode dropout: masks are keyed per (episode, call, lane) and
   // legitimately differ between steps, so each step re-runs the full forward.

@@ -35,34 +35,20 @@ class Fewner : public FewShotMethod {
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
-  /// Inner loop (Eq. 5): runs `steps` gradient steps on φ starting from zero.
-  /// With `create_graph` the returned φ_k stays differentiable w.r.t. θ.
-  tensor::Tensor AdaptContext(const std::vector<models::EncodedSentence>& support,
-                              const std::vector<bool>& valid_tags, int64_t steps,
-                              float inner_lr, bool create_graph) const;
-
-  /// Same inner loop against an explicit backbone — the form the
-  /// episode-parallel trainer runs on per-worker replicas.  When the backbone
-  /// is in the dropout-free regime (test time, or training with dropout == 0)
-  /// the θ-prefix over the support set is computed once and every step runs
-  /// the φ-suffix only; otherwise it falls back to per-step forwards, since
-  /// per-(episode, call, lane) dropout masks legitimately differ per step.
+  /// Inner loop (Eq. 5): runs `steps` gradient steps on φ starting from zero,
+  /// against an explicit backbone — the episode-parallel trainer runs it on
+  /// per-worker replicas, and AdaptedTagger on the served backbone.  With
+  /// `create_graph` the returned φ_k stays differentiable w.r.t. θ.  When the
+  /// backbone is in the dropout-free regime (test time, or training with
+  /// dropout == 0) the θ-prefix over the support set is computed once and
+  /// every step runs the φ-suffix only; otherwise it falls back to per-step
+  /// forwards, since per-(episode, call, lane) dropout masks legitimately
+  /// differ per step.
   static tensor::Tensor AdaptContextOn(
       const models::Backbone& net,
       const std::vector<models::EncodedSentence>& support,
       const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
       bool create_graph);
-
-  /// Inner loop over an already-encoded support prefix.  Starts from `phi`
-  /// (ZeroContext() when undefined), so a caller holding a prefix can also
-  /// *continue* a previous descent — AdaptedTagger::ReAdapt does exactly
-  /// that.  The prefix must be current (see Backbone::CheckPrefix).
-  static tensor::Tensor AdaptOnPrefix(const models::Backbone& net,
-                                      const models::CachedPrefix& prefix,
-                                      const std::vector<bool>& valid_tags,
-                                      int64_t steps, float inner_lr,
-                                      bool create_graph,
-                                      tensor::Tensor phi = tensor::Tensor());
 
   models::Backbone* backbone() { return backbone_.get(); }
 

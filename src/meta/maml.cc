@@ -29,14 +29,6 @@ Maml::Maml(const models::BackboneConfig& config, util::Rng* rng) {
       std::make_unique<models::Backbone>(WithoutConditioning(config), &init_rng);
 }
 
-std::vector<Tensor> Maml::InnerAdapt(
-    const std::vector<models::EncodedSentence>& support,
-    const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
-    bool create_graph) const {
-  return InnerAdaptOn(backbone_.get(), support, valid_tags, steps, inner_lr,
-                      create_graph);
-}
-
 std::vector<Tensor> Maml::InnerAdaptOn(
     models::Backbone* net, const std::vector<models::EncodedSentence>& support,
     const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
@@ -125,8 +117,8 @@ std::vector<std::vector<int64_t>> Maml::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
   backbone_->SetTraining(false);
   std::vector<Tensor> adapted =
-      InnerAdapt(episode.support, episode.valid_tags, test_inner_steps_, inner_lr_,
-                 /*create_graph=*/false);
+      InnerAdaptOn(backbone_.get(), episode.support, episode.valid_tags,
+                   test_inner_steps_, inner_lr_, /*create_graph=*/false);
   std::vector<Tensor*> slots = backbone_->Parameters();
   nn::ParameterPatch patch(slots, adapted);
   if (episode.query.empty()) return {};

@@ -31,15 +31,10 @@ class Maml : public FewShotMethod {
       const models::EncodedEpisode& episode) override;
 
   /// Inner loop over all parameters; returns θ' (Eq. 1).  With `create_graph`
-  /// the adapted parameters remain differentiable w.r.t. the originals.
-  std::vector<tensor::Tensor> InnerAdapt(
-      const std::vector<models::EncodedSentence>& support,
-      const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,
-      bool create_graph) const;
-
-  /// Same inner loop against an explicit backbone — the form the
-  /// episode-parallel trainer runs on per-worker replicas (the ParameterPatch
-  /// slot swaps stay confined to that replica).
+  /// the adapted parameters remain differentiable w.r.t. the originals.  Runs
+  /// against an explicit backbone — the episode-parallel trainer passes its
+  /// per-worker replicas (the ParameterPatch slot swaps stay confined to that
+  /// replica), AdaptAndPredict the method's own.
   static std::vector<tensor::Tensor> InnerAdaptOn(
       models::Backbone* net, const std::vector<models::EncodedSentence>& support,
       const std::vector<bool>& valid_tags, int64_t steps, float inner_lr,

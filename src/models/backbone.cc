@@ -100,24 +100,6 @@ Tensor SumRunLosses(const crf::LinearChainCrf& crf,
       per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
   return tensor::SumAllFloat(per_lane);
 }
-
-/// The per-run Viterbi loop behind DecodeBatch and DecodeBatchFromPrefix.
-template <typename Walk>
-std::vector<std::vector<int64_t>> DecodeRuns(const crf::LinearChainCrf& crf,
-                                             const std::vector<bool>& valid_tags,
-                                             Walk&& walk) {
-  std::vector<std::vector<int64_t>> paths;
-  walk([&](const EncodedBatch& run, const Tensor& run_emissions) {
-    // Cut the decode out of a live autodiff graph; under EvalMode no graph
-    // was built, so the copy would only burn an allocation.
-    Tensor emissions = tensor::EvalMode::active() ? run_emissions
-                                                  : run_emissions.Detach();
-    for (auto& path : crf.ViterbiBatch(emissions, run.lengths, &valid_tags)) {
-      paths.push_back(std::move(path));
-    }
-  });
-  return paths;
-}
 }  // namespace
 
 Backbone::Backbone(const BackboneConfig& config, util::Rng* rng)
@@ -215,8 +197,8 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   const float scale = 1.0f / (1.0f - p);
   const int64_t d = x.shape().dim(2);
   // Padding rows get a 0 mask (dropped) without consuming draws, so lane b's
-  // draw sequence is exactly what tensor::Dropout draws for its [len, d]
-  // per-sentence tensor — and garbage padding activations are zeroed for free.
+  // draw sequence is exactly that of its [len, d] rows alone in a batch of
+  // one — and garbage padding activations are zeroed for free.
   std::vector<float> mask(static_cast<size_t>(x.numel()), 0.0f);
   for (int64_t b = 0; b < batch.batch; ++b) {
     util::Rng* rng = lane_rngs[static_cast<size_t>(b)];
@@ -348,9 +330,17 @@ Tensor Backbone::BatchLoss(const EncodedBatch& batch, const Tensor& phi,
 std::vector<std::vector<int64_t>> Backbone::DecodeBatch(
     const EncodedBatch& batch, const Tensor& phi,
     const std::vector<bool>& valid_tags) const {
-  return DecodeRuns(*crf_, valid_tags, [&](const RunVisitor& visit) {
-    ForEachRun(batch, phi, visit);
+  std::vector<std::vector<int64_t>> paths;
+  ForEachRun(batch, phi, [&](const EncodedBatch& run, const Tensor& run_emissions) {
+    // Cut the decode out of a live autodiff graph; under EvalMode no graph
+    // was built, so the copy would only burn an allocation.
+    Tensor emissions = tensor::EvalMode::active() ? run_emissions
+                                                  : run_emissions.Detach();
+    for (auto& path : crf_->ViterbiBatch(emissions, run.lengths, &valid_tags)) {
+      paths.push_back(std::move(path));
+    }
   });
+  return paths;
 }
 
 bool Backbone::CanCachePrefix() const {
@@ -436,14 +426,6 @@ Tensor Backbone::EmissionsFromPrefix(const CachedPrefix& prefix,
         1));
   });
   return per_run.size() == 1 ? per_run.front() : tensor::Concat(per_run, 0);
-}
-
-std::vector<std::vector<int64_t>> Backbone::DecodeBatchFromPrefix(
-    const CachedPrefix& prefix, const Tensor& phi,
-    const std::vector<bool>& valid_tags) const {
-  return DecodeRuns(*crf_, valid_tags, [&](const RunVisitor& visit) {
-    ForEachRun(prefix, phi, visit);
-  });
 }
 
 }  // namespace fewner::models

@@ -152,12 +152,6 @@ class Backbone : public nn::Module {
   tensor::Tensor EmissionsFromPrefix(const CachedPrefix& prefix,
                                      const tensor::Tensor& phi) const;
 
-  /// Batched Viterbi decode from a cached prefix — identical tags to
-  /// DecodeBatch.  The serving fast path for AdaptedTagger under EvalMode.
-  std::vector<std::vector<int64_t>> DecodeBatchFromPrefix(
-      const CachedPrefix& prefix, const tensor::Tensor& phi,
-      const std::vector<bool>& valid_tags) const;
-
   /// Fresh zero context vector (requires_grad, ready for inner-loop descent).
   /// Undefined tensor when conditioning is kNone.
   tensor::Tensor ZeroContext() const;
@@ -226,9 +220,9 @@ class Backbone : public nn::Module {
   void CheckPrefix(const CachedPrefix& prefix) const;
 
   /// Length-masked inverted dropout over [B, Lmax, D]: lane b's rows t <
-  /// lengths[b] draw flat-row-major from lane_rngs[b] exactly as
-  /// tensor::Dropout draws for the [len, D] per-sentence tensor; padding rows
-  /// get a 0 mask (dropped) without consuming draws.
+  /// lengths[b] draw one Bernoulli(p) per element, flat-row-major, from
+  /// lane_rngs[b] — the draws of that sentence alone as a batch of one;
+  /// padding rows get a 0 mask (dropped) without consuming draws.
   tensor::Tensor LaneDropout(const tensor::Tensor& x,
                              const EncodedBatch& batch,
                              const LaneRngs& lane_rngs) const;

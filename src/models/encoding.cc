@@ -12,8 +12,18 @@ EncodedBatch PackBatch(const std::vector<EncodedSentence>& sentences) {
   EncodedBatch batch;
   batch.batch = static_cast<int64_t>(sentences.size());
   batch.lengths.reserve(sentences.size());
-  for (const EncodedSentence& s : sentences) {
+  for (size_t b = 0; b < sentences.size(); ++b) {
+    const EncodedSentence& s = sentences[b];
     FEWNER_CHECK(s.length() > 0, "PackBatch on empty sentence");
+    // Every lane is copied for length() tokens, so a short tags or char_ids
+    // vector would be read out of range.
+    FEWNER_CHECK(static_cast<int64_t>(s.tags.size()) == s.length(),
+                 "PackBatch lane " << b << " has " << s.tags.size()
+                                   << " tags for " << s.length() << " words");
+    FEWNER_CHECK(static_cast<int64_t>(s.char_ids.size()) == s.length(),
+                 "PackBatch lane " << b << " has " << s.char_ids.size()
+                                   << " char sequences for " << s.length()
+                                   << " words");
     batch.lengths.push_back(s.length());
     batch.max_len = std::max(batch.max_len, s.length());
   }

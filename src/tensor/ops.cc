@@ -444,37 +444,6 @@ Tensor Transpose(const Tensor& t) {
                    });
 }
 
-Tensor TransposeLast2(const Tensor& t) {
-  FEWNER_CHECK(t.rank() >= 2,
-               "TransposeLast2 requires rank >= 2, got " << t.shape().ToString());
-  if (t.rank() == 2) return Transpose(t);
-  const Shape& shape = t.shape();
-  const int64_t m = shape.dim(shape.rank() - 2);
-  const int64_t n = shape.dim(shape.rank() - 1);
-  int64_t outer = 1;
-  for (int64_t d = 0; d < shape.rank() - 2; ++d) outer *= shape.dim(d);
-  std::vector<int64_t> out_dims = shape.dims();
-  out_dims[static_cast<size_t>(shape.rank() - 2)] = n;
-  out_dims[static_cast<size_t>(shape.rank() - 1)] = m;
-  OpOutput out = NewOutput("transpose_last2", Shape{std::move(out_dims)});
-  float* ov = out.data();
-  const float* tv = t.data().data();
-  for (int64_t o = 0; o < outer; ++o) {
-    const float* src = tv + o * m * n;
-    float* dst = ov + o * m * n;
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        dst[j * m + i] = src[i * n + j];
-      }
-    }
-  }
-  if (EvalMode::active()) return SealEval(std::move(out));
-  return SealGraph(std::move(out), {t},
-                   [](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     return {TransposeLast2(grad)};
-                   });
-}
-
 Tensor BroadcastTo(const Tensor& t, Shape shape) {
   if (t.shape() == shape) return t;
   FEWNER_CHECK(t.shape().BroadcastableTo(shape),
@@ -981,15 +950,5 @@ Tensor LogSoftmaxLastDim(const Tensor& t) {
 }
 
 Tensor SoftmaxLastDim(const Tensor& t) { return Exp(LogSoftmaxLastDim(t)); }
-
-Tensor Dropout(const Tensor& t, float p, util::Rng* rng, bool training) {
-  if (!training || p <= 0.0f) return t;
-  FEWNER_CHECK(p < 1.0f, "Dropout rate must be < 1");
-  FEWNER_CHECK(rng != nullptr, "Dropout requires an Rng in training mode");
-  const float scale = 1.0f / (1.0f - p);
-  std::vector<float> mask(t.data().size());
-  for (float& v : mask) v = rng->Bernoulli(p) ? 0.0f : scale;
-  return Mul(t, Tensor::FromData(t.shape(), std::move(mask)));
-}
 
 }  // namespace fewner::tensor

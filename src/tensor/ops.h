@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "tensor/tensor.h"
-#include "util/rng.h"
 
 namespace fewner::tensor {
 
@@ -48,10 +47,6 @@ Tensor Reshape(const Tensor& t, Shape shape);
 
 /// 2-D transpose.
 Tensor Transpose(const Tensor& t);
-
-/// Swaps the last two axes of a rank >= 2 tensor: [..., m, n] -> [..., n, m].
-/// The batched analogue of Transpose for [B, Y, Y] score matrices.
-Tensor TransposeLast2(const Tensor& t);
 
 /// Replicates to `shape`; `t.shape()` must be broadcastable to it.
 Tensor BroadcastTo(const Tensor& t, Shape shape);
@@ -144,9 +139,5 @@ Tensor LogSoftmaxLastDim(const Tensor& t);
 
 /// Softmax along the last axis.
 Tensor SoftmaxLastDim(const Tensor& t);
-
-/// Inverted dropout: scales kept activations by 1/(1-p).  Identity when
-/// `training` is false or p == 0.
-Tensor Dropout(const Tensor& t, float p, util::Rng* rng, bool training);
 
 }  // namespace fewner::tensor

@@ -9,7 +9,7 @@
 // Meta-gradients are only required to agree to tolerance (backward reduction
 // orders differ), and the second-order path through the batched inner loop is
 // checked against central finite differences.  The new batched tensor ops
-// (Where, TransposeLast2, RowSum, UnfoldTimeBatch/FoldTimeBatch) get adjoint,
+// (Where, RowSum, UnfoldTimeBatch/FoldTimeBatch) get adjoint,
 // finite-difference, and EvalMode differential coverage here too.
 
 #include <gtest/gtest.h>
@@ -130,24 +130,6 @@ models::BackboneConfig SmallConfig(models::EncoderKind encoder,
 
 // ----- batched tensor ops --------------------------------------------------
 
-TEST(BatchOpsTest, TransposeLast2ValuesAndGradient) {
-  util::Rng rng(0xB001);
-  Tensor x = Tensor::Randn(Shape{2, 3, 4}, &rng, 1.0f, true);
-  Tensor y = tensor::TransposeLast2(x);
-  ASSERT_EQ(y.shape(), (Shape{2, 4, 3}));
-  for (int64_t n = 0; n < 2; ++n) {
-    for (int64_t i = 0; i < 3; ++i) {
-      for (int64_t j = 0; j < 4; ++j) {
-        EXPECT_EQ(y.at(n * 12 + j * 3 + i), x.at(n * 12 + i * 4 + j));
-      }
-    }
-  }
-  Tensor w = Tensor::Randn(Shape{2, 4, 3}, &rng);
-  CheckGradient(
-      [&](const Tensor& t) { return tensor::SumAll(tensor::Mul(tensor::TransposeLast2(t), w)); },
-      x);
-}
-
 TEST(BatchOpsTest, RowSumValuesAndGradient) {
   util::Rng rng(0xB002);
   Tensor x = Tensor::Randn(Shape{3, 5}, &rng, 1.0f, true);
@@ -252,7 +234,6 @@ TEST(BatchOpsTest, NewOpsMatchBitwiseUnderEvalMode) {
     const int64_t d = 1 + static_cast<int64_t>(rng.UniformInt(5));
     Tensor x = Tensor::Randn(Shape{n, t, d}, &rng);
     Tensor flat = Tensor::Randn(Shape{n, t}, &rng);
-    CheckEvalParity("TransposeLast2", [&] { return tensor::TransposeLast2(x); });
     CheckEvalParity("RowSum", [&] { return tensor::RowSum(flat); });
     CheckEvalParity("SumAllFloat", [&] { return tensor::SumAllFloat(flat); });
     const int64_t window = 1 + static_cast<int64_t>(

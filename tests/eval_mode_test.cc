@@ -53,10 +53,10 @@ void CheckOp(const std::string& what, const std::function<Tensor()>& op) {
     eval_out = op();
   }
   ExpectBitwise(graph_out, eval_out, what);
-  // Identity cases (SumTo/BroadcastTo on a matching shape, inference-mode
-  // Dropout, ...) return the input tensor itself — a leaf here — which may
-  // legitimately carry requires_grad.  Anything the op layer *created* under
-  // EvalMode must be free of autodiff state.
+  // Identity cases (SumTo/BroadcastTo on a matching shape, ...) return the
+  // input tensor itself — a leaf here — which may legitimately carry
+  // requires_grad.  Anything the op layer *created* under EvalMode must be
+  // free of autodiff state.
   if (!eval_out.node()->leaf) {
     EXPECT_FALSE(eval_out.requires_grad()) << what;
     EXPECT_TRUE(eval_out.node()->inputs.empty()) << what;
@@ -194,22 +194,12 @@ TEST_F(EvalModeOpTest, MatMulAndGatherScatter) {
   }
 }
 
-TEST_F(EvalModeOpTest, CompositesAndDropout) {
+TEST_F(EvalModeOpTest, Composites) {
   for (int rep = 0; rep < 20; ++rep) {
     Tensor t = RandTensor(Shape{Dim(), Dim()}, &rng_);
     CheckOp("LogSumExpLastDim", [&] { return LogSumExpLastDim(t); });
     CheckOp("LogSoftmaxLastDim", [&] { return LogSoftmaxLastDim(t); });
     CheckOp("SoftmaxLastDim", [&] { return SoftmaxLastDim(t); });
-    // Inference dropout is the identity; training dropout must agree when the
-    // two modes draw from identically seeded streams.
-    CheckOp("Dropout/eval", [&] {
-      return Dropout(t, 0.5f, nullptr, /*training=*/false);
-    });
-    util::Rng base(rep + 900);
-    CheckOp("Dropout/train", [&] {
-      util::Rng stream = base.Fork(7);
-      return Dropout(t, 0.3f, &stream, /*training=*/true);
-    });
   }
 }
 
@@ -368,8 +358,9 @@ TEST(EvalModeModelTest, EmissionsBitwiseIdenticalAcrossModes) {
   meta::Fewner fewner(config, &rng);
   fewner.backbone()->SetTraining(false);
   models::EncodedEpisode episode = encoder.Encode(sampler.Sample(0));
-  Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 2, 0.1f,
-                                   /*create_graph=*/false)
+  Tensor phi = meta::Fewner::AdaptContextOn(*fewner.backbone(), episode.support,
+                                            episode.valid_tags, 2, 0.1f,
+                                            /*create_graph=*/false)
                    .Detach();
 
   for (const auto& sentence : episode.query) {

@@ -156,8 +156,9 @@ TEST_F(MetaTest, FewnerInnerLoopReducesSupportLoss) {
   const models::EncodedBatch support = models::PackBatch(episode.support);
   const float before =
       fewner.backbone()->BatchLoss(support, phi0, episode.valid_tags).item();
-  Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 6, 0.1f,
-                                   /*create_graph=*/false);
+  Tensor phi =
+      Fewner::AdaptContextOn(*fewner.backbone(), episode.support,
+                             episode.valid_tags, 6, 0.1f, /*create_graph=*/false);
   const float after =
       fewner.backbone()->BatchLoss(support, phi, episode.valid_tags).item();
   EXPECT_LT(after, before);
@@ -170,8 +171,9 @@ TEST_F(MetaTest, FewnerAdaptedPhiIsFunctionOfTheta) {
   Fewner fewner(config_, &rng);
   fewner.backbone()->SetTraining(false);
   models::EncodedEpisode episode = EncodeEpisode(0);
-  Tensor phi = fewner.AdaptContext(episode.support, episode.valid_tags, 2, 0.1f,
-                                   /*create_graph=*/true);
+  Tensor phi =
+      Fewner::AdaptContextOn(*fewner.backbone(), episode.support,
+                             episode.valid_tags, 2, 0.1f, /*create_graph=*/true);
   Tensor probe = tensor::SumAll(tensor::Square(phi));
   auto grads = tensor::autodiff::Grad(
       probe, nn::ParameterTensors(fewner.backbone()));
@@ -213,8 +215,9 @@ TEST_F(MetaTest, MamlInnerAdaptReducesSupportLossAndRestores) {
   const models::EncodedBatch support = models::PackBatch(episode.support);
   const float before =
       maml.backbone()->BatchLoss(support, Tensor(), episode.valid_tags).item();
-  auto adapted = maml.InnerAdapt(episode.support, episode.valid_tags, 4, 0.1f,
-                                 /*create_graph=*/false);
+  auto adapted =
+      Maml::InnerAdaptOn(maml.backbone(), episode.support, episode.valid_tags, 4,
+                         0.1f, /*create_graph=*/false);
   float after = 0;
   {
     nn::ParameterPatch patch(maml.backbone()->Parameters(), adapted);
@@ -361,8 +364,8 @@ TEST_F(MetaTest, FewnerInnerStepMatchesFiniteDifferenceClipInactive) {
       << "no support sentence with an unclipped gradient in 20 episodes";
 
   const float lr = 0.1f;
-  Tensor phi = fewner.AdaptContext(support, valid_tags, 1, lr,
-                                   /*create_graph=*/false);
+  Tensor phi = Fewner::AdaptContextOn(*fewner.backbone(), support, valid_tags,
+                                      1, lr, /*create_graph=*/false);
   const auto& actual = phi.data();
   ASSERT_EQ(actual.size(), g.size());
   for (size_t i = 0; i < g.size(); ++i) {
@@ -397,8 +400,9 @@ TEST_F(MetaTest, FewnerInnerStepMatchesFiniteDifferenceClipActive) {
 
   const float lr = 0.1f;
   const double clip_scale = 5.0 / norm;
-  Tensor phi = fewner.AdaptContext(big_support, episode.valid_tags, 1, lr,
-                                   /*create_graph=*/false);
+  Tensor phi =
+      Fewner::AdaptContextOn(*fewner.backbone(), big_support,
+                             episode.valid_tags, 1, lr, /*create_graph=*/false);
   const auto& actual = phi.data();
   ASSERT_EQ(actual.size(), g.size());
   for (size_t i = 0; i < g.size(); ++i) {

@@ -1,13 +1,13 @@
 // Correctness suite for frozen-θ prefix caching (DESIGN.md §8).
 //
 // The contract under test has two regimes.  Test time (!create_graph,
-// dropout off): adaptation and serving through a CachedPrefix are
-// BITWISE-equal (0 ULP, compared with memcmp) to the uncached per-step
-// forward — support losses, inner φ gradients, the final φ*, and Viterbi
-// tags.  Meta-training (create_graph): the prefix is one shared autodiff
-// subgraph reused by every inner-step loss, and the meta-gradient agrees
-// with the serial per-step path to tolerance (fan-in summation order at the
-// shared node differs) and with central finite differences.  Stale-cache use
+// dropout off): adaptation through a CachedPrefix, and AdaptedTagger's
+// snapshot, are BITWISE-equal (0 ULP, compared with memcmp) to the uncached
+// per-step forward — support losses, inner φ gradients, the final φ*, and
+// Viterbi tags.  Meta-training (create_graph): the prefix is one shared
+// autodiff subgraph reused by every inner-step loss, and the meta-gradient
+// agrees with the serial per-step path to tolerance (fan-in summation order
+// at the shared node differs) and with central finite differences.  Stale-cache use
 // after any θ mutation must abort, in every consumer.
 
 #include <gtest/gtest.h>
@@ -207,7 +207,7 @@ TEST_F(PrefixCacheTest, CachedAdaptationBitwiseEqualOn100RaggedEpisodes) {
           return net.BatchLoss(support_batch, phi, valid_tags);
         });
 
-    // Cached: θ-prefix once (graph-free, like AdaptedTagger), suffix per step.
+    // Cached: θ-prefix once (graph-free, like AdaptContextOn), suffix per step.
     models::CachedPrefix prefix;
     {
       tensor::EvalMode eval;
@@ -230,23 +230,28 @@ TEST_F(PrefixCacheTest, CachedAdaptationBitwiseEqualOn100RaggedEpisodes) {
     ExpectBitwise(uncached.phi, cached.phi,
                   "final phi, episode " + std::to_string(id));
 
-    // Serving: query tags through a query prefix vs. the uncached decode,
-    // and the production AdaptContextOn (which now caches internally) vs.
-    // the reference loop.
+    // The production AdaptContextOn (which caches internally) vs. the
+    // reference loop, and graph-free query tags vs. the graph-mode decode.
     Tensor production = Fewner::AdaptContextOn(net, support, valid_tags, kSteps,
                                                kLr, /*create_graph=*/false);
     ExpectBitwise(uncached.phi, production,
                   "AdaptContextOn phi, episode " + std::to_string(id));
     const auto plain_tags =
         net.DecodeBatch(query_batch, uncached.phi, valid_tags);
-    models::CachedPrefix query_prefix;
+    std::vector<std::vector<int64_t>> eval_tags;
     {
       tensor::EvalMode eval;
-      query_prefix = net.EncodePrefix(query_batch);
+      eval_tags = net.DecodeBatch(query_batch, cached.phi, valid_tags);
     }
-    const auto cached_tags =
-        net.DecodeBatchFromPrefix(query_prefix, cached.phi, valid_tags);
-    EXPECT_EQ(plain_tags, cached_tags) << "viterbi tags, episode " << id;
+    EXPECT_EQ(plain_tags, eval_tags) << "viterbi tags, episode " << id;
+
+    // Serving: the AdaptedTagger snapshot adapts and tags exactly like the
+    // uncached reference.
+    const AdaptedTagger tagger(&net, support, valid_tags, kSteps, kLr);
+    ExpectBitwise(uncached.phi, tagger.phi(),
+                  "AdaptedTagger phi, episode " + std::to_string(id));
+    EXPECT_EQ(plain_tags, tagger.TagAll(query))
+        << "AdaptedTagger tags, episode " << id;
   }
 }
 
@@ -313,7 +318,7 @@ TEST_F(PrefixCacheTest, SplitPointsAndEmissionsPerConditioningMode) {
     EXPECT_EQ(std::memcmp(&plain_loss, &cached_loss, sizeof(float)), 0)
         << c.name;
     EXPECT_EQ(net.DecodeBatch(batch, phi, valid_tags),
-              net.DecodeBatchFromPrefix(prefix, phi, valid_tags))
+              net.crf()->ViterbiBatch(cached, batch.lengths, &valid_tags))
         << c.name;
   }
 }
@@ -350,8 +355,6 @@ TEST_F(PrefixCacheTest, StaleCacheUseAfterThetaChangeDies) {
   {
     models::CachedPrefix prefix = net.EncodePrefix(batch);
     net.Parameters()[0]->mutable_data();
-    EXPECT_DEATH(net.DecodeBatchFromPrefix(prefix, phi, valid_tags),
-                 "stale CachedPrefix");
     EXPECT_DEATH(net.EmissionsFromPrefix(prefix, phi), "stale CachedPrefix");
   }
 
@@ -430,6 +433,10 @@ TEST_F(PrefixCacheTest, TrainingDropoutGatesCachingAndFallbackIsUnchanged) {
   Tensor phi = net.ZeroContext();
   EXPECT_DEATH(net.BatchLossFromPrefix(prefix, phi, valid_tags),
                "training-dropout regime");
+  // So does serving from a snapshot whose backbone went back to training.
+  AdaptedTagger tagger(&net, support, valid_tags, 3, 0.1f);
+  net.SetTraining(true);
+  EXPECT_DEATH(tagger.TagAll(support), "training-dropout regime");
 
   // With dropout on, AdaptContextOn must take the per-step fallback and
   // reproduce the pre-cache behavior exactly (masks drawn per step).
@@ -563,26 +570,8 @@ TEST_F(PrefixCacheTest, SecondOrderFiniteDifferenceThroughSharedPrefix) {
 
 // ----- AdaptedTagger serving -----------------------------------------------
 
-TEST_F(PrefixCacheTest, ReAdaptMatchesLongerConstructionTimeAdaptation) {
-  util::Rng init(0x399);
-  models::Backbone net(
-      SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
-      &init);
-  util::Rng rng(0x9E07);
-  const std::vector<bool> valid_tags = text::ValidTagMask(3, net.config().max_tags);
-  std::vector<models::EncodedSentence> support =
-      RandomEpisode(4, &rng, valid_tags);
-  std::vector<models::EncodedSentence> query = RandomEpisode(8, &rng, valid_tags);
-
-  AdaptedTagger resumed(&net, support, valid_tags, 2, 0.1f);
-  resumed.ReAdapt(3);
-  AdaptedTagger straight(&net, support, valid_tags, 5, 0.1f);
-  ExpectBitwise(straight.phi(), resumed.phi(), "ReAdapt(3) after 2 vs 5 steps");
-  EXPECT_EQ(straight.TagAll(query), resumed.TagAll(query));
-}
-
 TEST_F(PrefixCacheTest, DuplicateHeavyQueryEvalPrefixEqualsGraphPrefix) {
-  // Serving builds the query prefix under EvalMode, where the CharCNN
+  // Serving runs the query forward under EvalMode, where the CharCNN
   // convolves each distinct word once; graph mode convolves every token
   // slot.  On a ragged query drawn from a six-word pool (so nearly every
   // token repeats) the two prefixes must agree bit for bit, run by run, and
@@ -663,6 +652,30 @@ TEST_F(PrefixCacheTest, EmptySentencesTagEmptyAndLeaveTheRestUnchanged) {
   EXPECT_TRUE(tagger.Tag(empty).empty());
   // Adaptation and training still reject empty input.
   EXPECT_DEATH(models::PackBatch({four, empty}), "PackBatch on empty sentence");
+}
+
+TEST_F(PrefixCacheTest, PackBatchRejectsTagsOrCharsOfTheWrongLength) {
+  util::Rng init(0x4AC);
+  models::Backbone net(
+      SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
+      &init);
+  util::Rng rng(0x9E0B);
+  const std::vector<bool> valid_tags = text::ValidTagMask(3, net.config().max_tags);
+  AdaptedTagger tagger(&net, RandomEpisode(2, &rng, valid_tags), valid_tags, 3,
+                       0.1f);
+  const models::EncodedSentence four = RandomSentence(&rng, 4, valid_tags);
+  models::EncodedSentence untagged = RandomSentence(&rng, 5, valid_tags);
+  untagged.tags.clear();
+  models::EncodedSentence short_chars = RandomSentence(&rng, 3, valid_tags);
+  short_chars.char_ids.pop_back();
+
+  EXPECT_DEATH(models::PackBatch({four, untagged}),
+               "PackBatch lane 1 has 0 tags for 5 words");
+  EXPECT_DEATH(models::PackBatch({short_chars}),
+               "PackBatch lane 0 has 2 char sequences for 3 words");
+  // The serving call packs its request the same way.
+  EXPECT_DEATH(tagger.TagAll({four, untagged}),
+               "PackBatch lane 1 has 0 tags for 5 words");
 }
 
 TEST_F(PrefixCacheTest, ConcurrentServingFromOneSharedPrefix) {

@@ -278,23 +278,6 @@ TEST(OpsTest, SoftmaxSumsToOne) {
   EXPECT_NEAR(std::exp(lp.at(2)), p.at(2), 1e-5);
 }
 
-TEST(OpsTest, DropoutIdentityWhenEval) {
-  util::Rng rng(1);
-  Tensor t = Tensor::Ones(Shape{100});
-  Tensor out = Dropout(t, 0.5f, &rng, /*training=*/false);
-  EXPECT_FLOAT_EQ(out.at(50), 1.0f);
-}
-
-TEST(OpsTest, DropoutPreservesExpectation) {
-  util::Rng rng(1);
-  Tensor t = Tensor::Ones(Shape{20000});
-  Tensor out = Dropout(t, 0.3f, &rng, /*training=*/true);
-  double mean = 0;
-  for (float v : out.data()) mean += v;
-  mean /= out.numel();
-  EXPECT_NEAR(mean, 1.0, 0.05);
-}
-
 TEST(OpsTest, RequiresGradPropagates) {
   Tensor a = Tensor::Ones(Shape{2}, true);
   Tensor b = Tensor::Ones(Shape{2});
