@@ -3,11 +3,15 @@
 #pragma once
 
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "eval/experiment.h"
+#include "eval/reporting.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -74,24 +78,105 @@ inline std::vector<int64_t> ParseShots(const std::string& value) {
   }
 }
 
-/// Builds the experiment config shared by the table benches.
+/// Reads the count flag --`name`; a value below `min` prints an error and
+/// exits 1.
+inline int64_t GetCount(const util::FlagParser& flags, const std::string& name,
+                        int64_t min) {
+  const int64_t value = flags.GetInt(name);
+  if (value < min) {
+    std::cerr << "invalid --" << name << " value '" << value << "'\n";
+    std::exit(1);
+  }
+  return value;
+}
+
+/// Builds the experiment config shared by the table benches.  --episodes and
+/// --query-size must be >= 1, the other counts >= 0.
 inline eval::ExperimentConfig ConfigFromFlags(const util::FlagParser& flags) {
   eval::ExperimentConfig config;
-  config.eval_episodes = flags.GetInt("episodes");
+  config.eval_episodes = GetCount(flags, "episodes", 1);
   config.data_scale = flags.GetDouble("scale");
   config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  config.train.iterations = flags.GetInt("iterations");
+  config.train.iterations = GetCount(flags, "iterations", 0);
   config.train.verbose = flags.GetBool("verbose");
   config.train.meta_lr = static_cast<float>(flags.GetDouble("meta-lr"));
   // Smaller meta-batches give more outer updates per task seen — the right
   // trade at CPU-scale iteration counts (paper: 8 with convergence-scale runs).
   config.train.meta_batch = 4;
-  config.lm_pretrain_steps = flags.GetInt("lm-pretrain-steps");
-  config.eval_query_size = flags.GetInt("query-size");
+  config.lm_pretrain_steps = GetCount(flags, "lm-pretrain-steps", 0);
+  config.eval_query_size = GetCount(flags, "query-size", 1);
   config.train.inner_lr = static_cast<float>(flags.GetDouble("inner-lr"));
-  config.train.inner_steps_test = flags.GetInt("inner-steps-test");
-  config.train.inner_steps_train = flags.GetInt("inner-steps-train");
+  config.train.inner_steps_test = GetCount(flags, "inner-steps-test", 0);
+  config.train.inner_steps_train = GetCount(flags, "inner-steps-train", 0);
   return config;
+}
+
+/// One scenario of a table grid: its column label (before " <K>-shot") and
+/// the builder of its scenario from the corpus scale and seed.
+struct GridScenario {
+  std::string label;
+  std::function<eval::Scenario(double scale, uint64_t seed)> make;
+};
+
+/// The sweep tables 2, 3 and 4 share.  For each scenario and each --shots K,
+/// scenario-major, it builds the column "<label> <K>-shot", runs every
+/// --methods entry on it and prints one "[column] Method: cell" progress line
+/// per cell.  Returns the table: "Methods", then one column per (scenario, K);
+/// one row per method.  `section_of`, when given, names the section of a
+/// method's row; each section label is added once, before its first row.
+inline eval::Table RunGrid(
+    const util::FlagParser& flags, const std::vector<GridScenario>& scenarios,
+    const std::function<std::string(eval::MethodId)>& section_of = nullptr) {
+  const auto methods = ParseMethods(flags.GetString("methods"));
+  const auto shots = ParseShots(flags.GetString("shots"));
+  const eval::ExperimentConfig base = ConfigFromFlags(flags);
+  std::vector<std::string> headers = {"Methods"};
+  std::map<std::string, std::map<std::string, std::string>> cells;  // [method][column]
+  for (const GridScenario& scenario : scenarios) {
+    for (int64_t k : shots) {
+      const std::string column = scenario.label + " " + std::to_string(k) + "-shot";
+      headers.push_back(column);
+      eval::ExperimentConfig config = base;
+      config.k_shot = k;
+      eval::ExperimentRunner runner(scenario.make(config.data_scale, config.seed),
+                                    config);
+      for (eval::MethodId id : methods) {
+        const std::string cell = eval::FormatCell(runner.Run(id).f1);
+        cells[eval::MethodName(id)][column] = cell;
+        std::cout << "[" << column << "] " << eval::MethodName(id) << ": " << cell
+                  << std::endl;
+      }
+    }
+  }
+  eval::Table table(headers);
+  std::set<std::string> sections;
+  for (eval::MethodId id : methods) {
+    if (section_of) {
+      std::string section = section_of(id);
+      if (sections.insert(section).second) table.AddSection(std::move(section));
+    }
+    const std::string name = eval::MethodName(id);
+    std::vector<std::string> row = {name};
+    for (size_t c = 1; c < headers.size(); ++c) row.push_back(cells[name][headers[c]]);
+    table.AddRow(std::move(row));
+  }
+  return table;
+}
+
+/// The --adaptations flag as grid scenarios: one per SRC:TGT pair, labelled
+/// "SRC->TGT" and built by `make(SRC, TGT, scale, seed)`.
+inline std::vector<GridScenario> AdaptationScenarios(
+    const std::string& value,
+    eval::Scenario (*make)(const std::string&, const std::string&, double, uint64_t)) {
+  std::vector<GridScenario> scenarios;
+  for (const std::string& pair : util::Split(value, ',')) {
+    const auto parts = util::Split(pair, ':');
+    FEWNER_CHECK(parts.size() == 2, "adaptation '" << pair << "' must be SRC:TGT");
+    scenarios.push_back({parts[0] + "->" + parts[1], [=](double scale, uint64_t seed) {
+                           return make(parts[0], parts[1], scale, seed);
+                         }});
+  }
+  return scenarios;
 }
 
 /// Standard preamble: parse flags or exit; returns false if --help was shown.

@@ -6,11 +6,8 @@
 //   Full-paper settings: --episodes 1000 --scale 1.0 --iterations 2500
 
 #include <iostream>
-#include <map>
 
 #include "bench/bench_util.h"
-#include "data/datasets.h"
-#include "eval/reporting.h"
 
 using namespace fewner;  // NOLINT: bench brevity
 
@@ -24,53 +21,20 @@ int main(int argc, char** argv) {
                   "comma list of datasets (paper: NNE,FG-NER,GENIA)");
   if (!bench::ParseOrDie(&flags, argc, argv)) return 0;
 
-  const auto methods = bench::ParseMethods(flags.GetString("methods"));
-  const auto shots = bench::ParseShots(flags.GetString("shots"));
-  const auto datasets = util::Split(flags.GetString("datasets"), ',');
-
-  // results[method][dataset:shot] = formatted cell
-  std::map<std::string, std::map<std::string, std::string>> cells;
-  std::vector<std::string> columns;
-
-  for (const std::string& dataset : datasets) {
-    for (int64_t k : shots) {
-      const std::string column = dataset + " " + std::to_string(k) + "-shot";
-      columns.push_back(column);
-      eval::ExperimentConfig config = bench::ConfigFromFlags(flags);
-      config.k_shot = k;
-      eval::Scenario scenario =
-          eval::MakeIntraDomainScenario(dataset, config.data_scale, config.seed);
-      eval::ExperimentRunner runner(std::move(scenario), config);
-      for (eval::MethodId id : methods) {
-        eval::EvalResult result = runner.Run(id);
-        cells[eval::MethodName(id)][column] = eval::FormatCell(result.f1);
-        std::cout << "[" << column << "] " << eval::MethodName(id) << ": "
-                  << eval::FormatCell(result.f1) << std::endl;
-      }
-    }
+  std::vector<bench::GridScenario> scenarios;
+  for (const std::string& dataset : util::Split(flags.GetString("datasets"), ',')) {
+    scenarios.push_back({dataset, [dataset](double scale, uint64_t seed) {
+                           return eval::MakeIntraDomainScenario(dataset, scale, seed);
+                         }});
   }
-
-  std::vector<std::string> headers = {"Methods"};
-  headers.insert(headers.end(), columns.begin(), columns.end());
-  eval::Table table(headers);
-  bool dynamic_section = false, static_section = false;
-  for (eval::MethodId id : methods) {
-    const std::string name = eval::MethodName(id);
-    const bool is_lm = id == eval::MethodId::kGpt2 || id == eval::MethodId::kFlair ||
-                       id == eval::MethodId::kElmo || id == eval::MethodId::kBert ||
-                       id == eval::MethodId::kXlnet;
-    if (is_lm && !dynamic_section) {
-      table.AddSection("Dynamic Token Representation: Frozen LM Embeddings + CRF");
-      dynamic_section = true;
-    }
-    if (!is_lm && !static_section) {
-      table.AddSection("Static Token Representation: HashEmb + CNN");
-      static_section = true;
-    }
-    std::vector<std::string> row = {name};
-    for (const std::string& column : columns) row.push_back(cells[name][column]);
-    table.AddRow(std::move(row));
-  }
+  const eval::Table table =
+      bench::RunGrid(flags, scenarios, [](eval::MethodId id) -> std::string {
+        const bool is_lm = id == eval::MethodId::kGpt2 || id == eval::MethodId::kFlair ||
+                           id == eval::MethodId::kElmo || id == eval::MethodId::kBert ||
+                           id == eval::MethodId::kXlnet;
+        return is_lm ? "Dynamic Token Representation: Frozen LM Embeddings + CRF"
+                     : "Static Token Representation: HashEmb + CNN";
+      });
   std::cout << "\nTable 2: intra-domain cross-type adaptation (5-way)\n"
             << table.Render();
   return 0;

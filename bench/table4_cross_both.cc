@@ -4,10 +4,8 @@
 //   ./build/bench/table4_cross_both [--adaptations GENIA:BioNLP13CG,...] ...
 
 #include <iostream>
-#include <map>
 
 #include "bench/bench_util.h"
-#include "eval/reporting.h"
 
 using namespace fewner;  // NOLINT: bench brevity
 
@@ -24,43 +22,9 @@ int main(int argc, char** argv) {
                   "OntoNotes:FG-NER)");
   if (!bench::ParseOrDie(&flags, argc, argv)) return 0;
 
-  const auto methods = bench::ParseMethods(flags.GetString("methods"));
-  const auto shots = bench::ParseShots(flags.GetString("shots"));
-
-  std::map<std::string, std::map<std::string, std::string>> cells;
-  std::vector<std::string> columns;
-
-  for (const std::string& pair : util::Split(flags.GetString("adaptations"), ',')) {
-    const auto parts = util::Split(pair, ':');
-    FEWNER_CHECK(parts.size() == 2, "adaptation '" << pair << "' must be SRC:TGT");
-    for (int64_t k : shots) {
-      const std::string column =
-          parts[0] + "->" + parts[1] + " " + std::to_string(k) + "-shot";
-      columns.push_back(column);
-      eval::ExperimentConfig config = bench::ConfigFromFlags(flags);
-      config.k_shot = k;
-      eval::Scenario scenario = eval::MakeCrossDomainCrossType(
-          parts[0], parts[1], config.data_scale, config.seed);
-      eval::ExperimentRunner runner(std::move(scenario), config);
-      for (eval::MethodId id : methods) {
-        eval::EvalResult result = runner.Run(id);
-        cells[eval::MethodName(id)][column] = eval::FormatCell(result.f1);
-        std::cout << "[" << column << "] " << eval::MethodName(id) << ": "
-                  << eval::FormatCell(result.f1) << std::endl;
-      }
-    }
-  }
-
-  std::vector<std::string> headers = {"Methods"};
-  headers.insert(headers.end(), columns.begin(), columns.end());
-  eval::Table table(headers);
-  for (eval::MethodId id : methods) {
-    std::vector<std::string> row = {eval::MethodName(id)};
-    for (const std::string& column : columns) {
-      row.push_back(cells[eval::MethodName(id)][column]);
-    }
-    table.AddRow(std::move(row));
-  }
+  const eval::Table table = bench::RunGrid(
+      flags, bench::AdaptationScenarios(flags.GetString("adaptations"),
+                                        eval::MakeCrossDomainCrossType));
   std::cout << "\nTable 4: cross-domain cross-type adaptation (5-way)\n"
             << table.Render();
   return 0;

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -16,13 +15,6 @@ struct Sentence {
   std::vector<std::string> tokens;
   std::vector<text::Span> entities;
   std::string domain;  ///< source domain (used by ACE-2005 style corpora)
-
-  /// Distinct entity type names present in this sentence.
-  std::set<std::string> EntityTypeSet() const {
-    std::set<std::string> types;
-    for (const auto& e : entities) types.insert(e.label);
-    return types;
-  }
 };
 
 /// A named collection of sentences with a fixed entity-type inventory.

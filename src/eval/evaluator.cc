@@ -22,6 +22,7 @@ EvalResult EvaluateMethod(meta::FewShotMethod* method,
                           const data::EpisodeSampler& sampler,
                           const models::EpisodeEncoder& encoder, int64_t episodes,
                           int64_t query_size) {
+  FEWNER_CHECK(episodes > 0, "EvaluateMethod needs at least one episode, got " << episodes);
   EvalResult result;
   result.method = method->name();
   result.per_episode.reserve(static_cast<size_t>(episodes));

@@ -23,7 +23,7 @@ struct EvalResult {
   std::vector<double> per_episode;    ///< raw per-episode F1 scores
 };
 
-/// Runs `episodes` held-out tasks through the method.
+/// Runs `episodes` (> 0) held-out tasks through the method.
 EvalResult EvaluateMethod(meta::FewShotMethod* method,
                           const data::EpisodeSampler& sampler,
                           const models::EpisodeEncoder& encoder, int64_t episodes,

@@ -23,8 +23,7 @@ namespace fewner::tensor::autodiff {
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
                          bool create_graph = false);
 
-/// Number of graph nodes reachable from `t` (diagnostic; used in tests and the
-/// timing analysis bench to report graph sizes).
+/// Number of graph nodes reachable from `t` (diagnostic for tests).
 int64_t GraphSize(const Tensor& t);
 
 }  // namespace fewner::tensor::autodiff

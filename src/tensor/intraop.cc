@@ -98,6 +98,17 @@ void ShardRows(int64_t m, const SlabFn& slab) {
   latch.Wait();
 }
 
+/// Runs `slab` over all of [0, m) on the calling thread, or through
+/// ShardRows when the multiply is worth sharding.
+template <typename SlabFn>
+void RunRows(int64_t m, int64_t k, int64_t n, const SlabFn& slab) {
+  if (ShouldShard(m, k, n)) {
+    ShardRows(m, slab);
+  } else {
+    slab(0, m);
+  }
+}
+
 }  // namespace
 
 ParallelismBudget::ParallelismBudget(int64_t threads) {
@@ -116,39 +127,26 @@ namespace kernel {
 
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
-  if (!ShouldShard(m, k, n)) {
-    MatMulBlocked(a, b, c, m, k, n);
-    return;
-  }
-  ShardRows(m, [=](int64_t row0, int64_t rows) {
+  RunRows(m, k, n, [=](int64_t row0, int64_t rows) {
     MatMulBlocked(a + row0 * k, b, c + row0 * n, rows, k, n);
   });
 }
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
-  if (!ShouldShard(m, k, n)) {
-    MatMulNT(a, b, c, m, k, n);
-    return;
-  }
-  // Pack bᵀ once on the dispatching thread; slabs read it concurrently
-  // (publication ordered by the pool's queue mutex, lifetime by the latch).
+  // Pack bᵀ once on the dispatching thread; GemmNN's slabs read it
+  // concurrently (publication ordered by the pool's queue mutex, lifetime by
+  // the latch).  Unsharded, this is exactly MatMulNT.
   float* bt = TransposeScratch(k * n);
   PackTranspose(b, bt, n, k);
-  ShardRows(m, [=](int64_t row0, int64_t rows) {
-    MatMulBlocked(a + row0 * k, bt, c + row0 * n, rows, k, n);
-  });
+  GemmNN(a, bt, c, m, k, n);
 }
 
 void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
-  if (!ShouldShard(m, k, n)) {
-    MatMulTN(a, b, c, m, k, n);
-    return;
-  }
   // A slab's C rows are a column block of `a`: offset into the row, keep the
   // full row stride.
-  ShardRows(m, [=](int64_t row0, int64_t rows) {
+  RunRows(m, k, n, [=](int64_t row0, int64_t rows) {
     MatMulTN(a + row0, b, c + row0 * n, rows, k, n, /*lda=*/m);
   });
 }

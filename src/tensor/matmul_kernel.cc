@@ -26,15 +26,19 @@ constexpr int64_t kRowTile = 4;  ///< A rows per register block
 constexpr int64_t kColTile = 8;  ///< C columns per register block (2 SSE lanes)
 
 /// One MI x kColTile output block: accumulators live in registers across the
-/// whole k loop; each B row is loaded once and reused by all MI A rows.
+/// whole k loop; each B row is loaded once and reused by all MI output rows.
+/// Output row ii reads its k-th A value at a[ii * rs + kk * ks]: (rs, ks) is
+/// (k, 1) for A·B (C rows are A rows) and (1, lda) for Aᵀ·B (C rows are A
+/// columns, so the MI values of one k step are contiguous in A's row kk).
 template <int MI>
-inline void MicroTile(const float* a, const float* b, float* c, int64_t k,
-                      int64_t n, int64_t j0) {
+inline void MicroTile(const float* a, int64_t rs, int64_t ks, const float* b,
+                      float* c, int64_t k, int64_t n, int64_t j0) {
   float acc[MI][kColTile] = {};
   for (int64_t kk = 0; kk < k; ++kk) {
+    const float* ak = a + kk * ks;
     const float* brow = b + kk * n + j0;
     for (int ii = 0; ii < MI; ++ii) {
-      const float aik = a[ii * k + kk];
+      const float aik = ak[ii * rs];
       FEWNER_SIMD
       for (int jj = 0; jj < kColTile; ++jj) acc[ii][jj] += aik * brow[jj];
     }
@@ -48,12 +52,14 @@ inline void MicroTile(const float* a, const float* b, float* c, int64_t k,
 /// Remainder columns [j0, n): one scalar accumulator per output element,
 /// still ascending in k.
 template <int MI>
-inline void TailCols(const float* a, const float* b, float* c, int64_t k,
-                     int64_t n, int64_t j0) {
+inline void TailCols(const float* a, int64_t rs, int64_t ks, const float* b,
+                     float* c, int64_t k, int64_t n, int64_t j0) {
   for (int ii = 0; ii < MI; ++ii) {
     for (int64_t j = j0; j < n; ++j) {
+      const float* ap = a + ii * rs;
+      const float* bp = b + j;
       float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += a[ii * k + kk] * b[kk * n + j];
+      for (int64_t kk = 0; kk < k; ++kk, ap += ks, bp += n) acc += *ap * *bp;
       c[ii * n + j] = acc;
     }
   }
@@ -61,81 +67,40 @@ inline void TailCols(const float* a, const float* b, float* c, int64_t k,
 
 /// MI consecutive rows of C.
 template <int MI>
-void RowBlock(const float* a, const float* b, float* c, int64_t k, int64_t n) {
+void RowBlock(const float* a, int64_t rs, int64_t ks, const float* b, float* c,
+              int64_t k, int64_t n) {
   int64_t j = 0;
-  for (; j + kColTile <= n; j += kColTile) MicroTile<MI>(a, b, c, k, n, j);
-  if (j < n) TailCols<MI>(a, b, c, k, n, j);
+  for (; j + kColTile <= n; j += kColTile) MicroTile<MI>(a, rs, ks, b, c, k, n, j);
+  if (j < n) TailCols<MI>(a, rs, ks, b, c, k, n, j);
 }
 
-/// TN variant of MicroTile: C rows are A *columns*, so the MI values per k
-/// step come from one contiguous stretch of A's row kk (a + kk * lda).  Same
-/// rank-1-update structure and accumulation order as MicroTile.
-template <int MI>
-inline void MicroTileTN(const float* a, const float* b, float* c, int64_t k,
-                        int64_t n, int64_t lda, int64_t j0) {
-  float acc[MI][kColTile] = {};
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* acol = a + kk * lda;
-    const float* brow = b + kk * n + j0;
-    for (int ii = 0; ii < MI; ++ii) {
-      const float aik = acol[ii];
-      FEWNER_SIMD
-      for (int jj = 0; jj < kColTile; ++jj) acc[ii][jj] += aik * brow[jj];
-    }
+/// c[m, n] with C row i reading A through a + i * rs (strides as MicroTile).
+void StridedGemm(const float* a, int64_t rs, int64_t ks, const float* b, float* c,
+                 int64_t m, int64_t k, int64_t n) {
+  int64_t i = 0;
+  for (; i + kRowTile <= m; i += kRowTile) {
+    RowBlock<kRowTile>(a + i * rs, rs, ks, b, c + i * n, k, n);
   }
-  for (int ii = 0; ii < MI; ++ii) {
-    FEWNER_SIMD
-    for (int jj = 0; jj < kColTile; ++jj) c[ii * n + j0 + jj] = acc[ii][jj];
+  switch (m - i) {
+    case 3:
+      RowBlock<3>(a + i * rs, rs, ks, b, c + i * n, k, n);
+      break;
+    case 2:
+      RowBlock<2>(a + i * rs, rs, ks, b, c + i * n, k, n);
+      break;
+    case 1:
+      RowBlock<1>(a + i * rs, rs, ks, b, c + i * n, k, n);
+      break;
+    default:
+      break;
   }
-}
-
-/// TN remainder columns: one scalar accumulator per element, ascending k.
-template <int MI>
-inline void TailColsTN(const float* a, const float* b, float* c, int64_t k,
-                       int64_t n, int64_t lda, int64_t j0) {
-  for (int ii = 0; ii < MI; ++ii) {
-    for (int64_t j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc += a[kk * lda + ii] * b[kk * n + j];
-      }
-      c[ii * n + j] = acc;
-    }
-  }
-}
-
-/// MI consecutive rows of C = MI consecutive columns of A.
-template <int MI>
-void RowBlockTN(const float* a, const float* b, float* c, int64_t k, int64_t n,
-                int64_t lda) {
-  int64_t j = 0;
-  for (; j + kColTile <= n; j += kColTile) {
-    MicroTileTN<MI>(a, b, c, k, n, lda, j);
-  }
-  if (j < n) TailColsTN<MI>(a, b, c, k, n, lda, j);
 }
 
 }  // namespace
 
 void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n) {
-  int64_t i = 0;
-  for (; i + kRowTile <= m; i += kRowTile) {
-    RowBlock<kRowTile>(a + i * k, b, c + i * n, k, n);
-  }
-  switch (m - i) {
-    case 3:
-      RowBlock<3>(a + i * k, b, c + i * n, k, n);
-      break;
-    case 2:
-      RowBlock<2>(a + i * k, b, c + i * n, k, n);
-      break;
-    case 1:
-      RowBlock<1>(a + i * k, b, c + i * n, k, n);
-      break;
-    default:
-      break;
-  }
+  StridedGemm(a, /*rs=*/k, /*ks=*/1, b, c, m, k, n);
 }
 
 void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
@@ -147,24 +112,7 @@ void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 void MatMulTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
               int64_t n, int64_t lda) {
-  if (lda < 0) lda = m;
-  int64_t i = 0;
-  for (; i + kRowTile <= m; i += kRowTile) {
-    RowBlockTN<kRowTile>(a + i, b, c + i * n, k, n, lda);
-  }
-  switch (m - i) {
-    case 3:
-      RowBlockTN<3>(a + i, b, c + i * n, k, n, lda);
-      break;
-    case 2:
-      RowBlockTN<2>(a + i, b, c + i * n, k, n, lda);
-      break;
-    case 1:
-      RowBlockTN<1>(a + i, b, c + i * n, k, n, lda);
-      break;
-    default:
-      break;
-  }
+  StridedGemm(a, /*rs=*/1, /*ks=*/lda < 0 ? m : lda, b, c, m, k, n);
 }
 
 void PackTranspose(const float* src, float* dst, int64_t rows, int64_t cols) {

@@ -6,12 +6,14 @@
 // loops carry portable vectorization hints (omp simd when available,
 // compiler-specific pragmas otherwise) and no fast-math assumptions.
 //
-// MatMulTN (Aᵀ·B) is the same rank-1-update tiling read through A's columns:
-// for each k step the MI A values are contiguous (one row of A) and the B row
-// is contiguous, so it runs at MatMulBlocked speed with zero copies — this is
-// what lets MatMul's backward dW = xᵀ·grad drop the materialized [B·L, dim]
-// activation transpose entirely.  It takes an explicit leading dimension for
-// A so a row range of C (= column range of A) can be computed in isolation.
+// MatMulTN (Aᵀ·B) runs the very same micro-tile: one strided tile serves
+// both, reading A through a (row stride, k stride) pair — (k, 1) for A·B,
+// (1, lda) for Aᵀ·B.  For Aᵀ·B each k step's A values are contiguous (one
+// row of A) and the B row is contiguous, so it runs at MatMulBlocked speed
+// with zero copies — this is what lets MatMul's backward dW = xᵀ·grad drop
+// the materialized [B·L, dim] activation transpose entirely.  It takes an
+// explicit leading dimension for A so a row range of C (= column range of A)
+// can be computed in isolation.
 //
 // MatMulNT (A·Bᵀ) packs Bᵀ into a per-thread scratch buffer and runs the
 // blocked NN core.  A direct NT kernel cannot vectorize: both operands stream

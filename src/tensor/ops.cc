@@ -14,11 +14,13 @@ namespace fewner::tensor {
 namespace {
 
 // Every op is split into the same three phases:
-//   1. NewOutput()  — obtain the output node + buffer.  Graph mode allocates a
-//      fresh node; eval mode recycles one from the thread's WorkspaceArena.
+//   1. NewOutput()  — obtain the output node + buffer; the one place any op
+//      output is allocated.  Graph mode allocates a fresh node; eval mode
+//      recycles one from the thread's WorkspaceArena.
 //   2. the numeric kernel — identical code in both modes, writing through the
 //      raw buffer pointer, which is what makes eval outputs bitwise-equal to
-//      graph outputs (tests/eval_mode_test.cc pins this at 0 ULP).
+//      graph outputs (tests/eval_mode_test.cc pins this at 0 ULP).  MatMul,
+//      MatMulNT and MatMulTN share one body that picks the layout's GEMM.
 //   3. SealEval()/SealGraph() — eval mode returns the bare value; graph mode
 //      wires input edges and the backward closure.  Backward closures are
 //      built by *factories* invoked only in graph mode, so eval mode never
@@ -36,57 +38,25 @@ void CopyFloats(float* dst, const float* src, int64_t n) {
   if (n > 0) std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
 }
 
-/// Output for an op result.  Recycled buffers hold stale values: ops that
-/// accumulate (rather than overwrite every element) pass zero=true.  The
-/// copy-assignment of `shape` into a recycled node reuses the node's dims
-/// capacity, so steady-state eval traffic allocates nothing here.
-OpOutput NewOutput(const char* op, const Shape& shape, bool zero = false) {
-  const size_t n = static_cast<size_t>(shape.numel());
+/// Output for an op result, shaped `shape` — with dimension `patch_axis` set
+/// to `patch_dim` when patch_axis >= 0, so Slice/MaxAxis derive their output
+/// shape from the input's without building a temporary dims vector.  Recycled
+/// buffers hold stale values: ops that accumulate (rather than overwrite every
+/// element) pass zero=true.  A recycled node copy-assigns the shape, reusing
+/// its dims capacity, so steady-state eval traffic allocates nothing here; a
+/// fresh graph node takes a temporary shape by move.
+template <typename ShapeRef>
+OpOutput NewOutput(const char* op, ShapeRef&& shape, bool zero = false,
+                   int64_t patch_axis = -1, int64_t patch_dim = 0) {
   std::shared_ptr<internal::Node> node;
   if (EvalMode::active()) {
     node = WorkspaceArena::ThreadLocal().Acquire();
     node->shape = shape;
   } else {
     node = std::make_shared<internal::Node>();
-    node->shape = shape;
+    node->shape = std::forward<ShapeRef>(shape);
   }
-  node->op = op;
-  node->leaf = false;
-  node->values.resize(n);
-  if (zero) std::fill(node->values.begin(), node->values.end(), 0.0f);
-  return {std::move(node)};
-}
-
-/// Rvalue form for call sites that build a temporary shape.
-OpOutput NewOutput(const char* op, Shape&& shape, bool zero = false) {
-  const size_t n = static_cast<size_t>(shape.numel());
-  std::shared_ptr<internal::Node> node;
-  if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire();
-    node->shape = shape;  // copy keeps the recycled dims capacity alive
-  } else {
-    node = std::make_shared<internal::Node>();
-    node->shape = std::move(shape);
-  }
-  node->op = op;
-  node->leaf = false;
-  node->values.resize(n);
-  if (zero) std::fill(node->values.begin(), node->values.end(), 0.0f);
-  return {std::move(node)};
-}
-
-/// Output whose shape is `base` with one dimension replaced — the common case
-/// for Slice/MaxAxis — built without materializing a temporary dims vector.
-OpOutput NewOutputPatched(const char* op, const Shape& base, int64_t axis,
-                          int64_t dim, bool zero = false) {
-  std::shared_ptr<internal::Node> node;
-  if (EvalMode::active()) {
-    node = WorkspaceArena::ThreadLocal().Acquire();
-  } else {
-    node = std::make_shared<internal::Node>();
-  }
-  node->shape = base;
-  node->shape.set_dim(axis, dim);
+  if (patch_axis >= 0) node->shape.set_dim(patch_axis, patch_dim);
   node->op = op;
   node->leaf = false;
   node->values.resize(static_cast<size_t>(node->shape.numel()));
@@ -126,21 +96,9 @@ struct BroadcastIndexer {
     coords_.assign(static_cast<size_t>(out_rank), 0);
   }
 
-  int64_t Map(int64_t out_flat) const {
-    int64_t in_flat = 0;
-    for (int64_t i = static_cast<int64_t>(out_dims.size()) - 1; i >= 0; --i) {
-      const int64_t d = out_dims[static_cast<size_t>(i)];
-      const int64_t coord = out_flat % d;
-      out_flat /= d;
-      in_flat += coord * in_strides[static_cast<size_t>(i)];
-    }
-    return in_flat;
-  }
-
-  /// Sequential form of Map: returns Map(k) for the k-th call (k = 0, 1, ...)
-  /// and advances the internal odometer one output element, propagating
-  /// carries.  Amortized O(1) per element where Map pays rank div/mods, which
-  /// matters in the hot broadcast loops below; the index sequence is identical.
+  /// Returns the input flat index of the k-th output element on the k-th
+  /// call (k = 0, 1, ...), advancing an odometer over the output coordinates
+  /// one element per call: amortized O(1), no per-element div/mod.
   int64_t Next() {
     const int64_t result = cur_;
     for (int64_t i = static_cast<int64_t>(out_dims.size()) - 1; i >= 0; --i) {
@@ -551,7 +509,7 @@ Tensor Slice(const Tensor& t, int64_t axis, int64_t start, int64_t length) {
   for (int64_t d = axis + 1; d < shape.rank(); ++d) inner *= shape.dim(d);
   const int64_t axis_size = shape.dim(axis);
 
-  OpOutput out = NewOutputPatched("slice", shape, axis, length);
+  OpOutput out = NewOutput("slice", shape, /*zero=*/false, axis, length);
   float* ov = out.data();
   const float* tv = t.data().data();
   for (int64_t o = 0; o < outer; ++o) {
@@ -660,7 +618,7 @@ Tensor MaxAxis(const Tensor& t, int64_t axis, bool keepdim) {
 
   const bool graph = !EvalMode::active();
   const auto& tv = t.data();
-  OpOutput out = NewOutputPatched("max_axis", shape, axis, 1);
+  OpOutput out = NewOutput("max_axis", shape, /*zero=*/false, axis, 1);
   float* ov = out.data();
   // One-hot selection mask: locally constant, exact a.e. under create_graph.
   // Only the graph mode backward needs it.
@@ -706,86 +664,68 @@ Tensor MaxAxis(const Tensor& t, int64_t axis, bool keepdim) {
 
 // ----- linear algebra -----
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
+namespace {
+
+/// Which operand of a MatMul-family op is read transposed.
+enum class Layout { kNN, kNT, kTN };
+
+/// The one checked body behind MatMul (A·B), MatMulNT (A·Bᵀ) and MatMulTN
+/// (Aᵀ·B).  The register-tiled kernels serve graph and eval mode alike, so
+/// training forwards take the same fast path as serving.  Each backward
+/// product goes straight to the layout that reads its operands in place — no
+/// Transpose nodes, no copies — and is built only for an input that can use
+/// it.
+Tensor MatMulOp(Layout layout, const Tensor& a, const Tensor& b) {
+  const bool ta = layout == Layout::kTN;
+  const bool tb = layout == Layout::kNT;
+  const char* name = ta ? "MatMulTN" : tb ? "MatMulNT" : "MatMul";
+  const char* at = ta ? "^T" : "";
+  const char* bt = tb ? "^T" : "";
   FEWNER_CHECK(a.rank() == 2 && b.rank() == 2,
-               "MatMul requires rank-2 operands, got " << a.shape().ToString() << " x "
-                                                       << b.shape().ToString());
-  const int64_t m = a.shape().dim(0);
-  const int64_t k = a.shape().dim(1);
-  const int64_t n = b.shape().dim(1);
-  FEWNER_CHECK(b.shape().dim(0) == k, "MatMul inner dim mismatch: "
-                                          << a.shape().ToString() << " x "
-                                          << b.shape().ToString());
-  OpOutput out = NewOutput("matmul", Shape{m, n});
-  // The register-tiled kernel serves graph and eval mode alike, so training
-  // forwards take the same fast path as serving.
-  kernel::GemmNN(a.data().data(), b.data().data(), out.data(), m, k, n);
+               name << " requires rank-2 operands, got " << a.shape().ToString() << at
+                    << " x " << b.shape().ToString() << bt);
+  const int64_t m = a.shape().dim(ta ? 1 : 0);
+  const int64_t k = a.shape().dim(ta ? 0 : 1);
+  const int64_t n = b.shape().dim(tb ? 0 : 1);
+  FEWNER_CHECK(b.shape().dim(tb ? 1 : 0) == k,
+               name << " inner dim mismatch: " << a.shape().ToString() << at << " x "
+                    << b.shape().ToString() << bt);
+  OpOutput out = NewOutput(ta ? "matmul_tn" : tb ? "matmul_nt" : "matmul", Shape{m, n});
+  const auto gemm = ta ? kernel::GemmTN : tb ? kernel::GemmNT : kernel::GemmNN;
+  gemm(a.data().data(), b.data().data(), out.data(), m, k, n);
   if (EvalMode::active()) return SealEval(std::move(out));
-  // dA = G·Bᵀ and dB = Aᵀ·G go straight to the NT/TN kernels — no Transpose
-  // nodes, no copies — and each is built only for an input that can use it.
   const bool need_a = a.requires_grad();
   const bool need_b = b.requires_grad();
-  return SealGraph(std::move(out), {a, b},
-                   [a, b, need_a, need_b](const Tensor&,
-                                          const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads(2);
-                     if (need_a) grads[0] = MatMulNT(grad, b);
-                     if (need_b) grads[1] = MatMulTN(a, grad);
-                     return grads;
-                   });
+  return SealGraph(
+      std::move(out), {a, b},
+      [layout, a, b, need_a, need_b](const Tensor&,
+                                     const Tensor& grad) -> std::vector<Tensor> {
+        std::vector<Tensor> grads(2);
+        switch (layout) {
+          case Layout::kNN:  // C = A·B: dA = G·Bᵀ, dB = Aᵀ·G
+            if (need_a) grads[0] = MatMulNT(grad, b);
+            if (need_b) grads[1] = MatMulTN(a, grad);
+            break;
+          case Layout::kNT:  // C = A·Bᵀ: dA = G·B, dB = Gᵀ·A
+            if (need_a) grads[0] = MatMul(grad, b);
+            if (need_b) grads[1] = MatMulTN(grad, a);
+            break;
+          case Layout::kTN:  // C = Aᵀ·B: dA = B·Gᵀ, dB = A·G
+            if (need_a) grads[0] = MatMulNT(b, grad);
+            if (need_b) grads[1] = MatMul(a, grad);
+            break;
+        }
+        return grads;
+      });
 }
 
-Tensor MatMulNT(const Tensor& a, const Tensor& b) {
-  FEWNER_CHECK(a.rank() == 2 && b.rank() == 2,
-               "MatMulNT requires rank-2 operands, got " << a.shape().ToString() << " x "
-                                                         << b.shape().ToString());
-  const int64_t m = a.shape().dim(0);
-  const int64_t k = a.shape().dim(1);
-  const int64_t n = b.shape().dim(0);
-  FEWNER_CHECK(b.shape().dim(1) == k, "MatMulNT inner dim mismatch: "
-                                          << a.shape().ToString() << " x "
-                                          << b.shape().ToString() << "^T");
-  OpOutput out = NewOutput("matmul_nt", Shape{m, n});
-  kernel::GemmNT(a.data().data(), b.data().data(), out.data(), m, k, n);
-  if (EvalMode::active()) return SealEval(std::move(out));
-  // C = A·Bᵀ: dA = G·B (plain NN), dB = Gᵀ·A.
-  const bool need_a = a.requires_grad();
-  const bool need_b = b.requires_grad();
-  return SealGraph(std::move(out), {a, b},
-                   [a, b, need_a, need_b](const Tensor&,
-                                          const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads(2);
-                     if (need_a) grads[0] = MatMul(grad, b);
-                     if (need_b) grads[1] = MatMulTN(grad, a);
-                     return grads;
-                   });
-}
+}  // namespace
 
-Tensor MatMulTN(const Tensor& a, const Tensor& b) {
-  FEWNER_CHECK(a.rank() == 2 && b.rank() == 2,
-               "MatMulTN requires rank-2 operands, got " << a.shape().ToString() << "^T x "
-                                                         << b.shape().ToString());
-  const int64_t k = a.shape().dim(0);
-  const int64_t m = a.shape().dim(1);
-  const int64_t n = b.shape().dim(1);
-  FEWNER_CHECK(b.shape().dim(0) == k, "MatMulTN inner dim mismatch: "
-                                          << a.shape().ToString() << "^T x "
-                                          << b.shape().ToString());
-  OpOutput out = NewOutput("matmul_tn", Shape{m, n});
-  kernel::GemmTN(a.data().data(), b.data().data(), out.data(), m, k, n);
-  if (EvalMode::active()) return SealEval(std::move(out));
-  // C = Aᵀ·B: dA = B·Gᵀ, dB = A·G (plain NN).
-  const bool need_a = a.requires_grad();
-  const bool need_b = b.requires_grad();
-  return SealGraph(std::move(out), {a, b},
-                   [a, b, need_a, need_b](const Tensor&,
-                                          const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads(2);
-                     if (need_a) grads[0] = MatMulNT(b, grad);
-                     if (need_b) grads[1] = MatMul(a, grad);
-                     return grads;
-                   });
-}
+Tensor MatMul(const Tensor& a, const Tensor& b) { return MatMulOp(Layout::kNN, a, b); }
+
+Tensor MatMulNT(const Tensor& a, const Tensor& b) { return MatMulOp(Layout::kNT, a, b); }
+
+Tensor MatMulTN(const Tensor& a, const Tensor& b) { return MatMulOp(Layout::kTN, a, b); }
 
 // ----- gather / scatter -----
 

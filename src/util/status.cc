@@ -1,5 +1,8 @@
 #include "util/status.h"
 
+#include <cstdlib>
+#include <iostream>
+
 namespace fewner::util {
 
 const char* StatusCodeName(StatusCode code) {
@@ -8,18 +11,10 @@ const char* StatusCodeName(StatusCode code) {
       return "OK";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
-    case StatusCode::kFailedPrecondition:
-      return "FailedPrecondition";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
   }
   return "Unknown";
 }

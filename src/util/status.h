@@ -6,8 +6,6 @@
 
 #pragma once
 
-#include <cstdlib>
-#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -19,12 +17,8 @@ namespace fewner::util {
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
-  kOutOfRange,
   kNotFound,
-  kAlreadyExists,
-  kFailedPrecondition,
   kInternal,
-  kUnimplemented,
 };
 
 /// Returns a human-readable name for a status code.
@@ -44,23 +38,11 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
@@ -94,16 +76,6 @@ class Result {
   const T& value() const& { return *value_; }
   T& value() & { return *value_; }
   T&& value() && { return std::move(*value_); }
-
-  /// Returns the value or aborts with the error message; use only where an
-  /// error indicates a bug.
-  T ValueOrDie() && {
-    if (!ok()) {
-      std::cerr << "Result::ValueOrDie on error: " << status_.ToString() << "\n";
-      std::abort();
-    }
-    return std::move(*value_);
-  }
 
  private:
   Status status_;

@@ -44,7 +44,9 @@ void ExpectBitwise(const Tensor& graph, const Tensor& eval, const std::string& w
 }
 
 /// Runs `op` once in graph mode and once under EvalMode and compares bitwise.
-/// Also asserts the eval result carries no autodiff state.
+/// Also asserts both halves of the sealing contract: the eval result carries
+/// no autodiff state, and the graph result records its input edges and
+/// requires grad, with a backward set, exactly when an input requires grad.
 void CheckOp(const std::string& what, const std::function<Tensor()>& op) {
   Tensor graph_out = op();
   Tensor eval_out;
@@ -61,6 +63,17 @@ void CheckOp(const std::string& what, const std::function<Tensor()>& op) {
     EXPECT_FALSE(eval_out.requires_grad()) << what;
     EXPECT_TRUE(eval_out.node()->inputs.empty()) << what;
     EXPECT_FALSE(static_cast<bool>(eval_out.node()->backward)) << what;
+  }
+  if (!graph_out.node()->leaf) {
+    const std::vector<Tensor>& inputs = graph_out.node()->inputs;
+    EXPECT_FALSE(inputs.empty()) << what << ": graph mode recorded no input edges";
+    bool any_input_requires_grad = false;
+    for (const Tensor& in : inputs) {
+      any_input_requires_grad = any_input_requires_grad || in.requires_grad();
+    }
+    EXPECT_EQ(graph_out.requires_grad(), any_input_requires_grad) << what;
+    EXPECT_EQ(static_cast<bool>(graph_out.node()->backward), any_input_requires_grad)
+        << what;
   }
 }
 
@@ -176,6 +189,17 @@ TEST_F(EvalModeOpTest, MatMulAndGatherScatter) {
     Tensor a = RandTensor(Shape{m, k}, &rng_);
     Tensor b = RandTensor(Shape{k, n}, &rng_);
     CheckOp("MatMul", [&] { return MatMul(a, b); });
+    Tensor bt = RandTensor(Shape{n, k}, &rng_);
+    Tensor at = RandTensor(Shape{k, m}, &rng_);
+    CheckOp("MatMulNT", [&] { return MatMulNT(a, bt); });
+    CheckOp("MatMulTN", [&] { return MatMulTN(at, b); });
+    // A constant operand: the output still requires grad through the other
+    // one; with both constant, the graph output carries no backward.
+    Tensor fixed_b = RandTensor(Shape{k, n}, &rng_, /*requires_grad=*/false);
+    Tensor fixed_at = RandTensor(Shape{k, m}, &rng_, /*requires_grad=*/false);
+    CheckOp("MatMul/const-b", [&] { return MatMul(a, fixed_b); });
+    CheckOp("MatMulTN/const-a", [&] { return MatMulTN(fixed_at, b); });
+    CheckOp("MatMulTN/const", [&] { return MatMulTN(fixed_at, fixed_b); });
 
     std::vector<int64_t> idx;
     for (int64_t i = 0; i < m + 1; ++i) {

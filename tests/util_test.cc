@@ -30,7 +30,6 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 
 TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kNotFound), "NotFound");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kUnimplemented), "Unimplemented");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "Internal");
 }
 
