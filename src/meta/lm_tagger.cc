@@ -1,5 +1,7 @@
 #include "meta/lm_tagger.h"
 
+#include <algorithm>
+
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
@@ -21,32 +23,39 @@ LmCrfTagger::LmCrfTagger(std::shared_ptr<models::PretrainedLmEncoder> encoder,
     : encoder_(std::move(encoder)),
       head_(encoder_->feature_dim(), max_tags, rng) {}
 
-Tensor LmCrfTagger::Features(const models::EncodedSentence& sentence) {
-  FEWNER_CHECK(sentence.source != nullptr, "LM features need the source sentence");
-  auto it = feature_cache_.find(sentence.source);
-  if (it != feature_cache_.end()) return it->second;
-  // Detach(): the LM stays frozen; only the head sees gradients.
-  Tensor features = encoder_->Encode(sentence).Detach();
-  feature_cache_.emplace(sentence.source, features);
-  return features;
-}
-
-Tensor LmCrfTagger::Emissions(const models::EncodedSentence& sentence) {
-  Tensor emissions = head_.emission->Forward(Features(sentence));  // [L, Y]
-  return tensor::Reshape(emissions, tensor::Shape{1, sentence.length(),
-                                                  head_.crf->num_tags()});
-}
-
-Tensor LmCrfTagger::BatchLoss(const std::vector<models::EncodedSentence>& sentences,
-                              const std::vector<bool>& valid_tags) {
-  Tensor total;
-  for (const auto& sentence : sentences) {
-    // Each sentence is its own B=1 batch; the losses fold in sentence order.
-    Tensor loss = head_.crf->NegLogLikelihoodBatch(
-        Emissions(sentence), sentence.tags, {sentence.length()}, &valid_tags);
-    total = total.defined() ? tensor::Add(total, loss) : loss;
+LmCrfTagger::PackedSet LmCrfTagger::Pack(
+    const std::vector<models::EncodedSentence>& sentences) {
+  PackedSet set{models::PackBatch(sentences), Tensor()};
+  const int64_t dim = encoder_->feature_dim();
+  std::vector<float> padded(static_cast<size_t>(set.batch.flat_size() * dim), 0.0f);
+  for (size_t b = 0; b < sentences.size(); ++b) {
+    FEWNER_CHECK(sentences[b].source != nullptr, "LM features need the source sentence");
+    Tensor& features = feature_cache_[sentences[b].source];
+    // Detach(): the LM stays frozen; only the head sees gradients.
+    if (!features.defined()) features = encoder_->Encode(sentences[b]).Detach();
+    std::copy(features.data().begin(), features.data().end(),
+              padded.begin() + static_cast<std::ptrdiff_t>(b) * set.batch.max_len * dim);
   }
-  return tensor::MulScalar(total, 1.0f / static_cast<float>(sentences.size()));
+  set.features = Tensor::FromData(tensor::Shape{set.batch.flat_size(), dim},
+                                  std::move(padded));
+  return set;
+}
+
+Tensor LmCrfTagger::Emissions(const PackedSet& set) const {
+  // Rows are independent under the ascending-k GEMM contract, so lane b's
+  // rows equal the emission Linear on sentence b's features alone.
+  return tensor::Reshape(head_.emission->Forward(set.features),
+                         tensor::Shape{set.batch.batch, set.batch.max_len,
+                                       head_.crf->num_tags()});
+}
+
+Tensor LmCrfTagger::BatchLoss(const PackedSet& set,
+                              const std::vector<bool>& valid_tags) {
+  // SumAllFloat folds the lane NLLs left to right in single precision: the
+  // total equals adding per-sentence losses one at a time, bitwise.
+  Tensor total = tensor::SumAllFloat(head_.crf->NegLogLikelihoodBatch(
+      Emissions(set), set.batch.tags, set.batch.lengths, &valid_tags));
+  return tensor::MulScalar(total, 1.0f / static_cast<float>(set.batch.batch));
 }
 
 void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
@@ -62,7 +71,7 @@ void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
     data::Episode episode = sampler.Sample(episode_id++);
     BoundTrainingEpisode(config, &episode);
     models::EncodedEpisode enc = encoder.Encode(episode);
-    Tensor loss = BatchLoss(enc.support, enc.valid_tags);
+    Tensor loss = BatchLoss(Pack(enc.support), enc.valid_tags);
     std::vector<Tensor> grads =
         tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
     nn::ClipGradNorm(&grads, config.grad_clip);
@@ -75,22 +84,21 @@ void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
 
 std::vector<std::vector<int64_t>> LmCrfTagger::AdaptAndPredict(
     const models::EncodedEpisode& episode) {
+  if (episode.query.empty()) return {};
   // Fine-tune only the CRF stack on the support set; restore afterwards.
   std::vector<std::vector<float>> snapshot = nn::SnapshotParameterValues(&head_);
   nn::Sgd sgd(head_.Parameters(), finetune_lr_);
+  const PackedSet support = Pack(episode.support);
   for (int64_t step = 0; step < test_steps_; ++step) {
-    Tensor loss = BatchLoss(episode.support, episode.valid_tags);
+    Tensor loss = BatchLoss(support, episode.valid_tags);
     std::vector<Tensor> grads =
         tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
     nn::ClipGradNorm(&grads, 5.0f);
     sgd.Step(grads);
   }
-  std::vector<std::vector<int64_t>> predictions;
-  predictions.reserve(episode.query.size());
-  for (const auto& sentence : episode.query) {
-    predictions.push_back(head_.crf->ViterbiBatch(
-        Emissions(sentence).Detach(), {sentence.length()}, &episode.valid_tags)[0]);
-  }
+  const PackedSet query = Pack(episode.query);
+  std::vector<std::vector<int64_t>> predictions = head_.crf->ViterbiBatch(
+      Emissions(query).Detach(), query.batch.lengths, &episode.valid_tags);
   nn::RestoreParameterValues(&head_, snapshot);
   return predictions;
 }

@@ -36,15 +36,20 @@ class LmCrfTagger : public FewShotMethod {
       const models::EncodedEpisode& episode) override;
 
  private:
-  /// Frozen features for a sentence, cached by source pointer (the LM never
-  /// changes after pre-training, so features are reusable across episodes).
-  tensor::Tensor Features(const models::EncodedSentence& sentence);
+  /// A support or query set packed once: its PackBatch layout and its frozen
+  /// LM features as one zero-padded [B·Lmax, F] constant.  Features are
+  /// cached by source pointer (the LM never changes after pre-training).
+  struct PackedSet {
+    models::EncodedBatch batch;
+    tensor::Tensor features;
+  };
+  PackedSet Pack(const std::vector<models::EncodedSentence>& sentences);
 
-  /// The head's emissions for one sentence as a batch of one, [1, L, max_tags].
-  tensor::Tensor Emissions(const models::EncodedSentence& sentence);
+  /// The head's emissions for a packed set, [B, Lmax, max_tags].
+  tensor::Tensor Emissions(const PackedSet& set) const;
 
-  tensor::Tensor BatchLoss(const std::vector<models::EncodedSentence>& sentences,
-                           const std::vector<bool>& valid_tags);
+  /// Mean CRF NLL over the set's sentences.
+  tensor::Tensor BatchLoss(const PackedSet& set, const std::vector<bool>& valid_tags);
 
   /// The trainable CRF stack (emission projection + CRF).
   class Head : public nn::Module {

@@ -1,6 +1,7 @@
 #include "models/lm_encoder.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "nn/init.h"
 #include "nn/optim.h"
@@ -120,32 +121,24 @@ int64_t PretrainedLmEncoder::feature_dim() const {
 
 namespace {
 
-/// Runs a word-level GRU LM over embedded inputs; returns per-position states
-/// [L, H].  `reverse` runs right-to-left but returns states in textual order.
-Tensor RunGruLm(const nn::GruCell& cell, const Tensor& embedded, bool reverse) {
+/// One sentence's GRU states [L, H] from its embedded inputs [L, input]:
+/// GruCell::RunBatch at B=1, so every step is full and no Where is built.
+/// `reverse` runs right-to-left but returns states in textual order.
+Tensor GruStates(const nn::GruCell& cell, const Tensor& embedded, bool reverse) {
   const int64_t length = embedded.shape().dim(0);
-  Tensor projected = cell.ProjectInput(embedded);
-  Tensor h = Tensor::Zeros(Shape{1, cell.hidden_dim()});
-  std::vector<Tensor> states(static_cast<size_t>(length));
-  for (int64_t step = 0; step < length; ++step) {
-    const int64_t t = reverse ? length - 1 - step : step;
-    h = cell.Step(tensor::Slice(projected, 0, t, 1), h);
-    states[static_cast<size_t>(t)] = h;
-  }
-  return tensor::Concat(states, 0);
-}
-
-std::vector<int64_t> ReversedIndices(int64_t length) {
-  std::vector<int64_t> idx(static_cast<size_t>(length));
-  for (int64_t i = 0; i < length; ++i) idx[static_cast<size_t>(i)] = length - 1 - i;
-  return idx;
+  std::vector<Tensor> masks;
+  std::vector<bool> full;
+  nn::BuildStepMasks({length}, length, &masks, &full);
+  Tensor states = cell.RunBatch(
+      tensor::Reshape(embedded, Shape{1, length, embedded.shape().dim(1)}),
+      masks, full, reverse);
+  return tensor::Reshape(states, Shape{length, cell.hidden_dim()});
 }
 
 }  // namespace
 
-Tensor PretrainedLmEncoder::TransformerFeatures(
-    const std::vector<int64_t>& word_ids,
-    const std::vector<nn::TransformerBlock*>& blocks, bool reverse) const {
+Tensor PretrainedLmEncoder::TransformerFeatures(const std::vector<int64_t>& word_ids,
+                                                bool reverse) const {
   std::vector<int64_t> ids = word_ids;
   if (reverse) std::reverse(ids.begin(), ids.end());
   const int64_t length = static_cast<int64_t>(ids.size());
@@ -153,12 +146,13 @@ Tensor PretrainedLmEncoder::TransformerFeatures(
                "sentence of " << length << " tokens exceeds LM max_len "
                               << config_.max_len);
   std::vector<int64_t> positions(static_cast<size_t>(length));
-  for (int64_t i = 0; i < length; ++i) positions[static_cast<size_t>(i)] = i;
+  std::iota(positions.begin(), positions.end(), int64_t{0});
   Tensor x = tensor::Add(word_embedding_->Forward(ids),
                          position_embedding_->Forward(positions));
-  for (nn::TransformerBlock* block : blocks) x = block->Forward(x);
-  if (reverse) x = tensor::IndexSelectRows(x, ReversedIndices(length));
-  return x;
+  for (const auto& block : reverse ? blocks_rev_ : blocks_) x = block->Forward(x);
+  if (!reverse) return x;
+  std::reverse(positions.begin(), positions.end());  // row t <- row L-1-t
+  return tensor::IndexSelectRows(x, positions);
 }
 
 Tensor PretrainedLmEncoder::CrossEntropy(const Tensor& logits,
@@ -187,23 +181,17 @@ Tensor PretrainedLmEncoder::Encode(const EncodedSentence& sentence) const {
   FEWNER_CHECK(length > 0, "Encode on empty sentence");
   switch (kind_) {
     case LmKind::kGpt2:
-    case LmKind::kBert: {
-      std::vector<nn::TransformerBlock*> blocks;
-      for (const auto& b : blocks_) blocks.push_back(b.get());
-      return TransformerFeatures(sentence.word_ids, blocks, /*reverse=*/false);
-    }
+    case LmKind::kBert:
+      return TransformerFeatures(sentence.word_ids, /*reverse=*/false);
     case LmKind::kXlnet: {
-      std::vector<nn::TransformerBlock*> fwd, rev;
-      for (const auto& b : blocks_) fwd.push_back(b.get());
-      for (const auto& b : blocks_rev_) rev.push_back(b.get());
-      Tensor a = TransformerFeatures(sentence.word_ids, fwd, false);
-      Tensor b = TransformerFeatures(sentence.word_ids, rev, true);
+      Tensor a = TransformerFeatures(sentence.word_ids, false);
+      Tensor b = TransformerFeatures(sentence.word_ids, true);
       return tensor::MulScalar(tensor::Add(a, b), 0.5f);
     }
     case LmKind::kElmo: {
       Tensor embedded = word_embedding_->Forward(sentence.word_ids);
-      Tensor fwd = RunGruLm(*forward_gru_, embedded, false);
-      Tensor bwd = RunGruLm(*backward_gru_, embedded, true);
+      Tensor fwd = GruStates(*forward_gru_, embedded, false);
+      Tensor bwd = GruStates(*backward_gru_, embedded, true);
       return tensor::Concat({fwd, bwd}, 1);
     }
     case LmKind::kFlair: {
@@ -220,8 +208,8 @@ Tensor PretrainedLmEncoder::Encode(const EncodedSentence& sentence) const {
         stream.push_back(text::kPadId);  // separator
       }
       Tensor embedded = char_embedding_->Forward(stream);
-      Tensor fwd = RunGruLm(*char_forward_gru_, embedded, false);
-      Tensor bwd = RunGruLm(*char_backward_gru_, embedded, true);
+      Tensor fwd = GruStates(*char_forward_gru_, embedded, false);
+      Tensor bwd = GruStates(*char_backward_gru_, embedded, true);
       return tensor::Concat({tensor::IndexSelectRows(fwd, word_end),
                              tensor::IndexSelectRows(bwd, word_start)},
                             1);
@@ -235,25 +223,16 @@ Tensor PretrainedLmEncoder::LmLoss(const EncodedSentence& sentence) const {
   const int64_t length = sentence.length();
   FEWNER_CHECK(length >= 2, "LM loss needs at least two tokens");
   switch (kind_) {
-    case LmKind::kGpt2: {
-      std::vector<nn::TransformerBlock*> blocks;
-      for (const auto& b : blocks_) blocks.push_back(b.get());
-      Tensor features = TransformerFeatures(sentence.word_ids, blocks, false);
-      Tensor context = tensor::Slice(features, 0, 0, length - 1);
-      std::vector<int64_t> targets(sentence.word_ids.begin() + 1,
-                                   sentence.word_ids.end());
-      return CrossEntropy(vocab_head_->Forward(context), targets, nullptr);
-    }
+    case LmKind::kGpt2:
     case LmKind::kXlnet: {
-      std::vector<nn::TransformerBlock*> fwd, rev;
-      for (const auto& b : blocks_) fwd.push_back(b.get());
-      for (const auto& b : blocks_rev_) rev.push_back(b.get());
-      Tensor f = TransformerFeatures(sentence.word_ids, fwd, false);
+      // Next-token loss; XLNet averages it with its reverse stream's.
+      Tensor f = TransformerFeatures(sentence.word_ids, false);
       Tensor next_ctx = tensor::Slice(f, 0, 0, length - 1);
       std::vector<int64_t> next(sentence.word_ids.begin() + 1,
                                 sentence.word_ids.end());
       Tensor loss_f = CrossEntropy(vocab_head_->Forward(next_ctx), next, nullptr);
-      Tensor r = TransformerFeatures(sentence.word_ids, rev, true);
+      if (kind_ == LmKind::kGpt2) return loss_f;
+      Tensor r = TransformerFeatures(sentence.word_ids, true);
       Tensor prev_ctx = tensor::Slice(r, 0, 1, length - 1);
       std::vector<int64_t> prev(sentence.word_ids.begin(),
                                 sentence.word_ids.end() - 1);
@@ -298,8 +277,8 @@ Tensor PretrainedLmEncoder::LmLoss(const EncodedSentence& sentence) const {
     }
     case LmKind::kElmo: {
       Tensor embedded = word_embedding_->Forward(sentence.word_ids);
-      Tensor fwd = RunGruLm(*forward_gru_, embedded, false);
-      Tensor bwd = RunGruLm(*backward_gru_, embedded, true);
+      Tensor fwd = GruStates(*forward_gru_, embedded, false);
+      Tensor bwd = GruStates(*backward_gru_, embedded, true);
       std::vector<int64_t> next(sentence.word_ids.begin() + 1,
                                 sentence.word_ids.end());
       std::vector<int64_t> prev(sentence.word_ids.begin(),
@@ -319,7 +298,7 @@ Tensor PretrainedLmEncoder::LmLoss(const EncodedSentence& sentence) const {
       const int64_t t_len = static_cast<int64_t>(stream.size());
       FEWNER_CHECK(t_len >= 2, "Flair LM loss needs two characters");
       Tensor embedded = char_embedding_->Forward(stream);
-      Tensor fwd = RunGruLm(*char_forward_gru_, embedded, false);
+      Tensor fwd = GruStates(*char_forward_gru_, embedded, false);
       std::vector<int64_t> next(stream.begin() + 1, stream.end());
       return CrossEntropy(
           char_head_->Forward(tensor::Slice(fwd, 0, 0, t_len - 1)), next, nullptr);

@@ -69,8 +69,9 @@ class PretrainedLmEncoder : public nn::Module {
   LmKind kind() const { return kind_; }
 
  private:
+  /// Features of `blocks_`, or with `reverse` of `blocks_rev_` run over the
+  /// reversed sentence (XLNet's right-to-left stream), in textual order.
   tensor::Tensor TransformerFeatures(const std::vector<int64_t>& word_ids,
-                                     const std::vector<nn::TransformerBlock*>& blocks,
                                      bool reverse) const;
   tensor::Tensor CrossEntropy(const tensor::Tensor& logits,
                               const std::vector<int64_t>& targets,

@@ -24,9 +24,9 @@ GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, util::Rng* rng)
 
 Tensor GruCell::ProjectInput(const Tensor& x) const {
   FEWNER_CHECK(x.rank() == 2 && x.shape().dim(1) == input_dim_,
-               "GruCell expects [L, " << input_dim_ << "], got "
+               "GruCell expects [R, " << input_dim_ << "], got "
                                       << x.shape().ToString());
-  return tensor::Add(tensor::MatMul(x, w_ih_), b_ih_);  // [L, 3H]
+  return tensor::Add(tensor::MatMul(x, w_ih_), b_ih_);  // [R, 3H]
 }
 
 Tensor GruCell::Step(const Tensor& projected_row, const Tensor& h) const {
@@ -34,7 +34,7 @@ Tensor GruCell::Step(const Tensor& projected_row, const Tensor& h) const {
   // This GEMM runs once per timestep, so its backward dominates BPTT cost:
   // MatMul's NT/TN backward reads w_hh_ and h in place — no per-step
   // w_hh_ᵀ / hᵀ transpose copies on the tape (tensor/ops.cc).
-  Tensor hidden_proj = tensor::Add(tensor::MatMul(h, w_hh_), b_hh_);  // [1, 3H]
+  Tensor hidden_proj = tensor::Add(tensor::MatMul(h, w_hh_), b_hh_);  // [B, 3H]
 
   Tensor xr = tensor::Slice(projected_row, 1, 0, hd);
   Tensor xz = tensor::Slice(projected_row, 1, hd, hd);
@@ -51,8 +51,7 @@ Tensor GruCell::Step(const Tensor& projected_row, const Tensor& h) const {
   return tensor::Add(tensor::Mul(one_minus_z, n), tensor::Mul(z, h));
 }
 
-BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng)
-    : hidden_dim_(hidden_dim) {
+BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng) {
   forward_cell_ = std::make_unique<GruCell>(input_dim, hidden_dim, rng);
   backward_cell_ = std::make_unique<GruCell>(input_dim, hidden_dim, rng);
   RegisterModule("forward", forward_cell_.get());
@@ -82,17 +81,15 @@ void BuildStepMasks(const std::vector<int64_t>& lengths, int64_t max_len,
   }
 }
 
-Tensor BiGru::RunDirectionBatch(const GruCell& cell, const Tensor& x,
-                                const std::vector<Tensor>& step_masks,
-                                const std::vector<bool>& step_full,
-                                bool reverse) const {
+Tensor GruCell::RunBatch(const Tensor& x, const std::vector<Tensor>& step_masks,
+                         const std::vector<bool>& step_full, bool reverse) const {
   const int64_t lanes = x.shape().dim(0);
   const int64_t length = x.shape().dim(1);
   const int64_t input = x.shape().dim(2);
   // One hoisted GEMM for the whole batch; rows are bitwise-independent under
   // the ascending-k kernel contract, so row (b, t) matches the per-sentence
   // projection of sentence b's row t exactly.
-  Tensor projected = cell.ProjectInput(
+  Tensor projected = ProjectInput(
       tensor::Reshape(x, Shape{lanes * length, input}));  // [B*L, 3H]
   Tensor projected3 =
       tensor::Reshape(projected, Shape{lanes, length, 3 * hidden_dim_});
@@ -102,7 +99,7 @@ Tensor BiGru::RunDirectionBatch(const GruCell& cell, const Tensor& x,
     const int64_t t = reverse ? length - 1 - step : step;
     Tensor rows = tensor::Reshape(tensor::Slice(projected3, 1, t, 1),
                                   Shape{lanes, 3 * hidden_dim_});
-    Tensor h_new = cell.Step(rows, h);
+    Tensor h_new = Step(rows, h);
     // Inactive lanes (padding tail; in reverse, lanes whose sentence has not
     // started yet) carry their state through unchanged.  Where copies the
     // selected operand, so the carry is exact — active lanes see precisely
@@ -125,8 +122,8 @@ Tensor BiGru::ForwardBatch(const Tensor& x,
   std::vector<Tensor> masks;
   std::vector<bool> full;
   BuildStepMasks(lengths, x.shape().dim(1), &masks, &full);
-  Tensor fwd = RunDirectionBatch(*forward_cell_, x, masks, full, /*reverse=*/false);
-  Tensor bwd = RunDirectionBatch(*backward_cell_, x, masks, full, /*reverse=*/true);
+  Tensor fwd = forward_cell_->RunBatch(x, masks, full, /*reverse=*/false);
+  Tensor bwd = backward_cell_->RunBatch(x, masks, full, /*reverse=*/true);
   return tensor::Concat({fwd, bwd}, 2);  // [B, L, 2H]
 }
 

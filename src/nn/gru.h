@@ -22,8 +22,8 @@ class GruCell : public Module {
  public:
   GruCell(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
 
-  /// Projects a whole sequence's inputs at once: [L, input] -> [L, 3H].
-  /// Hoisting this matmul out of the recurrence is the standard optimization.
+  /// Projects token rows at once, [R, input] -> [R, 3H]; RunBatch hoists
+  /// this matmul out of the recurrence over all B·L slots.
   tensor::Tensor ProjectInput(const tensor::Tensor& x) const;
 
   /// One step given pre-projected input rows [B, 3H] and states [B, H].
@@ -31,6 +31,16 @@ class GruCell : public Module {
   /// bitwise-equal to a B=1 step on that lane alone.
   tensor::Tensor Step(const tensor::Tensor& projected_row,
                       const tensor::Tensor& h) const;
+
+  /// The one GRU time loop, [B, L, input] -> [B, L, H]: one hoisted
+  /// ProjectInput, then one Step per timestep over all B lanes (`reverse`
+  /// runs back to front; states stay in textual order).  Lanes inactive at
+  /// step t per BuildStepMasks carry their state through an exact Where, so
+  /// lane b's real positions are bitwise-equal to a run on lane b alone.
+  tensor::Tensor RunBatch(const tensor::Tensor& x,
+                          const std::vector<tensor::Tensor>& step_masks,
+                          const std::vector<bool>& step_full,
+                          bool reverse) const;
 
   int64_t hidden_dim() const { return hidden_dim_; }
   int64_t input_dim() const { return input_dim_; }
@@ -50,34 +60,25 @@ class BiGru : public Module {
  public:
   BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
 
-  /// Batched time loop over padded lanes: [B, L, input] -> [B, L, 2H], one
-  /// GEMM per timestep per direction over all B lanes.  Lane b is active at
-  /// step t iff t < lengths[b]; finished (or, in reverse, not-yet-started)
-  /// lanes carry their state through unchanged via an exact Where select, so
-  /// lane b's real positions are bitwise-equal to ForwardBatch on that lane
-  /// alone (B=1 is the sentence-at-a-time case).
+  /// Padded lanes [B, L, input] -> [B, L, 2H]: GruCell::RunBatch forward and
+  /// in reverse, lane b active at step t iff t < lengths[b].  Lane b's real
+  /// positions are bitwise-equal to ForwardBatch on that lane alone (B=1 is
+  /// the sentence-at-a-time case).
   tensor::Tensor ForwardBatch(const tensor::Tensor& x,
                               const std::vector<int64_t>& lengths) const;
 
-  int64_t output_dim() const { return 2 * hidden_dim_; }
-  int64_t hidden_dim() const { return hidden_dim_; }
+  int64_t output_dim() const { return 2 * hidden_dim(); }
+  int64_t hidden_dim() const { return forward_cell_->hidden_dim(); }
 
  private:
-  /// Runs one direction; `reverse` processes the sequence back to front.
-  tensor::Tensor RunDirectionBatch(const GruCell& cell, const tensor::Tensor& x,
-                                   const std::vector<tensor::Tensor>& step_masks,
-                                   const std::vector<bool>& step_full,
-                                   bool reverse) const;
-
-  int64_t hidden_dim_;
   std::unique_ptr<GruCell> forward_cell_;
   std::unique_ptr<GruCell> backward_cell_;
 };
 
 /// Per-step lane activity masks for a padded batch: element t is a [B, 1]
 /// tensor with 1.0 where t < lengths[b], plus a parallel all-lanes-active
-/// flag so full steps can skip the Where select entirely.  Shared by BiGru
-/// and BiLstm.
+/// flag so full steps can skip the Where select entirely.  Shared by
+/// GruCell::RunBatch's callers and BiLstm.
 void BuildStepMasks(const std::vector<int64_t>& lengths, int64_t max_len,
                     std::vector<tensor::Tensor>* masks,
                     std::vector<bool>* full);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 namespace fewner::nn {
 
@@ -62,6 +63,9 @@ util::Status LoadParameters(Module* module, const std::string& path) {
         "checkpoint has " + std::to_string(count) + " parameters, module has " +
         std::to_string(named.size()));
   }
+  // Every parameter is read and validated into a staging buffer before any
+  // is written, so a mismatch or a short file leaves the module untouched.
+  std::vector<std::vector<float>> staged;
   for (auto& [name, param] : named) {
     uint64_t name_len = 0;
     if (!ReadPod(&in, &name_len) || name_len > 4096) {
@@ -86,11 +90,12 @@ util::Status LoadParameters(Module* module, const std::string& path) {
     if (tensor::Shape(dims) != param->shape()) {
       return util::Status::InvalidArgument("shape mismatch for '" + name + "'");
     }
-    std::vector<float>* values = param->mutable_data();
-    in.read(reinterpret_cast<char*>(values->data()),
-            static_cast<std::streamsize>(values->size() * sizeof(float)));
+    std::vector<float>& values = staged.emplace_back(param->data().size());
+    in.read(reinterpret_cast<char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
     if (!in) return util::Status::InvalidArgument("corrupt checkpoint (values)");
   }
+  RestoreParameterValues(module, staged);  // Parameters() is NamedParameters' order
   return util::Status::OK();
 }
 

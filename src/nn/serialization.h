@@ -19,9 +19,10 @@ namespace fewner::nn {
 /// Writes all (named) parameters of `module` to `path`.
 util::Status SaveParameters(Module* module, const std::string& path);
 
-/// Reads parameters saved by SaveParameters into `module`.  Fails with
-/// InvalidArgument on any name/shape mismatch (the module must be constructed
-/// with the same configuration that produced the file).
+/// Reads parameters saved by SaveParameters into `module`, all or nothing.
+/// Fails with InvalidArgument on any name/shape mismatch or truncated file
+/// (the module must be constructed with the same configuration that produced
+/// the file) and then leaves every parameter unchanged.
 util::Status LoadParameters(Module* module, const std::string& path);
 
 }  // namespace fewner::nn

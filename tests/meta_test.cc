@@ -120,6 +120,19 @@ class MetaTest : public ::testing::Test {
     }
   }
 
+  /// A small, untrained frozen LM of `kind` over the fixture's vocabularies.
+  std::shared_ptr<models::PretrainedLmEncoder> SmallLm(models::LmKind kind,
+                                                       util::Rng* rng) {
+    models::LmConfig lm_config;
+    lm_config.model_dim = 12;
+    lm_config.num_layers = 1;
+    lm_config.ffn_dim = 16;
+    lm_config.gru_hidden = 8;
+    lm_config.char_dim = 8;
+    return std::make_shared<models::PretrainedLmEncoder>(kind, lm_config, &words_,
+                                                         &chars_, rng);
+  }
+
   /// θ after `iterations` outer iterations of a fixed-seed Train whose
   /// config asks for the meta learning rate to decay by `lr_decay` every two
   /// iterations' worth of tasks.
@@ -281,18 +294,32 @@ TEST_F(MetaTest, SnailTagsInvariantToQueryBatchComposition) {
 }
 
 TEST_F(MetaTest, LmTaggerTrainsAndPredicts) {
+  for (models::LmKind kind : models::AllLmKinds()) {
+    SCOPED_TRACE(models::LmKindName(kind));
+    util::Rng rng(1);
+    LmCrfTagger tagger(SmallLm(kind, &rng), config_.max_tags, &rng);
+    EXPECT_EQ(tagger.name(), models::LmKindName(kind));
+    tagger.Train(*sampler_, *encoder_, train_config_);
+    CheckPredictions(&tagger);
+  }
+}
+
+TEST_F(MetaTest, LmTaggerTagsInvariantToQueryBatchComposition) {
+  for (models::LmKind kind :
+       {models::LmKind::kGpt2, models::LmKind::kElmo, models::LmKind::kFlair}) {
+    SCOPED_TRACE(models::LmKindName(kind));
+    util::Rng rng(1);
+    LmCrfTagger tagger(SmallLm(kind, &rng), config_.max_tags, &rng);
+    ExpectBatchCompositionInvariant(&tagger);
+  }
+}
+
+TEST_F(MetaTest, LmTaggerEmptyQueryPredictsNothing) {
   util::Rng rng(1);
-  models::LmConfig lm_config;
-  lm_config.model_dim = 12;
-  lm_config.num_layers = 1;
-  lm_config.ffn_dim = 16;
-  lm_config.gru_hidden = 8;
-  auto lm = std::make_shared<models::PretrainedLmEncoder>(
-      models::LmKind::kGpt2, lm_config, &words_, &chars_, &rng);
-  LmCrfTagger tagger(lm, config_.max_tags, &rng);
-  EXPECT_EQ(tagger.name(), "GPT2");
-  tagger.Train(*sampler_, *encoder_, train_config_);
-  CheckPredictions(&tagger);
+  LmCrfTagger tagger(SmallLm(models::LmKind::kElmo, &rng), config_.max_tags, &rng);
+  models::EncodedEpisode episode = EncodeEpisode(100);
+  episode.query.clear();
+  EXPECT_TRUE(tagger.AdaptAndPredict(episode).empty());
 }
 
 /// Finite-difference gradient of the support loss w.r.t. φ at φ = 0.

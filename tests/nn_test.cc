@@ -330,7 +330,7 @@ TEST(CharCnnTest, DuplicateHeavyRowsEqualPerWordOracleBitwise) {
 TEST(GruTest, ShapesAndStatePropagation) {
   util::Rng rng(13);
   GruCell cell(4, 3, &rng);
-  Tensor x = Tensor::Ones(Shape{5, 4});
+  Tensor x = Tensor::Randn(Shape{5, 4}, &rng);
   Tensor projected = cell.ProjectInput(x);
   EXPECT_EQ(projected.shape(), (Shape{5, 9}));
   Tensor h = Tensor::Zeros(Shape{1, 3});
@@ -340,6 +340,26 @@ TEST(GruTest, ShapesAndStatePropagation) {
   double norm = 0;
   for (float v : h1.data()) norm += std::abs(v);
   EXPECT_GT(norm, 1e-4);
+
+  // RunBatch at B=1 is exactly this ProjectInput + Step loop, 0 ULP, in both
+  // directions (the frozen ELMo/Flair LMs run one sentence this way).
+  std::vector<Tensor> masks;
+  std::vector<bool> full;
+  BuildStepMasks({5}, 5, &masks, &full);
+  for (const bool reverse : {false, true}) {
+    Tensor run = cell.RunBatch(tensor::Reshape(x, Shape{1, 5, 4}), masks, full,
+                               reverse);
+    ASSERT_EQ(run.shape(), (Shape{1, 5, 3}));
+    Tensor state = Tensor::Zeros(Shape{1, 3});
+    for (int64_t step = 0; step < 5; ++step) {
+      const int64_t t = reverse ? 4 - step : step;
+      state = cell.Step(tensor::Slice(projected, 0, t, 1), state);
+      EXPECT_EQ(std::memcmp(run.data().data() + t * 3, state.data().data(),
+                            3 * sizeof(float)),
+                0)
+          << (reverse ? "reverse" : "forward") << " position " << t;
+    }
+  }
 }
 
 /// One sentence [L, D] through `rnn`'s batched forward as a B=1 batch.
@@ -550,6 +570,7 @@ TEST(OptimTest, WeightDecayShrinksParameters) {
 
 // Serialization tests live here since they operate on Module parameters.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "nn/serialization.h"
@@ -579,6 +600,58 @@ TEST(SerializationTest, ShapeMismatchIsRejected) {
   const std::string path = ::testing::TempDir() + "/fewner_bad.bin";
   ASSERT_TRUE(SaveParameters(&a, path).ok());
   EXPECT_FALSE(LoadParameters(&b, path).ok());
+  std::remove(path.c_str());
+}
+
+/// Two parameters, "first" [2, 3] and "last" [last_dim], filled with `fill`.
+class TwoParameters : public Module {
+ public:
+  TwoParameters(int64_t last_dim, float fill)
+      : first_(Tensor::FromData(Shape{2, 3}, std::vector<float>(6, fill))),
+        last_(Tensor::FromData(Shape{last_dim},
+                               std::vector<float>(static_cast<size_t>(last_dim), fill))) {
+    RegisterParameter("first", &first_);
+    RegisterParameter("last", &last_);
+  }
+
+ private:
+  Tensor first_;
+  Tensor last_;
+};
+
+/// A failed load must leave every parameter as it was, not only those past
+/// the point of failure.
+void ExpectFailedLoadLeavesModuleUntouched(Module* module, const std::string& path) {
+  const auto before = SnapshotParameterValues(module);
+  EXPECT_FALSE(LoadParameters(module, path).ok());
+  const auto after = SnapshotParameterValues(module);
+  ASSERT_EQ(before.size(), after.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(before[i].size(), after[i].size());
+    EXPECT_EQ(std::memcmp(before[i].data(), after[i].data(),
+                          before[i].size() * sizeof(float)),
+              0)
+        << "parameter " << i << " was overwritten";
+  }
+}
+
+TEST(SerializationTest, LastParameterShapeMismatchLoadsNothing) {
+  TwoParameters saved(4, 1.0f);
+  TwoParameters target(5, 2.0f);
+  const std::string path = ::testing::TempDir() + "/fewner_last_shape.bin";
+  ASSERT_TRUE(SaveParameters(&saved, path).ok());
+  ExpectFailedLoadLeavesModuleUntouched(&target, path);
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, FileTruncatedInLastValuesLoadsNothing) {
+  TwoParameters saved(4, 1.0f);
+  TwoParameters target(4, 2.0f);
+  const std::string path = ::testing::TempDir() + "/fewner_truncated.bin";
+  ASSERT_TRUE(SaveParameters(&saved, path).ok());
+  // Cut the file inside the last parameter's float values.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 6);
+  ExpectFailedLoadLeavesModuleUntouched(&target, path);
   std::remove(path.c_str());
 }
 
