@@ -1,17 +1,21 @@
-// Intra-op GEMM scaling across thread budgets (DESIGN.md §10).
+// GEMM throughput per register tile and intra-op scaling across thread
+// budgets (DESIGN.md §6, §10).
 //
 // Times the three dispatched GEMM kernels — NN forward, NT (A·Bᵀ) and
 // TN (Aᵀ·B) backward — on paper-scale shapes (the [B·L, dim] blocks a
-// hidden-128 backbone pushes through training steps) under increasing
-// intra-op budgets, and reports GFLOP/s plus the speedup over the serial
-// run at each budget.
+// hidden-128 backbone pushes through training steps, the serving BiGRU's
+// input projection, and FiLM's m=1 dφ) for every register tile the host
+// runs (matmul_kernel.h: portable, plus avx512 where the CPU has AVX-512F)
+// under increasing intra-op budgets, and reports GFLOP/s plus the speedup
+// over the serial run at each budget.
 //
-// Correctness gate: for every shape and every budget, the sharded result
-// must be BITWISE-identical (memcmp) to the budget-1 result before that
-// cell is timed — a scaling number can never be bought with a determinism
-// regression.  On a single-core container the speedups will sit near 1.0x
-// (the slab pool has no spare cores); the bitwise gate still verifies the
-// dispatch, and multi-core CI measures the real scaling.
+// Correctness gates, before anything is timed: for every shape, every tile
+// at every budget must be BITWISE-identical (memcmp) to that tile's budget-1
+// result, and every tile's budget-1 result bitwise-identical to the portable
+// tile's — a speed number can never be bought with a determinism or
+// cross-ISA regression.  On a single-core container the speedups will sit
+// near 1.0x (the slab pool has no spare cores); the bitwise gates still
+// verify the dispatch, and multi-core CI measures the real scaling.
 //
 //   ./gemm_scaling --threads 1,2,4 --min-seconds 0.5 --json out.json
 
@@ -20,11 +24,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
 #include "tensor/intraop.h"
+#include "tensor/matmul_kernel.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -42,13 +48,18 @@ struct GemmCase {
 
 // Shapes from a hidden-128, 5-way FEWNER step at B·L = 160 padded tokens:
 // encoder input projection [B·L, token] x [token, 3H], its NT/TN backward,
-// and the emission head over the [B·L, 2H] encoder output.
+// and the emission head over the [B·L, 2H] encoder output.  The last two are
+// the serving model's: its 450-wide token (word 300 + char 150) projected to
+// 3H, and FiLM's dφ = g·W_filmᵀ, [1, 512]·[256, 512]ᵀ, where the pack of Bᵀ
+// is as large as the multiply.
 constexpr GemmCase kCases[] = {
     {"nn", "encoder input projection", 160, 124, 384},
     {"nt", "d(activations) of the projection", 160, 384, 124},
     {"tn", "d(weights) of the projection", 124, 160, 384},
     {"nn", "emission head", 160, 256, 128},
     {"tn", "d(weights) of the emission head", 256, 160, 128},
+    {"nn", "serving input projection", 160, 450, 384},
+    {"nt", "FiLM d(phi)", 1, 512, 256},
 };
 
 std::vector<float> RandomVec(int64_t numel, uint64_t seed) {
@@ -58,15 +69,13 @@ std::vector<float> RandomVec(int64_t numel, uint64_t seed) {
   return v;
 }
 
-void RunCase(const GemmCase& c, const std::vector<float>& a,
-             const std::vector<float>& b, std::vector<float>* out) {
-  if (std::strcmp(c.op, "nn") == 0) {
-    tensor::kernel::GemmNN(a.data(), b.data(), out->data(), c.m, c.k, c.n);
-  } else if (std::strcmp(c.op, "nt") == 0) {
-    tensor::kernel::GemmNT(a.data(), b.data(), out->data(), c.m, c.k, c.n);
-  } else {
-    tensor::kernel::GemmTN(a.data(), b.data(), out->data(), c.m, c.k, c.n);
-  }
+void RunCase(const GemmCase& c, const tensor::kernel::GemmTile& tile,
+             const std::vector<float>& a, const std::vector<float>& b,
+             std::vector<float>* out) {
+  const auto gemm = std::strcmp(c.op, "nn") == 0   ? tensor::kernel::GemmNN
+                    : std::strcmp(c.op, "nt") == 0 ? tensor::kernel::GemmNT
+                                                   : tensor::kernel::GemmTN;
+  gemm(a.data(), b.data(), out->data(), c.m, c.k, c.n, tile);
 }
 
 /// Repeats `fn` until `min_seconds` elapses; returns iterations per second.
@@ -109,32 +118,50 @@ int Main(int argc, char** argv) {
   int64_t max_budget = 1;
   for (int64_t t : budgets) max_budget = t > max_budget ? t : max_budget;
   const double min_seconds = flags.GetDouble("min-seconds");
+  const std::span<const tensor::kernel::GemmTile* const> tiles =
+      tensor::kernel::HostTiles();
+  const tensor::kernel::GemmTile& portable = *tiles.front();
 
-  // Correctness gate: every budget must reproduce the serial result bitwise.
+  // Correctness gates: every tile at every budget must reproduce its own
+  // serial result bitwise, and every tile's serial result must be the
+  // portable tile's.
   uint64_t seed = 0x6E44;
   for (const GemmCase& c : kCases) {
     // a is [m, k] for nn/nt ([k, m] for tn); b is [k, n] ([n, k] for nt).
     const std::vector<float> a = RandomVec(c.m * c.k, seed++);
     const std::vector<float> b = RandomVec(c.k * c.n, seed++);
-    std::vector<float> reference(static_cast<size_t>(c.m * c.n));
-    {
+    const auto serial_result = [&](const tensor::kernel::GemmTile& tile) {
+      std::vector<float> out(static_cast<size_t>(c.m * c.n));
       const tensor::ParallelismBudget serial(1);
-      RunCase(c, a, b, &reference);
-    }
-    for (int64_t t : budgets) {
-      const tensor::ParallelismBudget budget(t);
-      std::vector<float> sharded(static_cast<size_t>(c.m * c.n));
-      RunCase(c, a, b, &sharded);
-      if (std::memcmp(reference.data(), sharded.data(),
+      RunCase(c, tile, a, b, &out);
+      return out;
+    };
+    const std::vector<float> portable_result = serial_result(portable);
+    for (const tensor::kernel::GemmTile* tile : tiles) {
+      const std::vector<float> reference = serial_result(*tile);
+      if (std::memcmp(reference.data(), portable_result.data(),
                       reference.size() * sizeof(float)) != 0) {
         std::cerr << "ERROR: " << c.op << " " << c.m << "x" << c.k << "x"
-                  << c.n << " diverges from the serial result at budget " << t
-                  << "\n";
+                  << c.n << " on the " << tile->name
+                  << " tile diverges from the portable tile\n";
         return 1;
+      }
+      for (int64_t t : budgets) {
+        const tensor::ParallelismBudget budget(t);
+        std::vector<float> sharded(static_cast<size_t>(c.m * c.n));
+        RunCase(c, *tile, a, b, &sharded);
+        if (std::memcmp(reference.data(), sharded.data(),
+                        reference.size() * sizeof(float)) != 0) {
+          std::cerr << "ERROR: " << c.op << " " << c.m << "x" << c.k << "x"
+                    << c.n << " on the " << tile->name
+                    << " tile diverges from the serial result at budget " << t
+                    << "\n";
+          return 1;
+        }
       }
     }
   }
-  std::printf("parity: all shapes bitwise-equal across budgets\n");
+  std::printf("parity: all shapes bitwise-equal across budgets and tiles\n");
 
   bench::JsonWriter json;
   json.BeginObject();
@@ -145,7 +172,7 @@ int Main(int argc, char** argv) {
   json.Key("results");
   json.BeginArray();
 
-  std::printf("  op     m    k    n  threads   GFLOP/s  speedup\n");
+  std::printf("     isa  op     m    k    n  threads   GFLOP/s  speedup\n");
   double speedup_sum_at_max = 0.0;
   double worst_at_max = 1e30;
   for (const GemmCase& c : kCases) {
@@ -154,45 +181,49 @@ int Main(int argc, char** argv) {
     std::vector<float> out(static_cast<size_t>(c.m * c.n));
     const double flops = 2.0 * static_cast<double>(c.m) *
                          static_cast<double>(c.k) * static_cast<double>(c.n);
-    double serial_rate = 0.0;
-    for (int64_t t : budgets) {
-      const tensor::ParallelismBudget budget(t);
-      const double rate =
-          MeasureRate(min_seconds, [&] { RunCase(c, a, b, &out); });
-      if (t == 1) serial_rate = rate;
-      const double speedup = serial_rate > 0.0 ? rate / serial_rate : 1.0;
-      if (t == max_budget) {
-        speedup_sum_at_max += speedup;
-        worst_at_max = speedup < worst_at_max ? speedup : worst_at_max;
-      }
-      std::printf("%4s %5lld %4lld %4lld %8lld %9.2f %7.2fx\n", c.op,
-                  static_cast<long long>(c.m), static_cast<long long>(c.k),
-                  static_cast<long long>(c.n), static_cast<long long>(t),
-                  rate * flops * 1e-9, speedup);
+    for (const tensor::kernel::GemmTile* tile : tiles) {
+      double serial_rate = 0.0;
+      for (int64_t t : budgets) {
+        const tensor::ParallelismBudget budget(t);
+        const double rate =
+            MeasureRate(min_seconds, [&] { RunCase(c, *tile, a, b, &out); });
+        if (t == 1) serial_rate = rate;
+        const double speedup = serial_rate > 0.0 ? rate / serial_rate : 1.0;
+        if (t == max_budget) {
+          speedup_sum_at_max += speedup;
+          worst_at_max = speedup < worst_at_max ? speedup : worst_at_max;
+        }
+        std::printf("%8s %4s %5lld %4lld %4lld %8lld %9.2f %7.2fx\n",
+                    tile->name, c.op, static_cast<long long>(c.m),
+                    static_cast<long long>(c.k), static_cast<long long>(c.n),
+                    static_cast<long long>(t), rate * flops * 1e-9, speedup);
 
-      json.BeginObject();
-      json.Key("op");
-      json.Value(c.op);
-      json.Key("role");
-      json.Value(c.role);
-      json.Key("m");
-      json.Value(c.m);
-      json.Key("k");
-      json.Value(c.k);
-      json.Key("n");
-      json.Value(c.n);
-      json.Key("threads");
-      json.Value(t);
-      json.Key("gflops");
-      json.Value(rate * flops * 1e-9);
-      json.Key("speedup_vs_serial");
-      json.Value(speedup);
-      json.EndObject();
+        json.BeginObject();
+        json.Key("isa");
+        json.Value(tile->name);
+        json.Key("op");
+        json.Value(c.op);
+        json.Key("role");
+        json.Value(c.role);
+        json.Key("m");
+        json.Value(c.m);
+        json.Key("k");
+        json.Value(c.k);
+        json.Key("n");
+        json.Value(c.n);
+        json.Key("threads");
+        json.Value(t);
+        json.Key("gflops");
+        json.Value(rate * flops * 1e-9);
+        json.Key("speedup_vs_serial");
+        json.Value(speedup);
+        json.EndObject();
+      }
     }
   }
   json.EndArray();
-  const double num_cases =
-      static_cast<double>(sizeof(kCases) / sizeof(kCases[0]));
+  const double num_cases = static_cast<double>(
+      sizeof(kCases) / sizeof(kCases[0]) * tiles.size());
   json.Key("mean_speedup_at_max_threads");
   json.Value(speedup_sum_at_max / num_cases);
   json.Key("min_speedup_at_max_threads");

@@ -25,10 +25,6 @@ int64_t DefaultBudget() {
 /// the per-slab queue round-trip eats the win.  ~a [128, 64]x[64, 32] step.
 constexpr int64_t kFlopThreshold = int64_t{1} << 18;
 
-/// Minimum C rows per slab — two full 4-row register tiles, so sharding never
-/// degrades a slab into all-remainder row blocks.
-constexpr int64_t kMinSlabRows = 8;
-
 /// Shared pool for intra-op slabs, created on first parallel dispatch and
 /// intentionally leaked: tests and benches may run GEMMs from static-teardown
 /// contexts, and joining workers in a static destructor would race them.
@@ -66,9 +62,9 @@ class SlabLatch {
   int64_t remaining_;
 };
 
-bool ShouldShard(int64_t m, int64_t k, int64_t n) {
+bool ShouldShard(int64_t m, int64_t k, int64_t n, int64_t min_slab_rows) {
   if (ParallelismBudget::current() <= 1) return false;
-  if (m < 2 * kMinSlabRows) return false;
+  if (m < 2 * min_slab_rows) return false;
   return m * k * n >= kFlopThreshold;
 }
 
@@ -78,9 +74,9 @@ bool ShouldShard(int64_t m, int64_t k, int64_t n) {
 /// The partition cannot affect results: each output element keeps its own
 /// single ascending-k accumulator no matter which slab computes it.
 template <typename SlabFn>
-void ShardRows(int64_t m, const SlabFn& slab) {
+void ShardRows(int64_t m, int64_t min_slab_rows, const SlabFn& slab) {
   const int64_t budget = ParallelismBudget::current();
-  const int64_t slabs = std::min(budget, m / kMinSlabRows);
+  const int64_t slabs = std::min(budget, m / min_slab_rows);
   const int64_t base = m / slabs;
   const int64_t extra = m % slabs;
   SlabLatch latch(slabs - 1);
@@ -101,9 +97,14 @@ void ShardRows(int64_t m, const SlabFn& slab) {
 /// Runs `slab` over all of [0, m) on the calling thread, or through
 /// ShardRows when the multiply is worth sharding.
 template <typename SlabFn>
-void RunRows(int64_t m, int64_t k, int64_t n, const SlabFn& slab) {
-  if (ShouldShard(m, k, n)) {
-    ShardRows(m, slab);
+void RunRows(int64_t m, int64_t k, int64_t n, const kernel::GemmTile& tile,
+             const SlabFn& slab) {
+  // Minimum C rows per slab: two full register blocks of the tile that runs
+  // the multiply, so sharding never degrades a slab into all-remainder row
+  // blocks.
+  const int64_t min_slab_rows = 2 * tile.rows;
+  if (ShouldShard(m, k, n, min_slab_rows)) {
+    ShardRows(m, min_slab_rows, slab);
   } else {
     slab(0, m);
   }
@@ -126,28 +127,28 @@ int64_t ParallelismBudget::current() {
 namespace kernel {
 
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n) {
-  RunRows(m, k, n, [=](int64_t row0, int64_t rows) {
-    MatMulBlocked(a + row0 * k, b, c + row0 * n, rows, k, n);
+            int64_t n, const GemmTile& tile) {
+  RunRows(m, k, n, tile, [=, &tile](int64_t row0, int64_t rows) {
+    MatMulBlocked(a + row0 * k, b, c + row0 * n, rows, k, n, tile);
   });
 }
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n) {
+            int64_t n, const GemmTile& tile) {
   // Pack bᵀ once on the dispatching thread; GemmNN's slabs read it
   // concurrently (publication ordered by the pool's queue mutex, lifetime by
   // the latch).  Unsharded, this is exactly MatMulNT.
   float* bt = TransposeScratch(k * n);
   PackTranspose(b, bt, n, k);
-  GemmNN(a, bt, c, m, k, n);
+  GemmNN(a, bt, c, m, k, n, tile);
 }
 
 void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n) {
+            int64_t n, const GemmTile& tile) {
   // A slab's C rows are a column block of `a`: offset into the row, keep the
   // full row stride.
-  RunRows(m, k, n, [=](int64_t row0, int64_t rows) {
-    MatMulTN(a + row0, b, c + row0 * n, rows, k, n, /*lda=*/m);
+  RunRows(m, k, n, tile, [=, &tile](int64_t row0, int64_t rows) {
+    MatMulTN(a + row0, b, c + row0 * n, rows, k, n, /*lda=*/m, tile);
   });
 }
 

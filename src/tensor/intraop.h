@@ -30,6 +30,8 @@
 
 #include <cstdint>
 
+#include "tensor/matmul_kernel.h"
+
 namespace fewner::tensor {
 
 /// RAII scope setting the calling thread's intra-op slab budget.  Budgets
@@ -54,19 +56,22 @@ class ParallelismBudget {
 
 namespace kernel {
 
+// Each entry point runs `tile` (matmul_kernel.h); slabs are at least two of
+// its register blocks tall.
+
 /// c[m, n] = a[m, k] * b[k, n] — MatMulBlocked, row-sharded when profitable.
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n);
+            int64_t n, const GemmTile& tile = ActiveTile());
 
 /// c[m, n] = a[m, k] * b[n, k]ᵀ — MatMulNT; under sharding, bᵀ is packed
 /// once by the caller and the blocked core is sharded over the pack.
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n);
+            int64_t n, const GemmTile& tile = ActiveTile());
 
 /// c[m, n] = a[k, m]ᵀ * b[k, n] — MatMulTN; slabs address a column block of
 /// `a` via its leading dimension, so no copy is made in either mode.
 void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n);
+            int64_t n, const GemmTile& tile = ActiveTile());
 
 }  // namespace kernel
 }  // namespace fewner::tensor

@@ -22,6 +22,8 @@ namespace fewner::tensor::kernel {
 
 namespace {
 
+// The portable tile.  The AVX-512 tile lives in matmul_kernel_avx512.cc.
+
 constexpr int64_t kRowTile = 4;  ///< A rows per register block
 constexpr int64_t kColTile = 8;  ///< C columns per register block (2 SSE lanes)
 
@@ -75,8 +77,8 @@ void RowBlock(const float* a, int64_t rs, int64_t ks, const float* b, float* c,
 }
 
 /// c[m, n] with C row i reading A through a + i * rs (strides as MicroTile).
-void StridedGemm(const float* a, int64_t rs, int64_t ks, const float* b, float* c,
-                 int64_t m, int64_t k, int64_t n) {
+void PortableGemm(const float* a, int64_t rs, int64_t ks, const float* b,
+                  float* c, int64_t m, int64_t k, int64_t n) {
   int64_t i = 0;
   for (; i + kRowTile <= m; i += kRowTile) {
     RowBlock<kRowTile>(a + i * rs, rs, ks, b, c + i * n, k, n);
@@ -96,29 +98,58 @@ void StridedGemm(const float* a, int64_t rs, int64_t ks, const float* b, float* 
   }
 }
 
+constexpr GemmTile kPortableTile{"portable", kRowTile, &PortableGemm};
+
+/// Square block edge of PackTranspose: a 16x16 float block touches 16 source
+/// and 16 destination cache lines, all of which stay in L1 while the block is
+/// copied (one contiguous destination run per source column).
+constexpr int64_t kPackBlock = 16;
+
 }  // namespace
 
+// Defined in matmul_kernel_avx512.cc: the AVX-512 tile, or nullptr when this
+// build or host cannot run it.
+const GemmTile* Avx512Tile();
+
+std::span<const GemmTile* const> HostTiles() {
+  // Trivially destructible, so GEMMs stay callable during static teardown.
+  static const GemmTile* const wide = Avx512Tile();
+  static const GemmTile* const tiles[] = {&kPortableTile, wide};
+  return {tiles, wide != nullptr ? 2u : 1u};
+}
+
+const GemmTile& ActiveTile() {
+  static const GemmTile& active = *HostTiles().back();
+  return active;
+}
+
 void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
-                   int64_t k, int64_t n) {
-  StridedGemm(a, /*rs=*/k, /*ks=*/1, b, c, m, k, n);
+                   int64_t k, int64_t n, const GemmTile& tile) {
+  tile.gemm(a, /*rs=*/k, /*ks=*/1, b, c, m, k, n);
 }
 
 void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n) {
+              int64_t n, const GemmTile& tile) {
   float* bt = TransposeScratch(k * n);
   PackTranspose(b, bt, n, k);  // b [n, k] -> bt [k, n]
-  MatMulBlocked(a, bt, c, m, k, n);
+  MatMulBlocked(a, bt, c, m, k, n, tile);
 }
 
 void MatMulTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n, int64_t lda) {
-  StridedGemm(a, /*rs=*/1, /*ks=*/lda < 0 ? m : lda, b, c, m, k, n);
+              int64_t n, int64_t lda, const GemmTile& tile) {
+  tile.gemm(a, /*rs=*/1, /*ks=*/lda < 0 ? m : lda, b, c, m, k, n);
 }
 
 void PackTranspose(const float* src, float* dst, int64_t rows, int64_t cols) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* srow = src + r * cols;
-    for (int64_t cc = 0; cc < cols; ++cc) dst[cc * rows + r] = srow[cc];
+  for (int64_t r0 = 0; r0 < rows; r0 += kPackBlock) {
+    const int64_t r1 = r0 + kPackBlock < rows ? r0 + kPackBlock : rows;
+    for (int64_t c0 = 0; c0 < cols; c0 += kPackBlock) {
+      const int64_t c1 = c0 + kPackBlock < cols ? c0 + kPackBlock : cols;
+      for (int64_t cc = c0; cc < c1; ++cc) {
+        float* drow = dst + cc * rows;
+        for (int64_t r = r0; r < r1; ++r) drow[r] = src[r * cols + cc];
+      }
+    }
   }
 }
 

@@ -691,8 +691,15 @@ Tensor MatMulOp(Layout layout, const Tensor& a, const Tensor& b) {
                name << " inner dim mismatch: " << a.shape().ToString() << at << " x "
                     << b.shape().ToString() << bt);
   OpOutput out = NewOutput(ta ? "matmul_tn" : tb ? "matmul_nt" : "matmul", Shape{m, n});
-  const auto gemm = ta ? kernel::GemmTN : tb ? kernel::GemmNT : kernel::GemmNN;
-  gemm(a.data().data(), b.data().data(), out.data(), m, k, n);
+  const float* pa = a.data().data();
+  const float* pb = b.data().data();
+  if (ta) {
+    kernel::GemmTN(pa, pb, out.data(), m, k, n);
+  } else if (tb) {
+    kernel::GemmNT(pa, pb, out.data(), m, k, n);
+  } else {
+    kernel::GemmNN(pa, pb, out.data(), m, k, n);
+  }
   if (EvalMode::active()) return SealEval(std::move(out));
   const bool need_a = a.requires_grad();
   const bool need_b = b.requires_grad();

@@ -3,8 +3,10 @@
 //
 // Three claims are pinned here, all to the last bit:
 //   1. MatMulBlocked / MatMulNT / MatMulTN match naive ascending-k references
-//      on shapes that straddle every tile remainder — and NT/TN match the
-//      transpose-then-MatMulBlocked composition they replaced.
+//      on shapes that straddle every tile remainder, for every register tile
+//      this host can run — and NT/TN match the transpose-then-MatMulBlocked
+//      composition they replaced.  Each multiply and add rounds separately
+//      (no FMA), and the blocked pack is an exact transpose.
 //   2. Row-sharded parallel dispatch is bitwise-invariant to the intra-op
 //      budget: each output element keeps its single ascending-k accumulator
 //      no matter which slab (thread) computes it.
@@ -12,6 +14,7 @@
 //      re-run under -DFEWNER_SANITIZE=thread via the `tsan` ctest label.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -75,50 +78,141 @@ std::vector<float> Transposed(const std::vector<float>& src, int64_t rows,
 }
 
 TEST(GemmKernelTest, FamilyMatchesNaiveReferencesBitwiseOnSweep) {
-  // Every m, k, n in 1..17 hits each register-tile remainder (4-row, 8-col);
-  // the larger sizes are exact tile multiples.
-  std::vector<int64_t> sizes;
-  for (int64_t s = 1; s <= 17; ++s) sizes.push_back(s);
-  sizes.push_back(24);
-  sizes.push_back(32);
-  util::Rng rng(2024);
-  for (int64_t m : sizes) {
-    for (int64_t k : sizes) {
-      for (int64_t n : sizes) {
-        const std::vector<float> a_nn = RandomVec(m * k, &rng);
-        const std::vector<float> b_nn = RandomVec(k * n, &rng);
-        std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
-        std::vector<float> want(static_cast<size_t>(m * n), -2.0f);
+  // Every host tile (portable 4x8, and 8x32 AVX-512 where the CPU has it).
+  // m runs past two full row blocks plus every row remainder of the tallest
+  // tile (up to 3·MI − 1); n covers every 8-column remainder and the 32-wide
+  // panel's masked tails; 24 and 32 are exact multiples.
+  int64_t max_rows = 0;
+  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+    max_rows = std::max(max_rows, tile->rows);
+  }
+  std::vector<int64_t> m_sizes;
+  for (int64_t s = 1; s <= std::max<int64_t>(17, 3 * max_rows - 1); ++s) {
+    m_sizes.push_back(s);
+  }
+  std::vector<int64_t> k_sizes;
+  for (int64_t s = 1; s <= 17; ++s) k_sizes.push_back(s);
+  std::vector<int64_t> n_sizes = k_sizes;
+  for (int64_t s : {24, 32}) {
+    k_sizes.push_back(s);
+    if (s > m_sizes.back()) m_sizes.push_back(s);
+  }
+  for (int64_t s : {24, 31, 32, 33, 47, 48, 63, 64, 65}) n_sizes.push_back(s);
 
-        kernel::MatMulBlocked(a_nn.data(), b_nn.data(), got.data(), m, k, n);
-        kernel::MatMulNaive(a_nn.data(), b_nn.data(), want.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "NN", m, k, n);
+  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+    SCOPED_TRACE(tile->name);
+    util::Rng rng(2024);
+    for (int64_t m : m_sizes) {
+      for (int64_t k : k_sizes) {
+        for (int64_t n : n_sizes) {
+          const std::vector<float> a_nn = RandomVec(m * k, &rng);
+          const std::vector<float> b_nn = RandomVec(k * n, &rng);
+          std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
+          std::vector<float> want(static_cast<size_t>(m * n), -2.0f);
 
-        // NT with the same operands read as a[m, k], b[n, k].
-        const std::vector<float> b_nt = RandomVec(n * k, &rng);
-        kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n);
-        NaiveNT(a_nn.data(), b_nt.data(), want.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "NT", m, k, n);
+          kernel::MatMulBlocked(a_nn.data(), b_nn.data(), got.data(), m, k, n,
+                                *tile);
+          kernel::MatMulNaive(a_nn.data(), b_nn.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "NN", m, k, n);
 
-        // ... and against the graph-level composition NT replaced:
-        // MatMulBlocked(a, transpose(b)).
-        const std::vector<float> b_nt_t = Transposed(b_nt, n, k);  // [k, n]
-        kernel::MatMulBlocked(a_nn.data(), b_nt_t.data(), want.data(), m, k, n);
-        kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "NT-vs-transpose", m, k, n);
+          // NT with the same operands read as a[m, k], b[n, k].
+          const std::vector<float> b_nt = RandomVec(n * k, &rng);
+          kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n, *tile);
+          NaiveNT(a_nn.data(), b_nt.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "NT", m, k, n);
 
-        // TN with a read as [k, m].
-        const std::vector<float> a_tn = RandomVec(k * m, &rng);
-        kernel::MatMulTN(a_tn.data(), b_nn.data(), got.data(), m, k, n);
-        NaiveTN(a_tn.data(), b_nn.data(), want.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "TN", m, k, n);
+          // ... and against the graph-level composition NT replaced:
+          // MatMulBlocked(a, transpose(b)).
+          const std::vector<float> b_nt_t = Transposed(b_nt, n, k);  // [k, n]
+          kernel::MatMulBlocked(a_nn.data(), b_nt_t.data(), want.data(), m, k,
+                                n, *tile);
+          kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n, *tile);
+          ExpectBitwiseEqual(got, want, "NT-vs-transpose", m, k, n);
 
-        const std::vector<float> a_tn_t = Transposed(a_tn, k, m);  // [m, k]
-        kernel::MatMulBlocked(a_tn_t.data(), b_nn.data(), want.data(), m, k, n);
-        kernel::MatMulTN(a_tn.data(), b_nn.data(), got.data(), m, k, n);
-        ExpectBitwiseEqual(got, want, "TN-vs-transpose", m, k, n);
+          // TN with a read as [k, m].
+          const std::vector<float> a_tn = RandomVec(k * m, &rng);
+          kernel::MatMulTN(a_tn.data(), b_nn.data(), got.data(), m, k, n, -1,
+                           *tile);
+          NaiveTN(a_tn.data(), b_nn.data(), want.data(), m, k, n);
+          ExpectBitwiseEqual(got, want, "TN", m, k, n);
+
+          const std::vector<float> a_tn_t = Transposed(a_tn, k, m);  // [m, k]
+          kernel::MatMulBlocked(a_tn_t.data(), b_nn.data(), want.data(), m, k,
+                                n, *tile);
+          kernel::MatMulTN(a_tn.data(), b_nn.data(), got.data(), m, k, n, -1,
+                           *tile);
+          ExpectBitwiseEqual(got, want, "TN-vs-transpose", m, k, n);
+        }
       }
     }
+  }
+}
+
+TEST(GemmKernelTest, EveryTileRoundsMultiplyAndAddSeparately) {
+  // c = 1·(−1) + q·q with q = 1 + 2⁻¹².  The exact q² = 1 + 2⁻¹¹ + 2⁻²⁴ is
+  // a tie that rounds (to even) to 1 + 2⁻¹¹, so a separate multiply and add
+  // give exactly 2⁻¹¹, while a fused multiply-add keeps the 2⁻²⁴ and gives
+  // 2⁻¹¹ + 2⁻²⁴.  Every element of a shape that spans full blocks, row
+  // remainders and column tails of every tile carries this sum.
+  const float q = 1.0f + std::ldexp(1.0f, -12);
+  const float want = std::ldexp(1.0f, -11);
+  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+    const int64_t m = 3 * tile->rows - 1, k = 2, n = 65;
+    std::vector<float> a(static_cast<size_t>(m * k));    // [m, k]
+    std::vector<float> a_tn(static_cast<size_t>(k * m));  // [k, m]
+    for (int64_t i = 0; i < m; ++i) {
+      a[i * k] = a_tn[i] = 1.0f;
+      a[i * k + 1] = a_tn[m + i] = q;
+    }
+    std::vector<float> b(static_cast<size_t>(k * n));     // [k, n]
+    std::vector<float> b_nt(static_cast<size_t>(n * k));  // [n, k]
+    for (int64_t j = 0; j < n; ++j) {
+      b[j] = b_nt[j * k] = -1.0f;
+      b[n + j] = b_nt[j * k + 1] = q;
+    }
+    std::vector<float> got(static_cast<size_t>(m * n));
+    const char* const layouts[] = {"NN", "NT", "TN"};
+    for (int layout = 0; layout < 3; ++layout) {
+      std::fill(got.begin(), got.end(), -1.0f);
+      if (layout == 0) {
+        kernel::MatMulBlocked(a.data(), b.data(), got.data(), m, k, n, *tile);
+      } else if (layout == 1) {
+        kernel::MatMulNT(a.data(), b_nt.data(), got.data(), m, k, n, *tile);
+      } else {
+        kernel::MatMulTN(a_tn.data(), b.data(), got.data(), m, k, n, -1, *tile);
+      }
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want)
+            << tile->name << " " << layouts[layout] << " elem " << i
+            << ": a multiply and its add were fused into one FMA — build "
+               "src/tensor/matmul_kernel*.cc with -ffp-contract=off";
+      }
+    }
+  }
+}
+
+TEST(GemmKernelTest, PackTransposeMatchesNaiveTransposeBitwise) {
+  // The 16x16-blocked pack on shapes with partial blocks on either edge, and
+  // on FiLM's [256, 512] generator weight.
+  struct Case {
+    int64_t rows, cols;
+  };
+  const Case cases[] = {{1, 1}, {15, 17}, {33, 16}, {256, 512}};
+  util::Rng rng(16);
+  for (const Case& c : cases) {
+    const std::vector<float> src = RandomVec(c.rows * c.cols, &rng);
+    std::vector<float> want(src.size());
+    for (int64_t r = 0; r < c.rows; ++r) {
+      for (int64_t cc = 0; cc < c.cols; ++cc) {
+        want[static_cast<size_t>(cc * c.rows + r)] =
+            src[static_cast<size_t>(r * c.cols + cc)];
+      }
+    }
+    std::vector<float> got(src.size(), -1.0f);
+    kernel::PackTranspose(src.data(), got.data(), c.rows, c.cols);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << c.rows << "x" << c.cols;
   }
 }
 
@@ -150,30 +244,37 @@ TEST(GemmKernelTest, ShardedDispatchBitwiseEqualAcrossBudgets) {
     int64_t m, k, n;
   };
   const Case cases[] = {{97, 64, 48}, {128, 80, 33}, {259, 37, 40}, {16, 8, 8}};
-  util::Rng rng(99);
-  for (const Case& c : cases) {
-    const std::vector<float> a = RandomVec(c.m * c.k, &rng);
-    const std::vector<float> b_nn = RandomVec(c.k * c.n, &rng);
-    const std::vector<float> b_nt = RandomVec(c.n * c.k, &rng);
-    const std::vector<float> a_tn = RandomVec(c.k * c.m, &rng);
-    std::vector<float> serial_nn(static_cast<size_t>(c.m * c.n));
-    std::vector<float> serial_nt(static_cast<size_t>(c.m * c.n));
-    std::vector<float> serial_tn(static_cast<size_t>(c.m * c.n));
-    {
-      ParallelismBudget one(1);
-      kernel::GemmNN(a.data(), b_nn.data(), serial_nn.data(), c.m, c.k, c.n);
-      kernel::GemmNT(a.data(), b_nt.data(), serial_nt.data(), c.m, c.k, c.n);
-      kernel::GemmTN(a_tn.data(), b_nn.data(), serial_tn.data(), c.m, c.k, c.n);
-    }
-    for (int64_t budget : {2, 3, 8}) {
-      ParallelismBudget scoped(budget);
-      std::vector<float> got(static_cast<size_t>(c.m * c.n), -1.0f);
-      kernel::GemmNN(a.data(), b_nn.data(), got.data(), c.m, c.k, c.n);
-      ExpectBitwiseEqual(got, serial_nn, "GemmNN", c.m, c.k, budget);
-      kernel::GemmNT(a.data(), b_nt.data(), got.data(), c.m, c.k, c.n);
-      ExpectBitwiseEqual(got, serial_nt, "GemmNT", c.m, c.k, budget);
-      kernel::GemmTN(a_tn.data(), b_nn.data(), got.data(), c.m, c.k, c.n);
-      ExpectBitwiseEqual(got, serial_tn, "GemmTN", c.m, c.k, budget);
+  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+    SCOPED_TRACE(tile->name);
+    util::Rng rng(99);
+    for (const Case& c : cases) {
+      const std::vector<float> a = RandomVec(c.m * c.k, &rng);
+      const std::vector<float> b_nn = RandomVec(c.k * c.n, &rng);
+      const std::vector<float> b_nt = RandomVec(c.n * c.k, &rng);
+      const std::vector<float> a_tn = RandomVec(c.k * c.m, &rng);
+      std::vector<float> serial_nn(static_cast<size_t>(c.m * c.n));
+      std::vector<float> serial_nt(static_cast<size_t>(c.m * c.n));
+      std::vector<float> serial_tn(static_cast<size_t>(c.m * c.n));
+      {
+        ParallelismBudget one(1);
+        kernel::GemmNN(a.data(), b_nn.data(), serial_nn.data(), c.m, c.k, c.n,
+                       *tile);
+        kernel::GemmNT(a.data(), b_nt.data(), serial_nt.data(), c.m, c.k, c.n,
+                       *tile);
+        kernel::GemmTN(a_tn.data(), b_nn.data(), serial_tn.data(), c.m, c.k,
+                       c.n, *tile);
+      }
+      for (int64_t budget : {2, 3, 8}) {
+        ParallelismBudget scoped(budget);
+        std::vector<float> got(static_cast<size_t>(c.m * c.n), -1.0f);
+        kernel::GemmNN(a.data(), b_nn.data(), got.data(), c.m, c.k, c.n, *tile);
+        ExpectBitwiseEqual(got, serial_nn, "GemmNN", c.m, c.k, budget);
+        kernel::GemmNT(a.data(), b_nt.data(), got.data(), c.m, c.k, c.n, *tile);
+        ExpectBitwiseEqual(got, serial_nt, "GemmNT", c.m, c.k, budget);
+        kernel::GemmTN(a_tn.data(), b_nn.data(), got.data(), c.m, c.k, c.n,
+                       *tile);
+        ExpectBitwiseEqual(got, serial_tn, "GemmTN", c.m, c.k, budget);
+      }
     }
   }
 }
