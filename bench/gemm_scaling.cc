@@ -11,11 +11,13 @@
 //
 // Correctness gates, before anything is timed: for every shape, every tile
 // at every budget must be BITWISE-identical (memcmp) to that tile's budget-1
-// result, and every tile's budget-1 result bitwise-identical to the portable
-// tile's — a speed number can never be bought with a determinism or
-// cross-ISA regression.  On a single-core container the speedups will sit
-// near 1.0x (the slab pool has no spare cores); the bitwise gates still
-// verify the dispatch, and multi-core CI measures the real scaling.
+// result, every tile's budget-1 result bitwise-identical to the portable
+// tile's, and every NT result bitwise-identical to packing Bᵀ and running
+// the NN product (FiLM's m = 1 dφ reads B in place instead) — a speed number
+// can never be bought with a determinism or cross-ISA regression.  On a
+// single-core container the speedups will sit near 1.0x (the slab pool has
+// no spare cores); the bitwise gates still verify the dispatch, and
+// multi-core CI measures the real scaling.
 //
 //   ./gemm_scaling --threads 1,2,4 --min-seconds 0.5 --json out.json
 
@@ -50,8 +52,8 @@ struct GemmCase {
 // encoder input projection [B·L, token] x [token, 3H], its NT/TN backward,
 // and the emission head over the [B·L, 2H] encoder output.  The last two are
 // the serving model's: its 450-wide token (word 300 + char 150) projected to
-// 3H, and FiLM's dφ = g·W_filmᵀ, [1, 512]·[256, 512]ᵀ, where the pack of Bᵀ
-// is as large as the multiply.
+// 3H, and FiLM's dφ = g·W_filmᵀ, [1, 512]·[256, 512]ᵀ, which at m = 1 runs
+// as W_film·g with W_film read in place (no pack of Bᵀ).
 constexpr GemmCase kCases[] = {
     {"nn", "encoder input projection", 160, 124, 384},
     {"nt", "d(activations) of the projection", 160, 384, 124},
@@ -123,8 +125,8 @@ int Main(int argc, char** argv) {
   const tensor::kernel::GemmTile& portable = *tiles.front();
 
   // Correctness gates: every tile at every budget must reproduce its own
-  // serial result bitwise, and every tile's serial result must be the
-  // portable tile's.
+  // serial result bitwise, every tile's serial result must be the portable
+  // tile's, and every NT must be its pack-then-NN product.
   uint64_t seed = 0x6E44;
   for (const GemmCase& c : kCases) {
     // a is [m, k] for nn/nt ([k, m] for tn); b is [k, n] ([n, k] for nt).
@@ -146,6 +148,22 @@ int Main(int argc, char** argv) {
                   << " tile diverges from the portable tile\n";
         return 1;
       }
+      if (std::strcmp(c.op, "nt") == 0) {
+        // A·Bᵀ against the pack-then-NN product it stands for; at m = 1 the
+        // NT reads B in place, so this gates that path too.
+        std::vector<float> bt(b.size());
+        tensor::kernel::PackTranspose(b.data(), bt.data(), c.n, c.k);
+        std::vector<float> packed(static_cast<size_t>(c.m * c.n));
+        tensor::kernel::MatMulBlocked(a.data(), bt.data(), packed.data(), c.m,
+                                      c.k, c.n, *tile);
+        if (std::memcmp(reference.data(), packed.data(),
+                        reference.size() * sizeof(float)) != 0) {
+          std::cerr << "ERROR: nt " << c.m << "x" << c.k << "x" << c.n
+                    << " on the " << tile->name
+                    << " tile diverges from pack-then-NN\n";
+          return 1;
+        }
+      }
       for (int64_t t : budgets) {
         const tensor::ParallelismBudget budget(t);
         std::vector<float> sharded(static_cast<size_t>(c.m * c.n));
@@ -161,7 +179,9 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  std::printf("parity: all shapes bitwise-equal across budgets and tiles\n");
+  std::printf(
+      "parity: all shapes bitwise-equal across budgets and tiles, every NT to "
+      "pack-then-NN\n");
 
   bench::JsonWriter json;
   json.BeginObject();

@@ -3,6 +3,7 @@
 // sentences.  Exercises the whole public API end to end in under a minute.
 //
 //   ./build/examples/quickstart [--episodes N] [--iterations N] [--verbose]
+//                               [--checkpoint PATH]
 
 #include <iostream>
 
@@ -24,6 +25,8 @@ int main(int argc, char** argv) {
   flags.AddInt("episodes", 20, "held-out evaluation episodes");
   flags.AddInt("iterations", 30, "meta-training outer iterations");
   flags.AddBool("verbose", false, "log training losses");
+  flags.AddString("checkpoint", "/tmp/fewner_quickstart.ckpt",
+                  "where to save the meta-trained parameters");
   util::Status status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status.ToString() << "\n" << flags.Usage(argv[0]);
@@ -103,7 +106,7 @@ int main(int argc, char** argv) {
             << " tokens tagged as entities\n";
 
   // 5. Persist θ_Meta (Algorithm 1's training output) for later adaptation.
-  const std::string checkpoint = "/tmp/fewner_quickstart.ckpt";
+  const std::string checkpoint = flags.GetString("checkpoint");
   util::Status save_status =
       nn::SaveParameters(fewner_method->backbone(), checkpoint);
   std::cout << "\nSaved meta-trained parameters to " << checkpoint << " ("

@@ -92,24 +92,32 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
   std::optional<EvalMode> eval;
   if (!create_graph) eval.emplace();
 
+  // Per-node mask of the inputs whose grads are needed; the backward closure
+  // builds only those (an input that is frozen θ, or that reaches no
+  // requested input, costs no gradient expression at all).
+  NeedsGrad needs;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Tensor& t = *it;
     if (!needed.count(t.node())) continue;
     auto grad_it = grads.find(t.node());
     if (grad_it == grads.end()) continue;  // output does not depend on this node
-    if (t.node()->inputs.empty() || !t.node()->backward) continue;
-    std::vector<Tensor> input_grads = t.node()->backward(t, grad_it->second);
-    FEWNER_CHECK(input_grads.size() == t.node()->inputs.size(),
+    const std::vector<Tensor>& edges = t.node()->inputs;
+    if (edges.empty() || !t.node()->backward) continue;
+    needs.clear();
+    for (const Tensor& child : edges) {
+      needs.push_back(child.requires_grad() && needed.count(child.node()) > 0);
+    }
+    std::vector<Tensor> input_grads = t.node()->backward(t, grad_it->second, needs);
+    FEWNER_CHECK(input_grads.size() == edges.size(),
                  "backward of " << t.op_name() << " returned " << input_grads.size()
-                                << " grads for " << t.node()->inputs.size()
-                                << " inputs");
+                                << " grads for " << edges.size() << " inputs");
     for (size_t i = 0; i < input_grads.size(); ++i) {
-      const Tensor& child = t.node()->inputs[i];
-      if (!child.requires_grad() || !needed.count(child.node())) continue;
+      if (!needs[i]) continue;
+      const Tensor& child = edges[i];
       const Tensor& g = input_grads[i];
       FEWNER_CHECK(g.defined(), "backward of " << t.op_name()
                                                << " returned undefined grad for a "
-                                                  "requires_grad input");
+                                                  "needed input");
       FEWNER_CHECK(g.shape() == child.shape(),
                    "backward of " << t.op_name() << " produced grad shape "
                                   << g.shape().ToString() << " for input shape "

@@ -135,9 +135,15 @@ void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, const GemmTile& tile) {
+  // Unsharded, this is exactly MatMulNT.  At m = 1 nothing is packed:
+  // c[1, n]ᵀ = b[n, k]·a[k], and b's rows shard like any NN's.
+  if (m == 1) {
+    GemmNN(b, a, c, n, k, 1, tile);
+    return;
+  }
   // Pack bᵀ once on the dispatching thread; GemmNN's slabs read it
   // concurrently (publication ordered by the pool's queue mutex, lifetime by
-  // the latch).  Unsharded, this is exactly MatMulNT.
+  // the latch).
   float* bt = TransposeScratch(k * n);
   PackTranspose(b, bt, n, k);
   GemmNN(a, bt, c, m, k, n, tile);

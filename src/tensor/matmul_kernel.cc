@@ -3,20 +3,7 @@
 #include <cstddef>
 #include <vector>
 
-// Vectorization hint for an inner loop whose iterations are independent.
-// Ordered weakest-assumption first: `omp simd` when the build enables it
-// (-fopenmp-simd, no runtime), otherwise a compiler-specific no-dependence
-// pragma.  None of these permit reassociation of the k accumulation — the
-// bitwise contract in the header depends on that.
-#if defined(FEWNER_HAVE_OMP_SIMD)
-#define FEWNER_SIMD _Pragma("omp simd")
-#elif defined(__clang__)
-#define FEWNER_SIMD _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define FEWNER_SIMD _Pragma("GCC ivdep")
-#else
-#define FEWNER_SIMD
-#endif
+#include "tensor/simd.h"
 
 namespace fewner::tensor::kernel {
 
@@ -130,6 +117,12 @@ void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
 
 void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
               int64_t n, const GemmTile& tile) {
+  if (m == 1) {
+    // c[1, n]ᵀ = b[n, k]·a[k]: each c[j] is the same ascending-k chain of the
+    // same products, with b read in place — no pack.
+    MatMulBlocked(b, a, c, n, k, 1, tile);
+    return;
+  }
   float* bt = TransposeScratch(k * n);
   PackTranspose(b, bt, n, k);  // b [n, k] -> bt [k, n]
   MatMulBlocked(a, bt, c, m, k, n, tile);

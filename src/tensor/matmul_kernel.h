@@ -1,7 +1,7 @@
 // Single-precision GEMM kernels for the op layer.
 //
-// Every product — A·B, Aᵀ·B and (through a pack) A·Bᵀ — runs one strided
-// register-tiled GEMM.  Its micro-tile keeps an MI x NC block of C in
+// Every product — A·B, Aᵀ·B and (through a pack, or at m = 1 as B·aᵀ) A·Bᵀ —
+// runs one strided register-tiled GEMM.  Its micro-tile keeps an MI x NC block of C in
 // registers across the whole k loop, so each loaded B row is reused by MI A
 // rows.  A is read through a (row stride, k stride) pair: (k, 1) for A·B,
 // (1, lda) for Aᵀ·B.  For Aᵀ·B each k step's MI A values are contiguous (one
@@ -34,9 +34,13 @@
 // SIMD lanes.  Packing performs exactly the data movement the old graph-level
 // `Transpose(b)` did — same bits — without a graph node or a steady-state
 // allocation, once per call even when the multiply is row-sharded.  The
-// pack is a 16x16 cache-blocked copy.  It is NOT noise next to the multiply
-// when m is small: FiLM's dφ = g·W_filmᵀ is [1,512]·[256,512]ᵀ, so the pack
-// moves all k·n = 131k floats for a multiply of the same k·n multiply-adds.
+// pack is a 16x16 cache-blocked copy.  At m = 1 the pack would move all k·n
+// floats of B for only k·n multiply-adds — FiLM's dφ = g·W_filmᵀ,
+// [1,512]·[256,512]ᵀ, is that case — so an m = 1 product skips it and runs
+// c[1, n]ᵀ = b[n, k]·a[k]: one strided-tile call with B as the tile's A
+// operand, read in place.  Each c[j] is the same ascending-k chain of the
+// same products (IEEE multiplication is commutative), so the bits do not
+// change.
 //
 // Bitwise contract: for every output element, partial products are
 // accumulated in ascending contraction order onto a single accumulator, each
@@ -87,7 +91,8 @@ void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
 
 /// c[m, n] = a[m, k] * b[n, k]ᵀ, row-major, c fully overwritten.  Contraction
 /// runs over the shared trailing dimension k in ascending order.  Internally
-/// packs bᵀ into a thread-local scratch buffer (see header comment).
+/// packs bᵀ into a thread-local scratch buffer, except at m = 1 (see header
+/// comment).
 void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
               int64_t n, const GemmTile& tile = ActiveTile());
 

@@ -8,6 +8,7 @@
 #include "tensor/eval_mode.h"
 #include "tensor/intraop.h"
 #include "tensor/matmul_kernel.h"
+#include "tensor/simd.h"
 
 namespace fewner::tensor {
 
@@ -24,7 +25,24 @@ namespace {
 //   3. SealEval()/SealGraph() — eval mode returns the bare value; graph mode
 //      wires input edges and the backward closure.  Backward closures are
 //      built by *factories* invoked only in graph mode, so eval mode never
-//      pays for their captures or the std::function allocation.
+//      pays for their captures or the std::function allocation.  Grad hands
+//      each closure a NeedsGrad mask, and a closure builds only the input
+//      grads the mask asks for.
+//
+// Elementwise kernels take their scalar operation as a functor template
+// parameter, so each op compiles to one element loop with the operation
+// inlined.  A broadcast whose small operand repeats along the big one's
+// leading dims (the bias-add [L, D] + [D], FiLM's [rows, D] ⊙ [1, D]) runs as
+// a plain rows × inner loop; so do SumTo and BroadcastTo between such shapes.
+// Other layouts walk the BroadcastIndexer odometer.  The loops are bitwise
+// equal to a per-element walk: every output element gets its one IEEE
+// operation on the same operands in the same order, and SumTo adds each
+// output's terms onto its +0 start in ascending flat order.  The inner loops
+// carry FEWNER_SIMD (tensor/simd.h), which vectorizes across independent
+// elements and never reassociates.  This file is built for the baseline
+// target, which has no FMA, so no multiply and add can fuse; if it is ever
+// built for an FMA target, it needs -ffp-contract=off like the GEMM kernel
+// files (src/tensor/CMakeLists.txt).
 
 /// Handle to an op's output node and its destination buffer.
 struct OpOutput {
@@ -119,53 +137,54 @@ struct BroadcastIndexer {
   int64_t cur_ = 0;
 };
 
-using BinaryFn = float (*)(float, float);
-
-/// True when `small`'s dims equal the trailing dims of `big` — the layout in
-/// which broadcasting `small` over `big` is a plain cyclic repeat, so the
-/// element mapping is `i % small.numel()` with no per-element index
-/// arithmetic.  Covers the ubiquitous bias-add pattern [L, D] + [D].
+/// True when broadcasting `small` against `big` gives `big`'s shape and
+/// repeats all of `small` along big's leading dims: `small`'s dims, past any
+/// leading size-1 dims, equal `big`'s trailing dims.  Covers the bias-add
+/// [L, D] + [D] and FiLM's [rows, D] ⊙ [1, D].  The rank guard keeps
+/// [1, 1, Y] ⊕ [Y, Y] out: its result is [1, Y, Y], not `big`'s shape.
 bool IsTrailingShape(const Shape& small, const Shape& big) {
   const int64_t offset = big.rank() - small.rank();
   if (offset < 0) return false;
-  for (int64_t i = 0; i < small.rank(); ++i) {
+  int64_t i = 0;
+  while (i < small.rank() && small.dim(i) == 1) ++i;
+  for (; i < small.rank(); ++i) {
     if (small.dim(i) != big.dim(i + offset)) return false;
   }
   return true;
 }
 
-/// Shared implementation for broadcasting elementwise binary ops.  The
-/// backward factory runs only in graph mode.
-template <typename BackwardFactory>
-Tensor ElementwiseBinary(const char* op, const Tensor& a, const Tensor& b, BinaryFn f,
+/// Rows of a trailing layout: `n` output elements in rows of `inner`.  An
+/// empty operand gives zero rows, so no row loop ever steps by zero.
+int64_t RowCount(int64_t n, int64_t inner) { return inner > 0 ? n / inner : 0; }
+
+/// Shared implementation for broadcasting elementwise binary ops.  `f` is a
+/// functor type, so each op's loops are compiled with its scalar operation
+/// inlined.  The backward factory runs only in graph mode.
+template <typename F, typename BackwardFactory>
+Tensor ElementwiseBinary(const char* op, const Tensor& a, const Tensor& b, F f,
                          BackwardFactory make_backward) {
   FEWNER_CHECK(a.defined() && b.defined(), op << " on undefined tensor");
-  if (a.shape() == b.shape()) {
-    const auto& av = a.data();
-    const auto& bv = b.data();
-    OpOutput out = NewOutput(op, a.shape());
+  const float* av = a.data().data();
+  const float* bv = b.data().data();
+  const bool b_repeats = IsTrailingShape(b.shape(), a.shape());
+  if (b_repeats || IsTrailingShape(a.shape(), b.shape())) {
+    // out[r, j] = f(a, b) at row r, column j of `inner`; the operand that
+    // repeats is read at column j of every row (row stride 0).  The same
+    // shape is the one-row case.
+    const Shape& shape = b_repeats ? a.shape() : b.shape();
+    const int64_t inner = b_repeats ? b.numel() : a.numel();
+    const int64_t rows = RowCount(shape.numel(), inner);
+    const int64_t a_step = b_repeats ? inner : 0;
+    const int64_t b_step = b_repeats ? 0 : inner;
+    OpOutput out = NewOutput(op, shape);
     float* ov = out.data();
-    for (size_t i = 0; i < av.size(); ++i) ov[i] = f(av[i], bv[i]);
-    if (EvalMode::active()) return SealEval(std::move(out));
-    return SealGraph(std::move(out), {a, b}, make_backward());
-  }
-  if (IsTrailingShape(b.shape(), a.shape()) && b.numel() > 0) {
-    const auto& av = a.data();
-    const auto& bv = b.data();
-    const size_t bn = bv.size();
-    OpOutput out = NewOutput(op, a.shape());
-    float* ov = out.data();
-    for (size_t i = 0; i < av.size(); ++i) ov[i] = f(av[i], bv[i % bn]);
-    if (EvalMode::active()) return SealEval(std::move(out));
-    return SealGraph(std::move(out), {a, b}, make_backward());
-  }
-  if (IsTrailingShape(a.shape(), b.shape()) && a.numel() > 0) {
-    const auto& av = a.data();
-    const auto& bv = b.data();
-    const size_t an = av.size();
-    OpOutput out = NewOutput(op, b.shape());
-    float* ov = out.data();
-    for (size_t i = 0; i < bv.size(); ++i) ov[i] = f(av[i % an], bv[i]);
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* ar = av + r * a_step;
+      const float* br = bv + r * b_step;
+      float* orow = ov + r * inner;
+      FEWNER_SIMD
+      for (int64_t j = 0; j < inner; ++j) orow[j] = f(ar[j], br[j]);
+    }
     if (EvalMode::active()) return SealEval(std::move(out));
     return SealGraph(std::move(out), {a, b}, make_backward());
   }
@@ -177,26 +196,22 @@ Tensor ElementwiseBinary(const char* op, const Tensor& a, const Tensor& b, Binar
   const int64_t n = shape.numel();
   OpOutput out = NewOutput(op, std::move(shape));
   float* ov = out.data();
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  for (int64_t i = 0; i < n; ++i) {
-    ov[i] = f(av[static_cast<size_t>(ia.Next())], bv[static_cast<size_t>(ib.Next())]);
-  }
+  for (int64_t i = 0; i < n; ++i) ov[i] = f(av[ia.Next()], bv[ib.Next()]);
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {a, b}, make_backward());
 }
 
-using UnaryFn = float (*)(float);
-
-/// Shared implementation for elementwise unary ops.
-template <typename BackwardFactory>
-Tensor ElementwiseUnary(const char* op, const Tensor& t, UnaryFn f,
+/// Shared implementation for elementwise unary ops; `f` as ElementwiseBinary.
+template <typename F, typename BackwardFactory>
+Tensor ElementwiseUnary(const char* op, const Tensor& t, F f,
                         BackwardFactory make_backward) {
   FEWNER_CHECK(t.defined(), op << " on undefined tensor");
-  const auto& tv = t.data();
+  const float* tv = t.data().data();
+  const int64_t n = t.numel();
   OpOutput out = NewOutput(op, t.shape());
   float* ov = out.data();
-  for (size_t i = 0; i < tv.size(); ++i) ov[i] = f(tv[i]);
+  FEWNER_SIMD
+  for (int64_t i = 0; i < n; ++i) ov[i] = f(tv[i]);
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {t}, make_backward());
 }
@@ -204,15 +219,21 @@ Tensor ElementwiseUnary(const char* op, const Tensor& t, UnaryFn f,
 }  // namespace
 
 // ----- elementwise binary -----
+//
+// Each backward builds only the input grads Grad needs; an unneeded entry
+// stays undefined.
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   return ElementwiseBinary(
       "add", a, b, [](float x, float y) { return x + y; },
       [&]() -> BackwardFn {
         Shape sa = a.shape(), sb = b.shape();
-        return [sa, sb](const Tensor& /*self*/,
-                        const Tensor& grad) -> std::vector<Tensor> {
-          return {SumTo(grad, sa), SumTo(grad, sb)};
+        return [sa, sb](const Tensor& /*self*/, const Tensor& grad,
+                        const NeedsGrad& needs) -> std::vector<Tensor> {
+          std::vector<Tensor> grads(2);
+          if (needs[0]) grads[0] = SumTo(grad, sa);
+          if (needs[1]) grads[1] = SumTo(grad, sb);
+          return grads;
         };
       });
 }
@@ -222,9 +243,12 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
       "sub", a, b, [](float x, float y) { return x - y; },
       [&]() -> BackwardFn {
         Shape sa = a.shape(), sb = b.shape();
-        return [sa, sb](const Tensor& /*self*/,
-                        const Tensor& grad) -> std::vector<Tensor> {
-          return {SumTo(grad, sa), SumTo(Neg(grad), sb)};
+        return [sa, sb](const Tensor& /*self*/, const Tensor& grad,
+                        const NeedsGrad& needs) -> std::vector<Tensor> {
+          std::vector<Tensor> grads(2);
+          if (needs[0]) grads[0] = SumTo(grad, sa);
+          if (needs[1]) grads[1] = SumTo(Neg(grad), sb);
+          return grads;
         };
       });
 }
@@ -234,9 +258,12 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       "mul", a, b, [](float x, float y) { return x * y; },
       [&]() -> BackwardFn {
         Shape sa = a.shape(), sb = b.shape();
-        return [a, b, sa, sb](const Tensor& /*self*/,
-                              const Tensor& grad) -> std::vector<Tensor> {
-          return {SumTo(Mul(grad, b), sa), SumTo(Mul(grad, a), sb)};
+        return [a, b, sa, sb](const Tensor& /*self*/, const Tensor& grad,
+                              const NeedsGrad& needs) -> std::vector<Tensor> {
+          std::vector<Tensor> grads(2);
+          if (needs[0]) grads[0] = SumTo(Mul(grad, b), sa);
+          if (needs[1]) grads[1] = SumTo(Mul(grad, a), sb);
+          return grads;
         };
       });
 }
@@ -246,11 +273,12 @@ Tensor Div(const Tensor& a, const Tensor& b) {
       "div", a, b, [](float x, float y) { return x / y; },
       [&]() -> BackwardFn {
         Shape sa = a.shape(), sb = b.shape();
-        return [a, b, sa, sb](const Tensor& /*self*/,
-                              const Tensor& grad) -> std::vector<Tensor> {
-          Tensor ga = SumTo(Div(grad, b), sa);
-          Tensor gb = SumTo(Neg(Div(Mul(grad, a), Mul(b, b))), sb);
-          return {ga, gb};
+        return [a, b, sa, sb](const Tensor& /*self*/, const Tensor& grad,
+                              const NeedsGrad& needs) -> std::vector<Tensor> {
+          std::vector<Tensor> grads(2);
+          if (needs[0]) grads[0] = SumTo(Div(grad, b), sa);
+          if (needs[1]) grads[1] = SumTo(Neg(Div(Mul(grad, a), Mul(b, b))), sb);
+          return grads;
         };
       });
 }
@@ -261,7 +289,7 @@ Tensor Neg(const Tensor& t) {
   return ElementwiseUnary(
       "neg", t, [](float x) { return -x; },
       []() -> BackwardFn {
-        return [](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+        return [](const Tensor&, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
           return {Neg(grad)};
         };
       });
@@ -271,7 +299,7 @@ Tensor Sigmoid(const Tensor& t) {
   return ElementwiseUnary(
       "sigmoid", t, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
       []() -> BackwardFn {
-        return [](const Tensor& self, const Tensor& grad) -> std::vector<Tensor> {
+        return [](const Tensor& self, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
           // d/dx sigmoid = y * (1 - y), with y the op output (still in-graph).
           Tensor one_minus = AddScalar(Neg(self), 1.0f);
           return {Mul(grad, Mul(self, one_minus))};
@@ -283,7 +311,7 @@ Tensor Tanh(const Tensor& t) {
   return ElementwiseUnary(
       "tanh", t, [](float x) { return std::tanh(x); },
       []() -> BackwardFn {
-        return [](const Tensor& self, const Tensor& grad) -> std::vector<Tensor> {
+        return [](const Tensor& self, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
           return {Mul(grad, AddScalar(Neg(Mul(self, self)), 1.0f))};
         };
       });
@@ -301,7 +329,8 @@ Tensor Relu(const Tensor& t) {
           mask[i] = t.data()[i] > 0.0f ? 1.0f : 0.0f;
         }
         Tensor mask_t = Tensor::FromData(t.shape(), std::move(mask));
-        return [mask_t](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+        return [mask_t](const Tensor&, const Tensor& grad,
+                        const NeedsGrad&) -> std::vector<Tensor> {
           return {Mul(grad, mask_t)};
         };
       });
@@ -311,7 +340,7 @@ Tensor Exp(const Tensor& t) {
   return ElementwiseUnary(
       "exp", t, [](float x) { return std::exp(x); },
       []() -> BackwardFn {
-        return [](const Tensor& self, const Tensor& grad) -> std::vector<Tensor> {
+        return [](const Tensor& self, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
           return {Mul(grad, self)};
         };
       });
@@ -321,7 +350,7 @@ Tensor Log(const Tensor& t) {
   return ElementwiseUnary(
       "log", t, [](float x) { return std::log(x); },
       [&]() -> BackwardFn {
-        return [t](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+        return [t](const Tensor&, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
           return {Div(grad, t)};
         };
       });
@@ -331,7 +360,7 @@ Tensor Sqrt(const Tensor& t) {
   return ElementwiseUnary(
       "sqrt", t, [](float x) { return std::sqrt(x); },
       []() -> BackwardFn {
-        return [](const Tensor& self, const Tensor& grad) -> std::vector<Tensor> {
+        return [](const Tensor& self, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
           return {Div(MulScalar(grad, 0.5f), self)};
         };
       });
@@ -346,10 +375,11 @@ Tensor AddScalar(const Tensor& t, float c) {
   const auto& tv = t.data();
   OpOutput out = NewOutput("add_scalar", t.shape());
   float* ov = out.data();
+  FEWNER_SIMD
   for (size_t i = 0; i < tv.size(); ++i) ov[i] = tv[i] + c;
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {t},
-                   [](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [](const Tensor&, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
                      return {grad};
                    });
 }
@@ -359,10 +389,11 @@ Tensor MulScalar(const Tensor& t, float c) {
   const auto& tv = t.data();
   OpOutput out = NewOutput("mul_scalar", t.shape());
   float* ov = out.data();
+  FEWNER_SIMD
   for (size_t i = 0; i < tv.size(); ++i) ov[i] = tv[i] * c;
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {t},
-                   [c](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [c](const Tensor&, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
                      return {MulScalar(grad, c)};
                    });
 }
@@ -378,7 +409,8 @@ Tensor Reshape(const Tensor& t, Shape shape) {
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape original = t.shape();
   return SealGraph(std::move(out), {t},
-                   [original](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [original](const Tensor&, const Tensor& grad,
+                              const NeedsGrad&) -> std::vector<Tensor> {
                      return {Reshape(grad, original)};
                    });
 }
@@ -397,7 +429,7 @@ Tensor Transpose(const Tensor& t) {
   }
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {t},
-                   [](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [](const Tensor&, const Tensor& grad, const NeedsGrad&) -> std::vector<Tensor> {
                      return {Transpose(grad)};
                    });
 }
@@ -406,18 +438,25 @@ Tensor BroadcastTo(const Tensor& t, Shape shape) {
   if (t.shape() == shape) return t;
   FEWNER_CHECK(t.shape().BroadcastableTo(shape),
                "BroadcastTo " << t.shape().ToString() << " -> " << shape.ToString());
-  BroadcastIndexer indexer(t.shape(), shape);
-  const int64_t n = shape.numel();
   OpOutput out = NewOutput("broadcast_to", std::move(shape));
+  const Shape& out_shape = out.node->shape;
+  const int64_t n = out_shape.numel();
   float* ov = out.data();
   const float* tv = t.data().data();
-  for (int64_t i = 0; i < n; ++i) {
-    ov[i] = tv[indexer.Next()];
+  if (IsTrailingShape(t.shape(), out_shape)) {
+    // Every row of the output is a copy of t.
+    const int64_t inner = t.numel();
+    const int64_t rows = RowCount(n, inner);
+    for (int64_t r = 0; r < rows; ++r) CopyFloats(ov + r * inner, tv, inner);
+  } else {
+    BroadcastIndexer indexer(t.shape(), out_shape);
+    for (int64_t i = 0; i < n; ++i) ov[i] = tv[indexer.Next()];
   }
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape in_shape = t.shape();
   return SealGraph(std::move(out), {t},
-                   [in_shape](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [in_shape](const Tensor&, const Tensor& grad,
+                              const NeedsGrad&) -> std::vector<Tensor> {
                      return {SumTo(grad, in_shape)};
                    });
 }
@@ -426,18 +465,30 @@ Tensor SumTo(const Tensor& t, Shape shape) {
   if (t.shape() == shape) return t;
   FEWNER_CHECK(shape.BroadcastableTo(t.shape()),
                "SumTo " << t.shape().ToString() << " -> " << shape.ToString());
-  BroadcastIndexer indexer(shape, t.shape());
-  const int64_t n = t.numel();
   OpOutput out = NewOutput("sum_to", std::move(shape), /*zero=*/true);
+  const Shape& out_shape = out.node->shape;
+  const int64_t n = t.numel();
   float* ov = out.data();
   const float* tv = t.data().data();
-  for (int64_t i = 0; i < n; ++i) {
-    ov[indexer.Next()] += tv[i];
+  if (IsTrailingShape(out_shape, t.shape())) {
+    // Row r of t adds onto the one output row, rows ascending: each output
+    // gets its terms in ascending flat order, as the odometer walk adds them.
+    const int64_t inner = out_shape.numel();
+    const int64_t rows = RowCount(n, inner);
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* trow = tv + r * inner;
+      FEWNER_SIMD
+      for (int64_t j = 0; j < inner; ++j) ov[j] += trow[j];
+    }
+  } else {
+    BroadcastIndexer indexer(out_shape, t.shape());
+    for (int64_t i = 0; i < n; ++i) ov[indexer.Next()] += tv[i];
   }
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape in_shape = t.shape();
   return SealGraph(std::move(out), {t},
-                   [in_shape](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [in_shape](const Tensor&, const Tensor& grad,
+                              const NeedsGrad&) -> std::vector<Tensor> {
                      return {BroadcastTo(grad, in_shape)};
                    });
 }
@@ -486,13 +537,13 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t axis) {
   sizes.reserve(tensors.size());
   for (const Tensor& t : tensors) sizes.push_back(t.shape().dim(axis));
   return SealGraph(std::move(out), tensors,
-                   [axis, sizes](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     std::vector<Tensor> grads;
-                     grads.reserve(sizes.size());
+                   [axis, sizes](const Tensor&, const Tensor& grad,
+                                 const NeedsGrad& needs) -> std::vector<Tensor> {
+                     std::vector<Tensor> grads(sizes.size());
                      int64_t start = 0;
-                     for (int64_t size : sizes) {
-                       grads.push_back(Slice(grad, axis, start, size));
-                       start += size;
+                     for (size_t i = 0; i < sizes.size(); ++i) {
+                       if (needs[i]) grads[i] = Slice(grad, axis, start, sizes[i]);
+                       start += sizes[i];
                      }
                      return grads;
                    });
@@ -529,7 +580,8 @@ Tensor Slice(const Tensor& t, int64_t axis, int64_t start, int64_t length) {
   return SealGraph(
       std::move(out), {t},
       [axis, before_shape, after_shape](const Tensor&,
-                                        const Tensor& grad) -> std::vector<Tensor> {
+                                        const Tensor& grad,
+                                        const NeedsGrad&) -> std::vector<Tensor> {
         std::vector<Tensor> pieces;
         if (before_shape.dim(axis) > 0) pieces.push_back(Tensor::Zeros(before_shape));
         pieces.push_back(grad);
@@ -548,7 +600,8 @@ Tensor SumAll(const Tensor& t) {
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape in_shape = t.shape();
   return SealGraph(std::move(out), {t},
-                   [in_shape](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [in_shape](const Tensor&, const Tensor& grad,
+                              const NeedsGrad&) -> std::vector<Tensor> {
                      return {BroadcastTo(grad, in_shape)};
                    });
 }
@@ -565,7 +618,8 @@ Tensor SumAllFloat(const Tensor& t) {
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape in_shape = t.shape();
   return SealGraph(std::move(out), {t},
-                   [in_shape](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [in_shape](const Tensor&, const Tensor& grad,
+                              const NeedsGrad&) -> std::vector<Tensor> {
                      return {BroadcastTo(grad, in_shape)};
                    });
 }
@@ -602,7 +656,8 @@ Tensor RowSum(const Tensor& t) {
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape in_shape = t.shape();
   return SealGraph(std::move(out), {t},
-                   [r, in_shape](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [r, in_shape](const Tensor&, const Tensor& grad,
+                                 const NeedsGrad&) -> std::vector<Tensor> {
                      return {BroadcastTo(Reshape(grad, Shape{r, 1}), in_shape)};
                    });
 }
@@ -647,7 +702,8 @@ Tensor MaxAxis(const Tensor& t, int64_t axis, bool keepdim) {
     result = SealGraph(
         std::move(out), {t},
         [mask_t, keep_shape, in_shape](const Tensor&,
-                                       const Tensor& grad) -> std::vector<Tensor> {
+                                       const Tensor& grad,
+                                       const NeedsGrad&) -> std::vector<Tensor> {
           Tensor g = Reshape(grad, keep_shape);
           return {Mul(BroadcastTo(g, in_shape), mask_t)};
         });
@@ -673,8 +729,7 @@ enum class Layout { kNN, kNT, kTN };
 /// (Aᵀ·B).  The register-tiled kernels serve graph and eval mode alike, so
 /// training forwards take the same fast path as serving.  Each backward
 /// product goes straight to the layout that reads its operands in place — no
-/// Transpose nodes, no copies — and is built only for an input that can use
-/// it.
+/// Transpose nodes, no copies — and is built only for an input Grad needs.
 Tensor MatMulOp(Layout layout, const Tensor& a, const Tensor& b) {
   const bool ta = layout == Layout::kTN;
   const bool tb = layout == Layout::kNT;
@@ -701,25 +756,23 @@ Tensor MatMulOp(Layout layout, const Tensor& a, const Tensor& b) {
     kernel::GemmNN(pa, pb, out.data(), m, k, n);
   }
   if (EvalMode::active()) return SealEval(std::move(out));
-  const bool need_a = a.requires_grad();
-  const bool need_b = b.requires_grad();
   return SealGraph(
       std::move(out), {a, b},
-      [layout, a, b, need_a, need_b](const Tensor&,
-                                     const Tensor& grad) -> std::vector<Tensor> {
+      [layout, a, b](const Tensor&, const Tensor& grad,
+                     const NeedsGrad& needs) -> std::vector<Tensor> {
         std::vector<Tensor> grads(2);
         switch (layout) {
           case Layout::kNN:  // C = A·B: dA = G·Bᵀ, dB = Aᵀ·G
-            if (need_a) grads[0] = MatMulNT(grad, b);
-            if (need_b) grads[1] = MatMulTN(a, grad);
+            if (needs[0]) grads[0] = MatMulNT(grad, b);
+            if (needs[1]) grads[1] = MatMulTN(a, grad);
             break;
           case Layout::kNT:  // C = A·Bᵀ: dA = G·B, dB = Gᵀ·A
-            if (need_a) grads[0] = MatMul(grad, b);
-            if (need_b) grads[1] = MatMulTN(grad, a);
+            if (needs[0]) grads[0] = MatMul(grad, b);
+            if (needs[1]) grads[1] = MatMulTN(grad, a);
             break;
           case Layout::kTN:  // C = Aᵀ·B: dA = B·Gᵀ, dB = A·G
-            if (need_a) grads[0] = MatMulNT(b, grad);
-            if (need_b) grads[1] = MatMul(a, grad);
+            if (needs[0]) grads[0] = MatMulNT(b, grad);
+            if (needs[1]) grads[1] = MatMul(a, grad);
             break;
         }
         return grads;
@@ -753,7 +806,8 @@ Tensor IndexSelectRows(const Tensor& t, const std::vector<int64_t>& indices) {
   if (EvalMode::active()) return SealEval(std::move(out));
   std::vector<int64_t> idx = indices;
   return SealGraph(std::move(out), {t},
-                   [idx, v](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [idx, v](const Tensor&, const Tensor& grad,
+                            const NeedsGrad&) -> std::vector<Tensor> {
                      return {ScatterAddRows(grad, idx, v)};
                    });
 }
@@ -778,7 +832,8 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
   if (EvalMode::active()) return SealEval(std::move(out));
   std::vector<int64_t> idx = indices;
   return SealGraph(std::move(out), {src},
-                   [idx](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [idx](const Tensor&, const Tensor& grad,
+                         const NeedsGrad&) -> std::vector<Tensor> {
                      return {IndexSelectRows(grad, idx)};
                    });
 }
@@ -803,7 +858,8 @@ Tensor UnfoldTimeBatch(const Tensor& t, int64_t window) {
   }
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {t},
-                   [window](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [window](const Tensor&, const Tensor& grad,
+                            const NeedsGrad&) -> std::vector<Tensor> {
                      return {FoldTimeBatch(grad, window)};
                    });
 }
@@ -833,7 +889,8 @@ Tensor FoldTimeBatch(const Tensor& t, int64_t window) {
   }
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {t},
-                   [window](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
+                   [window](const Tensor&, const Tensor& grad,
+                            const NeedsGrad&) -> std::vector<Tensor> {
                      return {UnfoldTimeBatch(grad, window)};
                    });
 }
@@ -873,9 +930,12 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   if (!graph) return SealEval(std::move(out));
   Tensor sel_t = Tensor::FromData(a.shape(), std::move(sel));
   return SealGraph(std::move(out), {a, b},
-                   [sel_t](const Tensor&, const Tensor& grad) -> std::vector<Tensor> {
-                     Tensor inv = AddScalar(Neg(sel_t), 1.0f);
-                     return {Mul(grad, sel_t), Mul(grad, inv)};
+                   [sel_t](const Tensor&, const Tensor& grad,
+                           const NeedsGrad& needs) -> std::vector<Tensor> {
+                     std::vector<Tensor> grads(2);
+                     if (needs[0]) grads[0] = Mul(grad, sel_t);
+                     if (needs[1]) grads[1] = Mul(grad, AddScalar(Neg(sel_t), 1.0f));
+                     return grads;
                    });
 }
 

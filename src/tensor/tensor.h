@@ -20,10 +20,17 @@ namespace fewner::tensor {
 
 class Tensor;
 
-/// Given the node's own output tensor and the upstream gradient, returns one
-/// gradient tensor per input (undefined Tensor for inputs without grad).
-using BackwardFn =
-    std::function<std::vector<Tensor>(const Tensor& self, const Tensor& grad_out)>;
+/// Which of a node's inputs the running autodiff::Grad needs a gradient for:
+/// entry i is true when input i requires grad and a requested input is
+/// reachable from it (PyTorch's `needs_input_grad`).
+using NeedsGrad = std::vector<bool>;
+
+/// Given the node's own output tensor, the upstream gradient and the NeedsGrad
+/// mask of its inputs, returns one gradient tensor per input.  The entry of
+/// an input the mask does not ask for may be an undefined Tensor, and should
+/// be: Grad discards it.
+using BackwardFn = std::function<std::vector<Tensor>(
+    const Tensor& self, const Tensor& grad_out, const NeedsGrad& needs)>;
 
 namespace internal {
 

@@ -8,7 +8,10 @@
 #include <cstring>
 #include <functional>
 
+#include "crf/linear_chain_crf.h"
+#include "nn/layers.h"
 #include "tensor/autodiff.h"
+#include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -216,17 +219,21 @@ TEST(AutodiffTest, MatMulFamilyMatchesTransposeCompositionBitwise) {
 }
 
 TEST(AutodiffTest, MatMulFamilySkipsGradExpressionsForConstantInputs) {
-  // A backward invocation may return an undefined Tensor for an input with
-  // requires_grad() == false (tensor.h's BackwardFn contract); the MatMul
-  // family exploits that so a frozen operand — e.g. θ during test-time
-  // adaptation — costs neither a transpose nor a GEMM on the tape.
+  // A backward closure builds only the input grads its NeedsGrad mask asks
+  // for and leaves the others undefined (tensor.h's BackwardFn contract).
+  // Grad's mask is false for an input that does not require grad, and also
+  // for one that reaches no requested input — so θ, which keeps
+  // requires_grad during test-time adaptation, costs no GEMM when Grad asks
+  // only for φ (ThetaGradientsAreNeverBuiltForAPhiOnlyGrad pins that end to
+  // end).  The first three cases pass the mask Grad computes for a frozen
+  // operand; the last passes a mask that drops a trainable one.
   Tensor ones = Tensor::Ones(Shape{2, 4});
   {
     Tensor a = RandTensor(Shape{2, 3}, 93);
     Tensor b = RandTensor(Shape{3, 4}, 94);
     b.set_requires_grad(false);
     Tensor c = MatMul(a, b);
-    auto grads = c.node()->backward(c, ones);
+    auto grads = c.node()->backward(c, ones, {true, false});
     ASSERT_EQ(grads.size(), 2u);
     EXPECT_TRUE(grads[0].defined());
     EXPECT_FALSE(grads[1].defined());
@@ -236,7 +243,7 @@ TEST(AutodiffTest, MatMulFamilySkipsGradExpressionsForConstantInputs) {
     a.set_requires_grad(false);
     Tensor b = RandTensor(Shape{4, 3}, 96);
     Tensor c = MatMulNT(a, b);
-    auto grads = c.node()->backward(c, ones);
+    auto grads = c.node()->backward(c, ones, {false, true});
     EXPECT_FALSE(grads[0].defined());
     EXPECT_TRUE(grads[1].defined());
   }
@@ -245,7 +252,15 @@ TEST(AutodiffTest, MatMulFamilySkipsGradExpressionsForConstantInputs) {
     Tensor b = RandTensor(Shape{3, 4}, 98);
     b.set_requires_grad(false);
     Tensor c = MatMulTN(a, b);
-    auto grads = c.node()->backward(c, ones);
+    auto grads = c.node()->backward(c, ones, {true, false});
+    EXPECT_TRUE(grads[0].defined());
+    EXPECT_FALSE(grads[1].defined());
+  }
+  {
+    Tensor a = RandTensor(Shape{2, 3}, 101);
+    Tensor b = RandTensor(Shape{3, 4}, 102);  // requires grad, not needed
+    Tensor c = MatMul(a, b);
+    auto grads = c.node()->backward(c, ones, {true, false});
     EXPECT_TRUE(grads[0].defined());
     EXPECT_FALSE(grads[1].defined());
   }
@@ -259,6 +274,86 @@ TEST(AutodiffTest, MatMulFamilySkipsGradExpressionsForConstantInputs) {
   for (int64_t i = 0; i < expected.numel(); ++i) {
     EXPECT_FLOAT_EQ(g[0].at(i), expected.at(i)) << "element " << i;
   }
+}
+
+TEST(AutodiffTest, BackwardClosuresBuildOnlyTheGradsTheMaskAsks) {
+  // Both operands of every two-input op require grad; the closure must still
+  // leave an input the NeedsGrad mask drops undefined.
+  Tensor a = RandTensor(Shape{2, 3}, 103);
+  Tensor b = RandTensor(Shape{2, 3}, 104);
+  Tensor cond = Tensor::FromData(Shape{2, 1}, {1.0f, 0.0f});
+  struct Case {
+    const char* name;
+    Tensor out;
+  };
+  const Case cases[] = {
+      {"add", Add(a, b)},          {"sub", Sub(a, b)},
+      {"mul", Mul(a, b)},          {"div", Div(a, b)},
+      {"where", Where(cond, a, b)}, {"concat", Concat({a, b}, 1)},
+      {"matmul_nt", MatMulNT(a, b)},
+  };
+  for (const Case& c : cases) {
+    const Tensor ones = Tensor::Ones(c.out.shape());
+    for (int keep = 0; keep < 2; ++keep) {
+      const NeedsGrad needs = {keep == 0, keep == 1};
+      std::vector<Tensor> grads = c.out.node()->backward(c.out, ones, needs);
+      ASSERT_EQ(grads.size(), 2u) << c.name;
+      EXPECT_EQ(grads[0].defined(), keep == 0) << c.name;
+      EXPECT_EQ(grads[1].defined(), keep == 1) << c.name;
+    }
+  }
+}
+
+TEST(AutodiffTest, ThetaGradientsAreNeverBuiltForAPhiOnlyGrad) {
+  // The test-time φ-step: Grad w.r.t. φ through FiLM, the emission Linear and
+  // the batched CRF NLL, while θ (every module parameter) still requires
+  // grad.  Grad's eval-mode backward takes every gradient buffer from the
+  // thread's WorkspaceArena, so the acquires it makes count the gradient
+  // expressions it builds.  With θ trainable they must equal the count with
+  // θ frozen, where the mask drops every θ input (the test above): not one
+  // dW, bias or transition gradient is built.  φ's gradient is the same bits
+  // either way.
+  const int64_t context = 6, features = 10, tags = 5, lanes = 3, max_len = 4;
+  util::Rng rng(17);
+  nn::FilmGenerator film(context, features, &rng);
+  nn::Linear emit(features, tags, &rng);
+  crf::LinearChainCrf crf(tags);
+  const Tensor h = RandTensor(Shape{lanes * max_len, features}, 18);
+  const std::vector<int64_t> lengths = {4, 2, 3};
+  std::vector<int64_t> gold(static_cast<size_t>(lanes * max_len));
+  for (size_t i = 0; i < gold.size(); ++i) gold[i] = static_cast<int64_t>(i * 7 % tags);
+  const Tensor phi0 = RandTensor(Shape{context}, 19, 0.1f);
+
+  struct Run {
+    uint64_t acquires;
+    Tensor dphi;
+  };
+  auto run = [&](bool theta_trainable) {
+    std::vector<Tensor*> theta;
+    for (nn::Module* m : std::initializer_list<nn::Module*>{&film, &emit, &crf}) {
+      for (Tensor* p : m->Parameters()) theta.push_back(p);
+    }
+    for (Tensor* p : theta) p->set_requires_grad(theta_trainable);
+    Tensor phi = Tensor::FromData(phi0.shape(), phi0.data(), /*requires_grad=*/true);
+    Tensor emissions = Reshape(emit.Forward(film.Forward(h, phi)),
+                               Shape{lanes, max_len, tags});
+    Tensor loss = SumAll(crf.NegLogLikelihoodBatch(emissions, gold, lengths));
+    const WorkspaceArena& arena = WorkspaceArena::ThreadLocal();
+    const uint64_t before = arena.reuse_count() + arena.alloc_count();
+    std::vector<Tensor> g = Grad(loss, {phi});
+    const uint64_t acquires = arena.reuse_count() + arena.alloc_count() - before;
+    for (Tensor* p : theta) p->set_requires_grad(true);
+    return Run{acquires, g[0]};
+  };
+  const Run frozen = run(false);
+  const Run trainable = run(true);
+  EXPECT_GT(frozen.acquires, 0u);
+  EXPECT_EQ(trainable.acquires, frozen.acquires)
+      << "a φ-only Grad built gradient expressions for θ";
+  ASSERT_EQ(trainable.dphi.numel(), context);
+  EXPECT_EQ(std::memcmp(trainable.dphi.data().data(), frozen.dphi.data().data(),
+                        static_cast<size_t>(context) * sizeof(float)),
+            0);
 }
 
 TEST(SecondOrderTest, ThroughMatMulNTChain) {

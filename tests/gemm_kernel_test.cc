@@ -7,6 +7,8 @@
 //      this host can run — and NT/TN match the transpose-then-MatMulBlocked
 //      composition they replaced.  Each multiply and add rounds separately
 //      (no FMA), and the blocked pack is an exact transpose.
+//      An m = 1 NT, which reads B in place instead of packing it, is held
+//      to the same references.
 //   2. Row-sharded parallel dispatch is bitwise-invariant to the intra-op
 //      budget: each output element keeps its single ascending-k accumulator
 //      no matter which slab (thread) computes it.
@@ -274,6 +276,39 @@ TEST(GemmKernelTest, ShardedDispatchBitwiseEqualAcrossBudgets) {
         kernel::GemmTN(a_tn.data(), b_nn.data(), got.data(), c.m, c.k, c.n,
                        *tile);
         ExpectBitwiseEqual(got, serial_tn, "GemmTN", c.m, c.k, budget);
+      }
+    }
+  }
+}
+
+TEST(GemmKernelTest, SingleRowNtReadsBInPlaceBitwise) {
+  // An m = 1 A·Bᵀ (FiLM's dφ = g·W_filmᵀ) runs as c[1, n]ᵀ = b[n, k]·a[k]:
+  // one strided-tile call that reads b in place, with no pack.  It must equal
+  // naive NT and the pack-then-NN product on every host tile, through
+  // MatMulNT and through GemmNT at every budget.  n = 1024 with k = 512
+  // clears the flop threshold, so budgets > 1 shard b's rows there.
+  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+    SCOPED_TRACE(tile->name);
+    util::Rng rng(31);
+    for (int64_t n : {1, 31, 33, 256, 1024}) {
+      for (int64_t k : {1, 17, 512}) {
+        const std::vector<float> a = RandomVec(k, &rng);
+        const std::vector<float> b = RandomVec(n * k, &rng);
+        std::vector<float> want(static_cast<size_t>(n));
+        NaiveNT(a.data(), b.data(), want.data(), 1, k, n);
+        std::vector<float> got(static_cast<size_t>(n), -1.0f);
+        const std::vector<float> bt = Transposed(b, n, k);  // [k, n]
+        kernel::MatMulBlocked(a.data(), bt.data(), got.data(), 1, k, n, *tile);
+        ExpectBitwiseEqual(got, want, "pack-then-NN", 1, k, n);
+        std::fill(got.begin(), got.end(), -1.0f);
+        kernel::MatMulNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
+        ExpectBitwiseEqual(got, want, "MatMulNT", 1, k, n);
+        for (int64_t budget : {1, 2, 3, 8}) {
+          ParallelismBudget scoped(budget);
+          std::fill(got.begin(), got.end(), -1.0f);
+          kernel::GemmNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
+          ExpectBitwiseEqual(got, want, "GemmNT", 1, k, budget);
+        }
       }
     }
   }
