@@ -18,7 +18,10 @@
 #include "eval/experiment.h"
 #include "meta/fewner.h"
 #include "meta/maml.h"
+#include "models/backbone.h"
+#include "models/encoding.h"
 #include "tensor/autodiff.h"
+#include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -70,10 +73,34 @@ World& TheWorld() {
   return world;
 }
 
+/// Graph nodes of one support loss as Fewner::AdaptContextOn builds it: the
+/// θ-prefix in the graph for training, graph-free at test time.  Reported as
+/// the `graph_nodes` counter next to the inner-loop times.
+double SupportLossGraphNodes(const models::Backbone& net,
+                             const models::EncodedEpisode& episode, bool create_graph) {
+  const models::EncodedBatch packed = models::PackBatch(episode.support);
+  const tensor::Tensor phi = net.ZeroContext();
+  if (!net.CanCachePrefix()) {
+    return static_cast<double>(tensor::autodiff::GraphSize(
+        net.BatchLoss(packed, phi, episode.valid_tags)));
+  }
+  models::CachedPrefix prefix;
+  if (create_graph) {
+    prefix = net.EncodePrefix(packed);
+  } else {
+    tensor::EvalMode eval;
+    prefix = net.EncodePrefix(packed);
+  }
+  return static_cast<double>(tensor::autodiff::GraphSize(
+      net.BatchLossFromPrefix(prefix, phi, episode.valid_tags)));
+}
+
 void BM_FewnerInnerLoopTraining(benchmark::State& state) {
   World& world = TheWorld();
   const models::EncodedEpisode& episode =
       state.range(0) == 1 ? world.episode_1shot : world.episode_5shot;
+  state.counters["graph_nodes"] = SupportLossGraphNodes(
+      *world.fewner_method->backbone(), episode, /*create_graph=*/true);
   for (auto _ : state) {
     tensor::Tensor phi = meta::Fewner::AdaptContextOn(
         *world.fewner_method->backbone(), episode.support, episode.valid_tags,
@@ -87,6 +114,8 @@ void BM_FewnerInnerLoopAdaptation(benchmark::State& state) {
   World& world = TheWorld();
   const models::EncodedEpisode& episode =
       state.range(0) == 1 ? world.episode_1shot : world.episode_5shot;
+  state.counters["graph_nodes"] = SupportLossGraphNodes(
+      *world.fewner_method->backbone(), episode, /*create_graph=*/false);
   for (auto _ : state) {
     tensor::Tensor phi = meta::Fewner::AdaptContextOn(
         *world.fewner_method->backbone(), episode.support, episode.valid_tags,

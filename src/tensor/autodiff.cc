@@ -12,8 +12,11 @@ namespace fewner::tensor::autodiff {
 namespace {
 
 /// Post-order (inputs before consumers) list of requires_grad nodes reachable
-/// from `root`, computed iteratively to survive deep graphs.
-std::vector<Tensor> TopologicalOrder(const Tensor& root) {
+/// from `root`, computed iteratively to survive deep graphs.  The inputs of a
+/// node in `stop` (if non-null) are not expanded.
+std::vector<Tensor> TopologicalOrder(const Tensor& root,
+                                     const std::unordered_set<internal::Node*>* stop) {
+  static const std::vector<Tensor> kNoInputs;
   std::vector<Tensor> order;
   std::unordered_set<internal::Node*> visited;
   // Stack frames: (tensor, next input index to expand).
@@ -23,7 +26,9 @@ std::vector<Tensor> TopologicalOrder(const Tensor& root) {
   visited.insert(root.node());
   while (!stack.empty()) {
     auto& [tensor, next] = stack.back();
-    const auto& inputs = tensor.node()->inputs;
+    const auto& inputs = stop != nullptr && stop->count(tensor.node()) > 0
+                             ? kNoInputs
+                             : tensor.node()->inputs;
     bool descended = false;
     while (next < inputs.size()) {
       const Tensor& child = inputs[next++];
@@ -34,7 +39,7 @@ std::vector<Tensor> TopologicalOrder(const Tensor& root) {
         break;
       }
     }
-    if (!descended && next >= tensor.node()->inputs.size()) {
+    if (!descended && next >= inputs.size()) {
       order.push_back(tensor);
       stack.pop_back();
     }
@@ -45,10 +50,17 @@ std::vector<Tensor> TopologicalOrder(const Tensor& root) {
 }  // namespace
 
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
-                         bool create_graph) {
+                         bool create_graph, const Tensor& grad_output) {
   FEWNER_CHECK(output.defined(), "Grad on undefined output");
-  FEWNER_CHECK(output.numel() == 1,
-               "Grad expects a scalar loss, got shape " << output.shape().ToString());
+  if (grad_output.defined()) {
+    FEWNER_CHECK(grad_output.shape() == output.shape(),
+                 "Grad seed shape " << grad_output.shape().ToString()
+                                    << " does not match output shape "
+                                    << output.shape().ToString());
+  } else {
+    FEWNER_CHECK(output.numel() == 1,
+                 "Grad expects a scalar loss, got shape " << output.shape().ToString());
+  }
   for (const Tensor& input : inputs) {
     FEWNER_CHECK(input.defined(), "Grad on undefined input");
     FEWNER_CHECK(input.requires_grad(),
@@ -56,13 +68,17 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
                      << input.op_name() << ")");
   }
 
-  std::vector<Tensor> order = TopologicalOrder(output);
+  std::unordered_set<internal::Node*> requested;
+  for (const Tensor& input : inputs) requested.insert(input.node());
+  // A seeded Grad stops at its inputs: nothing past them is walked, built or
+  // differentiated.
+  const bool stop_at_inputs = grad_output.defined();
+  std::vector<Tensor> order =
+      TopologicalOrder(output, stop_at_inputs ? &requested : nullptr);
 
   // A node is "needed" if a requested input is reachable from it; we only run
   // backward through needed nodes.  Inputs appear before consumers in `order`,
   // so one forward scan suffices.
-  std::unordered_set<internal::Node*> requested;
-  for (const Tensor& input : inputs) requested.insert(input.node());
   std::unordered_set<internal::Node*> needed;
   for (const Tensor& t : order) {
     if (requested.count(t.node())) {
@@ -79,7 +95,8 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
 
   std::unordered_map<internal::Node*, Tensor> grads;
   if (output.requires_grad() && needed.count(output.node())) {
-    grads[output.node()] = Tensor::Ones(output.shape());
+    grads[output.node()] =
+        grad_output.defined() ? grad_output : Tensor::Ones(output.shape());
   }
 
   // Without create_graph the gradient tensors are detached before they leave
@@ -103,6 +120,7 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
     if (grad_it == grads.end()) continue;  // output does not depend on this node
     const std::vector<Tensor>& edges = t.node()->inputs;
     if (edges.empty() || !t.node()->backward) continue;
+    if (stop_at_inputs && requested.count(t.node())) continue;
     needs.clear();
     for (const Tensor& child : edges) {
       needs.push_back(child.requires_grad() && needed.count(child.node()) > 0);

@@ -16,12 +16,25 @@ namespace fewner::tensor::autodiff {
 
 /// Computes d(output)/d(input) for each tensor in `inputs`.
 ///
-/// `output` must be a single-element tensor (a loss).  Inputs that the output
-/// does not depend on receive zero gradients.  When `create_graph` is false the
-/// returned gradients are detached leaves (cheap to consume in optimizers);
-/// when true they are differentiable graph nodes.
+/// Without `grad_output`, `output` must be a single-element tensor (a loss)
+/// and the backward is seeded with one.  With `grad_output` (the shape of
+/// `output`, any size) the backward is seeded with it instead, giving the
+/// vector-Jacobian product grad_outputᵀ·∂output/∂input, and Grad treats the
+/// inputs as the independent variables of the graph between them and
+/// `output`: it does not walk past an input, so a path that runs through one
+/// input does not reach another, and the graph upstream of the inputs is never
+/// visited.  A fused op's backward closure uses this to differentiate its
+/// composite definition, built over fresh copies of its inputs, under the
+/// upstream gradient (see crf::LinearChainCrf).  The seed is used as given, so
+/// under create_graph a graph-node seed stays differentiable.
+///
+/// Inputs that the output does not depend on receive zero gradients.  When
+/// `create_graph` is false the returned gradients are detached leaves (cheap
+/// to consume in optimizers) and the whole backward runs under EvalMode, so a
+/// closure can tell the two cases apart with EvalMode::active(); when true
+/// they are differentiable graph nodes.
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
-                         bool create_graph = false);
+                         bool create_graph = false, const Tensor& grad_output = Tensor());
 
 /// Number of graph nodes reachable from `t` (diagnostic for tests).
 int64_t GraphSize(const Tensor& t);

@@ -28,6 +28,8 @@ namespace {
 //      pays for their captures or the std::function allocation.  Grad hands
 //      each closure a NeedsGrad mask, and a closure builds only the input
 //      grads the mask asks for.
+// CustomOp runs phases 1 and 3 around a kernel that lives outside this file
+// (the CRF's fused log-partition).
 //
 // Elementwise kernels take their scalar operation as a functor template
 // parameter, so each op compiles to one element loop with the operation
@@ -937,6 +939,18 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
                      if (needs[1]) grads[1] = Mul(grad, AddScalar(Neg(sel_t), 1.0f));
                      return grads;
                    });
+}
+
+// ----- fused ops defined outside this file -----
+
+Tensor CustomOp(const char* name, Shape shape, const std::vector<float>& values,
+                std::vector<Tensor> inputs, BackwardFn backward) {
+  FEWNER_CHECK(static_cast<int64_t>(values.size()) == shape.numel(),
+               name << ": " << values.size() << " values for shape " << shape.ToString());
+  OpOutput out = NewOutput(name, std::move(shape));
+  CopyFloats(out.data(), values.data(), static_cast<int64_t>(values.size()));
+  if (EvalMode::active()) return SealEval(std::move(out));
+  return SealGraph(std::move(out), std::move(inputs), std::move(backward));
 }
 
 // ----- composites -----

@@ -129,6 +129,21 @@ Tensor FoldTimeBatch(const Tensor& t, int64_t window);
 /// (an arithmetic blend would flip -0.0 to +0.0 and is one more rounding).
 Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b);
 
+// ----- fused ops defined outside this file -----
+
+/// One op node whose kernel runs outside ops.cc, for a fused layer that
+/// replaces a composite of the ops above (the CRF's log-partition, see
+/// crf::LinearChainCrf).  `values` (shape.numel() floats, computed by the
+/// caller's kernel) become the output, allocated like every op output (eval
+/// mode recycles an arena buffer).  Graph mode wires `inputs` as the node's
+/// edges and `backward` as its closure, which Grad calls with the NeedsGrad
+/// mask like any built-in op's; the node requires grad when an input does.
+/// Eval mode drops both, so a caller should build its backward, and save what
+/// it needs for it, only when !EvalMode::active().  `name` must outlive the
+/// node (a string literal).
+Tensor CustomOp(const char* name, Shape shape, const std::vector<float>& values,
+                std::vector<Tensor> inputs, BackwardFn backward);
+
 // ----- composites -----
 
 /// Numerically stable log(sum(exp(x))) along the last axis, keepdim.

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -38,19 +40,35 @@ Status FlagParser::Set(const std::string& name, const std::string& value) {
   Flag& flag = it->second;
   switch (flag.type) {
     case Type::kInt: {
+      // strtoll saturates out-of-range input at INT64_MIN/MAX and reports it
+      // only through errno.
       char* end = nullptr;
+      errno = 0;
       std::strtoll(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("flag --" + name + " expects an integer, got '" +
                                        value + "'");
       }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("flag --" + name +
+                                       " expects an integer within int64, got '" +
+                                       value + "'");
+      }
       break;
     }
     case Type::kDouble: {
+      // strtod accepts "nan" and "inf" and saturates overflow at HUGE_VAL
+      // (underflow at 0), reporting the range error only through errno.
       char* end = nullptr;
-      std::strtod(value.c_str(), &end);
+      errno = 0;
+      const double parsed = std::strtod(value.c_str(), &end);
       if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("flag --" + name + " expects a number, got '" +
+                                       value + "'");
+      }
+      if (errno == ERANGE || !std::isfinite(parsed)) {
+        return Status::InvalidArgument("flag --" + name +
+                                       " expects a finite number within double range, got '" +
                                        value + "'");
       }
       break;

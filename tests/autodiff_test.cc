@@ -544,6 +544,80 @@ TEST(AutodiffTest, GraphSizeCountsNodes) {
   EXPECT_EQ(autodiff::GraphSize(y), 3);  // x, square(=mul), add
 }
 
+/// Bitwise equality of two gradient lists.
+void ExpectSameGradBits(const std::vector<Tensor>& a, const std::vector<Tensor>& b,
+                        const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].shape(), b[i].shape()) << what << " input " << i;
+    EXPECT_EQ(std::memcmp(a[i].data().data(), b[i].data().data(),
+                          a[i].data().size() * sizeof(float)),
+              0)
+        << what << " input " << i;
+  }
+}
+
+TEST(AutodiffTest, SeededGradIsTheVectorJacobianProduct) {
+  util::Rng rng(77);
+  Tensor x = Tensor::Randn(Shape{3, 4}, &rng, 1.0f, true);
+  Tensor w = Tensor::Randn(Shape{4, 5}, &rng, 1.0f, true);
+  Tensor out = Tanh(MatMul(x, w));  // [3, 5]
+  Tensor loss = SumAll(Mul(out, out));
+
+  // A seed of ones on a scalar output is the unseeded call.
+  ExpectSameGradBits(Grad(loss, {x, w}, false, Tensor::Ones(loss.shape())),
+                     Grad(loss, {x, w}), "ones seed");
+
+  // Any seed (signed zeros included) equals Grad of Σ out ⊙ seed, in eval
+  // mode and with create_graph.
+  std::vector<float> seed_values(15);
+  for (float& v : seed_values) v = static_cast<float>(rng.Gaussian());
+  seed_values[3] = 0.0f;
+  seed_values[7] = -0.0f;
+  Tensor seed = Tensor::FromData(out.shape(), seed_values);
+  Tensor folded = SumAllFloat(Mul(out, seed));
+  for (bool create_graph : {false, true}) {
+    ExpectSameGradBits(Grad(out, {x, w}, create_graph, seed),
+                       Grad(folded, {x, w}, create_graph),
+                       create_graph ? "seeded, create_graph" : "seeded");
+  }
+
+  // With create_graph a graph-node seed stays differentiable: d/ds of
+  // Σ (seedᵀ·∂out/∂x) is the same as differentiating the folded form.
+  Tensor s = Tensor::FromData(out.shape(), seed_values, /*requires_grad=*/true);
+  Tensor vjp = Grad(out, {x}, /*create_graph=*/true, s)[0];
+  Tensor vjp_folded = Grad(SumAllFloat(Mul(out, s)), {x}, /*create_graph=*/true)[0];
+  ExpectSameGradBits(Grad(SumAll(Square(vjp)), {s, w}),
+                     Grad(SumAll(Square(vjp_folded)), {s, w}), "second order");
+}
+
+TEST(AutodiffTest, SeededGradStopsAtItsInputs) {
+  // out = tanh(x) ⊙ x.  Seeded, Grad treats {x, h = tanh(x)} as independent
+  // variables: x gets only its direct path, seed ⊙ h, and nothing through h.
+  // The unseeded form over the same graph keeps the total derivative.
+  util::Rng rng(78);
+  Tensor x = Tensor::Randn(Shape{4}, &rng, 1.0f, true);
+  Tensor h = Tanh(x);
+  Tensor out = Mul(h, x);
+  Tensor seed = Tensor::Randn(Shape{4}, &rng);
+  const auto grads = Grad(out, {x, h}, false, seed);
+  ExpectSameGradBits({grads[0], grads[1]}, {Mul(seed, h), Mul(seed, x)},
+                     "seeded, stopped at inputs");
+  const auto total = Grad(SumAllFloat(Mul(out, seed)), {x, h});
+  ExpectSameGradBits({total[1]}, {grads[1]}, "dh");
+  double through_h = 0.0;
+  for (int64_t i = 0; i < 4; ++i) through_h += std::abs(total[0].at(i) - grads[0].at(i));
+  EXPECT_GT(through_h, 1e-3);
+}
+
+TEST(AutodiffDeathTest, SeededGradRejectsAMismatchedSeed) {
+  Tensor x = Tensor::Ones(Shape{2, 3}, true);
+  Tensor out = Mul(x, x);
+  EXPECT_DEATH(Grad(out, {x}, false, Tensor::Ones(Shape{3, 2})),
+               "Grad seed shape \\[3, 2\\] does not match output shape \\[2, 3\\]");
+  EXPECT_DEATH(Grad(out, {x}), "Grad expects a scalar loss");
+}
+
 TEST(AutodiffTest, DeepChainDoesNotOverflow) {
   Tensor x = Tensor::Scalar(0.001f, true);
   Tensor y = x;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "crf/linear_chain_crf.h"
@@ -375,6 +376,238 @@ TEST(CrfPropertyTest, ViterbiMatchesBruteForceOnRandomInstances) {
       for (int64_t tag : viterbi) EXPECT_TRUE(valid[static_cast<size_t>(tag)]);
     }
   }
+}
+
+// ----- the fused log-partition op -----
+//
+// NegLogLikelihoodBatch computes log Z through one op whose forward and
+// first-order backward are kernels and whose create_graph backward
+// differentiates the composite.  The composite below is the definition: the
+// batched NLL as it was built before the op, rebuilt op for op.  Every value
+// (the NLL, first-order grads from the kernel and from the graph branch, and
+// second-order grads) must match it bit for bit on random ragged batches.
+
+/// The batched NLL built from tensor ops alone, op for op: the masked
+/// per-timestep forward (hoisted transitionsᵀ, LogSumExpLastDim, Where carry
+/// of finished lanes) and the gold score from constant selection masks.
+Tensor CompositeNll(const LinearChainCrf& crf, const Tensor& emissions,
+                    const std::vector<int64_t>& tags,
+                    const std::vector<int64_t>& lengths,
+                    const std::vector<bool>* valid_tags) {
+  auto params = const_cast<LinearChainCrf&>(crf).Parameters();
+  const Tensor& transitions = *params[0];
+  const Tensor& start = *params[1];
+  const Tensor& end = *params[2];
+  const int64_t lanes = emissions.shape().dim(0);
+  const int64_t max_len = emissions.shape().dim(1);
+  const int64_t y = crf.num_tags();
+  std::vector<float> mask(static_cast<size_t>(y), 0.0f);
+  for (int64_t j = 0; j < y; ++j) {
+    if (valid_tags != nullptr && !(*valid_tags)[static_cast<size_t>(j)]) {
+      mask[static_cast<size_t>(j)] = -1e7f;
+    }
+  }
+  Tensor masked = tensor::Add(emissions, Tensor::FromData(Shape{y}, std::move(mask)));
+  auto emissions_at = [&](int64_t t) {
+    return tensor::Reshape(tensor::Slice(masked, 1, t, 1), Shape{lanes, y});
+  };
+  Tensor alpha = tensor::Add(emissions_at(0), start);
+  Tensor trans_by_to = tensor::Transpose(transitions);
+  for (int64_t t = 1; t < max_len; ++t) {
+    Tensor by_to =
+        tensor::Add(tensor::Reshape(alpha, Shape{lanes, 1, y}), trans_by_to);
+    Tensor lse = tensor::Reshape(tensor::LogSumExpLastDim(by_to), Shape{lanes, y});
+    Tensor alpha_new = tensor::Add(lse, emissions_at(t));
+    std::vector<float> active(static_cast<size_t>(lanes), 0.0f);
+    bool all_active = true;
+    for (int64_t b = 0; b < lanes; ++b) {
+      if (t < lengths[static_cast<size_t>(b)]) {
+        active[static_cast<size_t>(b)] = 1.0f;
+      } else {
+        all_active = false;
+      }
+    }
+    alpha = all_active
+                ? alpha_new
+                : tensor::Where(Tensor::FromData(Shape{lanes, 1}, std::move(active)),
+                                alpha_new, alpha);
+  }
+  Tensor log_z = tensor::Reshape(
+      tensor::LogSumExpLastDim(tensor::Add(alpha, end)), Shape{lanes});
+
+  std::vector<float> emit_mask(static_cast<size_t>(lanes * max_len * y), 0.0f);
+  std::vector<float> trans_count(static_cast<size_t>(lanes * y * y), 0.0f);
+  std::vector<float> start_mask(static_cast<size_t>(lanes * y), 0.0f);
+  std::vector<float> end_mask(static_cast<size_t>(lanes * y), 0.0f);
+  for (int64_t b = 0; b < lanes; ++b) {
+    const int64_t len = lengths[static_cast<size_t>(b)];
+    const int64_t* lane_tags = tags.data() + b * max_len;
+    for (int64_t t = 0; t < len; ++t) {
+      emit_mask[static_cast<size_t>((b * max_len + t) * y + lane_tags[t])] = 1.0f;
+    }
+    for (int64_t t = 1; t < len; ++t) {
+      trans_count[static_cast<size_t>((b * y + lane_tags[t - 1]) * y + lane_tags[t])] +=
+          1.0f;
+    }
+    start_mask[static_cast<size_t>(b * y + lane_tags[0])] = 1.0f;
+    end_mask[static_cast<size_t>(b * y + lane_tags[len - 1])] = 1.0f;
+  }
+  Tensor gold_emit = tensor::RowSum(tensor::Reshape(
+      tensor::Mul(masked, Tensor::FromData(Shape{lanes, max_len, y}, std::move(emit_mask))),
+      Shape{lanes, max_len * y}));
+  Tensor gold_trans = tensor::RowSum(tensor::Reshape(
+      tensor::Mul(Tensor::FromData(Shape{lanes, y, y}, std::move(trans_count)),
+                  transitions),
+      Shape{lanes, y * y}));
+  Tensor gold_start = tensor::RowSum(
+      tensor::Mul(Tensor::FromData(Shape{lanes, y}, std::move(start_mask)), start));
+  Tensor gold_end = tensor::RowSum(
+      tensor::Mul(Tensor::FromData(Shape{lanes, y}, std::move(end_mask)), end));
+  Tensor gold_score =
+      tensor::Add(tensor::Add(gold_emit, gold_trans), tensor::Add(gold_start, gold_end));
+  return tensor::Sub(log_z, gold_score);
+}
+
+void ExpectSameBits(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_TRUE(a.defined() && b.defined()) << what;
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  const auto& av = a.data();
+  const auto& bv = b.data();
+  for (size_t i = 0; i < av.size(); ++i) {
+    if (std::memcmp(&av[i], &bv[i], sizeof(float)) != 0) {
+      ADD_FAILURE() << what << ": element " << i << " is " << av[i] << " vs "
+                    << bv[i] << " (signbits " << std::signbit(av[i]) << "/"
+                    << std::signbit(bv[i]) << ")";
+      return;
+    }
+  }
+}
+
+/// A Gaussian draw that is +0 or −0 one time in eight each.
+float DrawWithZeros(util::Rng* rng, double stddev) {
+  switch (rng->UniformInt(8)) {
+    case 0:
+      return 0.0f;
+    case 1:
+      return -0.0f;
+    default:
+      return static_cast<float>(rng->Gaussian(0.0, stddev));
+  }
+}
+
+TEST(CrfLogPartitionTest, FusedOpMatchesCompositeBitwiseOnRaggedBatches) {
+  util::Rng rng(1907);
+  for (int instance = 0; instance < 160; ++instance) {
+    const int64_t lanes = 1 + static_cast<int64_t>(rng.UniformInt(9));     // 1..9
+    const int64_t y = 1 + static_cast<int64_t>(rng.UniformInt(6));         // 1..6
+    const int64_t max_len = 1 + static_cast<int64_t>(rng.UniformInt(8));   // 1..8
+    LinearChainCrf crf(y);
+    for (tensor::Tensor* p : crf.Parameters()) {
+      for (float& v : *p->mutable_data()) v = DrawWithZeros(&rng, 0.7);
+    }
+    // Lengths: all equal, free, all short of max_len (every lane finishes
+    // before the last step), and one-token lanes among longer ones.
+    std::vector<int64_t> lengths(static_cast<size_t>(lanes));
+    for (int64_t b = 0; b < lanes; ++b) {
+      int64_t len = max_len;
+      switch (instance % 4) {
+        case 1:
+          len = 1 + static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(max_len)));
+          break;
+        case 2:
+          len = max_len > 1 ? 1 + static_cast<int64_t>(rng.UniformInt(
+                                      static_cast<uint64_t>(max_len - 1)))
+                            : 1;
+          break;
+        case 3:
+          len = b % 2 == 0 ? 1 : max_len;
+          break;
+        default:
+          break;
+      }
+      lengths[static_cast<size_t>(b)] = len;
+    }
+    std::vector<bool> valid(static_cast<size_t>(y), true);
+    const bool use_mask = instance % 3 == 0;
+    if (use_mask) {
+      bool any = false;
+      for (size_t j = 0; j < valid.size(); ++j) {
+        valid[j] = rng.UniformInt(2) == 0;
+        any = any || valid[j];
+      }
+      if (!any) valid[rng.UniformInt(static_cast<uint64_t>(y))] = true;
+    }
+    const std::vector<bool>* mask = use_mask ? &valid : nullptr;
+    std::vector<int64_t> tags(static_cast<size_t>(lanes * max_len), 0);
+    for (int64_t& tag : tags) {
+      do {
+        tag = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(y)));
+      } while (!valid[static_cast<size_t>(tag)]);
+    }
+    std::vector<float> emit_values(static_cast<size_t>(lanes * max_len * y));
+    for (float& v : emit_values) v = DrawWithZeros(&rng, 1.0);
+    Tensor emissions = Tensor::FromData(Shape{lanes, max_len, y}, std::move(emit_values),
+                                        /*requires_grad=*/true);
+    // Per-lane loss weights, signed and sometimes ±0, so each lane's upstream
+    // grad differs and signed zeros flow through the backward.
+    std::vector<float> weight_values(static_cast<size_t>(lanes));
+    for (float& w : weight_values) w = DrawWithZeros(&rng, 1.0);
+    Tensor weights = Tensor::FromData(Shape{lanes}, std::move(weight_values));
+    auto params = crf.Parameters();
+    const std::vector<Tensor> inputs = {emissions, *params[0], *params[1], *params[2]};
+    const std::vector<std::string> names = {"emissions", "transitions", "start", "end"};
+    const std::string where = "instance " + std::to_string(instance) +
+                              " B=" + std::to_string(lanes) + " Y=" + std::to_string(y) +
+                              " L=" + std::to_string(max_len);
+
+    Tensor nll_op = crf.NegLogLikelihoodBatch(emissions, tags, lengths, mask);
+    Tensor nll_ref = CompositeNll(crf, emissions, tags, lengths, mask);
+    ExpectSameBits(nll_op, nll_ref, "NLL, " + where);
+    Tensor loss_op = tensor::SumAllFloat(tensor::Mul(nll_op, weights));
+    Tensor loss_ref = tensor::SumAllFloat(tensor::Mul(nll_ref, weights));
+
+    // First order, all four inputs: the kernel against the composite's
+    // eval-mode backward.
+    const auto kernel = tensor::autodiff::Grad(loss_op, inputs);
+    const auto reference = tensor::autodiff::Grad(loss_ref, inputs);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ExpectSameBits(kernel[i], reference[i], "first-order d" + names[i] + ", " + where);
+    }
+    // Emissions only (the test-time φ-step's mask: no CRF parameter grads).
+    ExpectSameBits(tensor::autodiff::Grad(loss_op, {emissions})[0], reference[0],
+                   "first-order demissions alone, " + where);
+    // The graph branch (create_graph) gives the same values as the kernel.
+    const auto graph = tensor::autodiff::Grad(loss_op, inputs, /*create_graph=*/true);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ExpectSameBits(graph[i], kernel[i], "graph-branch d" + names[i] + ", " + where);
+    }
+    // Second order: the grad of Σ(∂loss/∂emissions)².
+    auto second_order = [&](const Tensor& loss) {
+      Tensor d_emissions = tensor::autodiff::Grad(loss, {emissions}, true)[0];
+      return tensor::autodiff::Grad(tensor::SumAll(tensor::Square(d_emissions)), inputs);
+    };
+    const auto second_op = second_order(loss_op);
+    const auto second_ref = second_order(loss_ref);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ExpectSameBits(second_op[i], second_ref[i],
+                     "second-order d" + names[i] + ", " + where);
+    }
+    if (HasFailure()) return;
+  }
+}
+
+TEST(CrfLogPartitionTest, LogZIsOneGraphNodePerCall) {
+  // The whole forward recursion is one node: the NLL's graph does not grow
+  // with sentence length.
+  LinearChainCrf crf(4);
+  util::Rng rng(8);
+  auto graph_size = [&](int64_t max_len) {
+    Tensor emissions = Tensor::Randn(Shape{3, max_len, 4}, &rng, 1.0f, true);
+    std::vector<int64_t> tags(static_cast<size_t>(3 * max_len), 1);
+    return tensor::autodiff::GraphSize(
+        crf.NegLogLikelihoodBatch(emissions, tags, {max_len, 1, max_len - 1}));
+  };
+  EXPECT_EQ(graph_size(3), graph_size(30));
 }
 
 }  // namespace

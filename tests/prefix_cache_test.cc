@@ -323,6 +323,36 @@ TEST_F(PrefixCacheTest, SplitPointsAndEmissionsPerConditioningMode) {
   }
 }
 
+// ----- graph size ----------------------------------------------------------
+
+TEST_F(PrefixCacheTest, SupportLossGraphSizeDoesNotGrowWithSentenceLength) {
+  // The CRF's log-partition is one op node, so one φ-step support loss on a
+  // FiLM backbone builds the same graph whatever the sentence length: the same
+  // four lanes (two lane runs, a one-token lane among them) at Lmax 5 and 40.
+  util::Rng init(0xE55);
+  models::Backbone net(
+      SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm),
+      &init);
+  net.SetTraining(false);
+  const std::vector<bool> valid_tags = text::ValidTagMask(5, net.config().max_tags);
+  auto graph_size = [&](int64_t max_len) {
+    util::Rng rng(0x9E05);
+    std::vector<models::EncodedSentence> support;
+    for (int64_t len : {max_len, max_len - 1, int64_t{1}, int64_t{2}}) {
+      support.push_back(RandomSentence(&rng, len, valid_tags));
+    }
+    models::CachedPrefix prefix;
+    {
+      tensor::EvalMode eval;
+      prefix = net.EncodePrefix(models::PackBatch(support));
+    }
+    EXPECT_EQ(prefix.runs.size(), 2u);
+    Tensor phi = net.ZeroContext();
+    return tensor::autodiff::GraphSize(net.BatchLossFromPrefix(prefix, phi, valid_tags));
+  };
+  EXPECT_EQ(graph_size(5), graph_size(40));
+}
+
 // ----- cache invalidation --------------------------------------------------
 
 TEST_F(PrefixCacheTest, StaleCacheUseAfterThetaChangeDies) {

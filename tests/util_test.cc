@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/flags.h"
 #include "util/rng.h"
@@ -207,6 +211,40 @@ TEST(FlagsTest, BadIntIsError) {
   parser.AddInt("episodes", 100, "n");
   const char* argv[] = {"prog", "--episodes", "many"};
   EXPECT_FALSE(parser.Parse(3, const_cast<char**>(argv)).ok());
+}
+
+TEST(FlagsTest, OutOfRangeAndNonFiniteNumbersAreErrors) {
+  // strtoll/strtod saturate out-of-range input and accept nan/inf; each of
+  // these must fail at parsing, naming the flag, not run with a clamped or
+  // non-finite value.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"episodes", "99999999999999999999"},
+      {"episodes", "-99999999999999999999"},
+      {"lr", "1e999"},
+      {"lr", "-1e999"},
+      {"lr", "nan"},
+      {"lr", "inf"},
+      {"lr", "-inf"},
+  };
+  for (const auto& [name, value] : bad) {
+    FlagParser parser;
+    parser.AddInt("episodes", 100, "n");
+    parser.AddDouble("lr", 0.1, "lr");
+    const std::string flag = "--" + name;
+    const char* argv[] = {"prog", flag.c_str(), value.c_str()};
+    const Status status = parser.Parse(3, const_cast<char**>(argv));
+    EXPECT_FALSE(status.ok()) << flag << " " << value;
+    EXPECT_NE(status.ToString().find("flag --" + name + " expects"), std::string::npos)
+        << status.ToString();
+  }
+  // The extremes that do fit still parse.
+  FlagParser parser;
+  parser.AddInt("episodes", 100, "n");
+  parser.AddDouble("lr", 0.1, "lr");
+  const char* argv[] = {"prog", "--episodes", "9223372036854775807", "--lr", "1e308"};
+  ASSERT_TRUE(parser.Parse(5, const_cast<char**>(argv)).ok());
+  EXPECT_EQ(parser.GetInt("episodes"), INT64_MAX);
+  EXPECT_DOUBLE_EQ(parser.GetDouble("lr"), 1e308);
 }
 
 TEST(StringUtilTest, SplitSkipsEmpty) {
