@@ -18,6 +18,7 @@
 #include "eval/experiment.h"
 #include "meta/fewner.h"
 #include "meta/maml.h"
+#include "meta/parallel.h"
 #include "models/backbone.h"
 #include "models/encoding.h"
 #include "tensor/autodiff.h"
@@ -155,11 +156,27 @@ void BM_FewnerEvaluateTask(benchmark::State& state) {
 }
 BENCHMARK(BM_FewnerEvaluateTask)->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
 
+/// Graph nodes of one training task's query loss as Fewner::Train builds it
+/// (dropout on, second-order inner steps): the graph its outer meta-gradient
+/// walks.  Reported as the `graph_nodes` counter of the outer-loop batch.
+double QueryLossGraphNodes(World& world, const meta::TrainConfig& config) {
+  models::Backbone* net = world.fewner_method->backbone();
+  net->SetTraining(true);
+  const models::EncodedEpisode enc = meta::PrepareTrainingTask(
+      world.runner->train_sampler(), world.runner->encoder(), config, 0, net);
+  const tensor::Tensor phi = meta::Fewner::AdaptContextOn(
+      *net, enc.support, enc.valid_tags, config.inner_steps_train, config.inner_lr,
+      /*create_graph=*/true);
+  return static_cast<double>(tensor::autodiff::GraphSize(
+      net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags)));
+}
+
 void BM_FewnerOuterLoopBatch(benchmark::State& state) {
   World& world = TheWorld();
   meta::TrainConfig config;
   config.iterations = 1;
   config.meta_batch = 8;
+  state.counters["graph_nodes"] = QueryLossGraphNodes(world, config);
   for (auto _ : state) {
     world.fewner_method->Train(world.runner->train_sampler(),
                                world.runner->encoder(), config);

@@ -304,10 +304,6 @@ Tensor LogPartition(const Tensor& masked, const Tensor& start, const Tensor& tra
                      (masked.requires_grad() || start.requires_grad() ||
                       transitions.requires_grad() || end.requires_grad());
   auto tape = graph ? std::make_shared<LogPartitionTape>() : nullptr;
-  std::vector<float> log_z(static_cast<size_t>(lanes));
-  LogPartitionForward(masked.data().data(), start.data().data(),
-                      transitions.data().data(), end.data().data(), lanes, max_len, y,
-                      lengths, log_z.data(), tape.get());
   tensor::BackwardFn backward;
   if (graph) {
     backward = [tape, lengths, lanes, max_len, y](
@@ -339,8 +335,14 @@ Tensor LogPartition(const Tensor& masked, const Tensor& start, const Tensor& tra
       return grads;
     };
   }
-  return tensor::CustomOp("crf_log_partition", Shape{lanes}, log_z,
-                          {masked, start, transitions, end}, std::move(backward));
+  return tensor::CustomOp(
+      "crf_log_partition", Shape{lanes},
+      [&](float* log_z) {
+        LogPartitionForward(masked.data().data(), start.data().data(),
+                            transitions.data().data(), end.data().data(), lanes, max_len,
+                            y, lengths, log_z, tape.get());
+      },
+      {masked, start, transitions, end}, std::move(backward));
 }
 
 }  // namespace

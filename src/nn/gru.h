@@ -26,17 +26,49 @@ class GruCell : public Module {
   /// this matmul out of the recurrence over all B·L slots.
   tensor::Tensor ProjectInput(const tensor::Tensor& x) const;
 
-  /// One step given pre-projected input rows [B, 3H] and states [B, H].
-  /// Every op inside is per-row, so lane b of a batched step is
-  /// bitwise-equal to a B=1 step on that lane alone.
+  /// One step given pre-projected input rows [B, 3H] and states [B, H], built
+  /// from tensor ops.  Every op inside is per-row, so lane b of a batched step
+  /// is bitwise-equal to a B=1 step on that lane alone.  This is the step of
+  /// the recurrence's composite definition (see Recurrence).
   tensor::Tensor Step(const tensor::Tensor& projected_row,
                       const tensor::Tensor& h) const;
 
+  /// The recurrence over pre-projected input [B, L, 3H] -> [B, L, H] as one
+  /// fused op node (`reverse` runs back to front; states stay in textual
+  /// order; lane b is inactive at step t when !step_full[t] and
+  /// step_masks[t], a [B, 1] tensor, is 0 at b).  Its definition is the
+  /// composite of tensor ops: a zero initial state, one Step per timestep,
+  /// and an exact Where carry of inactive lanes, so lane b's real positions
+  /// are bitwise-equal to a run on lane b alone.
+  ///   - The forward kernel runs the composite's float operations in its
+  ///     order (h·W_hh through the same GEMM kernel), so the output is the
+  ///     composite's bit for bit, in eval and graph mode.
+  ///   - Graph mode keeps a per-step tape (r, z, n, h·W_hn + b_hn, h).  The
+  ///     backward picks a branch with EvalMode::active(), which Grad sets
+  ///     exactly when create_graph is false: one reverse kernel (BPTT) writes
+  ///     each step's slab of d(projected) and the per-step w_hh/b_hh grads,
+  ///     reproducing every closure expression and fan-in order of the
+  ///     composite's first-order backward; under create_graph the composite
+  ///     is rebuilt over the op's inputs and differentiated with a seeded
+  ///     autodiff::GradContributions, so higher orders see the composite.
+  ///   - The node lists w_hh and b_hh once per step, last step first, and
+  ///     hands Grad one grad per step, so their fold onto a cell shared by
+  ///     several calls is the composite's.
+  ///   - In graph mode the returned node passes its grad through to a kernel
+  ///     node; after a create_graph backward it reads the rebuilt composite
+  ///     instead, so a later Grad through both the forward and those grads
+  ///     (a second-order meta-gradient) folds them in one graph, as the
+  ///     composite does.
+  /// Checks every argument: `projected` must be [B, L, 3H] with B, L >= 1,
+  /// both step vectors must have L entries, and each ragged step's mask must
+  /// be [B, 1].
+  tensor::Tensor Recurrence(const tensor::Tensor& projected,
+                            const std::vector<tensor::Tensor>& step_masks,
+                            const std::vector<bool>& step_full, bool reverse) const;
+
   /// The one GRU time loop, [B, L, input] -> [B, L, H]: one hoisted
-  /// ProjectInput, then one Step per timestep over all B lanes (`reverse`
-  /// runs back to front; states stay in textual order).  Lanes inactive at
-  /// step t per BuildStepMasks carry their state through an exact Where, so
-  /// lane b's real positions are bitwise-equal to a run on lane b alone.
+  /// ProjectInput over all B·L slots, then Recurrence.  Checks that `x` is
+  /// [B, L, input] (and Recurrence checks the rest).
   tensor::Tensor RunBatch(const tensor::Tensor& x,
                           const std::vector<tensor::Tensor>& step_masks,
                           const std::vector<bool>& step_full,
@@ -77,8 +109,8 @@ class BiGru : public Module {
 
 /// Per-step lane activity masks for a padded batch: element t is a [B, 1]
 /// tensor with 1.0 where t < lengths[b], plus a parallel all-lanes-active
-/// flag so full steps can skip the Where select entirely.  Shared by
-/// GruCell::RunBatch's callers and BiLstm.
+/// flag so full steps can skip the Where select entirely.  Every length must
+/// be in [0, max_len].  Shared by GruCell::RunBatch's callers and BiLstm.
 void BuildStepMasks(const std::vector<int64_t>& lengths, int64_t max_len,
                     std::vector<tensor::Tensor>* masks,
                     std::vector<bool>* full);

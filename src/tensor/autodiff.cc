@@ -47,10 +47,13 @@ std::vector<Tensor> TopologicalOrder(const Tensor& root,
   return order;
 }
 
-}  // namespace
-
-std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
-                         bool create_graph, const Tensor& grad_output) {
+/// The backward walk behind Grad and GradContributions.  Returns the folded
+/// gradient of every reached node; when `contributions` is non-null (a seeded
+/// walk, which never expands its inputs), the grads that reach input i are
+/// appended to (*contributions)[i] in arrival order instead of being folded.
+std::unordered_map<internal::Node*, Tensor> Backward(
+    const Tensor& output, const std::vector<Tensor>& inputs, bool create_graph,
+    const Tensor& grad_output, std::vector<std::vector<Tensor>>* contributions) {
   FEWNER_CHECK(output.defined(), "Grad on undefined output");
   if (grad_output.defined()) {
     FEWNER_CHECK(grad_output.shape() == output.shape(),
@@ -68,13 +71,18 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
                      << input.op_name() << ")");
   }
 
-  std::unordered_set<internal::Node*> requested;
-  for (const Tensor& input : inputs) requested.insert(input.node());
+  std::unordered_map<internal::Node*, size_t> requested;
+  for (size_t i = 0; i < inputs.size(); ++i) requested.emplace(inputs[i].node(), i);
+  FEWNER_CHECK(contributions == nullptr || requested.size() == inputs.size(),
+               "GradContributions needs distinct inputs");
   // A seeded Grad stops at its inputs: nothing past them is walked, built or
   // differentiated.
   const bool stop_at_inputs = grad_output.defined();
-  std::vector<Tensor> order =
-      TopologicalOrder(output, stop_at_inputs ? &requested : nullptr);
+  std::unordered_set<internal::Node*> stop;
+  if (stop_at_inputs) {
+    for (const Tensor& input : inputs) stop.insert(input.node());
+  }
+  std::vector<Tensor> order = TopologicalOrder(output, stop_at_inputs ? &stop : nullptr);
 
   // A node is "needed" if a requested input is reachable from it; we only run
   // backward through needed nodes.  Inputs appear before consumers in `order`,
@@ -95,8 +103,13 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
 
   std::unordered_map<internal::Node*, Tensor> grads;
   if (output.requires_grad() && needed.count(output.node())) {
-    grads[output.node()] =
-        grad_output.defined() ? grad_output : Tensor::Ones(output.shape());
+    const Tensor seed = grad_output.defined() ? grad_output : Tensor::Ones(output.shape());
+    auto it = requested.find(output.node());
+    if (contributions != nullptr && it != requested.end()) {
+      (*contributions)[it->second].push_back(seed);
+    } else {
+      grads[output.node()] = seed;
+    }
   }
 
   // Without create_graph the gradient tensors are detached before they leave
@@ -118,6 +131,12 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
     if (!needed.count(t.node())) continue;
     auto grad_it = grads.find(t.node());
     if (grad_it == grads.end()) continue;  // output does not depend on this node
+    // A backward closure may rewrite the inputs of a consumer this loop has
+    // already processed (nn::GruCell::Recurrence re-points its pass-through
+    // node at the composite it rebuilt).  That is safe because each node's
+    // `edges` are read only within its own iteration, and `order` holds a
+    // reference to every node of the walk, so a node its consumer lets go of
+    // stays alive until Backward returns.
     const std::vector<Tensor>& edges = t.node()->inputs;
     if (edges.empty() || !t.node()->backward) continue;
     if (stop_at_inputs && requested.count(t.node())) continue;
@@ -140,6 +159,13 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
                    "backward of " << t.op_name() << " produced grad shape "
                                   << g.shape().ToString() << " for input shape "
                                   << child.shape().ToString());
+      if (contributions != nullptr) {
+        auto req = requested.find(child.node());
+        if (req != requested.end()) {
+          (*contributions)[req->second].push_back(g);
+          continue;
+        }
+      }
       auto existing = grads.find(child.node());
       if (existing == grads.end()) {
         grads[child.node()] = g;
@@ -154,7 +180,15 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
       }
     }
   }
+  return grads;
+}
 
+}  // namespace
+
+std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
+                         bool create_graph, const Tensor& grad_output) {
+  std::unordered_map<internal::Node*, Tensor> grads =
+      Backward(output, inputs, create_graph, grad_output, nullptr);
   std::vector<Tensor> result;
   result.reserve(inputs.size());
   for (const Tensor& input : inputs) {
@@ -166,6 +200,15 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
     }
   }
   return result;
+}
+
+std::vector<std::vector<Tensor>> GradContributions(const Tensor& output,
+                                                   const std::vector<Tensor>& inputs,
+                                                   const Tensor& grad_output) {
+  FEWNER_CHECK(grad_output.defined(), "GradContributions needs a seed");
+  std::vector<std::vector<Tensor>> contributions(inputs.size());
+  Backward(output, inputs, /*create_graph=*/true, grad_output, &contributions);
+  return contributions;
 }
 
 int64_t GraphSize(const Tensor& t) {

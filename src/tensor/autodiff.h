@@ -36,6 +36,19 @@ namespace fewner::tensor::autodiff {
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
                          bool create_graph = false, const Tensor& grad_output = Tensor());
 
+/// The seeded create_graph Grad (`grad_output` is required), with each
+/// input's gradient left unfolded: entry i lists the grads that reach
+/// inputs[i] from its consumers, in the order Grad adds them, so Grad's
+/// result is their left fold with Add (an empty list: the output does not
+/// depend on the input).  The grads carry their graph.  Inputs must be
+/// distinct.  A fused op whose composite reads a shared tensor
+/// through several consumers lists that tensor once per consumer among its
+/// node's inputs and hands these grads to the enclosing Grad one by one, so
+/// the enclosing fold is the composite's (see nn::GruCell::Recurrence).
+std::vector<std::vector<Tensor>> GradContributions(const Tensor& output,
+                                                   const std::vector<Tensor>& inputs,
+                                                   const Tensor& grad_output);
+
 /// Number of graph nodes reachable from `t` (diagnostic for tests).
 int64_t GraphSize(const Tensor& t);
 

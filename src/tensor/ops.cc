@@ -29,7 +29,7 @@ namespace {
 //      each closure a NeedsGrad mask, and a closure builds only the input
 //      grads the mask asks for.
 // CustomOp runs phases 1 and 3 around a kernel that lives outside this file
-// (the CRF's fused log-partition).
+// (the CRF's fused log-partition, the GRU recurrence).
 //
 // Elementwise kernels take their scalar operation as a functor template
 // parameter, so each op compiles to one element loop with the operation
@@ -943,12 +943,10 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
 
 // ----- fused ops defined outside this file -----
 
-Tensor CustomOp(const char* name, Shape shape, const std::vector<float>& values,
+Tensor CustomOp(const char* name, Shape shape, const std::function<void(float*)>& kernel,
                 std::vector<Tensor> inputs, BackwardFn backward) {
-  FEWNER_CHECK(static_cast<int64_t>(values.size()) == shape.numel(),
-               name << ": " << values.size() << " values for shape " << shape.ToString());
   OpOutput out = NewOutput(name, std::move(shape));
-  CopyFloats(out.data(), values.data(), static_cast<int64_t>(values.size()));
+  if (out.node->shape.numel() > 0) kernel(out.data());
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), std::move(inputs), std::move(backward));
 }

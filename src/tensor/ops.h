@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -133,15 +134,16 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b);
 
 /// One op node whose kernel runs outside ops.cc, for a fused layer that
 /// replaces a composite of the ops above (the CRF's log-partition, see
-/// crf::LinearChainCrf).  `values` (shape.numel() floats, computed by the
-/// caller's kernel) become the output, allocated like every op output (eval
-/// mode recycles an arena buffer).  Graph mode wires `inputs` as the node's
-/// edges and `backward` as its closure, which Grad calls with the NeedsGrad
-/// mask like any built-in op's; the node requires grad when an input does.
-/// Eval mode drops both, so a caller should build its backward, and save what
-/// it needs for it, only when !EvalMode::active().  `name` must outlive the
-/// node (a string literal).
-Tensor CustomOp(const char* name, Shape shape, const std::vector<float>& values,
+/// crf::LinearChainCrf; the GRU recurrence, see nn::GruCell).  `kernel`
+/// writes the shape.numel() output floats in place, into a buffer allocated
+/// like every op output (eval mode recycles an arena buffer, so it holds stale
+/// values); it is not called for an empty shape.  Graph mode wires `inputs`
+/// as the node's edges and `backward` as its closure, which Grad calls with
+/// the NeedsGrad mask like any built-in op's; the node requires grad when an
+/// input does.  Eval mode drops both, so a caller should build its backward,
+/// and save what it needs for it, only when !EvalMode::active().  `name` must
+/// outlive the node (a string literal).
+Tensor CustomOp(const char* name, Shape shape, const std::function<void(float*)>& kernel,
                 std::vector<Tensor> inputs, BackwardFn backward);
 
 // ----- composites -----

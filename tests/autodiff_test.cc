@@ -591,6 +591,29 @@ TEST(AutodiffTest, SeededGradIsTheVectorJacobianProduct) {
                      Grad(SumAll(Square(vjp_folded)), {s, w}), "second order");
 }
 
+TEST(AutodiffTest, GradContributionsFoldToTheSeededGrad) {
+  // x reaches out through four edges: Tanh, both operands of x ⊙ x, and
+  // tanh(x) ⊙ x.  GradContributions lists one grad per edge, and their left
+  // fold with Add is the seeded create_graph Grad, bit for bit.
+  util::Rng rng(79);
+  Tensor x = Tensor::Randn(Shape{3, 4}, &rng, 1.0f, true);
+  Tensor unused = Tensor::Randn(Shape{2}, &rng, 1.0f, true);
+  Tensor a = Tanh(x);
+  Tensor out = Add(Add(a, Mul(x, x)), Mul(a, x));
+  std::vector<float> seed_values(12);
+  for (float& v : seed_values) v = static_cast<float>(rng.Gaussian());
+  seed_values[5] = -0.0f;
+  Tensor seed = Tensor::FromData(out.shape(), seed_values);
+  const auto lists = autodiff::GradContributions(out, {x, unused}, seed);
+  ASSERT_EQ(lists.size(), 2u);
+  ASSERT_EQ(lists[0].size(), 4u);
+  EXPECT_TRUE(lists[1].empty());
+  Tensor folded = lists[0][0];
+  for (size_t i = 1; i < lists[0].size(); ++i) folded = Add(folded, lists[0][i]);
+  ExpectSameGradBits({folded}, {Grad(out, {x}, /*create_graph=*/true, seed)[0]}, "folded");
+  EXPECT_TRUE(folded.requires_grad());
+}
+
 TEST(AutodiffTest, SeededGradStopsAtItsInputs) {
   // out = tanh(x) ⊙ x.  Seeded, Grad treats {x, h = tanh(x)} as independent
   // variables: x gets only its direct path, seed ⊙ h, and nothing through h.

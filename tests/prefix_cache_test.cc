@@ -353,6 +353,36 @@ TEST_F(PrefixCacheTest, SupportLossGraphSizeDoesNotGrowWithSentenceLength) {
   EXPECT_EQ(graph_size(5), graph_size(40));
 }
 
+TEST_F(PrefixCacheTest, TrainingLossGraphSizeDoesNotGrowWithSentenceLength) {
+  // Each BiGRU direction of each lane run is one recurrence op, so a
+  // training-mode loss (dropout on: the BiGRU is in the graph, not a cached
+  // prefix) builds the same graph at Lmax 5 and 40, with the same four lanes
+  // in the same two lane runs.
+  util::Rng init(0xE56);
+  models::Backbone net(
+      SmallConfig(models::EncoderKind::kBiGru, models::Conditioning::kFilm), &init);
+  net.SetTraining(true);
+  ASSERT_FALSE(net.CanCachePrefix());
+  const std::vector<bool> valid_tags = text::ValidTagMask(5, net.config().max_tags);
+  auto graph_size = [&](int64_t max_len) {
+    util::Rng rng(0x9E06);
+    std::vector<models::EncodedSentence> support;
+    for (int64_t len : {max_len, max_len - 1, int64_t{1}, int64_t{2}}) {
+      support.push_back(RandomSentence(&rng, len, valid_tags));
+    }
+    const models::EncodedBatch batch = models::PackBatch(support);
+    net.SetTraining(false);
+    {
+      tensor::EvalMode eval;
+      EXPECT_EQ(net.EncodePrefix(batch).runs.size(), 2u);
+    }
+    net.SetTraining(true);
+    net.ReseedDropout(1);
+    return tensor::autodiff::GraphSize(net.BatchLoss(batch, net.ZeroContext(), valid_tags));
+  };
+  EXPECT_EQ(graph_size(5), graph_size(40));
+}
+
 // ----- cache invalidation --------------------------------------------------
 
 TEST_F(PrefixCacheTest, StaleCacheUseAfterThetaChangeDies) {
