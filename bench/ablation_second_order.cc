@@ -8,9 +8,13 @@
 
 #include <chrono>
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "data/datasets.h"
+#include "eval/evaluator.h"
 #include "eval/reporting.h"
 
 using namespace fewner;  // NOLINT: bench brevity
@@ -25,6 +29,7 @@ int main(int argc, char** argv) {
 
   const auto shots = bench::ParseShots(flags.GetString("shots"));
   eval::Table table({"Method", "Order", "F1", "train seconds"});
+  std::vector<std::string> theta_lines;
 
   for (int64_t k : shots) {
     for (eval::MethodId id : {eval::MethodId::kFewner, eval::MethodId::kMaml}) {
@@ -36,12 +41,17 @@ int main(int argc, char** argv) {
             data::kNne, config.data_scale, config.seed);
         eval::ExperimentRunner runner(std::move(scenario), config);
         const auto start = std::chrono::steady_clock::now();
-        eval::EvalResult result = runner.Run(id);
+        std::unique_ptr<meta::FewShotMethod> method = runner.CreateTrained(id);
+        const std::string row = eval::MethodName(id) + " " + std::to_string(k) + "-shot";
+        theta_lines.push_back(bench::ThetaFnv1aLine(
+            row + (first_order ? " first" : " second"), bench::TrainedTheta(method.get())));
+        eval::EvalResult result =
+            eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
+                                 config.eval_episodes, config.eval_query_size);
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                 .count();
-        table.AddRow({eval::MethodName(id) + " " + std::to_string(k) + "-shot",
-                      first_order ? "first" : "second",
+        table.AddRow({row, first_order ? "first" : "second",
                       eval::FormatCell(result.f1),
                       util::FormatDouble(seconds, 1)});
         std::cout << eval::MethodName(id) << " " << k << "-shot "
@@ -53,5 +63,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nDesign ablation: second-order vs first-order meta-gradients\n"
             << table.Render();
+  for (const std::string& line : theta_lines) std::cout << line << "\n";
   return 0;
 }

@@ -2,7 +2,10 @@
 
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -12,11 +15,43 @@
 
 #include "eval/experiment.h"
 #include "eval/reporting.h"
+#include "meta/fewner.h"
+#include "meta/maml.h"
+#include "nn/module.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace fewner::bench {
+
+/// θ of a trained FEWNER or MAML method: its backbone.
+inline nn::Module* TrainedTheta(meta::FewShotMethod* method) {
+  if (auto* fewner = dynamic_cast<meta::Fewner*>(method)) return fewner->backbone();
+  if (auto* maml = dynamic_cast<meta::Maml*>(method)) return maml->backbone();
+  FEWNER_CHECK(false, "TrainedTheta: " << method->name() << " has no backbone θ");
+  return nullptr;
+}
+
+/// The line `theta_fnv1a <row> <16 hex digits>`: 64-bit FNV-1a over the bytes
+/// of θ's floats, in nn::ParameterTensors order.  At a CI budget every F1
+/// cell can read 0.00, so these lines are what carries θ's bits from one run
+/// (or one commit) to the next.
+inline std::string ThetaFnv1aLine(const std::string& row, nn::Module* theta) {
+  uint64_t hash = 0xCBF29CE484222325ull;
+  for (const tensor::Tensor& t : nn::ParameterTensors(theta)) {
+    for (float v : t.data()) {
+      unsigned char bytes[sizeof(float)];
+      std::memcpy(bytes, &v, sizeof(float));
+      for (unsigned char b : bytes) {
+        hash ^= b;
+        hash *= 0x100000001B3ull;
+      }
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash));
+  return "theta_fnv1a " + row + " " + hex;
+}
 
 /// Registers the flags shared by every table bench.
 // Default scales are chosen so the WHOLE bench suite (all seven binaries,

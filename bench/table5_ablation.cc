@@ -8,9 +8,13 @@
 
 #include <functional>
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "data/datasets.h"
+#include "eval/evaluator.h"
 #include "eval/reporting.h"
 
 using namespace fewner;  // NOLINT: bench brevity
@@ -22,15 +26,20 @@ struct Variant {
   std::function<void(eval::ExperimentConfig*)> apply;
 };
 
+/// Trains and evaluates one variant; `theta_line` gets its θ hash line.
 eval::ScoreSummary RunVariant(const Variant& variant,
-                              const eval::ExperimentConfig& base_config,
-                              uint64_t seed) {
+                              const eval::ExperimentConfig& base_config, uint64_t seed,
+                              const std::string& row, std::string* theta_line) {
   eval::ExperimentConfig config = base_config;
   variant.apply(&config);
   eval::Scenario scenario =
       eval::MakeIntraDomainScenario(data::kNne, config.data_scale, seed);
   eval::ExperimentRunner runner(std::move(scenario), config);
-  return runner.Run(eval::MethodId::kFewner).f1;
+  std::unique_ptr<meta::FewShotMethod> method = runner.CreateTrained(eval::MethodId::kFewner);
+  *theta_line = bench::ThetaFnv1aLine(row, bench::TrainedTheta(method.get()));
+  return eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
+                              config.eval_episodes, config.eval_query_size)
+      .f1;
 }
 
 std::string Delta(const eval::ScoreSummary& variant,
@@ -90,13 +99,18 @@ int main(int argc, char** argv) {
   eval::Table table(headers);
 
   std::vector<eval::ScoreSummary> reference(shots.size());
-  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> theta_lines;
   for (size_t v = 0; v < variants.size(); ++v) {
     std::vector<std::string> row = {variants[v].name};
     for (size_t s = 0; s < shots.size(); ++s) {
       eval::ExperimentConfig config = base;
       config.k_shot = shots[s];
-      eval::ScoreSummary summary = RunVariant(variants[v], config, config.seed);
+      std::string theta_line;
+      eval::ScoreSummary summary =
+          RunVariant(variants[v], config, config.seed,
+                     "[" + std::to_string(shots[s]) + "-shot] " + variants[v].name,
+                     &theta_line);
+      theta_lines.push_back(std::move(theta_line));
       if (v == 0) reference[s] = summary;
       row.push_back(eval::FormatCell(summary));
       row.push_back(v == 0 ? "--" : Delta(summary, reference[s]));
@@ -107,5 +121,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nTable 5: ablation study on NNE intra-domain cross-type\n"
             << table.Render();
+  for (const std::string& line : theta_lines) std::cout << line << "\n";
   return 0;
 }

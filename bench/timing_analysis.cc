@@ -21,6 +21,7 @@
 #include "meta/parallel.h"
 #include "models/backbone.h"
 #include "models/encoding.h"
+#include "nn/module.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
@@ -156,10 +157,13 @@ void BM_FewnerEvaluateTask(benchmark::State& state) {
 }
 BENCHMARK(BM_FewnerEvaluateTask)->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
 
-/// Graph nodes of one training task's query loss as Fewner::Train builds it
-/// (dropout on, second-order inner steps): the graph its outer meta-gradient
-/// walks.  Reported as the `graph_nodes` counter of the outer-loop batch.
-double QueryLossGraphNodes(World& world, const meta::TrainConfig& config) {
+/// The graph of one training task's query loss as Fewner::Train builds it
+/// (dropout on, second-order inner steps), and the walk of its first-order
+/// meta-gradient over θ: `graph_nodes` is the loss's GraphSize, and
+/// `grad_nodes_walked`, `grad_folds` and `grad_fold_buffers` are that Grad's
+/// autodiff::LastGradStats, reported on the outer-loop batch.
+void CountQueryLossGraph(World& world, const meta::TrainConfig& config,
+                         benchmark::State* state) {
   models::Backbone* net = world.fewner_method->backbone();
   net->SetTraining(true);
   const models::EncodedEpisode enc = meta::PrepareTrainingTask(
@@ -167,8 +171,15 @@ double QueryLossGraphNodes(World& world, const meta::TrainConfig& config) {
   const tensor::Tensor phi = meta::Fewner::AdaptContextOn(
       *net, enc.support, enc.valid_tags, config.inner_steps_train, config.inner_lr,
       /*create_graph=*/true);
-  return static_cast<double>(tensor::autodiff::GraphSize(
-      net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags)));
+  const tensor::Tensor loss =
+      net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags);
+  state->counters["graph_nodes"] =
+      static_cast<double>(tensor::autodiff::GraphSize(loss));
+  tensor::autodiff::Grad(loss, nn::ParameterTensors(net));
+  const tensor::autodiff::GradStats stats = tensor::autodiff::LastGradStats();
+  state->counters["grad_nodes_walked"] = static_cast<double>(stats.nodes_walked);
+  state->counters["grad_folds"] = static_cast<double>(stats.folds);
+  state->counters["grad_fold_buffers"] = static_cast<double>(stats.fold_buffers);
 }
 
 void BM_FewnerOuterLoopBatch(benchmark::State& state) {
@@ -176,7 +187,7 @@ void BM_FewnerOuterLoopBatch(benchmark::State& state) {
   meta::TrainConfig config;
   config.iterations = 1;
   config.meta_batch = 8;
-  state.counters["graph_nodes"] = QueryLossGraphNodes(world, config);
+  CountQueryLossGraph(world, config, &state);
   for (auto _ : state) {
     world.fewner_method->Train(world.runner->train_sampler(),
                                world.runner->encoder(), config);

@@ -1,5 +1,6 @@
 #include "nn/gru.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -170,8 +171,10 @@ void RecurrenceForward(const RecurrenceAttrs& rec, const float* projected, const
 /// g·other, Neg's −g, Sigmoid's g·(y·((−y) + 1)), Tanh's g·((−(y·y)) + 1), the
 /// MatMul grads through the same GemmNT/GemmTN, SumTo's sums from +0), and the
 /// same fan-in order at every multiply-consumed node (see the comments).
-/// Returns the grads of the op's inputs (projected, then w_hh and b_hh once
-/// per step, last step first) that `needs` asks for.
+/// Folds each step's w_hh and b_hh grads into their accumulators through
+/// autodiff::FoldInputGrad, last step first, as Grad folds the composite's
+/// per-step MatMul and Add grads, and returns the grad of `projected` (the
+/// op's inputs are {projected, w_hh, b_hh}) if `needs` asks for it.
 std::vector<Tensor> RecurrenceBackward(const RecurrenceAttrs& rec, const RecurrenceTape& tape,
                                        const float* g, const float* w_hh,
                                        const tensor::NeedsGrad& needs) {
@@ -179,7 +182,7 @@ std::vector<Tensor> RecurrenceBackward(const RecurrenceAttrs& rec, const Recurre
   const int64_t length = rec.length;
   const int64_t hd = rec.hidden;
   const size_t slab = static_cast<size_t>(lanes * hd);
-  std::vector<Tensor> grads(static_cast<size_t>(1 + 2 * length));
+  std::vector<Tensor> grads(3);
   std::vector<float> d_projected(needs[0] ? static_cast<size_t>(lanes * length * 3 * hd) : 0);
   // The grad of an output row: Concat's backward slices it out exactly.
   auto out_grad = [&](int64_t b, int64_t t) { return g + (b * length + t) * hd; };
@@ -190,6 +193,10 @@ std::vector<Tensor> RecurrenceBackward(const RecurrenceAttrs& rec, const Recurre
   std::vector<float> g_z(slab);
   std::vector<float> g_mm(slab);
   std::vector<float> d_hidden_proj(static_cast<size_t>(lanes * 3 * hd));
+  // One scratch per weight grad, reused by every step: each step's grad is
+  // folded before the next overwrites it.
+  std::vector<float> d_w(needs[1] ? static_cast<size_t>(hd * 3 * hd) : 0);
+  std::vector<float> d_b(needs[2] ? static_cast<size_t>(3 * hd) : 0);
   const std::vector<float> zeros(slab, 0.0f);
   // dh = d(hidden_proj)·W_hhᵀ is GemmNT, which packs W_hhᵀ and runs GemmNN
   // on the pack (at one lane it reads W_hh in place); the pack is made once
@@ -257,20 +264,19 @@ std::vector<Tensor> RecurrenceBackward(const RecurrenceAttrs& rec, const Recurre
       }
     }
     // hidden_proj = h_prev·W_hh + b_hh; Grad reaches the steps' MatMul and Add
-    // nodes last step first, so the slots list them in that order.
-    const size_t slot = static_cast<size_t>(1 + 2 * (length - 1 - step));
-    if (needs[slot]) {
-      std::vector<float> d_w(static_cast<size_t>(hd * 3 * hd));
+    // nodes last step first, so their grads fold in that order.  GemmTN
+    // overwrites d_w; SumTo's sums start from +0.
+    if (needs[1]) {
       tensor::kernel::GemmTN(h_prev, d_hidden_proj.data(), d_w.data(), hd, lanes, 3 * hd);
-      grads[slot] = Tensor::FromData(Shape{hd, 3 * hd}, std::move(d_w));
+      tensor::autodiff::FoldInputGrad(1, d_w.data());
     }
-    if (needs[slot + 1]) {
-      std::vector<float> d_b(static_cast<size_t>(3 * hd), 0.0f);
+    if (needs[2]) {
+      std::fill(d_b.begin(), d_b.end(), 0.0f);
       for (int64_t b = 0; b < lanes; ++b) {
         const float* dhp = d_hidden_proj.data() + b * 3 * hd;
         for (int64_t j = 0; j < 3 * hd; ++j) d_b[static_cast<size_t>(j)] += dhp[j];
       }
-      grads[slot + 1] = Tensor::FromData(Shape{3 * hd}, std::move(d_b));
+      tensor::autodiff::FoldInputGrad(2, d_b.data());
     }
     if (step == 0) break;
     if (lanes > 1) {
@@ -430,14 +436,9 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
   }
   rec.step_masks = step_masks;
   rec.step_full = step_full;
-  // Grad hands each step's w_hh and b_hh grads to the shared leaves one by
-  // one, as the composite's per-step MatMul and Add nodes do, so the
-  // inputs list them once per step, in the order Grad reaches those nodes.
-  std::vector<Tensor> inputs{projected};
-  for (int64_t step = 0; step < length; ++step) {
-    inputs.push_back(w_hh_);
-    inputs.push_back(b_hh_);
-  }
+  // Both backward branches fold each step's w_hh and b_hh grads into the
+  // shared tensors one by one through autodiff::FoldInputGrad, as the
+  // composite's per-step MatMul and Add nodes hand them to Grad.
   tensor::BackwardFn backward = [state](const Tensor& self, const Tensor& grad,
                                         const tensor::NeedsGrad& needs) {
     const std::vector<Tensor>& in = self.node()->inputs;
@@ -446,8 +447,8 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
                                 in[1].data().data(), needs);
     }
     // create_graph: differentiate the composite, rebuilt over the op's own
-    // inputs, seeded with the upstream grad.  Its per-step w_hh and b_hh
-    // grads come back unfolded, one per input slot.
+    // inputs, seeded with the upstream grad.  Its per-step grads come back
+    // unfolded.
     const RecurrenceAttrs& rec = state->rec;
     Tensor composite =
         RecurrenceComposite(in[0], in[1], in[2], rec.step_masks, rec.step_full, rec.reverse);
@@ -458,8 +459,9 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
     std::vector<std::vector<Tensor>> found =
         tensor::autodiff::GradContributions(composite, wanted, grad);
     // Each input is read once per step: projected's grads fold here as Grad
-    // would fold them; w_hh's and b_hh's go to their per-step slots.
-    std::vector<Tensor> grads(in.size());
+    // would fold them, and the sum is returned; w_hh's and b_hh's fold into
+    // their accumulators one by one.
+    std::vector<Tensor> grads(3);
     size_t next = 0;
     for (size_t i = 0; i < 3; ++i) {
       if (!needs[i]) continue;
@@ -472,7 +474,7 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
         if (i == 0) {
           grads[0] = k == 0 ? g : tensor::Add(grads[0], g);
         } else {
-          grads[i + 2 * static_cast<size_t>(k)] = g;
+          tensor::autodiff::FoldInputGrad(i, g);
         }
       }
     }
@@ -488,7 +490,7 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
         RecurrenceForward(rec, projected.data().data(), w_hh_.data().data(),
                           b_hh_.data().data(), out, &state->tape);
       },
-      std::move(inputs), std::move(backward));
+      {projected, w_hh_, b_hh_}, std::move(backward));
   // The visible node passes its grad straight through to its one input.
   Tensor visible = tensor::CustomOp(
       "gru_recurrence", out_shape,

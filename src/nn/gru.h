@@ -46,13 +46,16 @@ class GruCell : public Module {
   ///   - Graph mode keeps a per-step tape (r, z, n, h·W_hn + b_hn, h).  The
   ///     backward picks a branch with EvalMode::active(), which Grad sets
   ///     exactly when create_graph is false: one reverse kernel (BPTT) writes
-  ///     each step's slab of d(projected) and the per-step w_hh/b_hh grads,
+  ///     each step's slab of d(projected) and folds the per-step w_hh/b_hh
+  ///     grads,
   ///     reproducing every closure expression and fan-in order of the
   ///     composite's first-order backward; under create_graph the composite
   ///     is rebuilt over the op's inputs and differentiated with a seeded
   ///     autodiff::GradContributions, so higher orders see the composite.
-  ///   - The node lists w_hh and b_hh once per step, last step first, and
-  ///     hands Grad one grad per step, so their fold onto a cell shared by
+  ///   - The node's inputs are {projected, w_hh, b_hh}.  Both branches fold
+  ///     the per-step w_hh and b_hh grads one by one, last step first, into
+  ///     Grad's accumulators through autodiff::FoldInputGrad (the first-order
+  ///     kernel from one reused scratch), so their fold onto a cell shared by
   ///     several calls is the composite's.
   ///   - In graph mode the returned node passes its grad through to a kernel
   ///     node; after a create_graph backward it reads the rebuilt composite

@@ -116,7 +116,8 @@ class Tensor {
 
   bool requires_grad() const;
 
-  /// Returns a leaf sharing this tensor's values but cut off from the graph.
+  /// Returns a new leaf holding a copy of this tensor's values, cut off from
+  /// the graph (requires_grad false, a fresh node id).
   Tensor Detach() const;
 
   /// Marks a leaf as trainable (participates in autodiff).

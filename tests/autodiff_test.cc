@@ -7,12 +7,21 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "crf/linear_chain_crf.h"
+#include "meta/fewner.h"
+#include "meta/maml.h"
+#include "models/backbone.h"
+#include "models/encoding.h"
 #include "nn/layers.h"
+#include "nn/module.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/ops.h"
+#include "text/bio.h"
 #include "util/rng.h"
 
 namespace fewner::tensor {
@@ -647,6 +656,261 @@ TEST(AutodiffTest, DeepChainDoesNotOverflow) {
   for (int i = 0; i < 4000; ++i) y = AddScalar(y, 0.0001f);
   auto g = Grad(SumAll(y), {x});
   EXPECT_FLOAT_EQ(g[0].item(), 1.0f);
+}
+
+
+// ----- the walk's folds -----------------------------------------------------
+
+/// A fused node that passes its grad straight through to every input: its
+/// closure returns the one upstream tensor once per input.  The value is the
+/// sum of the inputs.
+Tensor PassThrough(const std::vector<Tensor>& inputs) {
+  const Shape shape = inputs[0].shape();
+  return CustomOp(
+      "pass_through", shape,
+      [&](float* out) {
+        for (int64_t i = 0; i < shape.numel(); ++i) {
+          float v = 0.0f;
+          for (const Tensor& in : inputs) v += in.at(i);
+          out[i] = v;
+        }
+      },
+      inputs,
+      [](const Tensor& self, const Tensor& grad, const NeedsGrad&) {
+        return std::vector<Tensor>(self.node()->inputs.size(), grad);
+      });
+}
+
+/// The values of `t`, copied.
+std::vector<float> Snapshot(const Tensor& t) { return t.data(); }
+
+void ExpectBits(const Tensor& t, const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(t.data().size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(t.data().data(), want.data(), want.size() * sizeof(float)), 0)
+      << what;
+}
+
+TEST(AutodiffTest, InPlaceFoldNeverWritesASharedGrad) {
+  // Every case hands one grad tensor to several accumulators (Add's backward,
+  // pass-through nodes, a closure returning its upstream grad twice) and then
+  // folds more grads into them, three or more arrivals per input, so the
+  // first-order walk allocates and folds in place.  Small integers keep every
+  // sum exact.  The first-order grads must equal the closed form and the
+  // detached create_graph grads, and nothing the caller holds (the seed, the
+  // leaves, the forward values, grads returned earlier) may change.
+  const Shape shape{4};
+  const Tensor x = Tensor::FromData(shape, {1.0f, -2.0f, 3.0f, 0.5f}, true);
+  const Tensor y = Tensor::FromData(shape, {2.0f, 1.0f, -1.0f, 4.0f}, true);
+  const Tensor seed = Tensor::FromData(shape, {1.0f, 2.0f, -3.0f, 0.25f});
+  auto times = [&](const Tensor& t, float c) {
+    std::vector<float> v = t.data();
+    for (float& e : v) e *= c;
+    return v;
+  };
+  struct Case {
+    std::string name;
+    Tensor out;
+    std::vector<Tensor> inputs;
+    std::vector<std::vector<float>> want;
+    /// The unseeded grads of Σ out ⊙ seed, when they differ from `want`
+    /// (a seeded Grad does not walk past its inputs).
+    std::vector<std::vector<float>> want_total = {};
+  };
+  std::vector<Case> cases;
+  {
+    // Add(x, x), twice more through x: dx = 4·seed.
+    Tensor out = Add(Add(Add(x, x), x), x);
+    cases.push_back({"Add(x, x)", out, {x}, {times(seed, 4.0f)}});
+  }
+  {
+    // A chain of pass-through nodes, each also read directly: every node's
+    // first grad is the seed itself.
+    Tensor p1 = PassThrough({x});
+    Tensor p2 = PassThrough({p1});
+    Tensor p3 = PassThrough({p2});
+    Tensor out = Add(Add(p3, p1), Add(p2, x));
+    cases.push_back({"pass-through chain", out, {x}, {times(seed, 4.0f)}});
+  }
+  {
+    // A closure that returns its upstream grad to two inputs, which then take
+    // more folds: dx = 2·seed, dy = 3·seed.
+    Tensor f = PassThrough({x, y});
+    Tensor out = Add(Add(f, x), Add(y, y));
+    cases.push_back({"one grad to two inputs", out, {x, y}, {times(seed, 2.0f), times(seed, 3.0f)}});
+  }
+  {
+    // A requested input that is also an interior node: h = x + x is read
+    // three times and x once more, so dh = 3·seed; seeded, x gets only its
+    // direct seed, and unseeded dx = 2·dh + seed.
+    Tensor h = Add(x, x);
+    Tensor out = Add(Add(Add(h, h), PassThrough({h})), x);
+    cases.push_back({"requested interior node", out, {h, x},
+                     {times(seed, 3.0f), times(seed, 1.0f)},
+                     {times(seed, 3.0f), times(seed, 7.0f)}});
+  }
+  for (const Case& c : cases) {
+    const std::vector<float> seed_bits = Snapshot(seed);
+    const std::vector<float> x_bits = Snapshot(x);
+    const std::vector<float> y_bits = Snapshot(y);
+    const std::vector<float> out_bits = Snapshot(c.out);
+    const std::vector<Tensor> graph = Grad(c.out, c.inputs, /*create_graph=*/true, seed);
+    std::vector<std::vector<float>> graph_bits;
+    for (const Tensor& g : graph) graph_bits.push_back(Snapshot(g));
+    const std::vector<Tensor> first = Grad(c.out, c.inputs, /*create_graph=*/false, seed);
+    const std::vector<Tensor> again = Grad(c.out, c.inputs, /*create_graph=*/false, seed);
+    // Unseeded, over Σ out ⊙ seed: the walk's own ones-seed, then a Mul.
+    const std::vector<Tensor> unseeded = Grad(SumAllFloat(Mul(c.out, seed)), c.inputs);
+    ASSERT_EQ(first.size(), c.want.size()) << c.name;
+    for (size_t i = 0; i < first.size(); ++i) {
+      const std::string what = c.name + " input " + std::to_string(i);
+      ExpectBits(first[i], c.want[i], what + " first order");
+      ExpectBits(again[i], c.want[i], what + " second run");
+      ExpectBits(unseeded[i], c.want_total.empty() ? c.want[i] : c.want_total[i],
+                 what + " unseeded");
+      ExpectBits(graph[i], graph_bits[i], what + " create_graph grad kept");
+      ExpectBits(graph[i], c.want[i], what + " create_graph");
+    }
+    ExpectBits(seed, seed_bits, c.name + " seed");
+    ExpectBits(x, x_bits, c.name + " x");
+    ExpectBits(y, y_bits, c.name + " y");
+    ExpectBits(c.out, out_bits, c.name + " output");
+  }
+}
+
+constexpr int64_t kWordVocab = 40;
+constexpr int64_t kCharVocab = 20;
+
+models::EncodedSentence RandomSentence(util::Rng* rng, int64_t length,
+                                       const std::vector<bool>& valid_tags) {
+  models::EncodedSentence s;
+  for (int64_t t = 0; t < length; ++t) {
+    s.word_ids.push_back(
+        static_cast<int64_t>(rng->UniformInt(static_cast<uint64_t>(kWordVocab))));
+    std::vector<int64_t> ids;
+    const int64_t chars = 1 + static_cast<int64_t>(rng->UniformInt(6));
+    for (int64_t c = 0; c < chars; ++c) {
+      ids.push_back(static_cast<int64_t>(rng->UniformInt(static_cast<uint64_t>(kCharVocab))));
+    }
+    s.char_ids.push_back(std::move(ids));
+    int64_t tag;
+    do {
+      tag = static_cast<int64_t>(rng->UniformInt(static_cast<uint64_t>(valid_tags.size())));
+    } while (!valid_tags[static_cast<size_t>(tag)]);
+    s.tags.push_back(tag);
+  }
+  return s;
+}
+
+/// A small CNN-BiGRU-CRF backbone with dropout on.
+models::BackboneConfig SmallTrainingConfig(models::Conditioning conditioning) {
+  models::BackboneConfig config;
+  config.word_vocab_size = kWordVocab;
+  config.char_vocab_size = kCharVocab;
+  config.word_dim = 8;
+  config.char_dim = 5;
+  config.filters_per_width = 3;
+  config.hidden_dim = 6;
+  config.encoder = models::EncoderKind::kBiGru;
+  config.max_tags = text::NumTags(4);
+  config.context_dim = 6;
+  config.conditioning = conditioning;
+  config.dropout = 0.3f;
+  return config;
+}
+
+/// One training task's query loss after two second-order inner steps, as
+/// Fewner::Train (or Maml::Train, with `maml`) builds it: dropout on, and
+/// support and query sets of four ragged sentences each, packed into two
+/// lane runs that share the BiGRU cells.  θ are the backbone's parameters.
+Tensor TrainingQueryLoss(models::Backbone* net, bool maml, uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<bool> valid_tags = text::ValidTagMask(4, net->config().max_tags);
+  std::vector<models::EncodedSentence> support, query;
+  for (int64_t len : {6, 5, 1, 2}) support.push_back(RandomSentence(&rng, len, valid_tags));
+  for (int64_t len : {2, 7, 6, 1}) query.push_back(RandomSentence(&rng, len, valid_tags));
+  net->SetTraining(true);
+  net->ReseedDropout(seed);
+  if (!maml) {
+    Tensor phi = meta::Fewner::AdaptContextOn(*net, support, valid_tags, /*steps=*/2, 0.1f,
+                                              /*create_graph=*/true);
+    return net->BatchLoss(models::PackBatch(query), phi, valid_tags);
+  }
+  std::vector<Tensor> adapted = meta::Maml::InnerAdaptOn(net, support, valid_tags,
+                                                         /*steps=*/2, 0.1f,
+                                                         /*create_graph=*/true);
+  nn::ParameterPatch patch(net->Parameters(), adapted);
+  return net->BatchLoss(models::PackBatch(query), Tensor(), valid_tags);
+}
+
+TEST(AutodiffTest, FirstOrderGradEqualsDetachedCreateGraphGrad) {
+  // The outer meta-gradient of FEWNER (FiLM and kConcat) and MAML.  The
+  // first-order walk folds in place and through the GRU op's fold handle
+  // (from its BPTT kernel's scratch); the create_graph walk folds with Add
+  // nodes and differentiates the composites.  Every θ's bits must agree.
+  struct Method {
+    const char* name;
+    models::Conditioning conditioning;
+    bool maml;
+  };
+  for (const Method& m : {Method{"FEWNER FiLM", models::Conditioning::kFilm, false},
+                          Method{"FEWNER kConcat", models::Conditioning::kConcat, false},
+                          Method{"MAML", models::Conditioning::kNone, true}}) {
+    util::Rng init(0xF01D);
+    models::Backbone net(SmallTrainingConfig(m.conditioning), &init);
+    const std::vector<Tensor> theta = nn::ParameterTensors(&net);
+    std::vector<std::string> names;
+    for (const auto& [name, slot] : net.NamedParameters()) names.push_back(name);
+    const Tensor loss = TrainingQueryLoss(&net, m.maml, 0x51);
+    const std::vector<Tensor> first = Grad(loss, theta);
+    const std::vector<Tensor> graph = Grad(loss, theta, /*create_graph=*/true);
+    ASSERT_EQ(first.size(), graph.size());
+    for (size_t i = 0; i < theta.size(); ++i) {
+      const Tensor detached = graph[i].Detach();
+      ASSERT_EQ(first[i].shape(), detached.shape()) << m.name << " " << names[i];
+      EXPECT_EQ(std::memcmp(first[i].data().data(), detached.data().data(),
+                            detached.data().size() * sizeof(float)),
+                0)
+          << m.name << " d" << names[i];
+    }
+  }
+}
+
+TEST(AutodiffTest, FirstOrderFoldAllocatesOncePerFannedInNode) {
+  // A first-order Grad of one training query loss allocates at most one fold
+  // buffer per node that receives two or more grads.  Arrivals are counted
+  // from the graph: one per consumer edge, and one per step for the w_hh and
+  // b_hh inputs of a gru_recurrence_kernel node, whose closure folds a grad
+  // per step into them.
+  util::Rng init(0xF01D);
+  models::Backbone net(SmallTrainingConfig(models::Conditioning::kFilm), &init);
+  const std::vector<Tensor> theta = nn::ParameterTensors(&net);
+  const Tensor loss = TrainingQueryLoss(&net, /*maml=*/false, 0x52);
+  std::unordered_map<const internal::Node*, int64_t> arrivals;
+  std::vector<Tensor> stack{loss};
+  std::unordered_map<const internal::Node*, bool> seen{{loss.node(), true}};
+  while (!stack.empty()) {
+    const Tensor t = stack.back();
+    stack.pop_back();
+    const std::vector<Tensor>& inputs = t.node()->inputs;
+    const bool kernel = std::string(t.op_name()) == "gru_recurrence_kernel";
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (!inputs[i].requires_grad()) continue;
+      arrivals[inputs[i].node()] += kernel && i > 0 ? t.shape().dim(1) : 1;
+      if (seen.emplace(inputs[i].node(), true).second) stack.push_back(inputs[i]);
+    }
+  }
+  int64_t fanned_in = 0;
+  for (const auto& [node, count] : arrivals) fanned_in += count >= 2 ? 1 : 0;
+
+  Grad(loss, theta);
+  const autodiff::GradStats stats = autodiff::LastGradStats();
+  std::cout << "first-order Grad of a training query loss: " << stats.nodes_walked
+            << " nodes walked, " << stats.folds << " folds, " << stats.fold_buffers
+            << " fold buffers, " << fanned_in << " fanned-in nodes\n";
+  EXPECT_GT(stats.nodes_walked, 0);
+  EXPECT_GT(stats.fold_buffers, 0);
+  EXPECT_GT(stats.folds, stats.fold_buffers);
+  EXPECT_LE(stats.fold_buffers, fanned_in);
 }
 
 }  // namespace
