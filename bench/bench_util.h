@@ -3,9 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -32,25 +30,10 @@ inline nn::Module* TrainedTheta(meta::FewShotMethod* method) {
   return nullptr;
 }
 
-/// The line `theta_fnv1a <row> <16 hex digits>`: 64-bit FNV-1a over the bytes
-/// of θ's floats, in nn::ParameterTensors order.  At a CI budget every F1
-/// cell can read 0.00, so these lines are what carries θ's bits from one run
-/// (or one commit) to the next.
+/// The line `theta_fnv1a <row> <16 hex digits>`: eval::Fnv1aHex over θ's
+/// floats, in nn::ParameterTensors order.
 inline std::string ThetaFnv1aLine(const std::string& row, nn::Module* theta) {
-  uint64_t hash = 0xCBF29CE484222325ull;
-  for (const tensor::Tensor& t : nn::ParameterTensors(theta)) {
-    for (float v : t.data()) {
-      unsigned char bytes[sizeof(float)];
-      std::memcpy(bytes, &v, sizeof(float));
-      for (unsigned char b : bytes) {
-        hash ^= b;
-        hash *= 0x100000001B3ull;
-      }
-    }
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash));
-  return "theta_fnv1a " + row + " " + hex;
+  return "theta_fnv1a " + row + " " + eval::Fnv1aHex(nn::ParameterTensors(theta));
 }
 
 /// Registers the flags shared by every table bench.

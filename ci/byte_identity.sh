@@ -6,12 +6,16 @@
 # Runs the same commands with each build's binaries, each in its own
 # directory under the current one (byte-identity-base/, byte-identity-head/):
 #   - quickstart --iterations 3 --episodes 2 --checkpoint quickstart.ckpt,
-#     then cmp of the two θ checkpoints;
+#     then cmp of the two θ checkpoints and diff of quickstart's
+#     `serve_fnv1a <hash>` line (φ* and the query emissions of its served
+#     task, which carry the eval path's bits: at this budget every tag is O);
 #   - ablation_second_order and table5_ablation at the same flags, then diff
 #     of their `theta_fnv1a <row> <hash>` lines.
+# A line kind the base does not print yet is skipped with a notice.
 # REBASELINE_FILE lists, one per line, the rows a declared re-baseline may
-# move: a theta_fnv1a row name exactly as printed, or `quickstart` for the
-# checkpoint.  Empty lines are ignored.  Exits 1 on any other difference.
+# move: a theta_fnv1a row name exactly as printed, `quickstart` for the
+# checkpoint, or `serve_fnv1a` for the serving line.  Empty lines are
+# ignored.  Exits 1 on any other difference.
 # Bits are compared on one host only: glibc picks its expf/logf variant at
 # run time, so two hosts may differ.
 set -euo pipefail
@@ -43,6 +47,18 @@ if listed quickstart; then
 elif cmp byte-identity-base/quickstart.ckpt byte-identity-head/quickstart.ckpt; then
   echo "quickstart checkpoint: identical"
 else
+  status=1
+fi
+
+serve_line() { { grep '^serve_fnv1a ' "byte-identity-$1/quickstart.txt" || true; }; }
+if listed serve_fnv1a; then
+  echo "serve_fnv1a: listed in $3, not compared"
+elif [ -z "$(serve_line base)" ]; then
+  echo "serve_fnv1a: the base prints no line, so there is nothing to compare"
+elif [ "$(serve_line base)" = "$(serve_line head)" ]; then
+  echo "serve_fnv1a: identical"
+else
+  diff <(serve_line base) <(serve_line head) || true
   status=1
 fi
 

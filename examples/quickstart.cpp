@@ -13,7 +13,10 @@
 #include "eval/reporting.h"
 #include "meta/adapted_tagger.h"
 #include "meta/fewner.h"
+#include "models/encoding.h"
 #include "nn/serialization.h"
+#include "tensor/eval_mode.h"
+#include "tensor/ops.h"
 #include "text/bio.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -105,7 +108,29 @@ int main(int argc, char** argv) {
             << entity_tokens << "/" << total_tokens
             << " tokens tagged as entities\n";
 
-  // 5. Persist θ_Meta (Algorithm 1's training output) for later adaptation.
+  // 5. The served bits.  At a small budget every tag is O, so the tags above
+  //    cannot show a change in the serving path.  One `serve_fnv1a` line
+  //    hashes φ* and the real rows of the query emissions, computed as
+  //    TagAll computes them (graph-free, from the θ-prefix); padding rows are
+  //    unspecified and left out.
+  {
+    tensor::EvalMode eval;
+    const models::Backbone& net = *fewner_method->backbone();
+    const models::EncodedBatch batch = models::PackBatch(enc.query);
+    tensor::Tensor emissions = net.EmissionsFromPrefix(net.EncodePrefix(batch), tagger.phi());
+    std::vector<int64_t> real_rows;
+    for (int64_t b = 0; b < batch.batch; ++b) {
+      for (int64_t t = 0; t < batch.lengths[static_cast<size_t>(b)]; ++t) {
+        real_rows.push_back(b * batch.max_len + t);
+      }
+    }
+    tensor::Tensor real = tensor::IndexSelectRows(
+        tensor::Reshape(emissions, tensor::Shape{batch.flat_size(), emissions.shape().dim(2)}),
+        real_rows);
+    std::cout << "serve_fnv1a " << eval::Fnv1aHex({tagger.phi(), real}) << "\n";
+  }
+
+  // 6. Persist θ_Meta (Algorithm 1's training output) for later adaptation.
   const std::string checkpoint = flags.GetString("checkpoint");
   util::Status save_status =
       nn::SaveParameters(fewner_method->backbone(), checkpoint);

@@ -1,6 +1,9 @@
 #include "eval/reporting.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "util/status.h"
@@ -11,6 +14,23 @@ namespace fewner::eval {
 std::string FormatCell(const ScoreSummary& summary) {
   return util::FormatDouble(summary.mean * 100.0, 2) + " ± " +
          util::FormatDouble(summary.ci95 * 100.0, 2) + "%";
+}
+
+std::string Fnv1aHex(const std::vector<tensor::Tensor>& tensors) {
+  uint64_t hash = 0xCBF29CE484222325ull;
+  for (const tensor::Tensor& t : tensors) {
+    for (float v : t.data()) {
+      unsigned char bytes[sizeof(float)];
+      std::memcpy(bytes, &v, sizeof(float));
+      for (unsigned char b : bytes) {
+        hash ^= b;
+        hash *= 0x100000001B3ull;
+      }
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash));
+  return hex;
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {

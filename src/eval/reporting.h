@@ -1,4 +1,5 @@
-// Table rendering in the paper's format: "23.74 ± 0.65%".
+// Table rendering in the paper's format: "23.74 ± 0.65%", and the bit
+// fingerprints the byte-identity checks compare.
 
 #pragma once
 
@@ -6,11 +7,18 @@
 #include <vector>
 
 #include "eval/statistics.h"
+#include "tensor/tensor.h"
 
 namespace fewner::eval {
 
 /// Formats a summary (scores in [0, 1]) as a percentage cell.
 std::string FormatCell(const ScoreSummary& summary);
+
+/// 64-bit FNV-1a over the bytes of the tensors' floats, in order, as 16 hex
+/// digits.  At a CI budget every F1 cell can read 0.00 and every tag O, so
+/// lines carrying these hashes are what carries θ's and the served model's
+/// bits from one run (or one commit) to the next.
+std::string Fnv1aHex(const std::vector<tensor::Tensor>& tensors);
 
 /// Simple fixed-width table for console output.
 class Table {

@@ -1,6 +1,8 @@
 #include "models/backbone.h"
 
 #include <algorithm>
+#include <compare>
+#include <numeric>
 #include <utility>
 
 #include "tensor/eval_mode.h"
@@ -12,6 +14,81 @@ using tensor::Shape;
 using tensor::Tensor;
 
 namespace {
+/// Aborts unless `batch` is well formed: one length per lane, each in [1,
+/// max_len], and B·max_len entries in each flat vector.  Checked once per
+/// entry point, before LaneRuns and SubBatch index into it.
+void CheckBatch(const EncodedBatch& batch) {
+  FEWNER_CHECK(batch.batch > 0, "Backbone forward on an empty batch");
+  FEWNER_CHECK(static_cast<int64_t>(batch.lengths.size()) == batch.batch,
+               "EncodedBatch lengths has " << batch.lengths.size() << " entries for batch "
+                                           << batch.batch);
+  for (int64_t b = 0; b < batch.batch; ++b) {
+    const int64_t len = batch.lengths[static_cast<size_t>(b)];
+    FEWNER_CHECK(len >= 1 && len <= batch.max_len,
+                 "EncodedBatch lane " << b << " length " << len << " out of [1, "
+                                      << batch.max_len << "]");
+  }
+  // max_len >= 1 here; dividing keeps a huge max_len from overflowing B·max_len.
+  const auto check_flat = [&batch](size_t size, const char* field) {
+    const size_t lanes = static_cast<size_t>(batch.batch);
+    FEWNER_CHECK(size % lanes == 0 && static_cast<int64_t>(size / lanes) == batch.max_len,
+                 "EncodedBatch " << field << " has " << size << " entries for batch "
+                                 << batch.batch << " x max_len " << batch.max_len);
+  };
+  check_flat(batch.word_ids.size(), "word_ids");
+  check_flat(batch.char_ids.size(), "char_ids");
+  check_flat(batch.tags.size(), "tags");
+}
+
+/// A run's token slots grouped by (word id, char ids): row i of the distinct
+/// tokens is (word_ids[i], char_ids[i]), and slot s (lane-major, B·L of them)
+/// reads row slot_rows[s].  Every padding slot reads the pad token (word 0, no
+/// characters), whatever the batch holds there.  Rows are ordered by (char
+/// count, char ids, word id); a word's padded CharCNN length grows with its
+/// char count, so the CharCNN's length buckets come out contiguous and in
+/// order.
+struct DistinctTokens {
+  std::vector<int64_t> word_ids;
+  std::vector<std::vector<int64_t>> char_ids;
+  std::vector<int64_t> slot_rows;
+};
+
+DistinctTokens GroupTokens(const EncodedBatch& run) {
+  static const std::vector<int64_t> kNoChars;
+  const size_t slots = static_cast<size_t>(run.flat_size());
+  std::vector<int64_t> words(slots, 0);
+  std::vector<const std::vector<int64_t>*> chars(slots, &kNoChars);
+  for (int64_t b = 0; b < run.batch; ++b) {
+    const size_t lane = static_cast<size_t>(b * run.max_len);
+    for (size_t t = 0; t < static_cast<size_t>(run.lengths[static_cast<size_t>(b)]); ++t) {
+      words[lane + t] = run.word_ids[lane + t];
+      chars[lane + t] = &run.char_ids[lane + t];
+    }
+  }
+  const auto before = [&](int64_t a, int64_t b) {
+    const std::vector<int64_t>& ca = *chars[static_cast<size_t>(a)];
+    const std::vector<int64_t>& cb = *chars[static_cast<size_t>(b)];
+    if (ca.size() != cb.size()) return ca.size() < cb.size();
+    if (const auto order = ca <=> cb; order != 0) return order < 0;
+    return words[static_cast<size_t>(a)] < words[static_cast<size_t>(b)];
+  };
+  std::vector<int64_t> order(slots);
+  std::iota(order.begin(), order.end(), int64_t{0});
+  std::sort(order.begin(), order.end(), before);
+  DistinctTokens tokens;
+  tokens.slot_rows.resize(slots);
+  for (size_t k = 0; k < slots; ++k) {
+    const int64_t slot = order[k];
+    if (k == 0 || before(order[k - 1], slot)) {
+      tokens.word_ids.push_back(words[static_cast<size_t>(slot)]);
+      tokens.char_ids.push_back(*chars[static_cast<size_t>(slot)]);
+    }
+    tokens.slot_rows[static_cast<size_t>(slot)] =
+        static_cast<int64_t>(tokens.word_ids.size()) - 1;
+  }
+  return tokens;
+}
+
 /// Contiguous lane runs with bounded padding: a run closes before a lane that
 /// would stretch its max/min length ratio beyond 2.  Per-lane batched results
 /// are bitwise lane-independent (DESIGN.md §7), so any partition computes
@@ -211,20 +288,35 @@ Tensor Backbone::LaneDropout(const Tensor& x, const EncodedBatch& batch,
   return tensor::Mul(x, Tensor::FromData(x.shape(), std::move(mask)));
 }
 
+Tensor Backbone::TokenInput(const std::vector<int64_t>& word_ids,
+                            const std::vector<std::vector<int64_t>>& char_ids) const {
+  Tensor words = word_embedding_->Forward(word_ids);  // [R, word_dim]
+  if (!config_.use_char_cnn) return words;
+  return tensor::Concat({words, char_cnn_->ForwardBatch(char_ids)}, 1);
+}
+
 Tensor Backbone::Prefix(const EncodedBatch& run, const LaneRngs& lane_rngs) const {
   const int64_t lanes = run.batch;
   const int64_t max_len = run.max_len;
   FEWNER_CHECK(lanes > 0 && max_len > 0, "Backbone forward on an empty batch");
-  // One embedding gather + one CharCnn call for all B*Lmax token slots (under
-  // EvalMode it convolves each distinct word once; in graph mode every slot).
   // Every op here is per-row (GEMM rows are bitwise-independent under the
   // ascending-k kernel contract), so lane b's rows match running that
   // sentence alone.
-  Tensor words = word_embedding_->Forward(run.word_ids);  // [B*L, word_dim]
-  Tensor input = words;
-  if (config_.use_char_cnn) {
-    Tensor chars = char_cnn_->ForwardBatch(run.char_ids);  // [B*L, char_feat]
-    input = tensor::Concat({words, chars}, 1);
+  Tensor input;  // [B*L, word (+ char)]
+  if (tensor::EvalMode::active() && CanCachePrefix()) {
+    // No grad and no dropout: the token pipeline up to each direction's
+    // input projection is a function of the token alone, so it runs once per
+    // distinct token of the run and is gathered back to the B·L slots.
+    // Graph mode keeps one row per slot: gathering there would sum a token's
+    // slot grads before the weight-grad GEMMs and move θ.
+    const DistinctTokens tokens = GroupTokens(run);
+    Tensor distinct = TokenInput(tokens.word_ids, tokens.char_ids);  // [D, in]
+    if (bigru_ && config_.conditioning != Conditioning::kConcat) {
+      return bigru_->ForwardGathered(distinct, tokens.slot_rows, run.lengths, max_len);
+    }
+    input = tensor::IndexSelectRows(distinct, tokens.slot_rows);
+  } else {
+    input = TokenInput(run.word_ids, run.char_ids);
   }
   Tensor input3 = LaneDropout(
       tensor::Reshape(input, Shape{lanes, max_len, input.shape().dim(1)}), run,
@@ -274,7 +366,7 @@ Tensor Backbone::Suffix(const EncodedBatch& run, const Tensor& features,
 
 void Backbone::ForEachRun(const EncodedBatch& batch, const Tensor& phi,
                           const RunVisitor& visit, bool emit) const {
-  FEWNER_CHECK(batch.batch > 0, "Backbone forward on an empty batch");
+  CheckBatch(batch);
   std::vector<util::Rng> owned = ForkLaneRngs(static_cast<size_t>(batch.batch));
   // Length-bucketed execution: each near-homogeneous lane run gets its own
   // padded forward, so a ragged batch does not pay every lane at the longest
@@ -381,7 +473,7 @@ void Backbone::CheckPrefix(const CachedPrefix& prefix) const {
 }
 
 CachedPrefix Backbone::EncodePrefix(const EncodedBatch& batch) const {
-  FEWNER_CHECK(batch.batch > 0, "EncodePrefix on empty batch");
+  CheckBatch(batch);
   FEWNER_CHECK(CanCachePrefix(),
                "EncodePrefix in the training-dropout regime: per-step masks "
                "make a shared prefix incorrect; use the per-step forward");

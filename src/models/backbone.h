@@ -133,7 +133,10 @@ class Backbone : public nn::Module {
   uint64_t ParameterVersion() const;
 
   /// Runs the θ-prefix once over `batch`, bucketed exactly like BatchLoss.
-  /// Aborts unless CanCachePrefix() — a cached prefix must be dropout-free.
+  /// Aborts unless CanCachePrefix() — a cached prefix must be dropout-free —
+  /// and, like every uncached entry point, on a malformed batch: lengths
+  /// must hold B entries in [1, max_len], and word_ids, char_ids and tags
+  /// B·max_len each.
   /// Graph-mode callers get a differentiable shared subgraph (the
   /// create_graph meta-training regime); EvalMode callers get arena-backed
   /// constants that stay valid as long as the CachedPrefix holds them.
@@ -191,9 +194,19 @@ class Backbone : public nn::Module {
   using RunVisitor = std::function<void(const EncodedBatch& run,
                                         const tensor::Tensor& output)>;
 
+  /// Word embedding ‖ CharCNN features of token rows, [R, word (+ char)].
+  tensor::Tensor TokenInput(const std::vector<int64_t>& word_ids,
+                            const std::vector<std::vector<int64_t>>& char_ids) const;
+
   /// θ-prefix of one run: embeddings + CharCNN, input LaneDropout, and the
   /// BiGRU/BiLSTM for kFilm/kNone.  Returns the [B, L, D] features φ first
-  /// touches (see CachedPrefix for the split point per mode).
+  /// touches (see CachedPrefix for the split point per mode).  Under EvalMode
+  /// in the CanCachePrefix regime the run's slots are grouped once by (word
+  /// id, char ids), every padding slot onto one pad token, and the embedding,
+  /// the CharCNN and both BiGRU directions' input projections run once per
+  /// distinct token (BiGru::ForwardGathered); kConcat and the BiLSTM gather
+  /// the token features back to the slots instead.  Graph mode runs every
+  /// slot.  Both give the same bits.
   tensor::Tensor Prefix(const EncodedBatch& run, const LaneRngs& lane_rngs) const;
 
   /// φ-suffix of one run: conditioning (the BiGRU/BiLSTM too for kConcat),

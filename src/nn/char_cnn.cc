@@ -1,8 +1,7 @@
 #include "nn/char_cnn.h"
 
 #include <algorithm>
-#include <iterator>
-#include <map>
+#include <numeric>
 #include <string>
 
 #include "tensor/eval_mode.h"
@@ -58,41 +57,36 @@ Tensor CharCnn::ForwardBatch(const std::vector<std::vector<int64_t>>& chars) con
     return ConvolveAt(words, t_max);
   }
 
-  // Eval: rows are independent, so each distinct word is convolved once at
-  // its own padded length.  Ordering distinct words by (own padded length,
-  // ids) lays every length bucket out contiguously.
-  const auto by_length_then_ids = [this](const std::vector<int64_t>* a,
-                                         const std::vector<int64_t>* b) {
-    const int64_t la = PaddedLength(*a, max_width_);
-    const int64_t lb = PaddedLength(*b, max_width_);
-    return la != lb ? la < lb : *a < *b;
+  // Eval: rows are independent, so each word is convolved at its own padded
+  // length, one ConvolveAt per length bucket.  Words already in ascending
+  // padded length (Backbone's distinct tokens) come back in order; otherwise
+  // the rows are gathered back into token order.
+  const auto padded = [&](int64_t i) {
+    return PaddedLength(chars[static_cast<size_t>(i)], max_width_);
   };
-  std::map<const std::vector<int64_t>*, int64_t, decltype(by_length_then_ids)>
-      row_of(by_length_then_ids);
-  std::vector<decltype(row_of)::iterator> slot_entries;
-  slot_entries.reserve(chars.size());
-  for (const auto& word : chars) {
-    slot_entries.push_back(row_of.emplace(&word, 0).first);
-  }
-
+  std::vector<int64_t> order(chars.size());
+  std::iota(order.begin(), order.end(), int64_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int64_t a, int64_t b) { return padded(a) < padded(b); });
   std::vector<Tensor> buckets;
   std::vector<const std::vector<int64_t>*> bucket;
-  int64_t row = 0;
-  for (auto it = row_of.begin(); it != row_of.end(); ++it) {
-    it->second = row++;
-    bucket.push_back(it->first);
-    const int64_t t = PaddedLength(*it->first, max_width_);
-    const auto next = std::next(it);
-    if (next == row_of.end() || PaddedLength(*next->first, max_width_) != t) {
+  bool in_order = true;
+  for (size_t k = 0; k < order.size(); ++k) {
+    in_order = in_order && order[k] == static_cast<int64_t>(k);
+    bucket.push_back(&chars[static_cast<size_t>(order[k])]);
+    const int64_t t = padded(order[k]);
+    if (k + 1 == order.size() || padded(order[k + 1]) != t) {
       buckets.push_back(ConvolveAt(bucket, t));
       bucket.clear();
     }
   }
-  std::vector<int64_t> rows;
-  rows.reserve(chars.size());
-  for (const auto& entry : slot_entries) rows.push_back(entry->second);
-  Tensor distinct = buckets.size() == 1 ? buckets.front() : tensor::Concat(buckets, 0);
-  return tensor::IndexSelectRows(distinct, rows);  // [N, output_dim]
+  Tensor rows = buckets.size() == 1 ? buckets.front() : tensor::Concat(buckets, 0);
+  if (in_order) return rows;  // [N, output_dim]
+  std::vector<int64_t> row_of(chars.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    row_of[static_cast<size_t>(order[k])] = static_cast<int64_t>(k);
+  }
+  return tensor::IndexSelectRows(rows, row_of);  // [N, output_dim]
 }
 
 Tensor CharCnn::ConvolveAt(const std::vector<const std::vector<int64_t>*>& words,

@@ -33,15 +33,17 @@ class CharCnn : public Module {
   /// i bitwise-equal to convolving chars[i] alone at its own padded length
   /// max(|chars[i]|, widest filter).
   ///
-  /// Under tensor::EvalMode each distinct character sequence (the empty
-  /// padding token included) is convolved once, in buckets of equal own
-  /// padded length, and the rows are gathered back into token order.  In
-  /// graph mode every token is convolved at one common length, the longest
-  /// own padded length: windows that exist only because other tokens are
-  /// longer are pushed below zero with an additive -1e30 before
-  /// max-over-time, which never wins against a ReLU output.  Graph mode keeps
-  /// one row per token and one GEMM per filter width so the weight gradient
-  /// sums the same window rows in the same order whatever the duplicates.
+  /// Under tensor::EvalMode each token is convolved at its own padded length,
+  /// one convolution per bucket of equal padded length; tokens given in
+  /// ascending padded length need no gather back into token order.
+  /// Deduplication is the caller's: Backbone passes each distinct token of a
+  /// run once, ordered by length.  In graph mode every token is convolved at
+  /// one common length, the longest own padded length: windows that exist
+  /// only because other tokens are longer are pushed below zero with an
+  /// additive -1e30 before max-over-time, which never wins against a ReLU
+  /// output.  Graph mode keeps one row per token and one GEMM per filter
+  /// width so the weight gradient sums the same window rows in the same order
+  /// whatever the duplicates.
   tensor::Tensor ForwardBatch(const std::vector<std::vector<int64_t>>& chars) const;
 
   /// Total feature size: filter_widths.size() * filters_per_width.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "nn/init.h"
@@ -96,8 +97,17 @@ float SigmoidOf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 /// float operations in its order: per step h·W_hh through the same GEMM
 /// kernel, + b_hh, the gate adds, Sigmoid as 1/(1 + exp(−x)), tanh,
 /// ((−z) + 1)·n + z·h, and the Where carry of inactive lanes.  Like the
-/// composite's ops, each pass covers the step's [B, H] block, so every libm
-/// call runs in a loop of its own function.
+/// composite's ops, each pass covers the step's block, so every libm call
+/// runs in a loop of its own function.
+///
+/// Each step runs over a lane list, its gate rows packed in list order.  With
+/// a tape the list is every lane (the backward reads every lane's gates, the
+/// carried lanes' too), so row i is lane i.  Without one it is the lanes live
+/// at the step: their h rows are packed for a GEMM of that many rows, and a
+/// lane past its end pays no GEMM row and no gate.  Lanes off the list, and
+/// listed lanes that are inactive, carry their state as the composite's Where
+/// copy does; GEMM rows are bitwise-independent (the ascending-k contract),
+/// so the output does not depend on the list.
 void RecurrenceForward(const RecurrenceAttrs& rec, const float* projected, const float* w_hh,
                        const float* b_hh, float* out, RecurrenceTape* tape) {
   const int64_t lanes = rec.lanes;
@@ -113,6 +123,9 @@ void RecurrenceForward(const RecurrenceAttrs& rec, const float* projected, const
   for (std::vector<float>* v : {&dst->h, &dst->r, &dst->z, &dst->n, &dst->hn}) {
     v->resize(static_cast<size_t>((tape != nullptr ? length : 1) * slab));
   }
+  std::vector<int64_t> live(static_cast<size_t>(lanes));
+  std::iota(live.begin(), live.end(), int64_t{0});
+  std::vector<float> h_live(tape != nullptr ? 0 : static_cast<size_t>(slab));
   for (int64_t step = 0; step < length; ++step) {
     const int64_t t = rec.TimeOf(step);
     const int64_t at = tape != nullptr ? step * slab : 0;
@@ -121,43 +134,71 @@ void RecurrenceForward(const RecurrenceAttrs& rec, const float* projected, const
     float* z = dst->z.data() + at;
     float* n = dst->n.data() + at;
     float* hn = dst->hn.data() + at;
-    tensor::kernel::GemmNN(h.data(), w_hh, hidden_proj.data(), lanes, hd, 3 * hd);
-    for (int64_t b = 0; b < lanes; ++b) {
+    const unsigned char* active = rec.active.data() + t * lanes;
+    if (tape == nullptr) {
+      live.clear();
+      for (int64_t b = 0; b < lanes; ++b) {
+        if (active[b] != 0) live.push_back(b);
+      }
+    }
+    const int64_t count = static_cast<int64_t>(live.size());
+    const int64_t rows = count * hd;
+    const float* h_rows = h.data();
+    if (count < lanes) {
+      // Lanes off the list carry their state.
+      std::memcpy(h_next, h.data(), static_cast<size_t>(slab) * sizeof(float));
+      for (int64_t i = 0; i < count; ++i) {
+        std::memcpy(h_live.data() + i * hd, h.data() + live[static_cast<size_t>(i)] * hd,
+                    static_cast<size_t>(hd) * sizeof(float));
+      }
+      h_rows = h_live.data();
+    }
+    if (count > 0) {
+      tensor::kernel::GemmNN(h_rows, w_hh, hidden_proj.data(), count, hd, 3 * hd);
+    }
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t b = live[static_cast<size_t>(i)];
       const float* x = projected + (b * length + t) * 3 * hd;
-      float* hp = hidden_proj.data() + b * 3 * hd;
+      float* hp = hidden_proj.data() + i * 3 * hd;
       FEWNER_SIMD
       for (int64_t j = 0; j < 3 * hd; ++j) hp[j] = hp[j] + b_hh[j];
-      float* rb = r + b * hd;
-      float* zb = z + b * hd;
-      float* hnb = hn + b * hd;
+      float* ri = r + i * hd;
+      float* zi = z + i * hd;
+      float* hni = hn + i * hd;
       FEWNER_SIMD
       for (int64_t j = 0; j < hd; ++j) {
-        rb[j] = x[j] + hp[j];
-        zb[j] = x[hd + j] + hp[hd + j];
-        hnb[j] = hp[2 * hd + j];
+        ri[j] = x[j] + hp[j];
+        zi[j] = x[hd + j] + hp[hd + j];
+        hni[j] = hp[2 * hd + j];
       }
     }
-    for (int64_t i = 0; i < slab; ++i) r[i] = SigmoidOf(r[i]);
-    for (int64_t i = 0; i < slab; ++i) z[i] = SigmoidOf(z[i]);
-    for (int64_t b = 0; b < lanes; ++b) {
+    for (int64_t k = 0; k < rows; ++k) r[k] = SigmoidOf(r[k]);
+    for (int64_t k = 0; k < rows; ++k) z[k] = SigmoidOf(z[k]);
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t b = live[static_cast<size_t>(i)];
       const float* xn = projected + (b * length + t) * 3 * hd + 2 * hd;
-      float* nb = n + b * hd;
-      const float* rb = r + b * hd;
-      const float* hnb = hn + b * hd;
+      float* ni = n + i * hd;
+      const float* ri = r + i * hd;
+      const float* hni = hn + i * hd;
       FEWNER_SIMD
-      for (int64_t j = 0; j < hd; ++j) nb[j] = xn[j] + rb[j] * hnb[j];
+      for (int64_t j = 0; j < hd; ++j) ni[j] = xn[j] + ri[j] * hni[j];
     }
-    for (int64_t i = 0; i < slab; ++i) n[i] = std::tanh(n[i]);
-    const unsigned char* active = rec.active.data() + t * lanes;
-    for (int64_t b = 0; b < lanes; ++b) {
-      const int64_t row = b * hd;
+    for (int64_t k = 0; k < rows; ++k) n[k] = std::tanh(n[k]);
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t b = live[static_cast<size_t>(i)];
       const bool step_lane = active[b] != 0;
+      const float* zi = z + i * hd;
+      const float* ni = n + i * hd;
+      const float* hb = h.data() + b * hd;
+      float* hb_next = h_next + b * hd;
       FEWNER_SIMD
-      for (int64_t j = row; j < row + hd; ++j) {
-        const float h_new = (-z[j] + 1.0f) * n[j] + z[j] * h[static_cast<size_t>(j)];
-        h_next[j] = step_lane ? h_new : h[static_cast<size_t>(j)];
+      for (int64_t j = 0; j < hd; ++j) {
+        const float h_new = (-zi[j] + 1.0f) * ni[j] + zi[j] * hb[j];
+        hb_next[j] = step_lane ? h_new : hb[j];
       }
-      std::memcpy(out + (b * length + t) * hd, h_next + row,
+    }
+    for (int64_t b = 0; b < lanes; ++b) {
+      std::memcpy(out + (b * length + t) * hd, h_next + b * hd,
                   static_cast<size_t>(hd) * sizeof(float));
     }
     std::memcpy(h.data(), h_next, static_cast<size_t>(slab) * sizeof(float));
@@ -523,6 +564,21 @@ Tensor GruCell::RunBatch(const Tensor& x, const std::vector<Tensor>& step_masks,
       step_full, reverse);
 }
 
+Tensor GruCell::RunGathered(const Tensor& distinct, const std::vector<int64_t>& slot_rows,
+                            const std::vector<Tensor>& step_masks,
+                            const std::vector<bool>& step_full, bool reverse) const {
+  const int64_t length = static_cast<int64_t>(step_masks.size());
+  FEWNER_CHECK(length > 0 && static_cast<int64_t>(slot_rows.size()) % length == 0,
+               "GruCell::RunGathered: " << slot_rows.size() << " slot rows for " << length
+                                        << " steps");
+  const int64_t lanes = static_cast<int64_t>(slot_rows.size()) / length;
+  // Rows are bitwise-independent under the ascending-k kernel contract, so a
+  // gathered projected row is the projection of the slot's own input row.
+  Tensor projected = tensor::IndexSelectRows(ProjectInput(distinct), slot_rows);
+  return Recurrence(tensor::Reshape(projected, Shape{lanes, length, 3 * hidden_dim_}),
+                    step_masks, step_full, reverse);
+}
+
 Tensor BiGru::ForwardBatch(const Tensor& x,
                            const std::vector<int64_t>& lengths) const {
   FEWNER_CHECK(x.rank() == 3, "BiGru::ForwardBatch expects [B, L, input], got "
@@ -534,6 +590,16 @@ Tensor BiGru::ForwardBatch(const Tensor& x,
   BuildStepMasks(lengths, x.shape().dim(1), &masks, &full);
   Tensor fwd = forward_cell_->RunBatch(x, masks, full, /*reverse=*/false);
   Tensor bwd = backward_cell_->RunBatch(x, masks, full, /*reverse=*/true);
+  return tensor::Concat({fwd, bwd}, 2);  // [B, L, 2H]
+}
+
+Tensor BiGru::ForwardGathered(const Tensor& distinct, const std::vector<int64_t>& slot_rows,
+                              const std::vector<int64_t>& lengths, int64_t max_len) const {
+  std::vector<Tensor> masks;
+  std::vector<bool> full;
+  BuildStepMasks(lengths, max_len, &masks, &full);
+  Tensor fwd = forward_cell_->RunGathered(distinct, slot_rows, masks, full, /*reverse=*/false);
+  Tensor bwd = backward_cell_->RunGathered(distinct, slot_rows, masks, full, /*reverse=*/true);
   return tensor::Concat({fwd, bwd}, 2);  // [B, L, 2H]
 }
 

@@ -23,7 +23,8 @@ class GruCell : public Module {
   GruCell(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
 
   /// Projects token rows at once, [R, input] -> [R, 3H]; RunBatch hoists
-  /// this matmul out of the recurrence over all B·L slots.
+  /// this matmul out of the recurrence over all B·L slots, RunGathered over
+  /// the distinct rows.
   tensor::Tensor ProjectInput(const tensor::Tensor& x) const;
 
   /// One step given pre-projected input rows [B, 3H] and states [B, H], built
@@ -42,7 +43,11 @@ class GruCell : public Module {
   /// are bitwise-equal to a run on lane b alone.
   ///   - The forward kernel runs the composite's float operations in its
   ///     order (h·W_hh through the same GEMM kernel), so the output is the
-  ///     composite's bit for bit, in eval and graph mode.
+  ///     composite's bit for bit, in eval and graph mode.  Without a tape
+  ///     (eval mode, or no input needs a grad) it steps only the lanes live
+  ///     at each step, through a GEMM of that many rows; the others carry
+  ///     their state, and their projected rows are never read, so they may
+  ///     hold anything, NaN and Inf included.
   ///   - Graph mode keeps a per-step tape (r, z, n, h·W_hn + b_hn, h).  The
   ///     backward picks a branch with EvalMode::active(), which Grad sets
   ///     exactly when create_graph is false: one reverse kernel (BPTT) writes
@@ -77,6 +82,18 @@ class GruCell : public Module {
                           const std::vector<bool>& step_full,
                           bool reverse) const;
 
+  /// RunBatch over slots given as distinct token rows: slot i of the padded
+  /// [B, L] batch, lane-major, reads row slot_rows[i] of `distinct` [D,
+  /// input].  ProjectInput runs on the D rows, one IndexSelectRows gathers
+  /// [B·L, 3H], then Recurrence.  Projected rows are bitwise-independent, so
+  /// this equals RunBatch on the gathered input.  The eval θ-prefix's entry;
+  /// a gradient through it would fold per distinct row, so graph-mode
+  /// callers use RunBatch.  L is step_masks.size().
+  tensor::Tensor RunGathered(const tensor::Tensor& distinct,
+                             const std::vector<int64_t>& slot_rows,
+                             const std::vector<tensor::Tensor>& step_masks,
+                             const std::vector<bool>& step_full, bool reverse) const;
+
   int64_t hidden_dim() const { return hidden_dim_; }
   int64_t input_dim() const { return input_dim_; }
 
@@ -101,6 +118,13 @@ class BiGru : public Module {
   /// the sentence-at-a-time case).
   tensor::Tensor ForwardBatch(const tensor::Tensor& x,
                               const std::vector<int64_t>& lengths) const;
+
+  /// ForwardBatch over a [B, max_len] batch whose slot i reads row
+  /// slot_rows[i] of `distinct` [D, input]: each direction's RunGathered.
+  /// Bitwise-equal to ForwardBatch on the gathered input.
+  tensor::Tensor ForwardGathered(const tensor::Tensor& distinct,
+                                 const std::vector<int64_t>& slot_rows,
+                                 const std::vector<int64_t>& lengths, int64_t max_len) const;
 
   int64_t output_dim() const { return 2 * hidden_dim(); }
   int64_t hidden_dim() const { return forward_cell_->hidden_dim(); }

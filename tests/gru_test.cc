@@ -1,7 +1,8 @@
-// Tests for the fused GRU recurrence (nn::GruCell::Recurrence / RunBatch):
-// its forward, first-order and create_graph backwards and second-order grads
-// memcmp'd against the composite definition built op for op from
-// GruCell::Step, and the argument checks.
+// Tests for the fused GRU recurrence (nn::GruCell::Recurrence / RunBatch /
+// RunGathered): its forward (the eval forward's live-lane steps included),
+// first-order and create_graph backwards and second-order grads memcmp'd
+// against the composite definition built op for op from GruCell::Step, and
+// the argument checks.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "nn/gru.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
+#include "tensor/intraop.h"
 #include "tensor/ops.h"
 
 namespace fewner::nn {
@@ -190,6 +192,80 @@ TEST(GruRecurrenceTest, FusedOpMatchesCompositeBitwiseOnRaggedBatches) {
       ExpectSameBits(second_op[i], second_ref[i], "second-order d" + names[i] + ", " + where);
     }
     if (HasFailure()) return;
+  }
+}
+
+TEST(GruRecurrenceTest, EvalForwardStepsOnlyLiveLanesBitwise) {
+  // Without a tape the forward steps only the lanes live at each step.  Every
+  // output position, padded ones included, must still be the composite's:
+  // lanes of length 0, steps where no lane is live, and NaN/Inf in the rows a
+  // lane reads after its end (which the composite computes and Where drops),
+  // at intra-op budgets 1 and 2.
+  const float poison[] = {std::nanf(""), INFINITY, -INFINITY};
+  for (const int64_t budget : {1, 2}) {
+    tensor::ParallelismBudget scope(budget);
+    util::Rng rng(0x11FE + static_cast<uint64_t>(budget));
+    for (int instance = 0; instance < 120; ++instance) {
+      const int64_t lanes = 1 + instance % 9;                                 // 1..9
+      const int64_t max_len = 1 + static_cast<int64_t>(rng.UniformInt(7));  // 1..7
+      const int64_t hd = instance % 6 == 5 ? 33 : 1 + instance % 6;          // 1..5, 33
+      const bool reverse = instance % 2 == 1;
+      GruCell cell(2, hd, &rng);
+      for (Tensor* p : cell.Parameters()) {
+        for (float& v : *p->mutable_data()) v = DrawWithZeros(&rng, 0.8);
+      }
+      // Lengths in [0, max_len]; every third instance stops all lanes short
+      // of max_len, so its last steps have no live lane.
+      std::vector<int64_t> lengths(static_cast<size_t>(lanes));
+      const int64_t cap = instance % 3 == 0 ? max_len - 1 : max_len;
+      for (int64_t& len : lengths) {
+        len = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(cap + 1)));
+      }
+      std::vector<Tensor> masks;
+      std::vector<bool> full;
+      BuildStepMasks(lengths, max_len, &masks, &full);
+      Tensor projected = DrawTensor(Shape{lanes, max_len, 3 * hd}, &rng, 1.2);
+      float* rows = projected.mutable_data()->data();
+      for (int64_t b = 0; b < lanes; ++b) {
+        for (int64_t t = lengths[static_cast<size_t>(b)]; t < max_len; ++t) {
+          for (int64_t j = 0; j < 3 * hd; ++j) {
+            rows[(b * max_len + t) * 3 * hd + j] = poison[(b + t + j) % 3];
+          }
+        }
+      }
+      const std::string where = "budget " + std::to_string(budget) + " instance " +
+                                std::to_string(instance) + " B=" + std::to_string(lanes) +
+                                " L=" + std::to_string(max_len) + " H=" + std::to_string(hd) +
+                                (reverse ? " reverse" : "");
+      tensor::EvalMode eval;
+      ExpectSameBits(cell.Recurrence(projected, masks, full, reverse),
+                     CompositeRecurrence(cell, projected, masks, full, reverse),
+                     "eval forward, " + where);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(GruRecurrenceTest, GatheredRunEqualsRunBatchOnTheGatheredInput) {
+  // RunGathered projects each distinct row once and gathers the slots; the
+  // result must be RunBatch's on the slot-by-slot input, bit for bit.
+  util::Rng rng(0x6A7);
+  const int64_t input = 5;
+  const int64_t hd = 6;
+  GruCell cell(input, hd, &rng);
+  Tensor distinct = DrawTensor(Shape{4, input}, &rng, 1.0);
+  const std::vector<int64_t> lengths = {3, 1, 0};
+  const std::vector<int64_t> slot_rows = {2, 0, 2, 3, 3, 3, 1, 3, 3};
+  std::vector<Tensor> masks;
+  std::vector<bool> full;
+  BuildStepMasks(lengths, 3, &masks, &full);
+  tensor::EvalMode eval;
+  Tensor slots =
+      tensor::Reshape(tensor::IndexSelectRows(distinct, slot_rows), Shape{3, 3, input});
+  for (bool reverse : {false, true}) {
+    ExpectSameBits(cell.RunGathered(distinct, slot_rows, masks, full, reverse),
+                   cell.RunBatch(slots, masks, full, reverse),
+                   reverse ? "reverse" : "forward");
   }
 }
 

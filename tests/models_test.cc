@@ -183,6 +183,52 @@ TEST_F(BackboneTest, TrainingReducesLossOnFixedSentence) {
   EXPECT_LT(final_loss, initial * 0.5f);
 }
 
+using BackboneDeathTest = BackboneTest;
+
+TEST_F(BackboneDeathTest, MalformedBatchIsRejectedAtEveryEntryPoint) {
+  util::Rng rng(11);
+  Backbone backbone(config_, &rng);
+  backbone.SetTraining(false);
+  const Tensor phi = backbone.ZeroContext();
+  // Lane 1 claims 5 tokens of a 3-slot lane: every id vector has the
+  // B·max_len = 6 entries, so only the length check can catch it before
+  // the lane-run repack reads past the end.
+  EncodedBatch overlong;
+  overlong.batch = 2;
+  overlong.max_len = 3;
+  overlong.lengths = {2, 5};
+  overlong.word_ids.assign(6, 1);
+  overlong.char_ids.assign(6, {1});
+  overlong.tags.assign(6, 0);
+  EXPECT_DEATH(backbone.DecodeBatch(overlong, phi, valid_),
+               "EncodedBatch lane 1 length 5 out of \\[1, 3\\]");
+  EXPECT_DEATH(backbone.BatchLoss(overlong, phi, valid_),
+               "EncodedBatch lane 1 length 5 out of \\[1, 3\\]");
+  EXPECT_DEATH(backbone.EncodePrefix(overlong),
+               "EncodedBatch lane 1 length 5 out of \\[1, 3\\]");
+
+  const EncodedBatch good = PackBatch({encoded_, encoded_});
+  EncodedBatch bad = good;
+  bad.lengths = {5};
+  EXPECT_DEATH(backbone.DecodeBatch(bad, phi, valid_),
+               "EncodedBatch lengths has 1 entries for batch 2");
+  bad = good;
+  bad.lengths[0] = 0;
+  EXPECT_DEATH(backbone.EncodePrefix(bad), "EncodedBatch lane 0 length 0 out of");
+  bad = good;
+  bad.word_ids.pop_back();
+  EXPECT_DEATH(backbone.DecodeBatch(bad, phi, valid_),
+               "EncodedBatch word_ids has 9 entries for batch 2 x max_len 5");
+  bad = good;
+  bad.char_ids.push_back({});
+  EXPECT_DEATH(backbone.EncodePrefix(bad),
+               "EncodedBatch char_ids has 11 entries for batch 2 x max_len 5");
+  bad = good;
+  bad.tags.clear();
+  EXPECT_DEATH(backbone.BatchLoss(bad, phi, valid_),
+               "EncodedBatch tags has 0 entries for batch 2 x max_len 5");
+}
+
 TEST_F(BackboneTest, PretrainedVectorsAreLoaded) {
   util::Rng rng(1);
   std::vector<std::vector<float>> table(

@@ -266,8 +266,8 @@ TEST(CharCnnTest, BatchRowsEqualPerWordOracleBitwise) {
 }
 
 TEST(CharCnnTest, DuplicateHeavyRowsEqualPerWordOracleBitwise) {
-  // Under EvalMode ForwardBatch convolves each distinct word once per padded
-  // length bucket and gathers rows back; graph mode keeps one row per token.
+  // Under EvalMode ForwardBatch convolves in padded-length buckets and
+  // gathers rows back; graph mode keeps one row per token.
   // Lists full of repeats, empty tokens and several padded lengths must still
   // give every row the word-alone bits in both modes.
   util::Rng rng(0xD0B1);

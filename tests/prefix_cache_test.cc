@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "meta/adapted_tagger.h"
@@ -684,6 +685,83 @@ TEST_F(PrefixCacheTest, DuplicateHeavyQueryEvalPrefixEqualsGraphPrefix) {
     ASSERT_EQ(batched.size(), query.size());
     for (size_t i = 0; i < query.size(); ++i) {
       EXPECT_EQ(batched[i], tagger.Tag(query[i])) << "sentence " << i;
+    }
+  }
+}
+
+TEST_F(PrefixCacheTest, EvalPrefixKeysTokensOnWordIdAndCharIds) {
+  // The eval prefix runs once per distinct (word id, char ids) token.  Words
+  // are lowercased and characters are cased, and every OOV word is <unk>, so
+  // one word id comes with many char sequences ("Apple"/"apple", two unknown
+  // words); and, for the key's sake, one char sequence here also comes with
+  // several word ids.  A key missing either half would hand a slot another
+  // token's row.  At every real row, for both encoders and every
+  // conditioning mode, the eval prefix must equal the graph prefix, which
+  // runs every slot.
+  util::Rng rng(0x9E0C);
+  const auto random_chars = [&rng](int64_t length) {
+    std::vector<int64_t> word;
+    for (int64_t c = 0; c < length; ++c) {
+      word.push_back(1 + static_cast<int64_t>(
+                             rng.UniformInt(static_cast<uint64_t>(kCharVocab - 1))));
+    }
+    return word;
+  };
+  // (word id, char ids): ids 1 and 7 each come with three char sequences
+  // (same length and different lengths), chars `shared` with word ids 3, 4
+  // and 7.
+  const std::vector<int64_t> shared = random_chars(5);
+  std::vector<int64_t> shared_upper = shared;
+  shared_upper[0] = shared_upper[0] % (kCharVocab - 1) + 1;  // another first char
+  const std::vector<std::pair<int64_t, std::vector<int64_t>>> pool = {
+      {1, random_chars(5)}, {1, random_chars(5)}, {1, random_chars(9)},
+      {7, shared},          {7, shared_upper},    {7, random_chars(2)},
+      {3, shared},          {4, shared},          {9, random_chars(1)}};
+  for (const auto& [encoder, mode] :
+       std::vector<std::pair<models::EncoderKind, models::Conditioning>>{
+           {models::EncoderKind::kBiGru, models::Conditioning::kFilm},
+           {models::EncoderKind::kBiGru, models::Conditioning::kNone},
+           {models::EncoderKind::kBiGru, models::Conditioning::kConcat},
+           {models::EncoderKind::kBiLstm, models::Conditioning::kFilm},
+           {models::EncoderKind::kBiLstm, models::Conditioning::kConcat}}) {
+    util::Rng init(0x5AC);
+    models::BackboneConfig config = SmallConfig(encoder, mode);
+    if (mode == models::Conditioning::kNone) config.context_dim = 0;
+    models::Backbone net(config, &init);
+    net.SetTraining(false);
+    const std::vector<bool> valid_tags = text::ValidTagMask(3, config.max_tags);
+    std::vector<models::EncodedSentence> query;
+    for (int64_t length : {7, 9, 6, 12, 8, 10}) {  // one lane run
+      models::EncodedSentence s = RandomSentence(&rng, length, valid_tags);
+      for (int64_t t = 0; t < length; ++t) {
+        const auto& [word, chars] = pool[rng.UniformInt(pool.size())];
+        s.word_ids[static_cast<size_t>(t)] = word;
+        s.char_ids[static_cast<size_t>(t)] = chars;
+      }
+      query.push_back(std::move(s));
+    }
+    const models::EncodedBatch batch = models::PackBatch(query);
+
+    models::CachedPrefix graph = net.EncodePrefix(batch);
+    models::CachedPrefix eval;
+    {
+      tensor::EvalMode scope;
+      eval = net.EncodePrefix(batch);
+    }
+    ASSERT_EQ(graph.runs.size(), 1u);
+    ASSERT_EQ(eval.runs.size(), 1u);
+    const Tensor graph_rows = graph.runs[0].features.Detach();
+    const Tensor& eval_rows = eval.runs[0].features;
+    ASSERT_EQ(graph_rows.shape(), eval_rows.shape());
+    const int64_t dim = graph_rows.shape().dim(2);
+    for (int64_t b = 0; b < batch.batch; ++b) {
+      const size_t lane = static_cast<size_t>(b * batch.max_len * dim);
+      EXPECT_EQ(std::memcmp(graph_rows.data().data() + lane, eval_rows.data().data() + lane,
+                            static_cast<size_t>(batch.lengths[static_cast<size_t>(b)] * dim) *
+                                sizeof(float)),
+                0)
+          << "encoder " << static_cast<int>(encoder) << ", mode " << static_cast<int>(mode)
+          << ", lane " << b;
     }
   }
 }
