@@ -4,8 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "tensor/autodiff.h"
-#include "tensor/eval_mode.h"
 #include "tensor/ops.h"
 
 namespace fewner::crf {
@@ -289,60 +287,31 @@ std::vector<Tensor> LogPartitionBackward(const LogPartitionTape& tape, const flo
   return grads;
 }
 
-/// log Z [B] of masked emissions [B, L, Y] as one op node over (masked,
-/// start, transitions, end).  The forward runs LogPartitionForward.  The
-/// backward runs LogPartitionBackward when Grad runs without create_graph
-/// (EvalMode is active), and otherwise rebuilds LogPartitionComposite over
-/// copies of the node's inputs and differentiates it, seeded with the upstream
-/// grad, so higher-order grads see exactly the composite.
+/// log Z [B] of masked emissions [B, L, Y] as one fused op over (masked,
+/// start, transitions, end): LogPartitionForward, LogPartitionBackward and
+/// LogPartitionComposite (see tensor::FusedOp).
 Tensor LogPartition(const Tensor& masked, const Tensor& start, const Tensor& transitions,
                     const Tensor& end, const std::vector<int64_t>& lengths) {
   const int64_t lanes = masked.shape().dim(0);
   const int64_t max_len = masked.shape().dim(1);
   const int64_t y = masked.shape().dim(2);
-  const bool graph = !tensor::EvalMode::active() &&
-                     (masked.requires_grad() || start.requires_grad() ||
-                      transitions.requires_grad() || end.requires_grad());
-  auto tape = graph ? std::make_shared<LogPartitionTape>() : nullptr;
-  tensor::BackwardFn backward;
-  if (graph) {
-    backward = [tape, lengths, lanes, max_len, y](
-                   const Tensor& self, const Tensor& grad,
-                   const tensor::NeedsGrad& needs) -> std::vector<Tensor> {
-      if (tensor::EvalMode::active()) {
-        return LogPartitionBackward(*tape, grad.data().data(), needs, lanes, max_len, y,
-                                    lengths);
-      }
-      // The composite reads fresh copies of the inputs, so the seeded Grad,
-      // which stops at the tensors it is asked about, walks the composite
-      // alone and never the graph upstream of the op.
-      std::vector<Tensor> in;
-      for (const Tensor& input : self.node()->inputs) {
-        in.push_back(tensor::Reshape(input, input.shape()));
-      }
-      Tensor composite = LogPartitionComposite(in[0], in[1], in[2], in[3], lengths);
-      std::vector<Tensor> wanted;
-      for (size_t i = 0; i < in.size(); ++i) {
-        if (needs[i]) wanted.push_back(in[i]);
-      }
-      std::vector<Tensor> found =
-          tensor::autodiff::Grad(composite, wanted, /*create_graph=*/true, grad);
-      std::vector<Tensor> grads(in.size());
-      size_t next = 0;
-      for (size_t i = 0; i < in.size(); ++i) {
-        if (needs[i]) grads[i] = found[next++];
-      }
-      return grads;
-    };
-  }
-  return tensor::CustomOp(
-      "crf_log_partition", Shape{lanes},
-      [&](float* log_z) {
+  auto tape = std::make_shared<LogPartitionTape>();
+  return tensor::FusedOp(
+      "crf_log_partition", "crf_log_partition_kernel", Shape{lanes},
+      {masked, start, transitions, end},
+      [&](float* log_z, bool taping) {
         LogPartitionForward(masked.data().data(), start.data().data(),
                             transitions.data().data(), end.data().data(), lanes, max_len,
-                            y, lengths, log_z, tape.get());
+                            y, lengths, log_z, taping ? tape.get() : nullptr);
       },
-      {masked, start, transitions, end}, std::move(backward));
+      [tape, lengths, lanes, max_len, y](const std::vector<Tensor>&, const Tensor& grad,
+                                         const tensor::NeedsGrad& needs) {
+        return LogPartitionBackward(*tape, grad.data().data(), needs, lanes, max_len, y,
+                                    lengths);
+      },
+      [lengths](const std::vector<Tensor>& in) {
+        return LogPartitionComposite(in[0], in[1], in[2], in[3], lengths);
+      });
 }
 
 }  // namespace
@@ -508,13 +477,16 @@ std::vector<int64_t> LinearChainCrf::ViterbiCore(
     std::fill(next.begin(), next.end(), kInvalidScore);
     for (int64_t j = 0; j < y; ++j) {
       if (!is_valid(j)) continue;
-      float best = kInvalidScore * 2;
+      // Each max starts from the first valid candidate, so every score (very
+      // negative, −inf or NaN included) picks a valid tag; the strict `>`
+      // keeps the first maximum.
+      float best = 0.0f;
       int64_t best_from = -1;
       for (int64_t i = 0; i < y; ++i) {
         if (!is_valid(i)) continue;
         const float candidate =
             score[static_cast<size_t>(i)] + trans[static_cast<size_t>(i * y + j)];
-        if (candidate > best) {
+        if (best_from < 0 || candidate > best) {
           best = candidate;
           best_from = i;
         }
@@ -525,12 +497,12 @@ std::vector<int64_t> LinearChainCrf::ViterbiCore(
     score.swap(next);
   }
 
-  float best_final = kInvalidScore * 2;
-  int64_t best_tag = 0;
+  float best_final = 0.0f;
+  int64_t best_tag = -1;
   for (int64_t j = 0; j < y; ++j) {
     if (!is_valid(j)) continue;
     const float candidate = score[static_cast<size_t>(j)] + end[static_cast<size_t>(j)];
-    if (candidate > best_final) {
+    if (best_tag < 0 || candidate > best_final) {
       best_final = candidate;
       best_tag = j;
     }

@@ -4,23 +4,20 @@
 // algorithm in log space), so the meta-gradient flows through it; decoding
 // uses Viterbi.
 //
-// The log-partition log Z is one fused op node per call, over the
+// The log-partition log Z is one tensor::FusedOp per call, over the
 // validity-masked emissions [B, L, Y], start, transitions and end (the gold
 // score stays a handful of tensor ops).  Its definition is the composite: the
 // masked log-space forward built from tensor ops, one step per timestep
 // (LogPartitionComposite in the .cc).  The op reproduces it bit for bit:
 //   - the forward kernel runs the composite's float operations in its order;
-//   - the backward has two branches, chosen by tensor::EvalMode::active(),
-//     which autodiff::Grad sets exactly when create_graph is false:
-//       * first order: one reverse-recursion kernel that writes only the
-//         grads the NeedsGrad mask asks for (the emissions for test-time φ
-//         adaptation; start/transitions/end too for the meta-gradient and
-//         fine-tuned heads), each value the one the composite's eval-mode
-//         backward computes, fan-in order and signed zeros included;
-//       * create_graph: rebuilds the composite over copies of the op's
-//         inputs and differentiates it with a seeded autodiff::Grad, so
-//         second-order grads (FEWNER's and MAML's inner steps) are the
-//         composite's.
+//   - the first-order backward is one reverse-recursion kernel that writes
+//     only the grads the NeedsGrad mask asks for (the emissions for test-time
+//     φ adaptation; start/transitions/end too for the meta-gradient and
+//     fine-tuned heads), each value the one the composite's eval-mode
+//     backward computes, fan-in order and signed zeros included;
+//   - under create_graph FusedOp differentiates the composite, so
+//     second-order grads (FEWNER's and MAML's inner steps) are the
+//     composite's.
 // tests/crf_test.cc holds all of it to the composite with memcmp.
 //
 // Episodes may use a subset of the tag inventory (an N-way task with N smaller

@@ -9,7 +9,6 @@
 
 #include "nn/init.h"
 #include "tensor/autodiff.h"
-#include "tensor/eval_mode.h"
 #include "tensor/intraop.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -356,17 +355,6 @@ std::vector<Tensor> RecurrenceBackward(const RecurrenceAttrs& rec, const Recurre
   return grads;
 }
 
-/// Shared by the op's two nodes: the attributes, the forward tape, and the
-/// visible node that a create_graph backward re-points at the composite.
-/// `visible` does not own: the visible node holds the kernel node, whose
-/// closure holds this state, so the kernel node's closure only runs inside a
-/// Grad that reached it through the visible node and holds both.
-struct RecurrenceState {
-  RecurrenceAttrs rec;
-  RecurrenceTape tape;
-  tensor::internal::Node* visible = nullptr;
-};
-
 }  // namespace
 
 GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, util::Rng* rng)
@@ -444,13 +432,14 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
   FEWNER_CHECK(static_cast<int64_t>(step_full.size()) == length,
                "GruCell: step_full has " << step_full.size() << " entries for " << length
                                          << " steps");
-  auto state = std::make_shared<RecurrenceState>();
-  RecurrenceAttrs& rec = state->rec;
-  rec.lanes = lanes;
-  rec.length = length;
-  rec.hidden = hidden_dim_;
-  rec.reverse = reverse;
-  rec.active.assign(static_cast<size_t>(lanes * length), 1);
+  auto rec = std::make_shared<RecurrenceAttrs>();
+  rec->lanes = lanes;
+  rec->length = length;
+  rec->hidden = hidden_dim_;
+  rec->reverse = reverse;
+  rec->step_masks = step_masks;
+  rec->step_full = step_full;
+  rec->active.assign(static_cast<size_t>(lanes * length), 1);
   for (int64_t t = 0; t < length; ++t) {
     if (step_full[static_cast<size_t>(t)]) continue;
     const Tensor& mask = step_masks[static_cast<size_t>(t)];
@@ -459,92 +448,25 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
                                         << (mask.defined() ? mask.shape().ToString()
                                                            : std::string("undefined")));
     for (int64_t b = 0; b < lanes; ++b) {
-      rec.active[static_cast<size_t>(t * lanes + b)] = mask.at(b) != 0.0f;
+      rec->active[static_cast<size_t>(t * lanes + b)] = mask.at(b) != 0.0f;
     }
   }
-  const Shape out_shape{lanes, length, hidden_dim_};
-  const bool graph = !tensor::EvalMode::active() &&
-                     (projected.requires_grad() || w_hh_.requires_grad() ||
-                      b_hh_.requires_grad());
-  if (!graph) {
-    return tensor::CustomOp(
-        "gru_recurrence", out_shape,
-        [&](float* out) {
-          RecurrenceForward(rec, projected.data().data(), w_hh_.data().data(),
-                            b_hh_.data().data(), out, nullptr);
-        },
-        {projected, w_hh_, b_hh_}, nullptr);
-  }
-  rec.step_masks = step_masks;
-  rec.step_full = step_full;
-  // Both backward branches fold each step's w_hh and b_hh grads into the
-  // shared tensors one by one through autodiff::FoldInputGrad, as the
-  // composite's per-step MatMul and Add nodes hand them to Grad.
-  tensor::BackwardFn backward = [state](const Tensor& self, const Tensor& grad,
-                                        const tensor::NeedsGrad& needs) {
-    const std::vector<Tensor>& in = self.node()->inputs;
-    if (tensor::EvalMode::active()) {
-      return RecurrenceBackward(state->rec, state->tape, grad.data().data(),
-                                in[1].data().data(), needs);
-    }
-    // create_graph: differentiate the composite, rebuilt over the op's own
-    // inputs, seeded with the upstream grad.  Its per-step grads come back
-    // unfolded.
-    const RecurrenceAttrs& rec = state->rec;
-    Tensor composite =
-        RecurrenceComposite(in[0], in[1], in[2], rec.step_masks, rec.step_full, rec.reverse);
-    std::vector<Tensor> wanted;
-    for (size_t i = 0; i < 3; ++i) {
-      if (needs[i]) wanted.push_back(in[i]);
-    }
-    std::vector<std::vector<Tensor>> found =
-        tensor::autodiff::GradContributions(composite, wanted, grad);
-    // Each input is read once per step: projected's grads fold here as Grad
-    // would fold them, and the sum is returned; w_hh's and b_hh's fold into
-    // their accumulators one by one.
-    std::vector<Tensor> grads(3);
-    size_t next = 0;
-    for (size_t i = 0; i < 3; ++i) {
-      if (!needs[i]) continue;
-      const std::vector<Tensor>& per_step = found[next++];
-      FEWNER_CHECK(static_cast<int64_t>(per_step.size()) == rec.length,
-                   "gru_recurrence: " << per_step.size() << " grads for " << rec.length
-                                      << " steps");
-      for (int64_t k = 0; k < rec.length; ++k) {
-        const Tensor& g = per_step[static_cast<size_t>(k)];
-        if (i == 0) {
-          grads[0] = k == 0 ? g : tensor::Add(grads[0], g);
-        } else {
-          tensor::autodiff::FoldInputGrad(i, g);
-        }
-      }
-    }
-    // From now on the visible node reads the composite, so a later Grad
-    // through these inputs and through the returned grads (the outer
-    // meta-gradient) folds every path inside one graph, as the composite does.
-    state->visible->inputs = {composite};
-    return grads;
-  };
-  Tensor kernel_node = tensor::CustomOp(
-      "gru_recurrence_kernel", out_shape,
-      [&](float* out) {
-        RecurrenceForward(rec, projected.data().data(), w_hh_.data().data(),
-                          b_hh_.data().data(), out, &state->tape);
+  auto tape = std::make_shared<RecurrenceTape>();
+  return tensor::FusedOp(
+      "gru_recurrence", "gru_recurrence_kernel", Shape{lanes, length, hidden_dim_},
+      {projected, w_hh_, b_hh_},
+      [&](float* out, bool taping) {
+        RecurrenceForward(*rec, projected.data().data(), w_hh_.data().data(),
+                          b_hh_.data().data(), out, taping ? tape.get() : nullptr);
       },
-      {projected, w_hh_, b_hh_}, std::move(backward));
-  // The visible node passes its grad straight through to its one input.
-  Tensor visible = tensor::CustomOp(
-      "gru_recurrence", out_shape,
-      [&](float* out) {
-        std::memcpy(out, kernel_node.data().data(),
-                    static_cast<size_t>(kernel_node.numel()) * sizeof(float));
+      [rec, tape](const std::vector<Tensor>& in, const Tensor& grad,
+                  const tensor::NeedsGrad& needs) {
+        return RecurrenceBackward(*rec, *tape, grad.data().data(), in[1].data().data(), needs);
       },
-      {kernel_node},
-      [](const Tensor&, const Tensor& grad, const tensor::NeedsGrad&) -> std::vector<Tensor> {
-        return {grad};
+      [rec](const std::vector<Tensor>& in) {
+        return RecurrenceComposite(in[0], in[1], in[2], rec->step_masks, rec->step_full,
+                                   rec->reverse);
       });
-  state->visible = visible.node();
-  return visible;
 }
 
 Tensor GruCell::RunBatch(const Tensor& x, const std::vector<Tensor>& step_masks,

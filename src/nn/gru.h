@@ -48,25 +48,17 @@ class GruCell : public Module {
   ///     at each step, through a GEMM of that many rows; the others carry
   ///     their state, and their projected rows are never read, so they may
   ///     hold anything, NaN and Inf included.
-  ///   - Graph mode keeps a per-step tape (r, z, n, h·W_hn + b_hn, h).  The
-  ///     backward picks a branch with EvalMode::active(), which Grad sets
-  ///     exactly when create_graph is false: one reverse kernel (BPTT) writes
-  ///     each step's slab of d(projected) and folds the per-step w_hh/b_hh
-  ///     grads,
-  ///     reproducing every closure expression and fan-in order of the
-  ///     composite's first-order backward; under create_graph the composite
-  ///     is rebuilt over the op's inputs and differentiated with a seeded
-  ///     autodiff::GradContributions, so higher orders see the composite.
-  ///   - The node's inputs are {projected, w_hh, b_hh}.  Both branches fold
+  ///   - It is a tensor::FusedOp, which owns the nodes and the choice of
+  ///     backward.  Graph mode keeps a per-step tape (r, z, n, h·W_hn + b_hn,
+  ///     h) for the first-order backward: one reverse kernel (BPTT) that
+  ///     writes each step's slab of d(projected) and reproduces every closure
+  ///     expression and fan-in order of the composite's first-order backward.
+  ///     Under create_graph FusedOp differentiates the composite.
+  ///   - The op's inputs are {projected, w_hh, b_hh}.  Both branches fold
   ///     the per-step w_hh and b_hh grads one by one, last step first, into
   ///     Grad's accumulators through autodiff::FoldInputGrad (the first-order
   ///     kernel from one reused scratch), so their fold onto a cell shared by
   ///     several calls is the composite's.
-  ///   - In graph mode the returned node passes its grad through to a kernel
-  ///     node; after a create_graph backward it reads the rebuilt composite
-  ///     instead, so a later Grad through both the forward and those grads
-  ///     (a second-order meta-gradient) folds them in one graph, as the
-  ///     composite does.
   /// Checks every argument: `projected` must be [B, L, 3H] with B, L >= 1,
   /// both step vectors must have L entries, and each ragged step's mask must
   /// be [B, 1].

@@ -217,24 +217,14 @@ void Accumulate(Walk& walk, int32_t c, const Tensor& g) {
   FoldValues(walk, a, g.data().data());
 }
 
-/// The walk behind Grad and GradContributions.  Leaves each reached node's
-/// folded grad in its entry (a requested input's stays after its closure
-/// runs); when `contributions` is non-null (a seeded walk, which never
-/// expands its inputs), the grads that reach input i are appended to
-/// (*contributions)[i] in arrival order instead of being folded.
+/// The walk behind Grad and GradContributions, seeded with `seed`.  Leaves
+/// each reached node's folded grad in its entry (a requested input's stays
+/// after its closure runs); when `contributions` is non-null (the seeded
+/// walk, which never expands its inputs), the grads that reach input i are
+/// appended to (*contributions)[i] in arrival order instead of being folded.
 void Backward(Walk& walk, const Tensor& output, const std::vector<Tensor>& inputs,
-              bool create_graph, const Tensor& grad_output,
+              bool create_graph, const Tensor& seed,
               std::vector<std::vector<Tensor>>* contributions) {
-  FEWNER_CHECK(output.defined(), "Grad on undefined output");
-  if (grad_output.defined()) {
-    FEWNER_CHECK(grad_output.shape() == output.shape(),
-                 "Grad seed shape " << grad_output.shape().ToString()
-                                    << " does not match output shape "
-                                    << output.shape().ToString());
-  } else {
-    FEWNER_CHECK(output.numel() == 1,
-                 "Grad expects a scalar loss, got shape " << output.shape().ToString());
-  }
   for (size_t i = 0; i < inputs.size(); ++i) {
     const Tensor& input = inputs[i];
     FEWNER_CHECK(input.defined(), "Grad on undefined input");
@@ -250,10 +240,10 @@ void Backward(Walk& walk, const Tensor& output, const std::vector<Tensor>& input
   walk.contributions = contributions;
   if (!output.requires_grad()) return;
 
-  // Post-order DFS from the output, iterative to survive deep graphs.  A
+  // Post-order DFS from the output, iterative to survive deep graphs.  The
   // seeded walk stops at its inputs: nothing past them is walked, built or
   // differentiated.
-  const bool stop_at_inputs = grad_output.defined();
+  const bool stop_at_inputs = contributions != nullptr;
   auto expand = [&](int32_t index) {
     Entry& e = walk.entries[static_cast<size_t>(index)];
     e.visited = true;
@@ -313,10 +303,7 @@ void Backward(Walk& walk, const Tensor& output, const std::vector<Tensor>& input
   }
 
   Entry& out = walk.entries[static_cast<size_t>(root)];
-  if (out.needed) {
-    Accumulate(walk, root,
-               grad_output.defined() ? grad_output : Tensor::Ones(output.shape()));
-  }
+  if (out.needed) Accumulate(walk, root, seed);
 
   // Without create_graph the gradient tensors are detached before they leave
   // Grad, so nothing downstream ever differentiates through them — run the
@@ -335,8 +322,8 @@ void Backward(Walk& walk, const Tensor& output, const std::vector<Tensor>& input
     if (!e.needed || !e.grad.defined()) continue;  // output does not depend on it
     Node* node = e.tensor.node();
     // A backward closure may rewrite the inputs of a consumer this loop has
-    // already processed (nn::GruCell::Recurrence re-points its pass-through
-    // node at the composite it rebuilt).  That is safe because a node's
+    // already processed (tensor::FusedOp re-points its pass-through node at
+    // the composite it rebuilt).  That is safe because a node's
     // inputs are read only by the DFS and in its own iteration, and its
     // entry holds every node of the walk, so a node its consumer lets go of
     // stays alive until the walk ends.
@@ -404,10 +391,13 @@ std::pair<Walk*, int32_t> HandleTarget(size_t input) {
 }  // namespace
 
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
-                         bool create_graph, const Tensor& grad_output) {
+                         bool create_graph) {
+  FEWNER_CHECK(output.defined(), "Grad on undefined output");
+  FEWNER_CHECK(output.numel() == 1,
+               "Grad expects a scalar loss, got shape " << output.shape().ToString());
   WalkScope scope;
   Walk& walk = scope.walk();
-  Backward(walk, output, inputs, create_graph, grad_output, nullptr);
+  Backward(walk, output, inputs, create_graph, Tensor::Ones(output.shape()), nullptr);
   std::vector<Tensor> result;
   result.reserve(inputs.size());
   for (const Tensor& input : inputs) {
@@ -424,11 +414,15 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
 
 std::vector<std::vector<Tensor>> GradContributions(const Tensor& output,
                                                    const std::vector<Tensor>& inputs,
-                                                   const Tensor& grad_output) {
-  FEWNER_CHECK(grad_output.defined(), "GradContributions needs a seed");
+                                                   const Tensor& seed) {
+  FEWNER_CHECK(output.defined(), "GradContributions on undefined output");
+  FEWNER_CHECK(seed.defined() && seed.shape() == output.shape(),
+               "GradContributions seed shape "
+                   << (seed.defined() ? seed.shape().ToString() : std::string("undefined"))
+                   << " does not match output shape " << output.shape().ToString());
   std::vector<std::vector<Tensor>> contributions(inputs.size());
   WalkScope scope;
-  Backward(scope.walk(), output, inputs, /*create_graph=*/true, grad_output, &contributions);
+  Backward(scope.walk(), output, inputs, /*create_graph=*/true, seed, &contributions);
   if (t_depth == 1) t_last_stats = scope.walk().stats;
   return contributions;
 }

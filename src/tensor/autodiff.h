@@ -35,20 +35,8 @@
 
 namespace fewner::tensor::autodiff {
 
-/// Computes d(output)/d(input) for each tensor in `inputs`.
-///
-/// Without `grad_output`, `output` must be a single-element tensor (a loss)
-/// and the backward is seeded with one.  With `grad_output` (the shape of
-/// `output`, any size) the backward is seeded with it instead, giving the
-/// vector-Jacobian product grad_outputᵀ·∂output/∂input, and Grad treats the
-/// inputs as the independent variables of the graph between them and
-/// `output`: it does not walk past an input, so a path that runs through one
-/// input does not reach another, and the graph upstream of the inputs is never
-/// visited.  A fused op's backward closure uses this to differentiate its
-/// composite definition, built over fresh copies of its inputs, under the
-/// upstream gradient (see crf::LinearChainCrf).  The seed is used as given
-/// (never written to), so under create_graph a graph-node seed stays
-/// differentiable.
+/// Computes d(output)/d(input) for each tensor in `inputs`.  `output` must be
+/// a single-element tensor (a loss); the backward is seeded with one.
 ///
 /// Inputs that the output does not depend on receive zero gradients.  When
 /// `create_graph` is false the returned gradients are detached leaves (cheap
@@ -56,20 +44,24 @@ namespace fewner::tensor::autodiff {
 /// closure can tell the two cases apart with EvalMode::active(); when true
 /// they are differentiable graph nodes.
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
-                         bool create_graph = false, const Tensor& grad_output = Tensor());
+                         bool create_graph = false);
 
-/// The seeded create_graph Grad (`grad_output` is required), with each
-/// input's gradient left unfolded: entry i lists the grads that reach
-/// inputs[i] from its consumers, in the order Grad adds them, so Grad's
-/// result is their left fold with Add (an empty list: the output does not
-/// depend on the input).  The grads carry their graph.  Inputs must be
-/// distinct.  A fused op whose composite reads a shared tensor through
-/// several consumers hands these grads to the enclosing Grad one by one
-/// through FoldInputGrad, so the enclosing fold is the composite's (see
-/// nn::GruCell::Recurrence).
+/// The seeded create_graph walk: the backward of `output` (any size) seeded
+/// with `seed` (its shape), the vector-Jacobian product seedᵀ·∂output/∂input.
+/// It treats the inputs as the independent variables of the graph between
+/// them and `output`: it does not walk past an input, so a path that runs
+/// through one input does not reach another, and the graph upstream of the
+/// inputs is never visited.  Each input's gradient is left unfolded: entry i
+/// lists the grads that reach inputs[i] from its consumers, in the order Grad
+/// would add them, so their left fold with Add is the input's gradient (an
+/// empty list: the output does not depend on the input).  The grads carry
+/// their graph, and the seed is used as given (never written to), so a
+/// graph-node seed stays differentiable.  Inputs must be distinct.
+/// tensor::FusedOp's create_graph branch differentiates a fused op's
+/// composite this way, under the upstream grad.
 std::vector<std::vector<Tensor>> GradContributions(const Tensor& output,
                                                    const std::vector<Tensor>& inputs,
-                                                   const Tensor& grad_output);
+                                                   const Tensor& seed);
 
 /// The fold handle of a backward closure.  Called from inside the closure
 /// that Grad is running, it folds `grad` (the shape of the node's input
@@ -81,7 +73,7 @@ std::vector<std::vector<Tensor>> GradContributions(const Tensor& output,
 /// folds part of an input's grad here and returns the rest gets that order.
 /// This is how a fused op whose composite reads a tensor once per step
 /// (gru_recurrence's w_hh and b_hh) folds its per-step grads in the
-/// composite's order without a node input per step.
+/// composite's order without a node input per step (see tensor::FusedOp).
 void FoldInputGrad(size_t input, const Tensor& grad);
 
 /// FoldInputGrad for a first-order walk (create_graph false), from raw

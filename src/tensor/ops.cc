@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 
+#include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/intraop.h"
 #include "tensor/matmul_kernel.h"
@@ -28,8 +29,8 @@ namespace {
 //      pays for their captures or the std::function allocation.  Grad hands
 //      each closure a NeedsGrad mask, and a closure builds only the input
 //      grads the mask asks for.
-// CustomOp runs phases 1 and 3 around a kernel that lives outside this file
-// (the CRF's fused log-partition, the GRU recurrence).
+// FusedOp runs phases 1 and 3 around a kernel that lives outside this file
+// (the CRF's fused log-partition, the GRU recurrence) and owns its backward.
 //
 // Elementwise kernels take their scalar operation as a functor template
 // parameter, so each op compiles to one element loop with the operation
@@ -941,14 +942,64 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
                    });
 }
 
-// ----- fused ops defined outside this file -----
+// ----- fused ops -----
 
-Tensor CustomOp(const char* name, Shape shape, const std::function<void(float*)>& kernel,
-                std::vector<Tensor> inputs, BackwardFn backward) {
+Tensor FusedOp(const char* name, const char* kernel_name, Shape shape,
+               std::vector<Tensor> inputs, const std::function<void(float*, bool)>& forward,
+               FusedBackwardFn first_order, CompositeFn composite) {
+  bool graph = false;
+  if (!EvalMode::active()) {
+    for (const Tensor& in : inputs) graph = graph || in.requires_grad();
+  }
+  // Without a graph this is the op's one node; with one, its kernel node.
+  OpOutput computed = NewOutput(graph ? kernel_name : name, shape);
+  const int64_t n = computed.node->shape.numel();
+  if (n > 0) forward(computed.data(), /*tape=*/graph);
+  if (!graph) {
+    if (EvalMode::active()) return SealEval(std::move(computed));
+    return SealGraph(std::move(computed), std::move(inputs), nullptr);
+  }
+  // The visible node holds the kernel node, so the kernel node's closure only
+  // runs inside a Grad that reached it through the visible node and holds
+  // both; the pointer does not own.
+  auto visible = std::make_shared<internal::Node*>(nullptr);
+  Tensor kernel = SealGraph(
+      std::move(computed), std::move(inputs),
+      [first_order = std::move(first_order), composite = std::move(composite), visible](
+          const Tensor& self, const Tensor& grad, const NeedsGrad& needs) {
+        const std::vector<Tensor>& in = self.node()->inputs;
+        if (EvalMode::active()) return first_order(in, grad, needs);
+        Tensor rebuilt = composite(in);
+        std::vector<Tensor> wanted;
+        for (size_t i = 0; i < in.size(); ++i) {
+          if (needs[i]) wanted.push_back(in[i]);
+        }
+        const std::vector<std::vector<Tensor>> found =
+            autodiff::GradContributions(rebuilt, wanted, grad);
+        std::vector<Tensor> grads(in.size());
+        size_t next = 0;
+        for (size_t i = 0; i < in.size(); ++i) {
+          if (!needs[i]) continue;
+          const std::vector<Tensor>& list = found[next++];
+          if (list.empty()) {
+            grads[i] = Tensor::Zeros(in[i].shape());
+          } else if (i == 0) {
+            grads[0] = list[0];
+            for (size_t k = 1; k < list.size(); ++k) grads[0] = Add(grads[0], list[k]);
+          } else {
+            for (const Tensor& g : list) autodiff::FoldInputGrad(i, g);
+          }
+        }
+        (*visible)->inputs = {rebuilt};
+        return grads;
+      });
   OpOutput out = NewOutput(name, std::move(shape));
-  if (out.node->shape.numel() > 0) kernel(out.data());
-  if (EvalMode::active()) return SealEval(std::move(out));
-  return SealGraph(std::move(out), std::move(inputs), std::move(backward));
+  CopyFloats(out.data(), kernel.data().data(), n);
+  Tensor result = SealGraph(std::move(out), {kernel},
+                            [](const Tensor&, const Tensor& grad,
+                               const NeedsGrad&) -> std::vector<Tensor> { return {grad}; });
+  *visible = result.node();
+  return result;
 }
 
 // ----- composites -----

@@ -130,21 +130,57 @@ Tensor FoldTimeBatch(const Tensor& t, int64_t window);
 /// (an arithmetic blend would flip -0.0 to +0.0 and is one more rounding).
 Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b);
 
-// ----- fused ops defined outside this file -----
+// ----- fused ops -----
 
-/// One op node whose kernel runs outside ops.cc, for a fused layer that
-/// replaces a composite of the ops above (the CRF's log-partition, see
-/// crf::LinearChainCrf; the GRU recurrence, see nn::GruCell).  `kernel`
-/// writes the shape.numel() output floats in place, into a buffer allocated
-/// like every op output (eval mode recycles an arena buffer, so it holds stale
-/// values); it is not called for an empty shape.  Graph mode wires `inputs`
-/// as the node's edges and `backward` as its closure, which Grad calls with
-/// the NeedsGrad mask like any built-in op's; the node requires grad when an
-/// input does.  Eval mode drops both, so a caller should build its backward,
-/// and save what it needs for it, only when !EvalMode::active().  `name` must
-/// outlive the node (a string literal).
-Tensor CustomOp(const char* name, Shape shape, const std::function<void(float*)>& kernel,
-                std::vector<Tensor> inputs, BackwardFn backward);
+/// A fused op's first-order backward kernel: given the op's inputs and the
+/// upstream grad, the grads of the inputs `needs` asks for (see FusedOp).
+using FusedBackwardFn = std::function<std::vector<Tensor>(
+    const std::vector<Tensor>& inputs, const Tensor& grad, const NeedsGrad& needs)>;
+
+/// The composite of tensor ops that defines a fused op, built over its inputs.
+using CompositeFn = std::function<Tensor(const std::vector<Tensor>& inputs)>;
+
+/// One fused layer: a composite of the ops above, its definition, run as one
+/// op through kernels that live outside ops.cc (the CRF's log-partition, see
+/// crf::LinearChainCrf; the GRU recurrence, see nn::GruCell).  The caller
+/// gives three things:
+///   - `forward` writes the shape.numel() output floats into a buffer
+///     allocated like every op output (eval mode recycles an arena buffer, so
+///     it holds stale values).  `tape` is true when `first_order` may run
+///     later, so the kernel keeps what it reads.  It runs once, before
+///     FusedOp returns, and not for an empty shape.
+///   - `first_order` reproduces the composite's eval-mode backward bit for
+///     bit.  It may fold grads through autodiff::FoldInputGrad instead of
+///     returning them.
+///   - `composite`, the definition.
+/// FusedOp does the rest.  Without a graph (eval mode, or no input requires
+/// grad) the op is one plain node.  In graph mode it is a kernel node
+/// (`kernel_name`, edges `inputs`) under a visible node (`name`) that passes
+/// its grad through.  The kernel node's backward picks a branch with
+/// EvalMode::active(), which autodiff::Grad sets exactly when create_graph is
+/// false:
+///   - first order: `first_order`;
+///   - create_graph: `composite` is rebuilt over the op's inputs and
+///     differentiated with autodiff::GradContributions, seeded with the
+///     upstream grad, so higher orders see the composite.  Input 0 (the
+///     per-step activations) gets its contributions left-folded with Add and
+///     returned.  Every other input's are folded one by one through
+///     autodiff::FoldInputGrad, so a tensor the composite reads once per step
+///     folds into an accumulator shared with other consumers in the
+///     composite's order.  An input the composite does not reach gets zeros.
+///     Then the visible node is re-pointed at the composite, so a later Grad
+///     through both the forward and these grads (a second-order
+///     meta-gradient) folds every path inside one graph, as the composite
+///     does.
+/// The re-pointed visible node folds its consumers' grads before passing
+/// them on, so the composite's output node must be one its own backward never
+/// reads (a Reshape or Concat, as both ops' composites end), or a later Grad
+/// folds differently than the composite would.  Inputs must be distinct.
+/// `name` and `kernel_name` must outlive the nodes (string literals).
+Tensor FusedOp(const char* name, const char* kernel_name, Shape shape,
+               std::vector<Tensor> inputs,
+               const std::function<void(float* out, bool tape)>& forward,
+               FusedBackwardFn first_order, CompositeFn composite);
 
 // ----- composites -----
 

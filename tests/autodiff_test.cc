@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -566,44 +567,56 @@ void ExpectSameGradBits(const std::vector<Tensor>& a, const std::vector<Tensor>&
   }
 }
 
-TEST(AutodiffTest, SeededGradIsTheVectorJacobianProduct) {
+/// The left fold with Add of each input's GradContributions list (an empty
+/// list folds to undefined).
+std::vector<Tensor> FoldContributions(const std::vector<std::vector<Tensor>>& lists) {
+  std::vector<Tensor> folded;
+  for (const std::vector<Tensor>& list : lists) {
+    Tensor sum;
+    for (const Tensor& g : list) sum = sum.defined() ? Add(sum, g) : g;
+    folded.push_back(sum);
+  }
+  return folded;
+}
+
+TEST(AutodiffTest, GradContributionsAreTheVectorJacobianProduct) {
   util::Rng rng(77);
   Tensor x = Tensor::Randn(Shape{3, 4}, &rng, 1.0f, true);
   Tensor w = Tensor::Randn(Shape{4, 5}, &rng, 1.0f, true);
   Tensor out = Tanh(MatMul(x, w));  // [3, 5]
   Tensor loss = SumAll(Mul(out, out));
 
-  // A seed of ones on a scalar output is the unseeded call.
-  ExpectSameGradBits(Grad(loss, {x, w}, false, Tensor::Ones(loss.shape())),
-                     Grad(loss, {x, w}), "ones seed");
+  // A seed of ones on a scalar output folds to Grad's own.
+  ExpectSameGradBits(FoldContributions(autodiff::GradContributions(
+                         loss, {x, w}, Tensor::Ones(loss.shape()))),
+                     Grad(loss, {x, w}, /*create_graph=*/true), "ones seed");
 
-  // Any seed (signed zeros included) equals Grad of Σ out ⊙ seed, in eval
-  // mode and with create_graph.
+  // Any seed (signed zeros included) folds to the Grad of Σ out ⊙ seed, and
+  // detached, to its first-order Grad.
   std::vector<float> seed_values(15);
   for (float& v : seed_values) v = static_cast<float>(rng.Gaussian());
   seed_values[3] = 0.0f;
   seed_values[7] = -0.0f;
   Tensor seed = Tensor::FromData(out.shape(), seed_values);
   Tensor folded = SumAllFloat(Mul(out, seed));
-  for (bool create_graph : {false, true}) {
-    ExpectSameGradBits(Grad(out, {x, w}, create_graph, seed),
-                       Grad(folded, {x, w}, create_graph),
-                       create_graph ? "seeded, create_graph" : "seeded");
-  }
+  const std::vector<Tensor> vjp =
+      FoldContributions(autodiff::GradContributions(out, {x, w}, seed));
+  ExpectSameGradBits(vjp, Grad(folded, {x, w}, /*create_graph=*/true), "seeded, create_graph");
+  ExpectSameGradBits({vjp[0].Detach(), vjp[1].Detach()}, Grad(folded, {x, w}), "seeded");
 
-  // With create_graph a graph-node seed stays differentiable: d/ds of
-  // Σ (seedᵀ·∂out/∂x) is the same as differentiating the folded form.
+  // A graph-node seed stays differentiable: d/ds of Σ (seedᵀ·∂out/∂x)² is the
+  // same as differentiating the folded form.
   Tensor s = Tensor::FromData(out.shape(), seed_values, /*requires_grad=*/true);
-  Tensor vjp = Grad(out, {x}, /*create_graph=*/true, s)[0];
+  Tensor vjp_s = FoldContributions(autodiff::GradContributions(out, {x}, s))[0];
   Tensor vjp_folded = Grad(SumAllFloat(Mul(out, s)), {x}, /*create_graph=*/true)[0];
-  ExpectSameGradBits(Grad(SumAll(Square(vjp)), {s, w}),
+  ExpectSameGradBits(Grad(SumAll(Square(vjp_s)), {s, w}),
                      Grad(SumAll(Square(vjp_folded)), {s, w}), "second order");
 }
 
-TEST(AutodiffTest, GradContributionsFoldToTheSeededGrad) {
+TEST(AutodiffTest, GradContributionsListOneGradPerEdge) {
   // x reaches out through four edges: Tanh, both operands of x ⊙ x, and
   // tanh(x) ⊙ x.  GradContributions lists one grad per edge, and their left
-  // fold with Add is the seeded create_graph Grad, bit for bit.
+  // fold with Add is the create_graph Grad of Σ out ⊙ seed, bit for bit.
   util::Rng rng(79);
   Tensor x = Tensor::Randn(Shape{3, 4}, &rng, 1.0f, true);
   Tensor unused = Tensor::Randn(Shape{2}, &rng, 1.0f, true);
@@ -617,36 +630,42 @@ TEST(AutodiffTest, GradContributionsFoldToTheSeededGrad) {
   ASSERT_EQ(lists.size(), 2u);
   ASSERT_EQ(lists[0].size(), 4u);
   EXPECT_TRUE(lists[1].empty());
-  Tensor folded = lists[0][0];
-  for (size_t i = 1; i < lists[0].size(); ++i) folded = Add(folded, lists[0][i]);
-  ExpectSameGradBits({folded}, {Grad(out, {x}, /*create_graph=*/true, seed)[0]}, "folded");
+  Tensor folded = FoldContributions(lists)[0];
+  ExpectSameGradBits({folded},
+                     {Grad(SumAllFloat(Mul(out, seed)), {x}, /*create_graph=*/true)[0]},
+                     "folded");
   EXPECT_TRUE(folded.requires_grad());
 }
 
-TEST(AutodiffTest, SeededGradStopsAtItsInputs) {
-  // out = tanh(x) ⊙ x.  Seeded, Grad treats {x, h = tanh(x)} as independent
-  // variables: x gets only its direct path, seed ⊙ h, and nothing through h.
-  // The unseeded form over the same graph keeps the total derivative.
+TEST(AutodiffTest, GradContributionsStopAtTheirInputs) {
+  // out = tanh(x) ⊙ x.  GradContributions treats {x, h = tanh(x)} as
+  // independent variables: x gets only its direct path, seed ⊙ h, and nothing
+  // through h.  Grad over the same graph keeps the total derivative.
   util::Rng rng(78);
   Tensor x = Tensor::Randn(Shape{4}, &rng, 1.0f, true);
   Tensor h = Tanh(x);
   Tensor out = Mul(h, x);
   Tensor seed = Tensor::Randn(Shape{4}, &rng);
-  const auto grads = Grad(out, {x, h}, false, seed);
-  ExpectSameGradBits({grads[0], grads[1]}, {Mul(seed, h), Mul(seed, x)},
-                     "seeded, stopped at inputs");
+  const auto lists = autodiff::GradContributions(out, {x, h}, seed);
+  ASSERT_EQ(lists[0].size(), 1u);
+  ASSERT_EQ(lists[1].size(), 1u);
+  ExpectSameGradBits({lists[0][0], lists[1][0]}, {Mul(seed, h), Mul(seed, x)},
+                     "stopped at inputs");
   const auto total = Grad(SumAllFloat(Mul(out, seed)), {x, h});
-  ExpectSameGradBits({total[1]}, {grads[1]}, "dh");
+  ExpectSameGradBits({total[1]}, {lists[1][0]}, "dh");
   double through_h = 0.0;
-  for (int64_t i = 0; i < 4; ++i) through_h += std::abs(total[0].at(i) - grads[0].at(i));
+  for (int64_t i = 0; i < 4; ++i) through_h += std::abs(total[0].at(i) - lists[0][0].at(i));
   EXPECT_GT(through_h, 1e-3);
 }
 
-TEST(AutodiffDeathTest, SeededGradRejectsAMismatchedSeed) {
+TEST(AutodiffDeathTest, GradContributionsRejectAMismatchedSeed) {
   Tensor x = Tensor::Ones(Shape{2, 3}, true);
   Tensor out = Mul(x, x);
-  EXPECT_DEATH(Grad(out, {x}, false, Tensor::Ones(Shape{3, 2})),
-               "Grad seed shape \\[3, 2\\] does not match output shape \\[2, 3\\]");
+  EXPECT_DEATH(autodiff::GradContributions(out, {x}, Tensor::Ones(Shape{3, 2})),
+               "GradContributions seed shape \\[3, 2\\] does not match output shape "
+               "\\[2, 3\\]");
+  EXPECT_DEATH(autodiff::GradContributions(out, {x}, Tensor()),
+               "GradContributions seed shape undefined");
   EXPECT_DEATH(Grad(out, {x}), "Grad expects a scalar loss");
 }
 
@@ -661,23 +680,28 @@ TEST(AutodiffTest, DeepChainDoesNotOverflow) {
 
 // ----- the walk's folds -----------------------------------------------------
 
-/// A fused node that passes its grad straight through to every input: its
-/// closure returns the one upstream tensor once per input.  The value is the
-/// sum of the inputs.
+/// A fused op whose value is the left-folded sum of its inputs (the
+/// composite: a chain of Adds) and whose first-order kernel returns the one
+/// upstream tensor once per input.  In graph mode its visible node passes
+/// that tensor through as well.
 Tensor PassThrough(const std::vector<Tensor>& inputs) {
   const Shape shape = inputs[0].shape();
-  return CustomOp(
-      "pass_through", shape,
-      [&](float* out) {
+  return FusedOp(
+      "pass_through", "pass_through_kernel", shape, inputs,
+      [&](float* out, bool) {
         for (int64_t i = 0; i < shape.numel(); ++i) {
-          float v = 0.0f;
-          for (const Tensor& in : inputs) v += in.at(i);
+          float v = inputs[0].at(i);
+          for (size_t k = 1; k < inputs.size(); ++k) v += inputs[k].at(i);
           out[i] = v;
         }
       },
-      inputs,
-      [](const Tensor& self, const Tensor& grad, const NeedsGrad&) {
-        return std::vector<Tensor>(self.node()->inputs.size(), grad);
+      [](const std::vector<Tensor>& in, const Tensor& grad, const NeedsGrad&) {
+        return std::vector<Tensor>(in.size(), grad);
+      },
+      [](const std::vector<Tensor>& in) {
+        Tensor sum = in[0];
+        for (size_t k = 1; k < in.size(); ++k) sum = Add(sum, in[k]);
+        return sum;
       });
 }
 
@@ -697,7 +721,9 @@ TEST(AutodiffTest, InPlaceFoldNeverWritesASharedGrad) {
   // first-order walk allocates and folds in place.  Small integers keep every
   // sum exact.  The first-order grads must equal the closed form and the
   // detached create_graph grads, and nothing the caller holds (the seed, the
-  // leaves, the forward values, grads returned earlier) may change.
+  // leaves, the forward values, grads returned earlier) may change.  The
+  // first-order walks run before and after a create_graph walk re-points the
+  // pass-through ops at their composites.
   const Shape shape{4};
   const Tensor x = Tensor::FromData(shape, {1.0f, -2.0f, 3.0f, 0.5f}, true);
   const Tensor y = Tensor::FromData(shape, {2.0f, 1.0f, -1.0f, 4.0f}, true);
@@ -712,8 +738,8 @@ TEST(AutodiffTest, InPlaceFoldNeverWritesASharedGrad) {
     Tensor out;
     std::vector<Tensor> inputs;
     std::vector<std::vector<float>> want;
-    /// The unseeded grads of Σ out ⊙ seed, when they differ from `want`
-    /// (a seeded Grad does not walk past its inputs).
+    /// The grads of Σ out ⊙ seed, when they differ from `want` (the folded
+    /// GradContributions, which do not walk past their inputs).
     std::vector<std::vector<float>> want_total = {};
   };
   std::vector<Case> cases;
@@ -740,8 +766,8 @@ TEST(AutodiffTest, InPlaceFoldNeverWritesASharedGrad) {
   }
   {
     // A requested input that is also an interior node: h = x + x is read
-    // three times and x once more, so dh = 3·seed; seeded, x gets only its
-    // direct seed, and unseeded dx = 2·dh + seed.
+    // three times and x once more, so dh = 3·seed; GradContributions gives x
+    // only its direct seed, and Grad gives dx = 2·dh + seed.
     Tensor h = Add(x, x);
     Tensor out = Add(Add(Add(h, h), PassThrough({h})), x);
     cases.push_back({"requested interior node", out, {h, x},
@@ -753,27 +779,184 @@ TEST(AutodiffTest, InPlaceFoldNeverWritesASharedGrad) {
     const std::vector<float> x_bits = Snapshot(x);
     const std::vector<float> y_bits = Snapshot(y);
     const std::vector<float> out_bits = Snapshot(c.out);
-    const std::vector<Tensor> graph = Grad(c.out, c.inputs, /*create_graph=*/true, seed);
+    const Tensor total = SumAllFloat(Mul(c.out, seed));
+    const std::vector<Tensor> first = Grad(total, c.inputs);
+    const std::vector<Tensor> graph =
+        FoldContributions(autodiff::GradContributions(c.out, c.inputs, seed));
     std::vector<std::vector<float>> graph_bits;
     for (const Tensor& g : graph) graph_bits.push_back(Snapshot(g));
-    const std::vector<Tensor> first = Grad(c.out, c.inputs, /*create_graph=*/false, seed);
-    const std::vector<Tensor> again = Grad(c.out, c.inputs, /*create_graph=*/false, seed);
-    // Unseeded, over Σ out ⊙ seed: the walk's own ones-seed, then a Mul.
-    const std::vector<Tensor> unseeded = Grad(SumAllFloat(Mul(c.out, seed)), c.inputs);
+    const std::vector<Tensor> graph_total = Grad(total, c.inputs, /*create_graph=*/true);
+    const std::vector<Tensor> again = Grad(total, c.inputs);
     ASSERT_EQ(first.size(), c.want.size()) << c.name;
     for (size_t i = 0; i < first.size(); ++i) {
       const std::string what = c.name + " input " + std::to_string(i);
-      ExpectBits(first[i], c.want[i], what + " first order");
-      ExpectBits(again[i], c.want[i], what + " second run");
-      ExpectBits(unseeded[i], c.want_total.empty() ? c.want[i] : c.want_total[i],
-                 what + " unseeded");
-      ExpectBits(graph[i], graph_bits[i], what + " create_graph grad kept");
-      ExpectBits(graph[i], c.want[i], what + " create_graph");
+      const std::vector<float>& want_total =
+          c.want_total.empty() ? c.want[i] : c.want_total[i];
+      ExpectBits(first[i], want_total, what + " first order");
+      ExpectBits(again[i], want_total, what + " first order after create_graph");
+      ExpectBits(graph_total[i], want_total, what + " create_graph");
+      ExpectBits(graph[i], graph_bits[i], what + " contributions kept");
+      ExpectBits(graph[i], c.want[i], what + " contributions");
     }
     ExpectBits(seed, seed_bits, c.name + " seed");
     ExpectBits(x, x_bits, c.name + " x");
     ExpectBits(y, y_bits, c.name + " y");
     ExpectBits(c.out, out_bits, c.name + " output");
+  }
+}
+
+// ----- the fused-op entry point ----------------------------------------------
+
+/// A toy recurrence over activations a [L, n] and a weight w [1, n], built
+/// from tensor ops: h_{-1} = 0, h_t = tanh(h_{t-1} ⊙ w + a[t]), and the
+/// output stacks the states, [L, n].  It reads a once per step (a Slice) and
+/// w once per step (a Mul), like the GRU recurrence's composite, and, like
+/// it, reads each state through a Reshape, so its output is a node that its
+/// own backward never reads (FusedOp's contract), at L = 1 too.
+Tensor ToyComposite(const Tensor& a, const Tensor& w) {
+  const int64_t length = a.shape().dim(0);
+  Tensor h = Tensor::Zeros(w.shape());
+  std::vector<Tensor> states;
+  for (int64_t t = 0; t < length; ++t) {
+    h = Tanh(Add(Mul(h, w), Slice(a, 0, t, 1)));
+    states.push_back(Reshape(h, h.shape()));
+  }
+  return Concat(states, 0);
+}
+
+/// ToyComposite as a fused op.  The forward runs its float operations in its
+/// order and tapes the states; the first-order kernel is its eval-mode
+/// backward, step by step: Tanh's g·((−(y·y)) + 1), Mul's g·w and g·h, each
+/// state's grad the next step's plus its output row (in the order Grad
+/// folds them), a's zero-padded Slice fan-in (−0 → +0 once L > 1), and w's
+/// per-step grads folded last step first through the fold handle.
+Tensor ToyRecurrence(const Tensor& a, const Tensor& w) {
+  const int64_t length = a.shape().dim(0);
+  const int64_t n = a.shape().dim(1);
+  auto states = std::make_shared<std::vector<float>>();
+  return FusedOp(
+      "toy_recurrence", "toy_recurrence_kernel", a.shape(), {a, w},
+      [&](float* out, bool tape) {
+        const float* av = a.data().data();
+        const float* wv = w.data().data();
+        std::vector<float> h(static_cast<size_t>(n), 0.0f);
+        for (int64_t t = 0; t < length; ++t) {
+          for (int64_t j = 0; j < n; ++j) {
+            const float pre = h[static_cast<size_t>(j)] * wv[j] + av[t * n + j];
+            h[static_cast<size_t>(j)] = std::tanh(pre);
+            out[t * n + j] = h[static_cast<size_t>(j)];
+          }
+        }
+        if (tape) states->assign(out, out + length * n);
+      },
+      [states, length, n](const std::vector<Tensor>& in, const Tensor& grad,
+                          const NeedsGrad& needs) {
+        const float* g = grad.data().data();
+        const float* wv = in[1].data().data();
+        const float* h = states->data();
+        std::vector<float> da(needs[0] ? static_cast<size_t>(length * n) : 0);
+        std::vector<float> dw(static_cast<size_t>(n));
+        std::vector<float> g_h(g + (length - 1) * n, g + length * n);
+        std::vector<float> g_pre(static_cast<size_t>(n));
+        for (int64_t t = length - 1; t >= 0; --t) {
+          for (int64_t j = 0; j < n; ++j) {
+            const float y = h[t * n + j];
+            g_pre[static_cast<size_t>(j)] = g_h[static_cast<size_t>(j)] * (-(y * y) + 1.0f);
+          }
+          if (needs[0]) {
+            for (int64_t j = 0; j < n; ++j) {
+              const float d = g_pre[static_cast<size_t>(j)];
+              da[static_cast<size_t>(t * n + j)] = length > 1 ? d + 0.0f : d;
+            }
+          }
+          if (needs[1]) {
+            for (int64_t j = 0; j < n; ++j) {
+              dw[static_cast<size_t>(j)] =
+                  g_pre[static_cast<size_t>(j)] * (t > 0 ? h[(t - 1) * n + j] : 0.0f);
+            }
+            autodiff::FoldInputGrad(1, dw.data());
+          }
+          if (t == 0) break;
+          for (int64_t j = 0; j < n; ++j) {
+            g_h[static_cast<size_t>(j)] =
+                g_pre[static_cast<size_t>(j)] * wv[j] + g[(t - 1) * n + j];
+          }
+        }
+        std::vector<Tensor> grads(2);
+        if (needs[0]) grads[0] = Tensor::FromData(Shape{length, n}, std::move(da));
+        return grads;
+      },
+      [](const std::vector<Tensor>& in) { return ToyComposite(in[0], in[1]); });
+}
+
+/// A tensor of Gaussian draws that are +0 or −0 one time in eight each.
+Tensor DrawWithZeros(const Shape& shape, util::Rng* rng, bool requires_grad) {
+  std::vector<float> values(static_cast<size_t>(shape.numel()));
+  for (float& v : values) {
+    switch (rng->UniformInt(8)) {
+      case 0:
+        v = 0.0f;
+        break;
+      case 1:
+        v = -0.0f;
+        break;
+      default:
+        v = static_cast<float>(rng->Gaussian(0.0, 0.9));
+    }
+  }
+  return Tensor::FromData(shape, std::move(values), requires_grad);
+}
+
+TEST(FusedOpTest, ToyRecurrenceMatchesItsCompositeBitwise) {
+  // Two calls share w, which a third consumer reads as well, so w's
+  // accumulator takes per-step grads from both calls and one more: the fold
+  // handle must land them in the composite's order.  Every value, in eval
+  // and graph mode, first and second order, and after a create_graph Grad
+  // has re-pointed the op at its composite, must equal the composite's.
+  util::Rng rng(4242);
+  const int64_t n = 16;
+  const Tensor w = DrawWithZeros(Shape{1, n}, &rng, /*requires_grad=*/true);
+  const Tensor c = DrawWithZeros(Shape{1, n}, &rng, /*requires_grad=*/false);
+  using Op = Tensor (*)(const Tensor&, const Tensor&);
+  for (int64_t length : {1, 2, 7}) {
+    SCOPED_TRACE("L=" + std::to_string(length));
+    const Tensor a1 = DrawWithZeros(Shape{length, n}, &rng, /*requires_grad=*/true);
+    const Tensor a2 = DrawWithZeros(Shape{length, n}, &rng, /*requires_grad=*/true);
+    const Tensor weights = DrawWithZeros(Shape{length, n}, &rng, /*requires_grad=*/false);
+    {
+      EvalMode eval;
+      ExpectSameGradBits({ToyRecurrence(a1, w)}, {ToyComposite(a1, w)}, "eval forward");
+    }
+    ExpectSameGradBits({ToyRecurrence(a1, w)}, {ToyComposite(a1, w)}, "graph forward");
+
+    const std::vector<Tensor> inputs = {a1, a2, w};
+    auto loss_with = [&](Op op) {
+      Tensor out1 = op(a1, w);
+      Tensor out2 = op(a2, w);
+      return Add(Add(SumAllFloat(Mul(Mul(out1, out1), weights)),
+                     SumAllFloat(Mul(out2, weights))),
+                 SumAllFloat(Mul(w, c)));
+    };
+    auto second_order = [&](const Tensor& loss) {
+      Tensor total = loss;
+      for (const Tensor& g : Grad(loss, inputs, /*create_graph=*/true)) {
+        total = Add(total, SumAll(Square(g)));
+      }
+      return Grad(total, inputs);
+    };
+    const Tensor reference_loss = loss_with(ToyComposite);
+    const std::vector<Tensor> reference = Grad(reference_loss, inputs);
+    const Tensor loss = loss_with(ToyRecurrence);
+    ExpectSameGradBits(Grad(loss, {w}), Grad(reference_loss, {w}), "first order, w alone");
+    const int64_t fused_size = autodiff::GraphSize(loss);
+    ExpectSameGradBits(Grad(loss, inputs), reference, "first order");
+    ExpectSameGradBits(Grad(loss, inputs, /*create_graph=*/true),
+                       Grad(reference_loss, inputs, /*create_graph=*/true), "create_graph");
+    // The create_graph Grad re-pointed both calls at their composites.
+    EXPECT_GT(autodiff::GraphSize(loss), fused_size);
+    ExpectSameGradBits(Grad(loss, inputs), reference, "first order after create_graph");
+    ExpectSameGradBits(second_order(loss_with(ToyRecurrence)),
+                       second_order(loss_with(ToyComposite)), "second order");
   }
 }
 

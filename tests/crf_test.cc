@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -288,6 +289,42 @@ TEST(CrfEdgeTest, SecondOrderThroughNll) {
   double norm = 0;
   for (float v : g2[0].data()) norm += std::abs(v);
   EXPECT_GT(norm, 1e-6);  // non-degenerate second-order signal
+}
+
+TEST(CrfEdgeTest, ViterbiDecodesValidTagsOnExtremeScores) {
+  // Every candidate of a lane at or below −2e7, NaN or −inf: each max starts
+  // from the first valid candidate, so no backpointer is left at −1, and the
+  // final pick is a valid tag when tag 0 is masked out.  Lane 1 is ordinary
+  // but for one extreme row.
+  LinearChainCrf crf(3);
+  util::Rng rng(17);
+  for (tensor::Tensor* p : crf.Parameters()) {
+    for (float& v : *p->mutable_data()) v = static_cast<float>(rng.Gaussian(0.0, 0.7));
+  }
+  const std::vector<bool> without_tag0 = {false, true, true};
+  for (const float extreme :
+       {-3e7f, std::nanf(""), -std::numeric_limits<float>::infinity()}) {
+    for (const std::vector<bool>* valid : {static_cast<const std::vector<bool>*>(nullptr),
+                                           &without_tag0}) {
+      std::vector<float> values(2 * 3 * 3, extreme);
+      for (size_t i = 9; i < values.size(); ++i) {
+        if (i < 12 || i >= 15) values[i] = static_cast<float>(rng.Gaussian());
+      }
+      const auto paths =
+          crf.ViterbiBatch(Tensor::FromData(Shape{2, 3, 3}, std::move(values)), {3, 3}, valid);
+      ASSERT_EQ(paths.size(), 2u);
+      for (const auto& path : paths) {
+        ASSERT_EQ(path.size(), 3u);
+        for (int64_t tag : path) {
+          ASSERT_GE(tag, 0) << "score " << extreme;
+          ASSERT_LT(tag, 3) << "score " << extreme;
+          if (valid != nullptr) {
+            EXPECT_TRUE((*valid)[static_cast<size_t>(tag)]) << "score " << extreme;
+          }
+        }
+      }
+    }
+  }
 }
 
 // A mask is checked at entry, before any read: a short mask would index past
@@ -608,6 +645,59 @@ TEST(CrfLogPartitionTest, LogZIsOneGraphNodePerCall) {
         crf.NegLogLikelihoodBatch(emissions, tags, {max_len, 1, max_len - 1}));
   };
   EXPECT_EQ(graph_size(3), graph_size(30));
+}
+
+TEST(CrfLogPartitionTest, GradsOnOneNllStayExactAfterACreateGraphGrad) {
+  // A create_graph Grad re-points log Z's visible node at the composite it
+  // rebuilt, mid-walk.  Every later Grad on the same NLL, first order or
+  // create_graph, must still give the composite's bits; the first-order ones
+  // then run the composite's per-step closures instead of the kernel, which
+  // the grown graph shows.
+  util::Rng rng(1913);
+  const int64_t lanes = 3;
+  const int64_t y = 4;
+  const int64_t max_len = 5;
+  const std::vector<int64_t> lengths = {5, 1, 3};
+  const std::vector<bool> valid = {true, false, true, true};
+  LinearChainCrf crf(y);
+  for (tensor::Tensor* p : crf.Parameters()) {
+    for (float& v : *p->mutable_data()) v = DrawWithZeros(&rng, 0.7);
+  }
+  std::vector<int64_t> tags(static_cast<size_t>(lanes * max_len));
+  for (int64_t& tag : tags) {
+    do {
+      tag = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(y)));
+    } while (!valid[static_cast<size_t>(tag)]);
+  }
+  std::vector<float> emit_values(static_cast<size_t>(lanes * max_len * y));
+  for (float& v : emit_values) v = DrawWithZeros(&rng, 1.0);
+  Tensor emissions = Tensor::FromData(Shape{lanes, max_len, y}, std::move(emit_values),
+                                      /*requires_grad=*/true);
+  std::vector<float> weight_values(static_cast<size_t>(lanes));
+  for (float& w : weight_values) w = DrawWithZeros(&rng, 1.0);
+  Tensor weights = Tensor::FromData(Shape{lanes}, std::move(weight_values));
+  auto params = crf.Parameters();
+  const std::vector<Tensor> inputs = {emissions, *params[0], *params[1], *params[2]};
+  const std::vector<std::string> names = {"emissions", "transitions", "start", "end"};
+  auto loss_of = [&](const Tensor& nll) {
+    return tensor::SumAllFloat(tensor::Mul(nll, weights));
+  };
+  const auto reference = tensor::autodiff::Grad(
+      loss_of(CompositeNll(crf, emissions, tags, lengths, &valid)), inputs);
+
+  const Tensor loss = loss_of(crf.NegLogLikelihoodBatch(emissions, tags, lengths, &valid));
+  const int64_t fused_size = tensor::autodiff::GraphSize(loss);
+  const auto before = tensor::autodiff::Grad(loss, inputs);
+  const auto graph = tensor::autodiff::Grad(loss, inputs, /*create_graph=*/true);
+  EXPECT_GT(tensor::autodiff::GraphSize(loss), fused_size);
+  const auto after = tensor::autodiff::Grad(loss, inputs);
+  const auto graph_again = tensor::autodiff::Grad(loss, inputs, /*create_graph=*/true);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ExpectSameBits(before[i], reference[i], "first order before, d" + names[i]);
+    ExpectSameBits(graph[i], reference[i], "create_graph, d" + names[i]);
+    ExpectSameBits(after[i], reference[i], "first order after, d" + names[i]);
+    ExpectSameBits(graph_again[i], reference[i], "create_graph again, d" + names[i]);
+  }
 }
 
 }  // namespace
