@@ -34,13 +34,15 @@ int main(int argc, char** argv) {
       eval::Scenario scenario = eval::MakeIntraDomainScenario(
           data::kNne, config.data_scale, config.seed);
       eval::ExperimentRunner runner(std::move(scenario), config);
+      const std::string name =
+          encoder == models::EncoderKind::kBiGru ? "CNN-BiGRU-CRF" : "CNN-BiLSTM-CRF";
       const auto start = std::chrono::steady_clock::now();
-      eval::EvalResult result = runner.Run(eval::MethodId::kFewner);
+      auto method = runner.CreateTrained(eval::MethodId::kFewner);
+      eval::EvalResult result = bench::EvaluateHashed(
+          method.get(), runner, name + " " + std::to_string(k) + "-shot");
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
               .count();
-      const std::string name =
-          encoder == models::EncoderKind::kBiGru ? "CNN-BiGRU-CRF" : "CNN-BiLSTM-CRF";
       table.AddRow({name, std::to_string(k) + "-shot", eval::FormatCell(result.f1),
                     util::FormatDouble(seconds, 1)});
       std::cout << name << " " << k << "-shot: " << eval::FormatCell(result.f1)

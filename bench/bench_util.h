@@ -7,6 +7,7 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,7 +15,13 @@
 #include "eval/experiment.h"
 #include "eval/reporting.h"
 #include "meta/fewner.h"
+#include "meta/finetune.h"
+#include "meta/lm_tagger.h"
 #include "meta/maml.h"
+#include "meta/matching_net.h"
+#include "meta/protonet.h"
+#include "meta/reptile.h"
+#include "meta/snail.h"
 #include "nn/module.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -22,11 +29,18 @@
 
 namespace fewner::bench {
 
-/// θ of a trained FEWNER or MAML method: its backbone.
+/// What a method learns: its backbone, SNAIL's whole model (backbone, TC
+/// blocks, attention and classifier), or a frozen-LM baseline's CRF head.
 inline nn::Module* TrainedTheta(meta::FewShotMethod* method) {
-  if (auto* fewner = dynamic_cast<meta::Fewner*>(method)) return fewner->backbone();
-  if (auto* maml = dynamic_cast<meta::Maml*>(method)) return maml->backbone();
-  FEWNER_CHECK(false, "TrainedTheta: " << method->name() << " has no backbone θ");
+  if (auto* m = dynamic_cast<meta::Fewner*>(method)) return m->backbone();
+  if (auto* m = dynamic_cast<meta::Maml*>(method)) return m->backbone();
+  if (auto* m = dynamic_cast<meta::FineTune*>(method)) return m->backbone();
+  if (auto* m = dynamic_cast<meta::ProtoNet*>(method)) return m->backbone();
+  if (auto* m = dynamic_cast<meta::MatchingNet*>(method)) return m->backbone();
+  if (auto* m = dynamic_cast<meta::Reptile*>(method)) return m->backbone();
+  if (auto* m = dynamic_cast<meta::Snail*>(method)) return m->model();
+  if (auto* m = dynamic_cast<meta::LmCrfTagger*>(method)) return m->head();
+  FEWNER_CHECK(false, "TrainedTheta: " << method->name() << " has no trained θ");
   return nullptr;
 }
 
@@ -34,6 +48,18 @@ inline nn::Module* TrainedTheta(meta::FewShotMethod* method) {
 /// floats, in nn::ParameterTensors order.
 inline std::string ThetaFnv1aLine(const std::string& row, nn::Module* theta) {
   return "theta_fnv1a " + row + " " + eval::Fnv1aHex(nn::ParameterTensors(theta));
+}
+
+/// Prints the `theta_fnv1a <row> <hash>` line of a trained method, then
+/// evaluates it on the runner's held-out task list (ExperimentRunner::Run's
+/// evaluation).
+inline eval::EvalResult EvaluateHashed(meta::FewShotMethod* method,
+                                       const eval::ExperimentRunner& runner,
+                                       const std::string& row) {
+  std::cout << ThetaFnv1aLine(row, TrainedTheta(method)) << std::endl;
+  return eval::EvaluateMethod(method, runner.eval_sampler(), runner.encoder(),
+                              runner.config().eval_episodes,
+                              runner.config().eval_query_size);
 }
 
 /// Registers the flags shared by every table bench.
@@ -139,7 +165,8 @@ struct GridScenario {
 /// The sweep tables 2, 3 and 4 share.  For each scenario and each --shots K,
 /// scenario-major, it builds the column "<label> <K>-shot", runs every
 /// --methods entry on it and prints one "[column] Method: cell" progress line
-/// per cell.  Returns the table: "Methods", then one column per (scenario, K);
+/// per cell, after the cell's `theta_fnv1a <Method> <column> <hash>` line
+/// (see EvaluateHashed).  Returns the table: "Methods", then one column per (scenario, K);
 /// one row per method.  `section_of`, when given, names the section of a
 /// method's row; each section label is added once, before its first row.
 inline eval::Table RunGrid(
@@ -159,10 +186,12 @@ inline eval::Table RunGrid(
       eval::ExperimentRunner runner(scenario.make(config.data_scale, config.seed),
                                     config);
       for (eval::MethodId id : methods) {
-        const std::string cell = eval::FormatCell(runner.Run(id).f1);
-        cells[eval::MethodName(id)][column] = cell;
-        std::cout << "[" << column << "] " << eval::MethodName(id) << ": " << cell
-                  << std::endl;
+        const std::string name = eval::MethodName(id);
+        const std::unique_ptr<meta::FewShotMethod> method = runner.CreateTrained(id);
+        const std::string cell =
+            eval::FormatCell(EvaluateHashed(method.get(), runner, name + " " + column).f1);
+        cells[name][column] = cell;
+        std::cout << "[" << column << "] " << name << ": " << cell << std::endl;
       }
     }
   }

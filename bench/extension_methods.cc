@@ -35,26 +35,25 @@ int main(int argc, char** argv) {
         eval::MakeIntraDomainScenario(data::kNne, config.data_scale, config.seed);
     eval::ExperimentRunner runner(std::move(scenario), config);
 
+    // One row per trained method, after its theta_fnv1a line.
+    const std::string shot = std::to_string(k) + "-shot";
+    auto report = [&](meta::FewShotMethod* method) {
+      eval::EvalResult result =
+          bench::EvaluateHashed(method, runner, method->name() + " " + shot);
+      table.AddRow({result.method, shot, eval::FormatCell(result.f1)});
+      std::cout << result.method << " " << shot << ": " << eval::FormatCell(result.f1)
+                << std::endl;
+    };
     // Paper-table methods through the registry.
     for (eval::MethodId id :
          {eval::MethodId::kProtoNet, eval::MethodId::kMaml, eval::MethodId::kFewner}) {
-      eval::EvalResult result = runner.Run(id);
-      table.AddRow({result.method, std::to_string(k) + "-shot",
-                    eval::FormatCell(result.f1)});
-      std::cout << result.method << " " << k << "-shot: "
-                << eval::FormatCell(result.f1) << std::endl;
+      report(runner.CreateTrained(id).get());
     }
 
     // Extension methods, trained/evaluated on the identical task lists.
     auto run_extension = [&](std::unique_ptr<meta::FewShotMethod> method) {
       method->Train(runner.train_sampler(), runner.encoder(), config.train);
-      eval::EvalResult result =
-          eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
-                               config.eval_episodes, config.eval_query_size);
-      table.AddRow({result.method, std::to_string(k) + "-shot",
-                    eval::FormatCell(result.f1)});
-      std::cout << result.method << " " << k << "-shot: "
-                << eval::FormatCell(result.f1) << std::endl;
+      report(method.get());
     };
     models::BackboneConfig ext_config = runner.ResolvedBackboneConfig();
     util::Rng reptile_rng(util::Mix64(config.seed ^ util::HashString("Reptile")));

@@ -9,9 +9,14 @@
 #     then cmp of the two θ checkpoints and diff of quickstart's
 #     `serve_fnv1a <hash>` line (φ* and the query emissions of its served
 #     task, which carry the eval path's bits: at this budget every tag is O);
-#   - ablation_second_order and table5_ablation at the same flags, then diff
-#     of their `theta_fnv1a <row> <hash>` lines.
-# A line kind the base does not print yet is skipped with a notice.
+#   - at the same flags, runs that print one `theta_fnv1a <row> <hash>` line
+#     per trained row, then diff of those lines run by run:
+#     ablation_second_order and table5_ablation (FEWNER and MAML, first and
+#     second order, kConcat), table2_intra_domain --methods all --datasets
+#     FG-NER --shots 1 (the ten methods, the ELMo/Flair GRU through their CRF
+#     heads), extension_methods (Reptile, MatchingNet) and ablation_encoder
+#     (the BiGRU and BiLSTM encoders).
+# A line kind, or a run, the base does not print yet is skipped with a notice.
 # REBASELINE_FILE lists, one per line, the rows a declared re-baseline may
 # move: a theta_fnv1a row name exactly as printed, `quickstart` for the
 # checkpoint, or `serve_fnv1a` for the serving line.  Empty lines are
@@ -38,6 +43,10 @@ for side in base head; do
       --checkpoint quickstart.ckpt > quickstart.txt
     "$build/bench/ablation_second_order" --iterations 3 --episodes 2 > ablation.txt
     "$build/bench/table5_ablation" --iterations 3 --episodes 2 > table5.txt
+    "$build/bench/table2_intra_domain" --methods all --datasets FG-NER --shots 1 \
+      --iterations 3 --episodes 2 > table2.txt
+    "$build/bench/extension_methods" --iterations 3 --episodes 2 > extension.txt
+    "$build/bench/ablation_encoder" --iterations 3 --episodes 2 > encoder.txt
   )
 done
 
@@ -62,23 +71,25 @@ else
   status=1
 fi
 
-# The theta_fnv1a lines of one side, without the rows the re-baseline lists.
+# The theta_fnv1a lines of one side's run $2, without the rows the
+# re-baseline lists.
 theta_lines() {
-  cat "byte-identity-$1/ablation.txt" "byte-identity-$1/table5.txt" |
-    { grep '^theta_fnv1a ' || true; } |
+  { grep '^theta_fnv1a ' "byte-identity-$1/$2.txt" || true; } |
     while IFS= read -r line; do
       row=${line#theta_fnv1a }
       row=${row% *}
       listed "$row" || printf '%s\n' "$line"
     done
 }
-theta_lines base > byte-identity-base/theta.txt
-theta_lines head > byte-identity-head/theta.txt
-if ! grep -q '^theta_fnv1a ' byte-identity-base/ablation.txt byte-identity-base/table5.txt; then
-  echo "theta_fnv1a: the base prints no lines, so there is nothing to compare"
-elif diff byte-identity-base/theta.txt byte-identity-head/theta.txt; then
-  echo "theta_fnv1a: $(wc -l < byte-identity-head/theta.txt) rows identical"
-else
-  status=1
-fi
+for run in ablation table5 table2 extension encoder; do
+  theta_lines base "$run" > "byte-identity-base/$run.theta"
+  theta_lines head "$run" > "byte-identity-head/$run.theta"
+  if ! grep -q '^theta_fnv1a ' "byte-identity-base/$run.txt"; then
+    echo "theta_fnv1a ($run): the base prints no lines, so there is nothing to compare"
+  elif diff "byte-identity-base/$run.theta" "byte-identity-head/$run.theta"; then
+    echo "theta_fnv1a ($run): $(wc -l < "byte-identity-head/$run.theta") rows identical"
+  else
+    status=1
+  fi
+done
 exit $status

@@ -35,6 +35,9 @@ class LmCrfTagger : public FewShotMethod {
   std::vector<std::vector<int64_t>> AdaptAndPredict(
       const models::EncodedEpisode& episode) override;
 
+  /// The trained CRF stack (emission projection + CRF); the LM stays frozen.
+  nn::Module* head() { return &head_; }
+
  private:
   /// A support or query set packed once: its PackBatch layout and its frozen
   /// LM features as one zero-padded [B·Lmax, F] constant.  Features are
