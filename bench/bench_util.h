@@ -51,15 +51,12 @@ inline std::string ThetaFnv1aLine(const std::string& row, nn::Module* theta) {
 }
 
 /// Prints the `theta_fnv1a <row> <hash>` line of a trained method, then
-/// evaluates it on the runner's held-out task list (ExperimentRunner::Run's
-/// evaluation).
+/// evaluates it on the runner's held-out task list.
 inline eval::EvalResult EvaluateHashed(meta::FewShotMethod* method,
                                        const eval::ExperimentRunner& runner,
                                        const std::string& row) {
   std::cout << ThetaFnv1aLine(row, TrainedTheta(method)) << std::endl;
-  return eval::EvaluateMethod(method, runner.eval_sampler(), runner.encoder(),
-                              runner.config().eval_episodes,
-                              runner.config().eval_query_size);
+  return runner.Evaluate(method);
 }
 
 /// Registers the flags shared by every table bench.

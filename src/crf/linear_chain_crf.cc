@@ -43,21 +43,9 @@ Tensor LogPartitionComposite(const Tensor& masked, const Tensor& start,
     Tensor by_to = tensor::Add(tensor::Reshape(alpha, Shape{lanes, 1, y}),
                                trans_by_to);  // [B, to, from]
     Tensor lse = tensor::Reshape(tensor::LogSumExpLastDim(by_to), Shape{lanes, y});
-    Tensor alpha_new = tensor::Add(lse, emissions_at(t));  // [B, Y]
     // Finished lanes carry their final alpha through unchanged (exact copy).
-    std::vector<float> active(static_cast<size_t>(lanes), 0.0f);
-    bool all_active = true;
-    for (int64_t b = 0; b < lanes; ++b) {
-      if (t < lengths[static_cast<size_t>(b)]) {
-        active[static_cast<size_t>(b)] = 1.0f;
-      } else {
-        all_active = false;
-      }
-    }
-    alpha = all_active
-                ? alpha_new
-                : tensor::Where(Tensor::FromData(Shape{lanes, 1}, std::move(active)),
-                                alpha_new, alpha);
+    alpha = tensor::CarryFinishedLanes({tensor::Add(lse, emissions_at(t))}, {alpha}, lengths,
+                                       max_len, t)[0];  // [B, Y]
   }
   Tensor final_scores = tensor::Add(alpha, end);  // [B, Y], trailing broadcast
   return tensor::Reshape(tensor::LogSumExpLastDim(final_scores), Shape{lanes});

@@ -8,7 +8,9 @@
 // validity-masked emissions [B, L, Y], start, transitions and end (the gold
 // score stays a handful of tensor ops).  Its definition is the composite: the
 // masked log-space forward built from tensor ops, one step per timestep
-// (LogPartitionComposite in the .cc).  The op reproduces it bit for bit:
+// (LogPartitionComposite in the .cc), a lane past its length carrying its
+// alpha through tensor::CarryFinishedLanes, the exact carry the GRU and BiLSTM
+// composites share.  The op reproduces it bit for bit:
 //   - the forward kernel runs the composite's float operations in its order;
 //   - the first-order backward is one reverse-recursion kernel that writes
 //     only the grads the NeedsGrad mask asks for (the emissions for test-time

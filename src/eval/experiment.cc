@@ -249,9 +249,8 @@ std::unique_ptr<meta::FewShotMethod> ExperimentRunner::CreateTrained(MethodId id
   return method;
 }
 
-EvalResult ExperimentRunner::Run(MethodId id) {
-  std::unique_ptr<meta::FewShotMethod> method = CreateTrained(id);
-  return EvaluateMethod(method.get(), *eval_sampler_, *encoder_,
+EvalResult ExperimentRunner::Evaluate(meta::FewShotMethod* method) const {
+  return EvaluateMethod(method, *eval_sampler_, *encoder_,
                         config_.eval_episodes, config_.eval_query_size);
 }
 

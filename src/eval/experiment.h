@@ -92,8 +92,8 @@ class ExperimentRunner {
   /// Builds and trains one method (LM encoders are pre-trained on first use).
   std::unique_ptr<meta::FewShotMethod> CreateTrained(MethodId id);
 
-  /// CreateTrained + EvaluateMethod on the shared held-out task list.
-  EvalResult Run(MethodId id);
+  /// EvaluateMethod of a trained method on the shared held-out task list.
+  EvalResult Evaluate(meta::FewShotMethod* method) const;
 
   const models::EpisodeEncoder& encoder() const { return *encoder_; }
 

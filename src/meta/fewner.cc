@@ -1,6 +1,5 @@
 #include "meta/fewner.h"
 
-#include <cmath>
 #include <functional>
 #include <utility>
 
@@ -28,10 +27,7 @@ Tensor DescendPhi(Tensor phi, int64_t steps, float inner_lr, bool create_graph,
     Tensor grad = tensor::autodiff::Grad(loss, {phi}, create_graph)[0];
     // Detached global-norm cap (paper's clip of 5.0) keeps the summed task
     // loss from producing destabilizing inner steps.
-    double norm_sq = 0.0;
-    for (float v : grad.data()) norm_sq += static_cast<double>(v) * v;
-    const float norm = static_cast<float>(std::sqrt(norm_sq));
-    const float clip_scale = norm > 5.0f ? 5.0f / norm : 1.0f;
+    const float clip_scale = InnerClipScale({grad});
     phi = tensor::Sub(phi, tensor::MulScalar(grad, inner_lr * clip_scale));
     if (!create_graph) {
       // Cheap test-time path: re-leaf φ so graphs do not accumulate.

@@ -44,11 +44,8 @@ std::vector<std::vector<int64_t>> FineTuneAndDecode(
 }
 
 FineTune::FineTune(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
   util::Rng init_rng = rng->Fork(0xF17Eull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
+  backbone_ = std::make_unique<models::Backbone>(WithoutConditioning(config), &init_rng);
 }
 
 void FineTune::Train(const data::EpisodeSampler& sampler,

@@ -1,7 +1,5 @@
 #include "meta/maml.h"
 
-#include <cmath>
-
 #include "meta/parallel.h"
 #include "nn/optim.h"
 #include "tensor/autodiff.h"
@@ -10,18 +8,6 @@
 namespace fewner::meta {
 
 using tensor::Tensor;
-
-namespace {
-
-/// Global-norm cap for inner-loop gradients (the paper's clip value).
-constexpr float kInnerClip = 5.0f;
-
-models::BackboneConfig WithoutConditioning(models::BackboneConfig config) {
-  config.conditioning = models::Conditioning::kNone;
-  config.context_dim = 0;
-  return config;
-}
-}  // namespace
 
 Maml::Maml(const models::BackboneConfig& config, util::Rng* rng) {
   util::Rng init_rng = rng->Fork(0x3A31ull);
@@ -47,12 +33,7 @@ std::vector<Tensor> Maml::InnerAdaptOn(
     // Full-network inner steps on the paper's summed task loss are large;
     // rescale by the global norm (detached factor, paper's clip of 5.0) so a
     // single step cannot blow up the whole backbone.
-    double norm_sq = 0.0;
-    for (const Tensor& g : grads) {
-      for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
-    }
-    const float norm = static_cast<float>(std::sqrt(norm_sq));
-    const float clip_scale = norm > kInnerClip ? kInnerClip / norm : 1.0f;
+    const float clip_scale = InnerClipScale(grads);
     for (size_t i = 0; i < current.size(); ++i) {
       if (create_graph) {
         current[i] = tensor::Sub(

@@ -10,11 +10,8 @@ namespace fewner::meta {
 using tensor::Tensor;
 
 MatchingNet::MatchingNet(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
   util::Rng init_rng = rng->Fork(0x3A7Cull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
+  backbone_ = std::make_unique<models::Backbone>(WithoutConditioning(config), &init_rng);
 }
 
 Tensor MatchingNet::NormalizedFeatures(

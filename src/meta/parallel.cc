@@ -1,6 +1,7 @@
 #include "meta/parallel.h"
 
 #include <atomic>
+#include <cmath>
 
 #include "tensor/intraop.h"
 #include "util/logging.h"
@@ -161,6 +162,22 @@ bool LrDecayDue(const TrainConfig& config, int64_t iteration) {
   const int64_t tasks_seen = (iteration + 1) * config.meta_batch;
   return tasks_seen / config.lr_decay_every !=
          (tasks_seen - config.meta_batch) / config.lr_decay_every;
+}
+
+models::BackboneConfig WithoutConditioning(models::BackboneConfig config) {
+  config.conditioning = models::Conditioning::kNone;
+  config.context_dim = 0;
+  return config;
+}
+
+float InnerClipScale(const std::vector<tensor::Tensor>& grads) {
+  constexpr float kInnerClip = 5.0f;
+  double norm_sq = 0.0;
+  for (const tensor::Tensor& g : grads) {
+    for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
+  }
+  const float norm = static_cast<float>(std::sqrt(norm_sq));
+  return norm > kInnerClip ? kInnerClip / norm : 1.0f;
 }
 
 }  // namespace fewner::meta

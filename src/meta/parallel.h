@@ -142,4 +142,14 @@ void RunOuterLoop(const TrainConfig& config, nn::Module* master,
 /// rate.  Only valid for a config RunOuterLoop accepted.
 bool LrDecayDue(const TrainConfig& config, int64_t iteration);
 
+/// `config` without context parameters: conditioning kNone and context_dim
+/// 0, the backbone of every method but FEWNER.
+models::BackboneConfig WithoutConditioning(models::BackboneConfig config);
+
+/// The detached scale of an inner step's global-norm clip (the paper's clip
+/// of 5), shared by FEWNER's φ step and MAML's inner step: the norm of all of
+/// `grads`, accumulated in double in order, and 5 / norm when it exceeds 5,
+/// else 1.  (nn::ClipGradNorm adds an epsilon to the norm, so it is not this.)
+float InnerClipScale(const std::vector<tensor::Tensor>& grads);
+
 }  // namespace fewner::meta

@@ -11,11 +11,8 @@ using tensor::Shape;
 using tensor::Tensor;
 
 ProtoNet::ProtoNet(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
   util::Rng init_rng = rng->Fork(0x9207ull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
+  backbone_ = std::make_unique<models::Backbone>(WithoutConditioning(config), &init_rng);
 }
 
 Tensor ProtoNet::BuildPrototypes(const models::Backbone& net,

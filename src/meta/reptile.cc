@@ -8,11 +8,8 @@ namespace fewner::meta {
 using tensor::Tensor;
 
 Reptile::Reptile(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
   util::Rng init_rng = rng->Fork(0x4E97ull);
-  backbone_ = std::make_unique<models::Backbone>(plain, &init_rng);
+  backbone_ = std::make_unique<models::Backbone>(WithoutConditioning(config), &init_rng);
 }
 
 void Reptile::Train(const data::EpisodeSampler& sampler,

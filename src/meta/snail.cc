@@ -14,9 +14,7 @@ using tensor::Shape;
 using tensor::Tensor;
 
 Snail::Model::Model(const models::BackboneConfig& config, util::Rng* rng) {
-  models::BackboneConfig plain = config;
-  plain.conditioning = models::Conditioning::kNone;
-  plain.context_dim = 0;
+  const models::BackboneConfig plain = WithoutConditioning(config);
   backbone = std::make_unique<models::Backbone>(plain, rng);
   RegisterModule("backbone", backbone.get());
 

@@ -122,16 +122,14 @@ int64_t PretrainedLmEncoder::feature_dim() const {
 namespace {
 
 /// One sentence's GRU states [L, H] from its embedded inputs [L, input]:
-/// GruCell::RunBatch at B=1, so every step is full and no Where is built.
-/// `reverse` runs right-to-left but returns states in textual order.
+/// GruCell::RunBatch at B=1 with lengths {L}, so every step is full and no
+/// Where is built.  `reverse` runs right-to-left but returns states in
+/// textual order.
 Tensor GruStates(const nn::GruCell& cell, const Tensor& embedded, bool reverse) {
   const int64_t length = embedded.shape().dim(0);
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  nn::BuildStepMasks({length}, length, &masks, &full);
   Tensor states = cell.RunBatch(
-      tensor::Reshape(embedded, Shape{1, length, embedded.shape().dim(1)}),
-      masks, full, reverse);
+      tensor::Reshape(embedded, Shape{1, length, embedded.shape().dim(1)}), {length},
+      reverse);
   return tensor::Reshape(states, Shape{length, cell.hidden_dim()});
 }
 

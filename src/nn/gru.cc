@@ -43,13 +43,13 @@ Tensor StepComposite(const Tensor& projected_row, const Tensor& h, const Tensor&
 
 /// The recurrence composite: [B, L, 3H] pre-projected input -> [B, L, H], one
 /// StepComposite per timestep (`reverse` runs back to front; states stay in
-/// textual order), lanes inactive at step t carrying their state through an
-/// exact Where.  It is the definition of the fused gru_recurrence op: the
-/// forward and first-order backward kernels reproduce its float operations,
-/// and the op's create_graph backward differentiates it directly.
+/// textual order), lanes finished at step t (t >= lengths[b]) carrying their
+/// state through tensor::CarryFinishedLanes.  It is the definition of the
+/// fused gru_recurrence op: the forward and first-order backward kernels
+/// reproduce its float operations, and the op's create_graph backward
+/// differentiates it directly.
 Tensor RecurrenceComposite(const Tensor& projected3, const Tensor& w_hh, const Tensor& b_hh,
-                           const std::vector<Tensor>& step_masks,
-                           const std::vector<bool>& step_full, bool reverse) {
+                           const std::vector<int64_t>& lengths, bool reverse) {
   const int64_t lanes = projected3.shape().dim(0);
   const int64_t length = projected3.shape().dim(1);
   const int64_t hd = w_hh.shape().dim(0);
@@ -59,28 +59,26 @@ Tensor RecurrenceComposite(const Tensor& projected3, const Tensor& w_hh, const T
     const int64_t t = reverse ? length - 1 - step : step;
     Tensor rows =
         tensor::Reshape(tensor::Slice(projected3, 1, t, 1), Shape{lanes, 3 * hd});
-    Tensor h_new = StepComposite(rows, h, w_hh, b_hh, hd);
-    // Where copies the selected operand, so the carry is exact.
-    h = step_full[static_cast<size_t>(t)]
-            ? h_new
-            : tensor::Where(step_masks[static_cast<size_t>(t)], h_new, h);
+    h = tensor::CarryFinishedLanes({StepComposite(rows, h, w_hh, b_hh, hd)}, {h}, lengths,
+                                   length, t)[0];
     states[static_cast<size_t>(t)] = tensor::Reshape(h, Shape{lanes, 1, hd});
   }
   return tensor::Concat(states, 1);  // [B, L, H]
 }
 
-/// The recurrence's attributes: sizes, direction, and which lanes step at
-/// each timestep (the composite's step masks, kept for its rebuild).
+/// The recurrence's attributes: sizes, direction, and the lane lengths.
 struct RecurrenceAttrs {
   int64_t lanes = 0;
   int64_t length = 0;
   int64_t hidden = 0;
   bool reverse = false;
-  std::vector<Tensor> step_masks;
-  std::vector<bool> step_full;
-  std::vector<unsigned char> active;  ///< [L, B] by timestep: lane b steps at t
+  std::vector<int64_t> lengths;  ///< lane b steps at t iff t < lengths[b]
+  int64_t shortest = 0;          ///< the least length
 
   int64_t TimeOf(int64_t step) const { return reverse ? length - 1 - step : step; }
+  bool Live(int64_t b, int64_t t) const { return t < lengths[static_cast<size_t>(b)]; }
+  /// Whether a lane has finished at t: the composite's carry builds a Where.
+  bool Ragged(int64_t t) const { return t >= shortest; }
 };
 
 /// What the graph-mode forward keeps for the first-order backward, each
@@ -95,7 +93,7 @@ float SigmoidOf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 /// The fused forward of RecurrenceComposite into `out` [B, L, H], with its
 /// float operations in its order: per step h·W_hh through the same GEMM
 /// kernel, + b_hh, the gate adds, Sigmoid as 1/(1 + exp(−x)), tanh,
-/// ((−z) + 1)·n + z·h, and the Where carry of inactive lanes.  Like the
+/// ((−z) + 1)·n + z·h, and the Where carry of finished lanes.  Like the
 /// composite's ops, each pass covers the step's block, so every libm call
 /// runs in a loop of its own function.
 ///
@@ -133,11 +131,10 @@ void RecurrenceForward(const RecurrenceAttrs& rec, const float* projected, const
     float* z = dst->z.data() + at;
     float* n = dst->n.data() + at;
     float* hn = dst->hn.data() + at;
-    const unsigned char* active = rec.active.data() + t * lanes;
     if (tape == nullptr) {
       live.clear();
       for (int64_t b = 0; b < lanes; ++b) {
-        if (active[b] != 0) live.push_back(b);
+        if (rec.Live(b, t)) live.push_back(b);
       }
     }
     const int64_t count = static_cast<int64_t>(live.size());
@@ -185,7 +182,7 @@ void RecurrenceForward(const RecurrenceAttrs& rec, const float* projected, const
     for (int64_t k = 0; k < rows; ++k) n[k] = std::tanh(n[k]);
     for (int64_t i = 0; i < count; ++i) {
       const int64_t b = live[static_cast<size_t>(i)];
-      const bool step_lane = active[b] != 0;
+      const bool step_lane = rec.Live(b, t);
       const float* zi = z + i * hd;
       const float* ni = n + i * hd;
       const float* hb = h.data() + b * hd;
@@ -249,16 +246,15 @@ std::vector<Tensor> RecurrenceBackward(const RecurrenceAttrs& rec, const Recurre
   }
   for (int64_t step = length - 1; step >= 0; --step) {
     const int64_t t = rec.TimeOf(step);
-    const bool ragged = !rec.step_full[static_cast<size_t>(t)];
+    const bool ragged = rec.Ragged(t);
     const size_t at = static_cast<size_t>(step) * slab;
     const float* h_prev = step > 0 ? tape.h.data() + at - slab : zeros.data();
-    const unsigned char* active = rec.active.data() + t * lanes;
     // Where(active, h_new, h_prev): g·sel into h_new, g·((−sel) + 1) into the
     // carried state.
     const float* gn_all = g_h.data();
     if (ragged) {
       for (int64_t b = 0; b < lanes; ++b) {
-        const float sel = active[b] != 0 ? 1.0f : 0.0f;
+        const float sel = rec.Live(b, t) ? 1.0f : 0.0f;
         const float keep = -sel + 1.0f;
         for (int64_t j = 0; j < hd; ++j) {
           const size_t k = static_cast<size_t>(b * hd + j);
@@ -387,37 +383,8 @@ BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng) {
   RegisterModule("backward", backward_cell_.get());
 }
 
-void BuildStepMasks(const std::vector<int64_t>& lengths, int64_t max_len,
-                    std::vector<Tensor>* masks, std::vector<bool>* full) {
-  const int64_t lanes = static_cast<int64_t>(lengths.size());
-  for (int64_t b = 0; b < lanes; ++b) {
-    const int64_t len = lengths[static_cast<size_t>(b)];
-    FEWNER_CHECK(len >= 0 && len <= max_len,
-                 "BuildStepMasks: lane " << b << " length " << len << " out of [0, "
-                                         << max_len << "]");
-  }
-  masks->resize(static_cast<size_t>(max_len));
-  full->assign(static_cast<size_t>(max_len), false);
-  for (int64_t t = 0; t < max_len; ++t) {
-    std::vector<float> m(static_cast<size_t>(lanes), 0.0f);
-    bool all = true;
-    for (int64_t b = 0; b < lanes; ++b) {
-      if (t < lengths[static_cast<size_t>(b)]) {
-        m[static_cast<size_t>(b)] = 1.0f;
-      } else {
-        all = false;
-      }
-    }
-    (*full)[static_cast<size_t>(t)] = all;
-    if (!all) {
-      (*masks)[static_cast<size_t>(t)] =
-          Tensor::FromData(Shape{lanes, 1}, std::move(m));
-    }
-  }
-}
-
-Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& step_masks,
-                           const std::vector<bool>& step_full, bool reverse) const {
+Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<int64_t>& lengths,
+                           bool reverse) const {
   FEWNER_CHECK(projected.rank() == 3 && projected.shape().dim(2) == 3 * hidden_dim_,
                "GruCell::Recurrence expects projected [B, L, " << 3 * hidden_dim_
                                                                << "], got "
@@ -426,30 +393,22 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
   const int64_t length = projected.shape().dim(1);
   FEWNER_CHECK(lanes > 0 && length > 0,
                "GruCell: empty batch " << projected.shape().ToString());
-  FEWNER_CHECK(static_cast<int64_t>(step_masks.size()) == length,
-               "GruCell: step_masks has " << step_masks.size() << " entries for "
-                                          << length << " steps");
-  FEWNER_CHECK(static_cast<int64_t>(step_full.size()) == length,
-               "GruCell: step_full has " << step_full.size() << " entries for " << length
-                                         << " steps");
+  FEWNER_CHECK(static_cast<int64_t>(lengths.size()) == lanes,
+               "GruCell: lengths has " << lengths.size() << " entries for " << lanes
+                                       << " lanes");
   auto rec = std::make_shared<RecurrenceAttrs>();
   rec->lanes = lanes;
   rec->length = length;
   rec->hidden = hidden_dim_;
   rec->reverse = reverse;
-  rec->step_masks = step_masks;
-  rec->step_full = step_full;
-  rec->active.assign(static_cast<size_t>(lanes * length), 1);
-  for (int64_t t = 0; t < length; ++t) {
-    if (step_full[static_cast<size_t>(t)]) continue;
-    const Tensor& mask = step_masks[static_cast<size_t>(t)];
-    FEWNER_CHECK(mask.defined() && mask.shape() == (Shape{lanes, 1}),
-                 "GruCell: step_masks[" << t << "] must be [" << lanes << ", 1], got "
-                                        << (mask.defined() ? mask.shape().ToString()
-                                                           : std::string("undefined")));
-    for (int64_t b = 0; b < lanes; ++b) {
-      rec->active[static_cast<size_t>(t * lanes + b)] = mask.at(b) != 0.0f;
-    }
+  rec->lengths = lengths;
+  rec->shortest = length;
+  for (int64_t b = 0; b < lanes; ++b) {
+    const int64_t len = lengths[static_cast<size_t>(b)];
+    FEWNER_CHECK(len >= 0 && len <= length,
+                 "GruCell: lengths[" << b << "] is " << len << ", out of [0, " << length
+                                     << "]");
+    rec->shortest = std::min(rec->shortest, len);
   }
   auto tape = std::make_shared<RecurrenceTape>();
   return tensor::FusedOp(
@@ -464,13 +423,12 @@ Tensor GruCell::Recurrence(const Tensor& projected, const std::vector<Tensor>& s
         return RecurrenceBackward(*rec, *tape, grad.data().data(), in[1].data().data(), needs);
       },
       [rec](const std::vector<Tensor>& in) {
-        return RecurrenceComposite(in[0], in[1], in[2], rec->step_masks, rec->step_full,
-                                   rec->reverse);
+        return RecurrenceComposite(in[0], in[1], in[2], rec->lengths, rec->reverse);
       });
 }
 
-Tensor GruCell::RunBatch(const Tensor& x, const std::vector<Tensor>& step_masks,
-                         const std::vector<bool>& step_full, bool reverse) const {
+Tensor GruCell::RunBatch(const Tensor& x, const std::vector<int64_t>& lengths,
+                         bool reverse) const {
   FEWNER_CHECK(x.rank() == 3 && x.shape().dim(2) == input_dim_,
                "GruCell::RunBatch expects x [B, L, " << input_dim_ << "], got "
                                                      << x.shape().ToString());
@@ -481,47 +439,40 @@ Tensor GruCell::RunBatch(const Tensor& x, const std::vector<Tensor>& step_masks,
   // projection of sentence b's row t exactly.
   Tensor projected = ProjectInput(
       tensor::Reshape(x, Shape{lanes * length, input_dim_}));  // [B*L, 3H]
-  return Recurrence(
-      tensor::Reshape(projected, Shape{lanes, length, 3 * hidden_dim_}), step_masks,
-      step_full, reverse);
+  return Recurrence(tensor::Reshape(projected, Shape{lanes, length, 3 * hidden_dim_}),
+                    lengths, reverse);
 }
 
 Tensor GruCell::RunGathered(const Tensor& distinct, const std::vector<int64_t>& slot_rows,
-                            const std::vector<Tensor>& step_masks,
-                            const std::vector<bool>& step_full, bool reverse) const {
-  const int64_t length = static_cast<int64_t>(step_masks.size());
-  FEWNER_CHECK(length > 0 && static_cast<int64_t>(slot_rows.size()) % length == 0,
-               "GruCell::RunGathered: " << slot_rows.size() << " slot rows for " << length
-                                        << " steps");
-  const int64_t lanes = static_cast<int64_t>(slot_rows.size()) / length;
+                            const std::vector<int64_t>& lengths, int64_t max_len,
+                            bool reverse) const {
+  const int64_t lanes = static_cast<int64_t>(lengths.size());
+  FEWNER_CHECK(max_len > 0 && static_cast<int64_t>(slot_rows.size()) == lanes * max_len,
+               "GruCell::RunGathered: slot_rows has " << slot_rows.size() << " entries for "
+                                                      << lanes << " lanes of " << max_len
+                                                      << " steps");
   // Rows are bitwise-independent under the ascending-k kernel contract, so a
   // gathered projected row is the projection of the slot's own input row.
   Tensor projected = tensor::IndexSelectRows(ProjectInput(distinct), slot_rows);
-  return Recurrence(tensor::Reshape(projected, Shape{lanes, length, 3 * hidden_dim_}),
-                    step_masks, step_full, reverse);
+  return Recurrence(tensor::Reshape(projected, Shape{lanes, max_len, 3 * hidden_dim_}),
+                    lengths, reverse);
 }
 
 Tensor BiGru::ForwardBatch(const Tensor& x,
                            const std::vector<int64_t>& lengths) const {
   FEWNER_CHECK(x.rank() == 3, "BiGru::ForwardBatch expects [B, L, input], got "
                                   << x.shape().ToString());
-  FEWNER_CHECK(static_cast<int64_t>(lengths.size()) == x.shape().dim(0),
-               "BiGru::ForwardBatch lengths/batch mismatch");
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  BuildStepMasks(lengths, x.shape().dim(1), &masks, &full);
-  Tensor fwd = forward_cell_->RunBatch(x, masks, full, /*reverse=*/false);
-  Tensor bwd = backward_cell_->RunBatch(x, masks, full, /*reverse=*/true);
+  Tensor fwd = forward_cell_->RunBatch(x, lengths, /*reverse=*/false);
+  Tensor bwd = backward_cell_->RunBatch(x, lengths, /*reverse=*/true);
   return tensor::Concat({fwd, bwd}, 2);  // [B, L, 2H]
 }
 
 Tensor BiGru::ForwardGathered(const Tensor& distinct, const std::vector<int64_t>& slot_rows,
                               const std::vector<int64_t>& lengths, int64_t max_len) const {
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  BuildStepMasks(lengths, max_len, &masks, &full);
-  Tensor fwd = forward_cell_->RunGathered(distinct, slot_rows, masks, full, /*reverse=*/false);
-  Tensor bwd = backward_cell_->RunGathered(distinct, slot_rows, masks, full, /*reverse=*/true);
+  Tensor fwd = forward_cell_->RunGathered(distinct, slot_rows, lengths, max_len,
+                                          /*reverse=*/false);
+  Tensor bwd = backward_cell_->RunGathered(distinct, slot_rows, lengths, max_len,
+                                           /*reverse=*/true);
   return tensor::Concat({fwd, bwd}, 2);  // [B, L, 2H]
 }
 

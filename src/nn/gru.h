@@ -36,11 +36,11 @@ class GruCell : public Module {
 
   /// The recurrence over pre-projected input [B, L, 3H] -> [B, L, H] as one
   /// fused op node (`reverse` runs back to front; states stay in textual
-  /// order; lane b is inactive at step t when !step_full[t] and
-  /// step_masks[t], a [B, 1] tensor, is 0 at b).  Its definition is the
-  /// composite of tensor ops: a zero initial state, one Step per timestep,
-  /// and an exact Where carry of inactive lanes, so lane b's real positions
-  /// are bitwise-equal to a run on lane b alone.
+  /// order).  `lengths` is the ragged batch: lane b is live at step t iff
+  /// t < lengths[b].  Its definition is the composite of tensor ops: a zero
+  /// initial state, one Step per timestep, and tensor::CarryFinishedLanes,
+  /// the exact Where carry of finished lanes, so lane b's real positions are
+  /// bitwise-equal to a run on lane b alone.
   ///   - The forward kernel runs the composite's float operations in its
   ///     order (h·W_hh through the same GEMM kernel), so the output is the
   ///     composite's bit for bit, in eval and graph mode.  Without a tape
@@ -60,31 +60,28 @@ class GruCell : public Module {
   ///     kernel from one reused scratch), so their fold onto a cell shared by
   ///     several calls is the composite's.
   /// Checks every argument: `projected` must be [B, L, 3H] with B, L >= 1,
-  /// both step vectors must have L entries, and each ragged step's mask must
-  /// be [B, 1].
+  /// and `lengths` must have B entries, each in [0, L].
   tensor::Tensor Recurrence(const tensor::Tensor& projected,
-                            const std::vector<tensor::Tensor>& step_masks,
-                            const std::vector<bool>& step_full, bool reverse) const;
+                            const std::vector<int64_t>& lengths, bool reverse) const;
 
   /// The one GRU time loop, [B, L, input] -> [B, L, H]: one hoisted
-  /// ProjectInput over all B·L slots, then Recurrence.  Checks that `x` is
-  /// [B, L, input] (and Recurrence checks the rest).
-  tensor::Tensor RunBatch(const tensor::Tensor& x,
-                          const std::vector<tensor::Tensor>& step_masks,
-                          const std::vector<bool>& step_full,
+  /// ProjectInput over all B·L slots, then Recurrence with `lengths`.  Checks
+  /// that `x` is [B, L, input] (and Recurrence checks `lengths`).
+  tensor::Tensor RunBatch(const tensor::Tensor& x, const std::vector<int64_t>& lengths,
                           bool reverse) const;
 
   /// RunBatch over slots given as distinct token rows: slot i of the padded
-  /// [B, L] batch, lane-major, reads row slot_rows[i] of `distinct` [D,
-  /// input].  ProjectInput runs on the D rows, one IndexSelectRows gathers
-  /// [B·L, 3H], then Recurrence.  Projected rows are bitwise-independent, so
-  /// this equals RunBatch on the gathered input.  The eval θ-prefix's entry;
-  /// a gradient through it would fold per distinct row, so graph-mode
-  /// callers use RunBatch.  L is step_masks.size().
+  /// [B, max_len] batch, lane-major, reads row slot_rows[i] of `distinct`
+  /// [D, input].  ProjectInput runs on the D rows, one IndexSelectRows
+  /// gathers [B·max_len, 3H], then Recurrence.  Projected rows are
+  /// bitwise-independent, so this equals RunBatch on the gathered input.  The
+  /// eval θ-prefix's entry; a gradient through it would fold per distinct
+  /// row, so graph-mode callers use RunBatch.  B is lengths.size(), and
+  /// `slot_rows` must have B·max_len entries.
   tensor::Tensor RunGathered(const tensor::Tensor& distinct,
                              const std::vector<int64_t>& slot_rows,
-                             const std::vector<tensor::Tensor>& step_masks,
-                             const std::vector<bool>& step_full, bool reverse) const;
+                             const std::vector<int64_t>& lengths, int64_t max_len,
+                             bool reverse) const;
 
   int64_t hidden_dim() const { return hidden_dim_; }
   int64_t input_dim() const { return input_dim_; }
@@ -105,7 +102,7 @@ class BiGru : public Module {
   BiGru(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
 
   /// Padded lanes [B, L, input] -> [B, L, 2H]: GruCell::RunBatch forward and
-  /// in reverse, lane b active at step t iff t < lengths[b].  Lane b's real
+  /// in reverse, lane b live at step t iff t < lengths[b].  Lane b's real
   /// positions are bitwise-equal to ForwardBatch on that lane alone (B=1 is
   /// the sentence-at-a-time case).
   tensor::Tensor ForwardBatch(const tensor::Tensor& x,
@@ -125,13 +122,5 @@ class BiGru : public Module {
   std::unique_ptr<GruCell> forward_cell_;
   std::unique_ptr<GruCell> backward_cell_;
 };
-
-/// Per-step lane activity masks for a padded batch: element t is a [B, 1]
-/// tensor with 1.0 where t < lengths[b], plus a parallel all-lanes-active
-/// flag so full steps can skip the Where select entirely.  Every length must
-/// be in [0, max_len].  Shared by GruCell::RunBatch's callers and BiLstm.
-void BuildStepMasks(const std::vector<int64_t>& lengths, int64_t max_len,
-                    std::vector<tensor::Tensor>* masks,
-                    std::vector<bool>* full);
 
 }  // namespace fewner::nn

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "nn/gru.h"  // BuildStepMasks
 #include "nn/init.h"
 #include "tensor/ops.h"
 
@@ -58,9 +57,7 @@ BiLstm::BiLstm(int64_t input_dim, int64_t hidden_dim, util::Rng* rng)
 }
 
 Tensor BiLstm::RunDirectionBatch(const LstmCell& cell, const Tensor& x,
-                                 const std::vector<Tensor>& step_masks,
-                                 const std::vector<bool>& step_full,
-                                 bool reverse) const {
+                                 const std::vector<int64_t>& lengths, bool reverse) const {
   const int64_t lanes = x.shape().dim(0);
   const int64_t length = x.shape().dim(1);
   const int64_t input = x.shape().dim(2);
@@ -77,14 +74,10 @@ Tensor BiLstm::RunDirectionBatch(const LstmCell& cell, const Tensor& x,
                                   Shape{lanes, 4 * hidden_dim_});
     Tensor h_next, c_next;
     cell.Step(rows, h, c, &h_next, &c_next);
-    if (step_full[static_cast<size_t>(t)]) {
-      h = h_next;
-      c = c_next;
-    } else {
-      const Tensor& mask = step_masks[static_cast<size_t>(t)];
-      h = tensor::Where(mask, h_next, h);
-      c = tensor::Where(mask, c_next, c);
-    }
+    const std::vector<Tensor> carried =
+        tensor::CarryFinishedLanes({h_next, c_next}, {h, c}, lengths, length, t);
+    h = carried[0];
+    c = carried[1];
     states[static_cast<size_t>(t)] =
         tensor::Reshape(h, Shape{lanes, 1, hidden_dim_});
   }
@@ -97,11 +90,8 @@ Tensor BiLstm::ForwardBatch(const Tensor& x,
                                   << x.shape().ToString());
   FEWNER_CHECK(static_cast<int64_t>(lengths.size()) == x.shape().dim(0),
                "BiLstm::ForwardBatch lengths/batch mismatch");
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  BuildStepMasks(lengths, x.shape().dim(1), &masks, &full);
-  Tensor fwd = RunDirectionBatch(*forward_cell_, x, masks, full, /*reverse=*/false);
-  Tensor bwd = RunDirectionBatch(*backward_cell_, x, masks, full, /*reverse=*/true);
+  Tensor fwd = RunDirectionBatch(*forward_cell_, x, lengths, /*reverse=*/false);
+  Tensor bwd = RunDirectionBatch(*backward_cell_, x, lengths, /*reverse=*/true);
   return tensor::Concat({fwd, bwd}, 2);  // [B, L, 2H]
 }
 

@@ -49,9 +49,10 @@ class BiLstm : public Module {
  public:
   BiLstm(int64_t input_dim, int64_t hidden_dim, util::Rng* rng);
 
-  /// Batched time loop over padded lanes: [B, L, input] -> [B, L, 2H].  Same
-  /// masking contract as BiGru::ForwardBatch — inactive lanes carry (h, c)
-  /// through unchanged via exact Where selects.
+  /// Batched time loop over padded lanes: [B, L, input] -> [B, L, 2H], lane b
+  /// live at step t iff t < lengths[b] (each in [0, L]), as in
+  /// BiGru::ForwardBatch: after each step tensor::CarryFinishedLanes carries
+  /// a finished lane's (h, c) through unchanged, one mask for both.
   tensor::Tensor ForwardBatch(const tensor::Tensor& x,
                               const std::vector<int64_t>& lengths) const;
 
@@ -60,9 +61,7 @@ class BiLstm : public Module {
 
  private:
   tensor::Tensor RunDirectionBatch(const LstmCell& cell, const tensor::Tensor& x,
-                                   const std::vector<tensor::Tensor>& step_masks,
-                                   const std::vector<bool>& step_full,
-                                   bool reverse) const;
+                                   const std::vector<int64_t>& lengths, bool reverse) const;
 
   int64_t hidden_dim_;
   std::unique_ptr<LstmCell> forward_cell_;

@@ -942,6 +942,41 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
                    });
 }
 
+std::vector<Tensor> CarryFinishedLanes(std::vector<Tensor> next,
+                                       const std::vector<Tensor>& prev,
+                                       const std::vector<int64_t>& lengths, int64_t max_len,
+                                       int64_t t) {
+  FEWNER_CHECK(!next.empty() && prev.size() == next.size(),
+               "CarryFinishedLanes: " << next.size() << " next and " << prev.size()
+                                      << " prev states");
+  const int64_t lanes = static_cast<int64_t>(lengths.size());
+  for (const Tensor& state : next) {
+    FEWNER_CHECK(state.defined() && state.rank() == 2 && state.shape().dim(0) == lanes,
+                 "CarryFinishedLanes expects [" << lanes << ", D] states, got "
+                                                << (state.defined() ? state.shape().ToString()
+                                                                    : std::string("undefined")));
+  }
+  FEWNER_CHECK(t >= 0 && t < max_len,
+               "CarryFinishedLanes: step " << t << " out of [0, " << max_len << ")");
+  std::vector<float> live(static_cast<size_t>(lanes), 0.0f);
+  bool all_live = true;
+  for (int64_t b = 0; b < lanes; ++b) {
+    const int64_t len = lengths[static_cast<size_t>(b)];
+    FEWNER_CHECK(len >= 0 && len <= max_len, "CarryFinishedLanes: lane "
+                                                 << b << " length " << len << " out of [0, "
+                                                 << max_len << "]");
+    if (t < len) {
+      live[static_cast<size_t>(b)] = 1.0f;
+    } else {
+      all_live = false;
+    }
+  }
+  if (all_live) return next;
+  const Tensor mask = Tensor::FromData(Shape{lanes, 1}, std::move(live));
+  for (size_t i = 0; i < next.size(); ++i) next[i] = Where(mask, next[i], prev[i]);
+  return next;
+}
+
 // ----- fused ops -----
 
 Tensor FusedOp(const char* name, const char* kernel_name, Shape shape,

@@ -130,6 +130,19 @@ Tensor FoldTimeBatch(const Tensor& t, int64_t window);
 /// (an arithmetic blend would flip -0.0 to +0.0 and is one more rounding).
 Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b);
 
+/// The carry of a ragged batch's finished lanes at step t of a recurrence,
+/// the one place the rule "lane b is live at step t iff t < lengths[b]"
+/// becomes a mask.  Each state next[i] (a [B, D_i] step result, with prev[i]
+/// the state before the step) becomes Where(m_t, next[i], prev[i]), in list
+/// order, with m_t the one [B, 1] 0/1 live mask they share, so a finished
+/// lane copies prev[i] bit for bit.  On a step where every lane is live it
+/// returns `next` itself and builds no mask and no node.  `lengths` must
+/// have B entries, each in [0, max_len], and t must be in [0, max_len).
+std::vector<Tensor> CarryFinishedLanes(std::vector<Tensor> next,
+                                       const std::vector<Tensor>& prev,
+                                       const std::vector<int64_t>& lengths, int64_t max_len,
+                                       int64_t t);
+
 // ----- fused ops -----
 
 /// A fused op's first-order backward kernel: given the op's inputs and the

@@ -9,7 +9,8 @@
 // Meta-gradients are only required to agree to tolerance (backward reduction
 // orders differ), and the second-order path through the batched inner loop is
 // checked against central finite differences.  The new batched tensor ops
-// (Where, RowSum, UnfoldTimeBatch/FoldTimeBatch) get adjoint,
+// (Where and its ragged carry CarryFinishedLanes, RowSum,
+// UnfoldTimeBatch/FoldTimeBatch) get adjoint,
 // finite-difference, and EvalMode differential coverage here too.
 
 #include <gtest/gtest.h>
@@ -188,6 +189,65 @@ TEST(BatchOpsTest, WhereSelectsExactlyAndRoutesGradient) {
   CheckGradient(
       [&](const Tensor& t) { return tensor::SumAll(tensor::Mul(tensor::Where(cond, a, t), w)); },
       b);
+}
+
+TEST(BatchOpsTest, CarryFinishedLanesCopiesFinishedLanesExactly) {
+  util::Rng rng(0xB00C);
+  Tensor h_prev = Tensor::Randn(Shape{3, 2}, &rng, 1.0f, true);
+  Tensor c_prev = Tensor::Randn(Shape{3, 2}, &rng, 1.0f, true);
+  Tensor h_next = tensor::Tanh(Tensor::Randn(Shape{3, 2}, &rng, 1.0f, true));
+  Tensor c_next = tensor::Sigmoid(Tensor::Randn(Shape{3, 2}, &rng, 1.0f, true));
+  // A step where every lane is live returns the step results themselves and
+  // builds no node.
+  const int64_t before = tensor::autodiff::GraphSize(h_next);
+  const auto full = tensor::CarryFinishedLanes({h_next, c_next}, {h_prev, c_prev}, {3, 2, 2},
+                                               3, 1);
+  ASSERT_EQ(full.size(), 2u);
+  EXPECT_EQ(full[0].node(), h_next.node());
+  EXPECT_EQ(full[1].node(), c_next.node());
+  EXPECT_EQ(tensor::autodiff::GraphSize(full[0]), before);
+
+  // Lane 1 has finished and lane 2 never started: both copy prev bit for
+  // bit, −0 and NaN included, in graph and eval mode; lane 0 takes next.
+  (*h_prev.mutable_data())[2] = -0.0f;
+  (*h_prev.mutable_data())[5] = std::nanf("");
+  (*c_prev.mutable_data())[3] = -0.0f;
+  (*c_prev.mutable_data())[4] = std::nanf("");
+  const std::vector<int64_t> lengths = {3, 1, 0};
+  for (const bool eval : {false, true}) {
+    std::vector<Tensor> carried;
+    if (eval) {
+      tensor::EvalMode mode;
+      carried = tensor::CarryFinishedLanes({h_next, c_next}, {h_prev, c_prev}, lengths, 3, 1);
+    } else {
+      carried = tensor::CarryFinishedLanes({h_next, c_next}, {h_prev, c_prev}, lengths, 3, 1);
+    }
+    ASSERT_EQ(carried.size(), 2u);
+    const Tensor* next[] = {&h_next, &c_next};
+    const Tensor* prev[] = {&h_prev, &c_prev};
+    for (size_t s = 0; s < 2; ++s) {
+      for (int64_t i = 0; i < 6; ++i) {
+        const Tensor& source = i < 2 ? *next[s] : *prev[s];
+        EXPECT_EQ(std::memcmp(&source.data()[static_cast<size_t>(i)],
+                              &carried[s].data()[static_cast<size_t>(i)], sizeof(float)),
+                  0)
+            << (eval ? "eval" : "graph") << " state " << s << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(BatchOpsDeathTest, CarryFinishedLanesRejectsMalformedArguments) {
+  Tensor next = Tensor::Zeros(Shape{2, 3});
+  Tensor prev = Tensor::Zeros(Shape{2, 3});
+  EXPECT_DEATH(tensor::CarryFinishedLanes({next}, {prev}, {4, 2}, 3, 0),
+               "lane 0 length 4 out of \\[0, 3\\]");
+  EXPECT_DEATH(tensor::CarryFinishedLanes({next}, {prev}, {2, -1}, 3, 0),
+               "lane 1 length -1 out of \\[0, 3\\]");
+  EXPECT_DEATH(tensor::CarryFinishedLanes({next}, {prev}, {3, 3, 3}, 3, 0),
+               "expects \\[3, D\\] states");
+  EXPECT_DEATH(tensor::CarryFinishedLanes({next}, {prev}, {3, 3}, 3, 3),
+               "step 3 out of \\[0, 3\\)");
 }
 
 TEST(BatchOpsTest, UnfoldAndFoldTimeBatchAreMutuallyAdjoint) {

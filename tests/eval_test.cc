@@ -118,7 +118,7 @@ TEST(ExperimentRunnerTest, EndToEndTinyRun) {
   config.backbone.context_dim = 8;
   Scenario scenario = MakeIntraDomainScenario(data::kGenia, 0.02, 3);
   ExperimentRunner runner(std::move(scenario), config);
-  EvalResult result = runner.Run(MethodId::kProtoNet);
+  EvalResult result = runner.Evaluate(runner.CreateTrained(MethodId::kProtoNet).get());
   EXPECT_EQ(result.method, "ProtoNet");
   EXPECT_EQ(result.f1.count, 2);
   EXPECT_GE(result.f1.mean, 0.0);

@@ -25,10 +25,9 @@ using tensor::Tensor;
 using tensor::autodiff::Grad;
 
 /// The recurrence's definition, op for op: a zero state, one Step per
-/// timestep, an exact Where carry on ragged steps, Concat in textual order.
+/// timestep, the exact carry of finished lanes, Concat in textual order.
 Tensor CompositeRecurrence(const GruCell& cell, const Tensor& projected,
-                           const std::vector<Tensor>& masks, const std::vector<bool>& full,
-                           bool reverse) {
+                           const std::vector<int64_t>& lengths, bool reverse) {
   const int64_t lanes = projected.shape().dim(0);
   const int64_t length = projected.shape().dim(1);
   const int64_t hd = cell.hidden_dim();
@@ -37,9 +36,7 @@ Tensor CompositeRecurrence(const GruCell& cell, const Tensor& projected,
   for (int64_t step = 0; step < length; ++step) {
     const int64_t t = reverse ? length - 1 - step : step;
     Tensor rows = tensor::Reshape(tensor::Slice(projected, 1, t, 1), Shape{lanes, 3 * hd});
-    Tensor h_new = cell.Step(rows, h);
-    h = full[static_cast<size_t>(t)] ? h_new
-                                     : tensor::Where(masks[static_cast<size_t>(t)], h_new, h);
+    h = tensor::CarryFinishedLanes({cell.Step(rows, h)}, {h}, lengths, length, t)[0];
     states[static_cast<size_t>(t)] = tensor::Reshape(h, Shape{lanes, 1, hd});
   }
   return tensor::Concat(states, 1);
@@ -47,15 +44,14 @@ Tensor CompositeRecurrence(const GruCell& cell, const Tensor& projected,
 
 /// RunBatch's definition: the hoisted projection, then the composite.
 Tensor CompositeRunBatch(const GruCell& cell, const Tensor& x,
-                         const std::vector<Tensor>& masks, const std::vector<bool>& full,
-                         bool reverse) {
+                         const std::vector<int64_t>& lengths, bool reverse) {
   const int64_t lanes = x.shape().dim(0);
   const int64_t length = x.shape().dim(1);
   Tensor projected = cell.ProjectInput(
       tensor::Reshape(x, Shape{lanes * length, x.shape().dim(2)}));
   return CompositeRecurrence(
-      cell, tensor::Reshape(projected, Shape{lanes, length, 3 * cell.hidden_dim()}), masks,
-      full, reverse);
+      cell, tensor::Reshape(projected, Shape{lanes, length, 3 * cell.hidden_dim()}), lengths,
+      reverse);
 }
 
 void ExpectSameBits(const Tensor& a, const Tensor& b, const std::string& what) {
@@ -136,9 +132,7 @@ TEST(GruRecurrenceTest, FusedOpMatchesCompositeBitwiseOnRaggedBatches) {
     for (Tensor* p : cell.Parameters()) {
       for (float& v : *p->mutable_data()) v = DrawWithZeros(&rng, 0.8);
     }
-    std::vector<Tensor> masks;
-    std::vector<bool> full;
-    BuildStepMasks(DrawLengths(instance / 2, lanes, max_len, &rng), max_len, &masks, &full);
+    const std::vector<int64_t> lengths = DrawLengths(instance / 2, lanes, max_len, &rng);
     Tensor projected =
         DrawTensor(Shape{lanes, max_len, 3 * hd}, &rng, 1.2, /*requires_grad=*/true);
     // Signed upstream weights, sometimes ±0, so each output row gets its own
@@ -150,8 +144,8 @@ TEST(GruRecurrenceTest, FusedOpMatchesCompositeBitwiseOnRaggedBatches) {
     const std::string where = "instance " + std::to_string(instance) + " B=" +
                               std::to_string(lanes) + " L=" + std::to_string(max_len) +
                               " H=" + std::to_string(hd) + (reverse ? " reverse" : "");
-    auto op = [&] { return cell.Recurrence(projected, masks, full, reverse); };
-    auto ref = [&] { return CompositeRecurrence(cell, projected, masks, full, reverse); };
+    auto op = [&] { return cell.Recurrence(projected, lengths, reverse); };
+    auto ref = [&] { return CompositeRecurrence(cell, projected, lengths, reverse); };
     // The loss reads the output twice (out ⊙ out), so its grad expression
     // reads the forward too.
     auto loss_of = [&](const Tensor& out) {
@@ -221,9 +215,6 @@ TEST(GruRecurrenceTest, EvalForwardStepsOnlyLiveLanesBitwise) {
       for (int64_t& len : lengths) {
         len = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(cap + 1)));
       }
-      std::vector<Tensor> masks;
-      std::vector<bool> full;
-      BuildStepMasks(lengths, max_len, &masks, &full);
       Tensor projected = DrawTensor(Shape{lanes, max_len, 3 * hd}, &rng, 1.2);
       float* rows = projected.mutable_data()->data();
       for (int64_t b = 0; b < lanes; ++b) {
@@ -238,8 +229,8 @@ TEST(GruRecurrenceTest, EvalForwardStepsOnlyLiveLanesBitwise) {
                                 " L=" + std::to_string(max_len) + " H=" + std::to_string(hd) +
                                 (reverse ? " reverse" : "");
       tensor::EvalMode eval;
-      ExpectSameBits(cell.Recurrence(projected, masks, full, reverse),
-                     CompositeRecurrence(cell, projected, masks, full, reverse),
+      ExpectSameBits(cell.Recurrence(projected, lengths, reverse),
+                     CompositeRecurrence(cell, projected, lengths, reverse),
                      "eval forward, " + where);
       if (HasFailure()) return;
     }
@@ -256,15 +247,12 @@ TEST(GruRecurrenceTest, GatheredRunEqualsRunBatchOnTheGatheredInput) {
   Tensor distinct = DrawTensor(Shape{4, input}, &rng, 1.0);
   const std::vector<int64_t> lengths = {3, 1, 0};
   const std::vector<int64_t> slot_rows = {2, 0, 2, 3, 3, 3, 1, 3, 3};
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  BuildStepMasks(lengths, 3, &masks, &full);
   tensor::EvalMode eval;
   Tensor slots =
       tensor::Reshape(tensor::IndexSelectRows(distinct, slot_rows), Shape{3, 3, input});
   for (bool reverse : {false, true}) {
-    ExpectSameBits(cell.RunGathered(distinct, slot_rows, masks, full, reverse),
-                   cell.RunBatch(slots, masks, full, reverse),
+    ExpectSameBits(cell.RunGathered(distinct, slot_rows, lengths, 3, reverse),
+                   cell.RunBatch(slots, lengths, reverse),
                    reverse ? "reverse" : "forward");
   }
 }
@@ -282,10 +270,8 @@ TEST(GruRecurrenceTest, SharedCellFoldsItsGradsLikeTheComposite) {
   }
   Tensor x1 = DrawTensor(Shape{3, 5, input}, &rng, 1.0, /*requires_grad=*/true);
   Tensor x2 = DrawTensor(Shape{2, 4, input}, &rng, 1.0, /*requires_grad=*/true);
-  std::vector<Tensor> masks1, masks2;
-  std::vector<bool> full1, full2;
-  BuildStepMasks({5, 2, 4}, 5, &masks1, &full1);
-  BuildStepMasks({1, 4}, 4, &masks2, &full2);
+  const std::vector<int64_t> lengths1 = {5, 2, 4};
+  const std::vector<int64_t> lengths2 = {1, 4};
   Tensor w1 = DrawTensor(Shape{3, 5, hd}, &rng, 1.0);
   Tensor w2 = DrawTensor(Shape{2, 4, hd}, &rng, 1.0);
   Tensor mix = DrawTensor(Shape{hd, 2}, &rng, 1.0);
@@ -302,12 +288,11 @@ TEST(GruRecurrenceTest, SharedCellFoldsItsGradsLikeTheComposite) {
                        other);
   };
   auto op_loss = [&] {
-    return loss_of(cell.RunBatch(x1, masks1, full1, false),
-                   cell.RunBatch(x2, masks2, full2, true));
+    return loss_of(cell.RunBatch(x1, lengths1, false), cell.RunBatch(x2, lengths2, true));
   };
   auto ref_loss = [&] {
-    return loss_of(CompositeRunBatch(cell, x1, masks1, full1, false),
-                   CompositeRunBatch(cell, x2, masks2, full2, true));
+    return loss_of(CompositeRunBatch(cell, x1, lengths1, false),
+                   CompositeRunBatch(cell, x2, lengths2, true));
   };
   const auto kernel = Grad(op_loss(), inputs);
   const auto reference = Grad(ref_loss(), inputs);
@@ -340,9 +325,7 @@ TEST(GruRecurrenceTest, GradsOnOneOutputStayExactAfterACreateGraphGrad) {
     for (Tensor* p : cell.Parameters()) {
       for (float& v : *p->mutable_data()) v = DrawWithZeros(&rng, 0.8);
     }
-    std::vector<Tensor> masks;
-    std::vector<bool> full;
-    BuildStepMasks({5, 1, 3}, 5, &masks, &full);
+    const std::vector<int64_t> lengths = {5, 1, 3};
     Tensor projected = DrawTensor(Shape{3, 5, 3 * hd}, &rng, 1.2, /*requires_grad=*/true);
     Tensor weights = DrawTensor(Shape{3, 5, hd}, &rng, 1.0);
     const std::vector<Tensor> inputs = {projected, Param(&cell, "w_hh"), Param(&cell, "b_hh")};
@@ -351,9 +334,9 @@ TEST(GruRecurrenceTest, GradsOnOneOutputStayExactAfterACreateGraphGrad) {
       return tensor::SumAllFloat(tensor::Mul(tensor::Mul(out, out), weights));
     };
     const auto reference =
-        Grad(loss_of(CompositeRecurrence(cell, projected, masks, full, reverse)), inputs);
+        Grad(loss_of(CompositeRecurrence(cell, projected, lengths, reverse)), inputs);
 
-    const Tensor loss = loss_of(cell.Recurrence(projected, masks, full, reverse));
+    const Tensor loss = loss_of(cell.Recurrence(projected, lengths, reverse));
     const int64_t fused_size = tensor::autodiff::GraphSize(loss);
     const auto before = Grad(loss, inputs);
     const auto graph = Grad(loss, inputs, /*create_graph=*/true);
@@ -375,10 +358,8 @@ TEST(GruRecurrenceTest, OneRunIsAConstantNumberOfGraphNodes) {
   GruCell cell(3, 4, &rng);
   auto graph_size = [&](int64_t max_len) {
     Tensor x = Tensor::Randn(Shape{3, max_len, 3}, &rng, 1.0f, /*requires_grad=*/true);
-    std::vector<Tensor> masks;
-    std::vector<bool> full;
-    BuildStepMasks({max_len, 1, max_len - 1}, max_len, &masks, &full);
-    return tensor::autodiff::GraphSize(cell.RunBatch(x, masks, full, /*reverse=*/true));
+    return tensor::autodiff::GraphSize(
+        cell.RunBatch(x, {max_len, 1, max_len - 1}, /*reverse=*/true));
   };
   EXPECT_EQ(graph_size(3), graph_size(30));
 }
@@ -387,27 +368,25 @@ TEST(GruDeathTest, RunBatchRejectsMalformedArguments) {
   util::Rng rng(5);
   GruCell cell(3, 2, &rng);
   Tensor x = Tensor::Randn(Shape{2, 4, 3}, &rng);
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  BuildStepMasks({4, 2}, 4, &masks, &full);
-  EXPECT_DEATH(cell.RunBatch(Tensor::Randn(Shape{8, 3}, &rng), masks, full, false),
+  EXPECT_DEATH(cell.RunBatch(Tensor::Randn(Shape{8, 3}, &rng), {4, 2}, false),
                "RunBatch expects x");
-  EXPECT_DEATH(cell.RunBatch(Tensor::Randn(Shape{2, 4, 5}, &rng), masks, full, false),
+  EXPECT_DEATH(cell.RunBatch(Tensor::Randn(Shape{2, 4, 5}, &rng), {4, 2}, false),
                "RunBatch expects x");
-  EXPECT_DEATH(cell.RunBatch(Tensor::Zeros(Shape{2, 0, 3}), {}, {}, false),
-               "empty batch");
-  std::vector<Tensor> short_masks(masks.begin(), masks.end() - 1);
-  EXPECT_DEATH(cell.RunBatch(x, short_masks, full, false), "step_masks has 3 entries");
-  std::vector<bool> short_full(full.begin(), full.end() - 1);
-  EXPECT_DEATH(cell.RunBatch(x, masks, short_full, false), "step_full has 3 entries");
-  std::vector<Tensor> wide_masks = masks;
-  wide_masks[3] = Tensor::Ones(Shape{2, 2});
-  EXPECT_DEATH(cell.RunBatch(x, wide_masks, full, false), "step_masks\\[3\\] must be");
-  std::vector<Tensor> missing_masks = masks;
-  missing_masks[2] = Tensor();
-  EXPECT_DEATH(cell.RunBatch(x, missing_masks, full, false), "step_masks\\[2\\] must be");
-  EXPECT_DEATH(BuildStepMasks({5, 2}, 4, &masks, &full), "lane 0 length 5 out of");
-  EXPECT_DEATH(BuildStepMasks({2, -1}, 4, &masks, &full), "lane 1 length -1 out of");
+  EXPECT_DEATH(cell.RunBatch(Tensor::Zeros(Shape{2, 0, 3}), {0, 0}, false), "empty batch");
+  // A wrong lane count on a batch whose every step is full: no step builds a
+  // carry, so only the entry's own check can see it.
+  EXPECT_DEATH(cell.RunBatch(x, {4, 4, 4}, false), "lengths has 3 entries for 2 lanes");
+  EXPECT_DEATH(cell.RunBatch(x, {4}, false), "lengths has 1 entries for 2 lanes");
+  Tensor distinct = Tensor::Randn(Shape{4, 3}, &rng);
+  const std::vector<int64_t> nine_slots = {0, 1, 2, 3, 0, 1, 2, 3, 0};
+  EXPECT_DEATH(cell.RunGathered(distinct, nine_slots, {3, 3}, 3, false),
+               "slot_rows has 9 entries for 2 lanes of 3 steps");
+  BiGru gru(3, 2, &rng);
+  EXPECT_DEATH(gru.ForwardGathered(distinct, nine_slots, {3, 3}, 3),
+               "slot_rows has 9 entries for 2 lanes of 3 steps");
+  // An out-of-range length.
+  EXPECT_DEATH(cell.RunBatch(x, {5, 2}, false), "lengths\\[0\\] is 5, out of \\[0, 4\\]");
+  EXPECT_DEATH(cell.RunBatch(x, {2, -1}, false), "lengths\\[1\\] is -1, out of \\[0, 4\\]");
 }
 
 }  // namespace

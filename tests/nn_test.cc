@@ -343,12 +343,8 @@ TEST(GruTest, ShapesAndStatePropagation) {
 
   // RunBatch at B=1 is exactly this ProjectInput + Step loop, 0 ULP, in both
   // directions (the frozen ELMo/Flair LMs run one sentence this way).
-  std::vector<Tensor> masks;
-  std::vector<bool> full;
-  BuildStepMasks({5}, 5, &masks, &full);
   for (const bool reverse : {false, true}) {
-    Tensor run = cell.RunBatch(tensor::Reshape(x, Shape{1, 5, 4}), masks, full,
-                               reverse);
+    Tensor run = cell.RunBatch(tensor::Reshape(x, Shape{1, 5, 4}), {5}, reverse);
     ASSERT_EQ(run.shape(), (Shape{1, 5, 3}));
     Tensor state = Tensor::Zeros(Shape{1, 3});
     for (int64_t step = 0; step < 5; ++step) {
