@@ -45,9 +45,7 @@ int main(int argc, char** argv) {
         const std::string row = eval::MethodName(id) + " " + std::to_string(k) + "-shot";
         theta_lines.push_back(bench::ThetaFnv1aLine(
             row + (first_order ? " first" : " second"), bench::TrainedTheta(method.get())));
-        eval::EvalResult result =
-            eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
-                                 config.eval_episodes, config.eval_query_size);
+        eval::EvalResult result = runner.Evaluate(method.get());
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                 .count();

@@ -53,7 +53,9 @@ struct GemmCase {
 // and the emission head over the [B·L, 2H] encoder output.  The last two are
 // the serving model's: its 450-wide token (word 300 + char 150) projected to
 // 3H, and FiLM's dφ = g·W_filmᵀ, [1, 512]·[256, 512]ᵀ, which at m = 1 runs
-// as W_film·g with W_film read in place (no pack of Bᵀ).
+// as W_film·g with W_film read in place (no pack of Bᵀ).  The last shape is
+// the same dφ at the training model's scale (context 96, 2F = 192), so both
+// model scales of the one-column path pass the parity gates.
 constexpr GemmCase kCases[] = {
     {"nn", "encoder input projection", 160, 124, 384},
     {"nt", "d(activations) of the projection", 160, 384, 124},
@@ -62,6 +64,7 @@ constexpr GemmCase kCases[] = {
     {"tn", "d(weights) of the emission head", 256, 160, 128},
     {"nn", "serving input projection", 160, 450, 384},
     {"nt", "FiLM d(phi)", 1, 512, 256},
+    {"nt", "FiLM d(phi), training scale", 1, 192, 96},
 };
 
 std::vector<float> RandomVec(int64_t numel, uint64_t seed) {

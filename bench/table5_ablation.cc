@@ -37,9 +37,7 @@ eval::ScoreSummary RunVariant(const Variant& variant,
   eval::ExperimentRunner runner(std::move(scenario), config);
   std::unique_ptr<meta::FewShotMethod> method = runner.CreateTrained(eval::MethodId::kFewner);
   *theta_line = bench::ThetaFnv1aLine(row, bench::TrainedTheta(method.get()));
-  return eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
-                              config.eval_episodes, config.eval_query_size)
-      .f1;
+  return runner.Evaluate(method.get()).f1;
 }
 
 std::string Delta(const eval::ScoreSummary& variant,

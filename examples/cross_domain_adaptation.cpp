@@ -56,9 +56,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<meta::FewShotMethod> fewner;
   for (eval::MethodId id : {eval::MethodId::kFineTune, eval::MethodId::kFewner}) {
     auto method = runner.CreateTrained(id);
-    eval::EvalResult result =
-        eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
-                             config.eval_episodes, config.eval_query_size);
+    eval::EvalResult result = runner.Evaluate(method.get());
     table.AddRow({result.method, eval::FormatCell(result.f1)});
     if (id == eval::MethodId::kFewner) fewner = std::move(method);
   }

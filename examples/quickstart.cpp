@@ -56,9 +56,7 @@ int main(int argc, char** argv) {
   eval::ExperimentRunner runner(std::move(scenario), config);
 
   auto method = runner.CreateTrained(eval::MethodId::kFewner);
-  eval::EvalResult result =
-      eval::EvaluateMethod(method.get(), runner.eval_sampler(), runner.encoder(),
-                           config.eval_episodes, config.eval_query_size);
+  eval::EvalResult result = runner.Evaluate(method.get());
   std::cout << "\nFEWNER on " << config.eval_episodes
             << " held-out 5-way 1-shot tasks: F1 = " << eval::FormatCell(result.f1)
             << "\n\n";

@@ -425,7 +425,7 @@ std::vector<std::vector<int64_t>> Backbone::DecodeBatch(
   std::vector<std::vector<int64_t>> paths;
   ForEachRun(batch, phi, [&](const EncodedBatch& run, const Tensor& run_emissions) {
     // Cut the decode out of a live autodiff graph; under EvalMode no graph
-    // was built, so the copy would only burn an allocation.
+    // was built, so there is nothing to cut.
     Tensor emissions = tensor::EvalMode::active() ? run_emissions
                                                   : run_emissions.Detach();
     for (auto& path : crf_->ViterbiBatch(emissions, run.lengths, &valid_tags)) {

@@ -388,6 +388,19 @@ std::pair<Walk*, int32_t> HandleTarget(size_t input) {
   return {&walk, walk.edges[e.edge_begin + input]};
 }
 
+/// A first-order result cut off from the walk.  When the walk's handle and
+/// its thread's arena are the only holders of the grad's node, its buffer
+/// moves into the result: no copy, and no arena node pinned by a caller that
+/// keeps the grad (a meta-batch holds every task's grads until it reduces
+/// them, and pinned nodes would grow the arena).  Else Detach().
+Tensor Release(const Tensor& g) {
+  Node* node = g.node();
+  if (node->pooled && g.use_count() == 2) {
+    return Tensor::FromData(node->shape, std::move(node->values));
+  }
+  return g.Detach();
+}
+
 }  // namespace
 
 std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs,
@@ -405,7 +418,7 @@ std::vector<Tensor> Grad(const Tensor& output, const std::vector<Tensor>& inputs
     if (!g.defined()) {
       result.push_back(Tensor::Zeros(input.shape()));
     } else {
-      result.push_back(create_graph ? g : g.Detach());
+      result.push_back(create_graph ? g : Release(g));
     }
   }
   if (t_depth == 1) t_last_stats = walk.stats;

@@ -26,11 +26,13 @@ std::shared_ptr<internal::Node> WorkspaceArena::Acquire() {
   }
   ++allocs_;
   pool_.push_back(std::make_shared<internal::Node>());
+  pool_.back()->pooled = true;
   cursor_ = 0;
   return pool_.back();
 }
 
 void WorkspaceArena::Clear() {
+  for (const std::shared_ptr<internal::Node>& node : pool_) node->pooled = false;
   pool_.clear();
   cursor_ = 0;
 }

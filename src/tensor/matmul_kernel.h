@@ -18,7 +18,13 @@
 //   * "avx512" (matmul_kernel_avx512.cc): 8 x 32, two zmm accumulators per
 //     row.  32-column panels outside, row blocks inside, so one [k, 32] B
 //     panel stays cache-hot across all of C's rows; the column tail uses
-//     masked loads and stores.  Its functions carry
+//     masked loads and stores.  A one-column product (n == 1) with A's k
+//     stride 1 — A·b, and so the m = 1 A·Bᵀ below — would use one lane in
+//     sixteen that way, so it runs 16 rows of C per zmm instead: it reads
+//     A in place, 16 rows x 16 k steps at a time (masked past m and k),
+//     transposes each block in registers, and adds column kk times a
+//     broadcast b[kk] into the 16 row accumulators, kk ascending.  No pack,
+//     no scratch.  Its functions carry
 //     __attribute__((target("avx512f"))) — the file is NOT built with
 //     -mavx512f, which would let inline header code it instantiates be
 //     emitted with AVX-512 instructions and fault on hosts without them.
@@ -38,9 +44,9 @@
 // floats of B for only k·n multiply-adds — FiLM's dφ = g·W_filmᵀ,
 // [1,512]·[256,512]ᵀ, is that case — so an m = 1 product skips it and runs
 // c[1, n]ᵀ = b[n, k]·a[k]: one strided-tile call with B as the tile's A
-// operand, read in place.  Each c[j] is the same ascending-k chain of the
-// same products (IEEE multiplication is commutative), so the bits do not
-// change.
+// operand, read in place — the AVX-512 tile's one-column path.  Each c[j]
+// is the same ascending-k chain of the same products (IEEE multiplication is
+// commutative), so the bits do not change.
 //
 // Bitwise contract: for every output element, partial products are
 // accumulated in ascending contraction order onto a single accumulator, each

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <optional>
 
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
@@ -18,7 +19,9 @@ namespace {
 // Every op is split into the same three phases:
 //   1. NewOutput()  — obtain the output node + buffer; the one place any op
 //      output is allocated.  Graph mode allocates a fresh node; eval mode
-//      recycles one from the thread's WorkspaceArena.
+//      recycles one from the thread's WorkspaceArena.  NewView() is the
+//      one exception: Reshape and FusedOp's pass-through node read their
+//      source's buffer instead of copying it.
 //   2. the numeric kernel — identical code in both modes, writing through the
 //      raw buffer pointer, which is what makes eval outputs bitwise-equal to
 //      graph outputs (tests/eval_mode_test.cc pins this at 0 ULP).  MatMul,
@@ -34,10 +37,13 @@ namespace {
 //
 // Elementwise kernels take their scalar operation as a functor template
 // parameter, so each op compiles to one element loop with the operation
-// inlined.  A broadcast whose small operand repeats along the big one's
-// leading dims (the bias-add [L, D] + [D], FiLM's [rows, D] ⊙ [1, D]) runs as
-// a plain rows × inner loop; so do SumTo and BroadcastTo between such shapes.
-// Other layouts walk the BroadcastIndexer odometer.  The loops are bitwise
+// inlined.  A broadcast operand that is one block repeated inside the result
+// ([outer, 1, inner] against [outer, mid, inner], see Repeats) runs as plain
+// row loops: the trailing layout (the bias-add [L, D] + [D], FiLM's
+// [rows, D] ⊙ [1, D]), the per-row scalar ([B, Y, 1] against [B, Y, Y]) and
+// the middle broadcast ([B, 1, Y] against [B, Y, Y]); so do SumTo, BroadcastTo
+// and Where's mask between such shapes.  Other layouts (e.g. [1, Y, 1]
+// against [B, Y, Y]) walk the BroadcastIndexer odometer.  The loops are bitwise
 // equal to a per-element walk: every output element gets its one IEEE
 // operation on the same operands in the same order, and SumTo adds each
 // output's terms onto its +0 start in ascending flat order.  The inner loops
@@ -82,6 +88,26 @@ OpOutput NewOutput(const char* op, ShapeRef&& shape, bool zero = false,
   node->leaf = false;
   node->values.resize(static_cast<size_t>(node->shape.numel()));
   if (zero) std::fill(node->values.begin(), node->values.end(), 0.0f);
+  return {std::move(node)};
+}
+
+/// Output for an op whose values are `source`'s, shaped `shape`: a fresh
+/// node viewing the buffer that `source.shared_storage()` names, with no
+/// allocation, zero fill or copy.  Not an arena node, so the view lets go of
+/// that buffer as soon as its last handle drops.  A leaf source (null
+/// storage) gets a NewOutput copy, since leaves change in place.
+OpOutput NewView(const char* op, Shape shape, const Tensor& source) {
+  std::shared_ptr<internal::Node> storage = source.shared_storage();
+  if (!storage) {
+    OpOutput out = NewOutput(op, std::move(shape));
+    CopyFloats(out.data(), source.data().data(), source.numel());
+    return out;
+  }
+  auto node = std::make_shared<internal::Node>();
+  node->shape = std::move(shape);
+  node->op = op;
+  node->leaf = false;
+  node->viewed = std::move(storage);
   return {std::move(node)};
 }
 
@@ -140,25 +166,61 @@ struct BroadcastIndexer {
   int64_t cur_ = 0;
 };
 
-/// True when broadcasting `small` against `big` gives `big`'s shape and
-/// repeats all of `small` along big's leading dims: `small`'s dims, past any
-/// leading size-1 dims, equal `big`'s trailing dims.  Covers the bias-add
-/// [L, D] + [D] and FiLM's [rows, D] ⊙ [1, D].  The rank guard keeps
-/// [1, 1, Y] ⊕ [Y, Y] out: its result is [1, Y, Y], not `big`'s shape.
-bool IsTrailingShape(const Shape& small, const Shape& big) {
+/// How `small` repeats inside `big` when it broadcasts to big's shape as one
+/// block: small is [outer, 1, inner] and big [outer, mid, inner] once their
+/// dims are grouped, so each of small's `outer` runs of `inner` values is read
+/// by `mid` consecutive runs of big.  Outer 1 is the trailing layout, inner 1
+/// the per-row scalar, mid 1 the same shape.
+struct Repeat {
+  int64_t outer = 1, mid = 1, inner = 1;
+};
+
+/// `small`'s Repeat inside `big`, or nullopt when broadcasting it does not
+/// give big's shape ([1, 1, Y] against [Y, Y] gives [1, Y, Y]) or it
+/// repeats in more than one block ([1, Y, 1] against [B, Y, Y]).
+std::optional<Repeat> Repeats(const Shape& small, const Shape& big) {
   const int64_t offset = big.rank() - small.rank();
-  if (offset < 0) return false;
-  int64_t i = 0;
-  while (i < small.rank() && small.dim(i) == 1) ++i;
-  for (; i < small.rank(); ++i) {
-    if (small.dim(i) != big.dim(i + offset)) return false;
+  if (offset < 0) return std::nullopt;
+  Repeat r;
+  int64_t* group = &r.inner;  // inner, then mid, then outer, from the right
+  for (int64_t i = big.rank() - 1; i >= 0; --i) {
+    const int64_t b = big.dim(i);
+    const int64_t s = i >= offset ? small.dim(i - offset) : 1;
+    if (s != b && s != 1) return std::nullopt;
+    if (b == 1) continue;  // a size-1 dim fits any group
+    if (s == 1 && group != &r.mid) {
+      if (group == &r.outer) return std::nullopt;
+      group = &r.mid;
+    } else if (s == b && group == &r.mid) {
+      group = &r.outer;
+    }
+    *group *= b;
   }
-  return true;
+  return r;
 }
 
-/// Rows of a trailing layout: `n` output elements in rows of `inner`.  An
-/// empty operand gives zero rows, so no row loop ever steps by zero.
-int64_t RowCount(int64_t n, int64_t inner) { return inner > 0 ? n / inner : 0; }
+/// A walk over an operand laid out as `Repeat` inside the result, `step`
+/// result elements at a time (step divides inner): index() is the operand's
+/// flat index of the current step's first element.
+class RepeatCursor {
+ public:
+  explicit RepeatCursor(const Repeat& r) : r_(r) {}
+  int64_t index() const { return base_ + offset_; }
+  void Advance(int64_t step) {
+    offset_ += step;
+    if (offset_ < r_.inner) return;
+    offset_ = 0;
+    if (++row_ < r_.mid) return;
+    row_ = 0;
+    base_ += r_.inner;
+  }
+
+ private:
+  Repeat r_;
+  int64_t base_ = 0;    ///< outer block * inner
+  int64_t row_ = 0;     ///< repeat within the block, in [0, mid)
+  int64_t offset_ = 0;  ///< position within the run, in [0, inner)
+};
 
 /// Shared implementation for broadcasting elementwise binary ops.  `f` is a
 /// functor type, so each op's loops are compiled with its scalar operation
@@ -169,37 +231,47 @@ Tensor ElementwiseBinary(const char* op, const Tensor& a, const Tensor& b, F f,
   FEWNER_CHECK(a.defined() && b.defined(), op << " on undefined tensor");
   const float* av = a.data().data();
   const float* bv = b.data().data();
-  const bool b_repeats = IsTrailingShape(b.shape(), a.shape());
-  if (b_repeats || IsTrailingShape(a.shape(), b.shape())) {
-    // out[r, j] = f(a, b) at row r, column j of `inner`; the operand that
-    // repeats is read at column j of every row (row stride 0).  The same
-    // shape is the one-row case.
-    const Shape& shape = b_repeats ? a.shape() : b.shape();
-    const int64_t inner = b_repeats ? b.numel() : a.numel();
-    const int64_t rows = RowCount(shape.numel(), inner);
-    const int64_t a_step = b_repeats ? inner : 0;
-    const int64_t b_step = b_repeats ? 0 : inner;
-    OpOutput out = NewOutput(op, shape);
-    float* ov = out.data();
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* ar = av + r * a_step;
-      const float* br = bv + r * b_step;
-      float* orow = ov + r * inner;
-      FEWNER_SIMD
-      for (int64_t j = 0; j < inner; ++j) orow[j] = f(ar[j], br[j]);
-    }
-    if (EvalMode::active()) return SealEval(std::move(out));
-    return SealGraph(std::move(out), {a, b}, make_backward());
+  // The result is the shape of an operand the other repeats in, else the
+  // broadcast of both; each operand is then read through its Repeat.
+  std::optional<Repeat> ra, rb;
+  const Shape* shape = &a.shape();
+  Shape broadcast;
+  if ((rb = Repeats(b.shape(), a.shape()))) {
+    ra = Repeat{1, 1, a.numel()};
+  } else if ((ra = Repeats(a.shape(), b.shape()))) {
+    shape = &b.shape();
+    rb = Repeat{1, 1, b.numel()};
+  } else {
+    auto result_shape = Shape::Broadcast(a.shape(), b.shape());
+    FEWNER_CHECK(result_shape.ok(), op << ": " << result_shape.status().ToString());
+    broadcast = std::move(result_shape).value();
+    shape = &broadcast;
+    ra = Repeats(a.shape(), broadcast);
+    rb = Repeats(b.shape(), broadcast);
   }
-  auto result_shape = Shape::Broadcast(a.shape(), b.shape());
-  FEWNER_CHECK(result_shape.ok(), op << ": " << result_shape.status().ToString());
-  Shape shape = std::move(result_shape).value();
-  BroadcastIndexer ia(a.shape(), shape);
-  BroadcastIndexer ib(b.shape(), shape);
-  const int64_t n = shape.numel();
-  OpOutput out = NewOutput(op, std::move(shape));
+  const int64_t n = shape->numel();
+  OpOutput out = NewOutput(op, *shape);
   float* ov = out.data();
-  for (int64_t i = 0; i < n; ++i) ov[i] = f(av[ia.Next()], bv[ib.Next()]);
+  if (ra && rb) {
+    // Rows of `step` elements are contiguous in both operands.
+    if (n > 0) {
+      const int64_t step = std::min(ra->inner, rb->inner);
+      RepeatCursor ca(*ra), cb(*rb);
+      for (int64_t p = 0; p < n; p += step) {
+        const float* ar = av + ca.index();
+        const float* br = bv + cb.index();
+        float* orow = ov + p;
+        FEWNER_SIMD
+        for (int64_t j = 0; j < step; ++j) orow[j] = f(ar[j], br[j]);
+        ca.Advance(step);
+        cb.Advance(step);
+      }
+    }
+  } else {
+    BroadcastIndexer ia(a.shape(), out.node->shape);
+    BroadcastIndexer ib(b.shape(), out.node->shape);
+    for (int64_t i = 0; i < n; ++i) ov[i] = f(av[ia.Next()], bv[ib.Next()]);
+  }
   if (EvalMode::active()) return SealEval(std::move(out));
   return SealGraph(std::move(out), {a, b}, make_backward());
 }
@@ -406,9 +478,7 @@ Tensor MulScalar(const Tensor& t, float c) {
 Tensor Reshape(const Tensor& t, Shape shape) {
   FEWNER_CHECK(shape.numel() == t.numel(), "Reshape " << t.shape().ToString() << " -> "
                                                       << shape.ToString());
-  const auto& tv = t.data();
-  OpOutput out = NewOutput("reshape", std::move(shape));
-  CopyFloats(out.data(), tv.data(), t.numel());
+  OpOutput out = NewView("reshape", std::move(shape), t);
   if (EvalMode::active()) return SealEval(std::move(out));
   Shape original = t.shape();
   return SealGraph(std::move(out), {t},
@@ -446,11 +516,17 @@ Tensor BroadcastTo(const Tensor& t, Shape shape) {
   const int64_t n = out_shape.numel();
   float* ov = out.data();
   const float* tv = t.data().data();
-  if (IsTrailingShape(t.shape(), out_shape)) {
-    // Every row of the output is a copy of t.
-    const int64_t inner = t.numel();
-    const int64_t rows = RowCount(n, inner);
-    for (int64_t r = 0; r < rows; ++r) CopyFloats(ov + r * inner, tv, inner);
+  if (const std::optional<Repeat> r = Repeats(t.shape(), out_shape)) {
+    // Output run (o, m) is a copy of t's run o.
+    for (int64_t o = 0; o < r->outer; ++o) {
+      const float* src = tv + o * r->inner;
+      float* dst = ov + o * r->mid * r->inner;
+      if (r->inner == 1) {
+        std::fill_n(dst, r->mid, *src);
+      } else {
+        for (int64_t m = 0; m < r->mid; ++m) CopyFloats(dst + m * r->inner, src, r->inner);
+      }
+    }
   } else {
     BroadcastIndexer indexer(t.shape(), out_shape);
     for (int64_t i = 0; i < n; ++i) ov[i] = tv[indexer.Next()];
@@ -473,15 +549,16 @@ Tensor SumTo(const Tensor& t, Shape shape) {
   const int64_t n = t.numel();
   float* ov = out.data();
   const float* tv = t.data().data();
-  if (IsTrailingShape(out_shape, t.shape())) {
-    // Row r of t adds onto the one output row, rows ascending: each output
-    // gets its terms in ascending flat order, as the odometer walk adds them.
-    const int64_t inner = out_shape.numel();
-    const int64_t rows = RowCount(n, inner);
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* trow = tv + r * inner;
-      FEWNER_SIMD
-      for (int64_t j = 0; j < inner; ++j) ov[j] += trow[j];
+  if (const std::optional<Repeat> r = Repeats(out_shape, t.shape())) {
+    // t's runs (o, m), m ascending, add onto output run o: each output gets
+    // its terms in ascending flat order, as the odometer walk adds them.
+    for (int64_t o = 0; o < r->outer; ++o) {
+      float* orow = ov + o * r->inner;
+      for (int64_t m = 0; m < r->mid; ++m) {
+        const float* trow = tv + (o * r->mid + m) * r->inner;
+        FEWNER_SIMD
+        for (int64_t j = 0; j < r->inner; ++j) orow[j] += trow[j];
+      }
     }
   } else {
     BroadcastIndexer indexer(out_shape, t.shape());
@@ -916,11 +993,19 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   // Selection masks for backward: constant a.e., exact like Relu's kink mask.
   std::vector<float> sel;
   if (graph) sel.assign(static_cast<size_t>(n), 0.0f);
-  if (cond.shape() == a.shape()) {
-    for (int64_t i = 0; i < n; ++i) {
-      const bool take_a = cv[static_cast<size_t>(i)] != 0.0f;
-      ov[i] = take_a ? av[static_cast<size_t>(i)] : bv[static_cast<size_t>(i)];
-      if (graph && take_a) sel[static_cast<size_t>(i)] = 1.0f;
+  if (const std::optional<Repeat> r = Repeats(cond.shape(), a.shape())) {
+    // cond's run o masks output runs (o, m); the same shape is one run.
+    for (int64_t o = 0; o < r->outer; ++o) {
+      const float* crow = cv.data() + o * r->inner;
+      for (int64_t m = 0; m < r->mid; ++m) {
+        const int64_t base = (o * r->mid + m) * r->inner;
+        for (int64_t j = 0; j < r->inner; ++j) {
+          const bool take_a = crow[j] != 0.0f;
+          ov[base + j] = take_a ? av[static_cast<size_t>(base + j)]
+                                : bv[static_cast<size_t>(base + j)];
+          if (graph && take_a) sel[static_cast<size_t>(base + j)] = 1.0f;
+        }
+      }
     }
   } else {
     BroadcastIndexer indexer(cond.shape(), a.shape());
@@ -1028,9 +1113,7 @@ Tensor FusedOp(const char* name, const char* kernel_name, Shape shape,
         (*visible)->inputs = {rebuilt};
         return grads;
       });
-  OpOutput out = NewOutput(name, std::move(shape));
-  CopyFloats(out.data(), kernel.data().data(), n);
-  Tensor result = SealGraph(std::move(out), {kernel},
+  Tensor result = SealGraph(NewView(name, std::move(shape), kernel), {kernel},
                             [](const Tensor&, const Tensor& grad,
                                const NeedsGrad&) -> std::vector<Tensor> { return {grad}; });
   *visible = result.node();

@@ -43,7 +43,9 @@ Tensor MulScalar(const Tensor& t, float c);
 
 // ----- shape manipulation -----
 
-/// Reinterprets the data with a new shape of identical numel.
+/// Reinterprets the data with a new shape of identical numel.  The result
+/// of an op output views its values (no copy); a leaf's are copied, since
+/// leaves change in place (see Tensor::Detach).
 Tensor Reshape(const Tensor& t, Shape shape);
 
 /// 2-D transpose.
@@ -168,10 +170,10 @@ using CompositeFn = std::function<Tensor(const std::vector<Tensor>& inputs)>;
 ///   - `composite`, the definition.
 /// FusedOp does the rest.  Without a graph (eval mode, or no input requires
 /// grad) the op is one plain node.  In graph mode it is a kernel node
-/// (`kernel_name`, edges `inputs`) under a visible node (`name`) that passes
-/// its grad through.  The kernel node's backward picks a branch with
-/// EvalMode::active(), which autodiff::Grad sets exactly when create_graph is
-/// false:
+/// (`kernel_name`, edges `inputs`) under a visible node (`name`) that views
+/// the kernel node's values and passes its grad through.  The kernel node's
+/// backward picks a branch with EvalMode::active(), which autodiff::Grad sets
+/// exactly when create_graph is false:
 ///   - first order: `first_order`;
 ///   - create_graph: `composite` is rebuilt over the op's inputs and
 ///     differentiated with autodiff::GradContributions, seeded with the

@@ -49,7 +49,7 @@ const Shape& Tensor::shape() const {
 
 const std::vector<float>& Tensor::data() const {
   FEWNER_CHECK(defined(), "data() on undefined tensor");
-  return node_->values;
+  return node_->viewed ? node_->viewed->values : node_->values;
 }
 
 std::vector<float>* Tensor::mutable_data() {
@@ -58,6 +58,10 @@ std::vector<float>* Tensor::mutable_data() {
   // edges but remain op results whose buffers the WorkspaceArena may recycle.
   FEWNER_CHECK(node_->inputs.empty() && node_->leaf,
                "mutable_data() is only valid on leaf tensors (op: " << node_->op << ")");
+  if (node_->viewed) {  // copy on write: the viewed op output never changes
+    node_->values = node_->viewed->values;
+    node_->viewed.reset();
+  }
   // Conservatively counts every mutable access as a mutation: cheaper than
   // value hashing, and a false "changed" only costs a cache rebuild.
   ++node_->version;
@@ -75,10 +79,17 @@ Tensor Tensor::Detach() const {
   FEWNER_CHECK(defined(), "Detach() on undefined tensor");
   auto node = std::make_shared<internal::Node>();
   node->shape = node_->shape;
-  node->values = node_->values;
+  node->viewed = shared_storage();
+  if (!node->viewed) node->values = node_->values;
   node->requires_grad = false;
   node->op = "detach";
   return FromNode(std::move(node));
+}
+
+std::shared_ptr<internal::Node> Tensor::shared_storage() const {
+  if (node_->viewed) return node_->viewed;
+  if (node_->leaf) return nullptr;
+  return node_;
 }
 
 void Tensor::set_requires_grad(bool value) {

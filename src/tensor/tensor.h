@@ -38,7 +38,15 @@ namespace internal {
 struct Node {
   Shape shape;
   std::vector<float> values;
+  /// Set on a view (Reshape or Detach of an op output, FusedOp's
+  /// pass-through node): the node whose `values` this one reads, never itself
+  /// a view.  A view's own `values` stay empty.  Holding the node keeps its
+  /// buffer out of the WorkspaceArena, which recycles only nodes nobody else
+  /// holds.
+  std::shared_ptr<Node> viewed;
   bool requires_grad = false;
+  /// True while a WorkspaceArena holds the node in its pool.
+  bool pooled = false;
   /// True for user-created leaves (FromData/Detach), false for op outputs.
   /// Eval-mode op outputs carry no input edges, so `inputs.empty()` alone
   /// cannot tell a leaf from an op result; this flag can.
@@ -99,13 +107,16 @@ class Tensor {
   int64_t numel() const { return shape().numel(); }
   int64_t rank() const { return shape().rank(); }
 
-  /// Read-only access to the flat row-major values.
+  /// Read-only access to the flat row-major values (a view's are those of
+  /// the node it views).
   const std::vector<float>& data() const;
 
   /// Mutable access; only valid for leaves, since op outputs are conceptually
   /// immutable once consumed (and, in eval mode, physically recycled).  Used
   /// by optimizers for in-place parameter updates.  Checked: calling this on
-  /// an op output aborts, in graph mode and eval mode alike.
+  /// an op output aborts, in graph mode and eval mode alike.  A Detach()ed
+  /// view copies its values into a buffer of its own first (copy on write),
+  /// so the op output it viewed never changes.
   std::vector<float>* mutable_data();
 
   /// Value of a rank-0 / single-element tensor.
@@ -116,8 +127,11 @@ class Tensor {
 
   bool requires_grad() const;
 
-  /// Returns a new leaf holding a copy of this tensor's values, cut off from
-  /// the graph (requires_grad false, a fresh node id).
+  /// Returns a new leaf with this tensor's values, cut off from the graph
+  /// (requires_grad false, a fresh node id).  The leaf views an op output's
+  /// values (or those a view reads) instead of copying them: op outputs never
+  /// change.  A leaf's values are copied, since optimizers and
+  /// LoadParameters write leaves in place.
   Tensor Detach() const;
 
   /// Marks a leaf as trainable (participates in autodiff).
@@ -126,6 +140,14 @@ class Tensor {
   const char* op_name() const;
 
   internal::Node* node() const { return node_.get(); }
+
+  /// Internal: handles sharing this tensor's node, this one included.
+  long use_count() const { return node_.use_count(); }
+
+  /// Internal: the node a view of this tensor reads — the node it views, or
+  /// the op output itself — or null for a leaf that owns its values, which
+  /// can change in place and so is copied (Reshape, Detach).
+  std::shared_ptr<internal::Node> shared_storage() const;
 
   /// Pretty-prints shape and (small tensors') values for debugging.
   std::string ToString() const;

@@ -93,6 +93,35 @@ TEST(AutodiffTest, GradDetachedByDefault) {
   EXPECT_TRUE(g2[0].requires_grad());
 }
 
+TEST(AutodiffTest, FirstOrderResultsOutliveTheWalkAndPinNoArenaNode) {
+  // A first-order result takes its grad's buffer when nothing but the walk
+  // and its arena holds it, and is a Detach()ed view when two requested
+  // inputs share one grad (Add's backward passes its upstream grad to both).
+  // Either way the values survive the thread's arena churning on, and
+  // results kept across Grads, as a meta-batch keeps its tasks' grads, must
+  // not grow the arena.
+  const Tensor x = Tensor::FromData(Shape{4}, {1.0f, -2.0f, 3.0f, 0.5f}, true);
+  const Tensor y = Tensor::FromData(Shape{4}, {2.0f, 1.0f, -1.0f, 4.0f}, true);
+  const Tensor c = Tensor::FromData(Shape{4}, {3.0f, -1.0f, 0.5f, 2.0f});
+  const std::vector<Tensor> shared = Grad(SumAll(Mul(Add(x, y), c)), {x, y});
+  WorkspaceArena& arena = WorkspaceArena::ThreadLocal();
+  std::vector<Tensor> kept = Grad(SumAll(Mul(Square(x), c)), {x});
+  const size_t pool = arena.pool_size();
+  for (int task = 1; task < 8; ++task) {
+    kept.push_back(Grad(SumAll(Mul(Square(x), c)), {x})[0]);
+  }
+  EXPECT_EQ(arena.pool_size(), pool);
+  {
+    EvalMode eval;
+    for (int i = 0; i < 500; ++i) Sigmoid(MulScalar(x, static_cast<float>(i)));
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(shared[0].data()[i], c.data()[i]);
+    EXPECT_EQ(shared[1].data()[i], c.data()[i]);
+    for (const Tensor& g : kept) EXPECT_EQ(g.data()[i], 2.0f * x.data()[i] * c.data()[i]);
+  }
+}
+
 TEST(AutodiffTest, DetachBlocksFlow) {
   Tensor x = Tensor::FromData(Shape{2}, {1.0f, 2.0f}, true);
   Tensor loss = SumAll(Mul(x.Detach(), x));  // d/dx = detached(x)

@@ -5,11 +5,14 @@
 // coordinates to each operand by right-aligned broadcasting (div/mod, size-1
 // dims pinned to 0) and applies the scalar operation once.  SumTo's reference
 // adds each input element onto its output, +0-initialised, in ascending flat
-// order.  The op results must match it to the last bit (memcmp) on every
-// layout the ops handle — same shape, the row layouts ([r, c] ⊕ [c],
-// [r, c] ⊕ [1, c] and their mirrors, rank 3), the odometer layouts
-// ([B, 1, Y] ⊕ [Y, Y]) and zero-numel operands — over values that include
-// ±0, ±inf and NaN, in graph mode and in eval mode.
+// order — what the BroadcastIndexer odometer does.  The op results must match
+// it to the last bit (memcmp) on every layout the ops handle — same shape,
+// the trailing layouts ([r, c] ⊕ [c], [r, c] ⊕ [1, c] and their mirrors,
+// rank 3), the per-row scalar ([B, Y, 1] against [B, Y, Y]), the middle
+// broadcast ([B, 1, Y] against [B, Y, Y], and the CRF's [B, 1, Y] ⊕ [Y, Y],
+// where both operands broadcast), a layout left on the odometer
+// ([1, Y, 1] against [B, Y, Y]) and zero-numel operands — over values that
+// include ±0, ±inf and NaN, in graph mode and in eval mode.
 
 #include <algorithm>
 #include <cmath>
@@ -118,6 +121,10 @@ const ShapePair kBinaryShapes[] = {
     {"[B,1,Y]+[Y,Y]", Shape{2, 1, 4}, Shape{4, 4}},
     {"[1,1,Y]+[Y,Y]", Shape{1, 1, 4}, Shape{4, 4}},  // result [1, Y, Y]
     {"[r,1]+[r,c]", Shape{4, 1}, Shape{4, 7}},
+    {"[B,Y,Y]+[B,Y,1]", Shape{2, 3, 4}, Shape{2, 3, 1}},
+    {"[B,1,Y]+[B,Y,Y]", Shape{2, 1, 4}, Shape{2, 3, 4}},
+    {"rank-4 [B,1,1,D]", Shape{2, 3, 4, 5}, Shape{2, 1, 1, 5}},
+    {"[1,Y,1]+[B,Y,Y] odometer", Shape{1, 3, 1}, Shape{2, 3, 4}},
     {"zero rows", Shape{0, 5}, Shape{5}},
     {"zero cols", Shape{3, 0}, Shape{0}},
     {"zero small", Shape{1, 0}, Shape{3, 0}},
@@ -196,6 +203,9 @@ const Reduction kReductions[] = {
     {"->scalar", Shape{3, 5}, Shape{}},
     {"rank-3 ->[B,1,c]", Shape{2, 3, 5}, Shape{2, 1, 5}},
     {"[r,c]->[r,1]", Shape{4, 7}, Shape{4, 1}},
+    {"[B,Y,Y]->[B,Y,1]", Shape{2, 3, 4}, Shape{2, 3, 1}},
+    {"rank-4 ->[B,1,1,D]", Shape{2, 3, 4, 5}, Shape{2, 1, 1, 5}},
+    {"[B,Y,Y]->[1,Y,1] odometer", Shape{2, 3, 4}, Shape{1, 3, 1}},
     {"zero rows", Shape{0, 5}, Shape{5}},
     {"zero cols", Shape{3, 0}, Shape{0}},
     {"zero rows ->[1,c]", Shape{0, 5}, Shape{1, 5}},
@@ -230,6 +240,32 @@ TEST(ElementwiseLoopTest, BroadcastToMatchesPerElementReferenceBitwise) {
         want[static_cast<size_t>(i)] = t.at(SourceIndex(r.small, r.big, i));
       }
       ExpectBits(BroadcastTo(t, r.big), r.big, want, std::string(mode) + " " + r.name);
+    }
+  });
+}
+
+TEST(ElementwiseLoopTest, WhereMatchesPerElementReferenceBitwise) {
+  // cond is 0, 1, -0 or NaN (nonzero, so it takes a); the branches carry
+  // specials, which Where copies bit for bit.
+  const ShapePair cases[] = {
+      {"same", Shape{3, 5}, Shape{3, 5}},
+      {"[r,1] lane mask", Shape{4, 1}, Shape{4, 7}},
+      {"[c] trailing", Shape{7}, Shape{4, 7}},
+      {"[B,1,Y] middle", Shape{2, 1, 4}, Shape{2, 3, 4}},
+      {"[1,Y,1] odometer", Shape{1, 3, 1}, Shape{2, 3, 4}},
+      {"zero rows", Shape{0, 1}, Shape{0, 5}},
+  };
+  InBothModes([&](const char* mode) {
+    for (const ShapePair& c : cases) {
+      const Tensor cond = Values(c.a, {0.0f, 1.0f, -0.0f, kNan}, 6);
+      const Tensor x = Values(c.b, kSpecials, 7);
+      const Tensor y = Values(c.b, kSpecials, 8);
+      std::vector<float> want(static_cast<size_t>(c.b.numel()));
+      for (int64_t i = 0; i < c.b.numel(); ++i) {
+        want[static_cast<size_t>(i)] =
+            cond.at(SourceIndex(c.a, c.b, i)) != 0.0f ? x.at(i) : y.at(i);
+      }
+      ExpectBits(Where(cond, x, y), c.b, want, std::string(mode) + " " + c.name);
     }
   });
 }

@@ -268,18 +268,29 @@ TEST(EvalModeTest, EscapedTensorsKeepTheirValues) {
   util::Rng rng(5);
   Tensor a = Tensor::Randn(Shape{4}, &rng);
   Tensor escaped;
+  Tensor escaped_view;  // the only handle to the arena node it views
   std::vector<float> expected;
+  std::vector<float> view_expected;
   {
     EvalMode eval;
     escaped = MulScalar(a, 2.0f);
+    escaped_view = Reshape(Sigmoid(a), Shape{2, 2});
     expected = escaped.data();
-    // Churn the arena hard: if the escaped node were recycled, its buffer
-    // would be overwritten by one of these.
-    for (int i = 0; i < 200; ++i) Sigmoid(MulScalar(a, static_cast<float>(i)));
+    view_expected = escaped_view.data();
+    // Churn the arena hard, 1,000 ops: if an escaped node, or the node the
+    // view reads, were recycled, its buffer would be overwritten.
+    for (int i = 0; i < 500; ++i) Sigmoid(MulScalar(a, static_cast<float>(i)));
   }
   EXPECT_EQ(escaped.data(), expected);
+  // Another thread reads the view bitwise-unchanged.
+  std::vector<float> seen;
+  std::thread reader([&] { seen = escaped_view.data(); });
+  reader.join();
+  ASSERT_EQ(seen.size(), view_expected.size());
+  EXPECT_EQ(std::memcmp(seen.data(), view_expected.data(), seen.size() * sizeof(float)), 0);
   arena.Clear();
   EXPECT_EQ(escaped.data(), expected);  // pinned node survives Clear too
+  EXPECT_EQ(escaped_view.data(), view_expected);
 }
 
 TEST(EvalModeTest, GraphModeUnaffectedAfterEvalScope) {

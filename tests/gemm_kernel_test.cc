@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -191,6 +193,54 @@ TEST(GemmKernelTest, EveryTileRoundsMultiplyAndAddSeparately) {
       }
     }
   }
+
+  // The one-column products (n == 1: A·b, and an m = 1 A·Bᵀ read as B·aᵀ),
+  // which the AVX-512 tile runs 16 rows per register through in-register
+  // transposes.  Every row's k = 35 products are zero but for 2²⁴ at step 0,
+  // 1 and −2²⁴ at steps 16 and 17, and −1 and q·q (q = 1 + 2⁻¹²) at steps 33
+  // and 34.  In ascending order 2²⁴ + 1 rounds back to 2²⁴, so the sum
+  // reaches −1 and then, with a separate multiply and add, exactly 2⁻¹¹.  A
+  // fused last step gives 2⁻¹¹ + 2⁻²⁴.  Summing k in 16 partial lanes, or per
+  // 16-step block, keeps the 1 and misses 2⁻¹¹.  m = 47 spans two full
+  // 16-row blocks and a remainder, k two full 16-step blocks and a tail.
+  const float big = std::ldexp(1.0f, 24);
+  const int64_t m = 47, k = 35;
+  std::vector<float> u(static_cast<size_t>(k), 0.0f);  // A's row
+  std::vector<float> v(static_cast<size_t>(k), 0.0f);  // b
+  u[0] = big, v[0] = 1.0f;
+  u[16] = 1.0f, v[16] = 1.0f;
+  u[17] = -big, v[17] = 1.0f;
+  u[33] = 1.0f, v[33] = -1.0f;
+  u[34] = q, v[34] = q;
+  std::vector<float> a(static_cast<size_t>(m * k));     // [m, k]
+  std::vector<float> a_tn(static_cast<size_t>(k * m));  // [k, m]
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      a[i * k + kk] = a_tn[kk * m + i] = u[static_cast<size_t>(kk)];
+    }
+  }
+  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+    std::vector<float> got(static_cast<size_t>(m));
+    const char* const layouts[] = {"NN", "NT", "TN", "NT m=1"};
+    for (int layout = 0; layout < 4; ++layout) {
+      std::fill(got.begin(), got.end(), -1.0f);
+      if (layout == 0) {
+        kernel::MatMulBlocked(a.data(), v.data(), got.data(), m, k, 1, *tile);
+      } else if (layout == 1) {
+        kernel::MatMulNT(a.data(), v.data(), got.data(), m, k, 1, *tile);
+      } else if (layout == 2) {
+        kernel::MatMulTN(a_tn.data(), v.data(), got.data(), m, k, 1, -1, *tile);
+      } else {
+        kernel::MatMulNT(v.data(), a.data(), got.data(), 1, k, m, *tile);
+      }
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want)
+            << tile->name << " " << layouts[layout] << " elem " << i
+            << ": a one-column product fused a multiply and its add, or did "
+               "not add its k terms in ascending order";
+      }
+    }
+  }
 }
 
 TEST(GemmKernelTest, PackTransposeMatchesNaiveTransposeBitwise) {
@@ -287,27 +337,56 @@ TEST(GemmKernelTest, SingleRowNtReadsBInPlaceBitwise) {
   // naive NT and the pack-then-NN product on every host tile, through
   // MatMulNT and through GemmNT at every budget.  n = 1024 with k = 512
   // clears the flop threshold, so budgets > 1 shard b's rows there.
-  for (const kernel::GemmTile* tile : kernel::HostTiles()) {
-    SCOPED_TRACE(tile->name);
-    util::Rng rng(31);
-    for (int64_t n : {1, 31, 33, 256, 1024}) {
-      for (int64_t k : {1, 17, 512}) {
-        const std::vector<float> a = RandomVec(k, &rng);
-        const std::vector<float> b = RandomVec(n * k, &rng);
-        std::vector<float> want(static_cast<size_t>(n));
-        NaiveNT(a.data(), b.data(), want.data(), 1, k, n);
-        std::vector<float> got(static_cast<size_t>(n), -1.0f);
-        const std::vector<float> bt = Transposed(b, n, k);  // [k, n]
-        kernel::MatMulBlocked(a.data(), bt.data(), got.data(), 1, k, n, *tile);
-        ExpectBitwiseEqual(got, want, "pack-then-NN", 1, k, n);
-        std::fill(got.begin(), got.end(), -1.0f);
-        kernel::MatMulNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
-        ExpectBitwiseEqual(got, want, "MatMulNT", 1, k, n);
-        for (int64_t budget : {1, 2, 3, 8}) {
-          ParallelismBudget scoped(budget);
+  //
+  // On the AVX-512 tile this is its one-column path, 16 rows of b per
+  // register: n = 15, 16 and 17 straddle one register, k = 17 a transpose
+  // block.  A second pass sprinkles ±0, NaN, ±inf and subnormals into both
+  // operands.  Its NaN is the host's default NaN (what 0·inf makes), so every
+  // NaN an output can hold has one bit pattern whatever the operand order.
+  volatile float zero = 0.0f;
+  const float default_nan = zero * std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            default_nan,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0f * std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 4.0f};
+  auto operand = [&](int64_t numel, bool with_specials, util::Rng* rng) {
+    std::vector<float> v = RandomVec(numel, rng);
+    if (with_specials) {
+      for (float& x : v) {
+        const uint64_t draw = rng->Next() % 48;
+        if (draw < std::size(specials)) x = specials[draw];
+      }
+    }
+    return v;
+  };
+  for (bool with_specials : {false, true}) {
+    SCOPED_TRACE(with_specials ? "with specials" : "gaussian");
+    for (const kernel::GemmTile* tile : kernel::HostTiles()) {
+      SCOPED_TRACE(tile->name);
+      util::Rng rng(with_specials ? 32 : 31);
+      for (int64_t n : {1, 15, 16, 17, 31, 33, 256, 1024}) {
+        for (int64_t k : {1, 17, 512}) {
+          const std::vector<float> a = operand(k, with_specials, &rng);
+          const std::vector<float> b = operand(n * k, with_specials, &rng);
+          std::vector<float> want(static_cast<size_t>(n));
+          NaiveNT(a.data(), b.data(), want.data(), 1, k, n);
+          std::vector<float> got(static_cast<size_t>(n), -1.0f);
+          const std::vector<float> bt = Transposed(b, n, k);  // [k, n]
+          kernel::MatMulBlocked(a.data(), bt.data(), got.data(), 1, k, n, *tile);
+          ExpectBitwiseEqual(got, want, "pack-then-NN", 1, k, n);
           std::fill(got.begin(), got.end(), -1.0f);
-          kernel::GemmNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
-          ExpectBitwiseEqual(got, want, "GemmNT", 1, k, budget);
+          kernel::MatMulNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
+          ExpectBitwiseEqual(got, want, "MatMulNT", 1, k, n);
+          for (int64_t budget : {1, 2, 3, 8}) {
+            ParallelismBudget scoped(budget);
+            std::fill(got.begin(), got.end(), -1.0f);
+            kernel::GemmNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
+            ExpectBitwiseEqual(got, want, "GemmNT", 1, k, budget);
+          }
         }
       }
     }

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 
+#include "nn/optim.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
 #include "tensor/matmul_kernel.h"
@@ -93,6 +95,61 @@ TEST(TensorTest, DetachSharesValuesCutsGraph) {
   Tensor d = b.Detach();
   EXPECT_FALSE(d.requires_grad());
   EXPECT_FLOAT_EQ(d.at(0), 3.0f);
+}
+
+TEST(TensorViewTest, ReshapeAndDetachOfAnOpOutputShareItsBuffer) {
+  for (bool eval : {false, true}) {
+    SCOPED_TRACE(eval ? "eval" : "graph");
+    std::optional<EvalMode> scope;
+    if (eval) scope.emplace();
+    Tensor x = Tensor::FromData(Shape{2, 3}, {1, 2, 3, 4, 5, 6}, /*requires_grad=*/!eval);
+    Tensor y = MulScalar(x, 2.0f);  // an op output
+    Tensor r = Reshape(y, Shape{3, 2});
+    Tensor d = y.Detach();
+    EXPECT_EQ(r.data().data(), y.data().data());
+    EXPECT_EQ(d.data().data(), y.data().data());
+    EXPECT_EQ(r.shape(), (Shape{3, 2}));
+    EXPECT_EQ(d.shape(), (Shape{2, 3}));
+    EXPECT_EQ(r.requires_grad(), !eval);
+    EXPECT_FALSE(d.requires_grad());
+    // A view of a view reads the op output's buffer too.
+    EXPECT_EQ(Reshape(r, Shape{6}).data().data(), y.data().data());
+    EXPECT_EQ(r.Detach().data().data(), y.data().data());
+    EXPECT_EQ(Reshape(d, Shape{6}).data().data(), y.data().data());
+    // A leaf's Reshape and Detach copy its values.
+    Tensor rx = Reshape(x, Shape{6});
+    Tensor dx = x.Detach();
+    EXPECT_NE(rx.data().data(), x.data().data());
+    EXPECT_NE(dx.data().data(), x.data().data());
+    EXPECT_EQ(rx.data(), x.data());
+    EXPECT_EQ(dx.data(), x.data());
+  }
+}
+
+TEST(TensorViewTest, AdamStepLeavesEarlierReshapeAndDetachOfALeafUnchanged) {
+  Tensor w = Tensor::FromData(Shape{2, 2}, {0.5f, -1.0f, 2.0f, 0.25f}, true);
+  const std::vector<float> before = w.data();
+  Tensor r = Reshape(w, Shape{4});
+  Tensor d = w.Detach();
+  nn::Adam adam({&w}, 0.1f);
+  adam.Step({Tensor::Ones(Shape{2, 2})});
+  EXPECT_NE(w.data(), before);
+  EXPECT_EQ(r.data(), before);
+  EXPECT_EQ(d.data(), before);
+}
+
+TEST(TensorViewTest, MutableDataOnADetachedOpOutputCopiesOnWrite) {
+  Tensor x = Tensor::FromData(Shape{3}, {1, 2, 3});
+  Tensor y = MulScalar(x, 2.0f);
+  Tensor r = Reshape(y, Shape{1, 3});
+  Tensor d = y.Detach();
+  const std::vector<float> before = y.data();
+  (*d.mutable_data())[0] = 42.0f;
+  EXPECT_EQ(d.at(0), 42.0f);
+  EXPECT_EQ(d.at(1), 4.0f);
+  EXPECT_NE(d.data().data(), y.data().data());
+  EXPECT_EQ(y.data(), before);
+  EXPECT_EQ(r.data(), before);
 }
 
 TEST(OpsTest, AddSubMulDiv) {
