@@ -48,9 +48,6 @@ class EpisodeSampler {
   int64_t n_way() const { return n_way_; }
   int64_t k_shot() const { return k_shot_; }
 
-  /// Number of candidate sentences (those with at least one allowed mention).
-  int64_t CandidateCount() const { return static_cast<int64_t>(candidates_.size()); }
-
  private:
   /// One construction attempt; returns false if the shuffled stream ran out
   /// before reaching N ways with K shots each.

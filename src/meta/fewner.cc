@@ -7,7 +7,6 @@
 #include "meta/parallel.h"
 #include "tensor/autodiff.h"
 #include "tensor/eval_mode.h"
-#include "tensor/ops.h"
 
 namespace fewner::meta {
 
@@ -23,18 +22,10 @@ Tensor DescendPhi(Tensor phi, int64_t steps, float inner_lr, bool create_graph,
     Tensor loss = support_loss(phi);
     // Eq. 5: gradient w.r.t. the previous φ only — θ stays fixed here, but
     // with create_graph the inner gradient keeps its dependence on θ, which
-    // is what the outer update differentiates through.
-    Tensor grad = tensor::autodiff::Grad(loss, {phi}, create_graph)[0];
-    // Detached global-norm cap (paper's clip of 5.0) keeps the summed task
-    // loss from producing destabilizing inner steps.
-    const float clip_scale = InnerClipScale({grad});
-    phi = tensor::Sub(phi, tensor::MulScalar(grad, inner_lr * clip_scale));
-    if (!create_graph) {
-      // Cheap test-time path: re-leaf φ so graphs do not accumulate.
-      Tensor leaf = phi.Detach();
-      leaf.set_requires_grad(true);
-      phi = leaf;
-    }
+    // is what the outer update differentiates through.  Without it φ comes
+    // back a fresh leaf, so graphs do not accumulate across steps.
+    std::vector<Tensor> grad = tensor::autodiff::Grad(loss, {phi}, create_graph);
+    phi = InnerStep({phi}, grad, inner_lr, create_graph)[0];
   }
   return phi;
 }
@@ -94,33 +85,20 @@ void Fewner::Train(const data::EpisodeSampler& sampler,
                    const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   test_inner_steps_ = config.inner_steps_test;
   inner_lr_ = config.inner_lr;
-  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
+  auto query_loss = [&](nn::Module* model, const models::EncodedEpisode& enc) {
+    auto* net = static_cast<models::Backbone*>(model);
+    Tensor phi = AdaptContextOn(*net, enc.support, enc.valid_tags,
+                                config.inner_steps_train, config.inner_lr,
+                                /*create_graph=*/!config.first_order);
+    // Eq. 6: meta-gradient through the inner updates (second order).  Each
+    // task backpropagates separately; summed gradients equal the gradient of
+    // the summed loss, at a fraction of the peak memory.
+    return TaskLoss{net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags)};
+  };
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  RunOuterLoop(
-      config, backbone_.get(), &batch, name(), "query loss",
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        models::EncodedEpisode enc =
-            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        Tensor phi = AdaptContextOn(*net, enc.support, enc.valid_tags,
-                                    config.inner_steps_train, config.inner_lr,
-                                    /*create_graph=*/!config.first_order);
-        // Eq. 6: meta-gradient through the inner updates (second order).
-        // Each task backpropagates separately; summed gradients equal the
-        // gradient of the summed loss, at a fraction of the peak memory.
-        Tensor query_loss =
-            net->BatchLoss(models::PackBatch(enc.query), phi, enc.valid_tags);
-        *grads = tensor::autodiff::Grad(query_loss, replica_params);
-        return query_loss.item();
-      },
-      [&](int64_t iteration, std::vector<Tensor> grads) {
-        nn::ClipGradNorm(&grads, config.grad_clip);
-        optimizer.Step(grads);
-        if (LrDecayDue(config, iteration)) optimizer.DecayLr(config.lr_decay);
-      });
+  RunOuterLoop(config, backbone_.get(), &batch, name(), "query loss",
+               GradientTask(sampler, encoder, config, query_loss),
+               AdamUpdate(config, backbone_.get(), /*decay_lr=*/true));
 }
 
 std::vector<std::vector<int64_t>> Fewner::AdaptAndPredict(

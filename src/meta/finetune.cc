@@ -8,24 +8,30 @@ namespace fewner::meta {
 
 using tensor::Tensor;
 
+double SgdSteps(nn::Module* module, int64_t steps, float lr,
+                const std::function<Tensor()>& loss) {
+  nn::Sgd sgd(module->Parameters(), lr);
+  // Loop-invariant: Sgd::Step writes values in place, so the handles keep
+  // aliasing the live leaves across steps.
+  const std::vector<Tensor> params = nn::ParameterTensors(module);
+  double last_loss = 0.0;
+  for (int64_t k = 0; k < steps; ++k) {
+    Tensor value = loss();
+    std::vector<Tensor> grads = tensor::autodiff::Grad(value, params);
+    nn::ClipGradNorm(&grads, 5.0f);
+    sgd.Step(grads);
+    last_loss = value.item();
+  }
+  return last_loss;
+}
+
 double SgdOnSupport(models::Backbone* net,
                     const std::vector<models::EncodedSentence>& support,
                     const std::vector<bool>& valid_tags, int64_t steps, float lr) {
-  nn::Sgd sgd(net->Parameters(), lr);
-  double last_loss = 0.0;
-  // Packed once; every SGD step runs the batch-first forward.  The parameter
-  // snapshot is likewise loop-invariant: Sgd::Step writes values in place, so
-  // the handles keep aliasing the live leaves across steps.
+  // Packed once; every SGD step runs the batch-first forward.
   const models::EncodedBatch packed = models::PackBatch(support);
-  const std::vector<Tensor> net_params = nn::ParameterTensors(net);
-  for (int64_t k = 0; k < steps; ++k) {
-    Tensor loss = net->BatchLoss(packed, Tensor(), valid_tags);
-    std::vector<Tensor> grads = tensor::autodiff::Grad(loss, net_params);
-    nn::ClipGradNorm(&grads, 5.0f);
-    sgd.Step(grads);
-    last_loss = loss.item();
-  }
-  return last_loss;
+  return SgdSteps(net, steps, lr,
+                  [&] { return net->BatchLoss(packed, Tensor(), valid_tags); });
 }
 
 std::vector<std::vector<int64_t>> FineTuneAndDecode(
@@ -53,29 +59,18 @@ void FineTune::Train(const data::EpisodeSampler& sampler,
                      const TrainConfig& config) {
   test_steps_ = config.inner_steps_test;
   finetune_lr_ = config.inner_lr;
-  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
   // Conventional supervised training: each training task's support set is one
   // mini-batch element; a meta-batch of support losses is averaged into one
   // update (no inner/outer split, no query usage).
+  auto support_loss = [](nn::Module* model, const models::EncodedEpisode& enc) {
+    auto* net = static_cast<models::Backbone*>(model);
+    return TaskLoss{
+        net->BatchLoss(models::PackBatch(enc.support), Tensor(), enc.valid_tags)};
+  };
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  RunOuterLoop(
-      config, backbone_.get(), &batch, name(), "loss",
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        models::EncodedEpisode enc =
-            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        Tensor loss = net->BatchLoss(models::PackBatch(enc.support), Tensor(),
-                                     enc.valid_tags);
-        *grads = tensor::autodiff::Grad(loss, replica_params);
-        return loss.item();
-      },
-      [&](int64_t, std::vector<Tensor> grads) {
-        nn::ClipGradNorm(&grads, config.grad_clip);
-        optimizer.Step(grads);
-      });
+  RunOuterLoop(config, backbone_.get(), &batch, name(), "loss",
+               GradientTask(sampler, encoder, config, support_loss),
+               AdamUpdate(config, backbone_.get(), /*decay_lr=*/false));
 }
 
 std::vector<std::vector<int64_t>> FineTune::AdaptAndPredict(

@@ -5,17 +5,24 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "meta/method.h"
 #include "models/backbone.h"
+#include "nn/module.h"
 #include "util/rng.h"
 
 namespace fewner::meta {
 
-/// Runs `steps` SGD steps (global-norm clip 5.0) on the support loss against
-/// `net`'s parameters in place; returns the last step's loss.  The caller
+/// The clip-5 SGD fine-tune: `steps` times, Grad of `loss()` against
+/// `module`'s parameters, global-norm clip to 5.0 and an nn::Sgd step at `lr`
+/// in place.  Returns the last step's loss (0 when `steps` is 0).  The caller
 /// snapshots and restores the parameters as needed.
+double SgdSteps(nn::Module* module, int64_t steps, float lr,
+                const std::function<tensor::Tensor()>& loss);
+
+/// SgdSteps on `net`'s batched support loss (FineTune and Reptile).
 double SgdOnSupport(models::Backbone* net,
                     const std::vector<models::EncodedSentence>& support,
                     const std::vector<bool>& valid_tags, int64_t steps, float lr);

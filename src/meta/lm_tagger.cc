@@ -2,7 +2,8 @@
 
 #include <algorithm>
 
-#include "nn/optim.h"
+#include "meta/finetune.h"
+#include "meta/parallel.h"
 #include "tensor/autodiff.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
@@ -63,8 +64,8 @@ void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
                         const TrainConfig& config) {
   test_steps_ = config.inner_steps_test;
   finetune_lr_ = config.inner_lr;
-  nn::Adam optimizer(head_.Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
+  // One head update per training task, with the shared meta-update rule.
+  const OuterUpdateFn update = AdamUpdate(config, &head_, /*decay_lr=*/false);
   uint64_t episode_id = 0;
   const int64_t updates = config.iterations * config.meta_batch;
   for (int64_t step = 0; step < updates; ++step) {
@@ -72,10 +73,7 @@ void LmCrfTagger::Train(const data::EpisodeSampler& sampler,
     BoundTrainingEpisode(config, &episode);
     models::EncodedEpisode enc = encoder.Encode(episode);
     Tensor loss = BatchLoss(Pack(enc.support), enc.valid_tags);
-    std::vector<Tensor> grads =
-        tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
-    nn::ClipGradNorm(&grads, config.grad_clip);
-    optimizer.Step(grads);
+    update(step, tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_)));
     if (config.verbose && step % 50 == 0) {
       FEWNER_LOG(INFO) << name() << " step " << step << " loss " << loss.item();
     }
@@ -87,15 +85,9 @@ std::vector<std::vector<int64_t>> LmCrfTagger::AdaptAndPredict(
   if (episode.query.empty()) return {};
   // Fine-tune only the CRF stack on the support set; restore afterwards.
   std::vector<std::vector<float>> snapshot = nn::SnapshotParameterValues(&head_);
-  nn::Sgd sgd(head_.Parameters(), finetune_lr_);
   const PackedSet support = Pack(episode.support);
-  for (int64_t step = 0; step < test_steps_; ++step) {
-    Tensor loss = BatchLoss(support, episode.valid_tags);
-    std::vector<Tensor> grads =
-        tensor::autodiff::Grad(loss, nn::ParameterTensors(&head_));
-    nn::ClipGradNorm(&grads, 5.0f);
-    sgd.Step(grads);
-  }
+  SgdSteps(&head_, test_steps_, finetune_lr_,
+           [&] { return BatchLoss(support, episode.valid_tags); });
   const PackedSet query = Pack(episode.query);
   std::vector<std::vector<int64_t>> predictions = head_.crf->ViterbiBatch(
       Emissions(query).Detach(), query.batch.lengths, &episode.valid_tags);

@@ -1,9 +1,7 @@
 #include "meta/maml.h"
 
 #include "meta/parallel.h"
-#include "nn/optim.h"
 #include "tensor/autodiff.h"
-#include "tensor/ops.h"
 
 namespace fewner::meta {
 
@@ -29,27 +27,11 @@ std::vector<Tensor> Maml::InnerAdaptOn(
       nn::ParameterPatch patch(slots, current);
       loss = net->BatchLoss(packed, Tensor(), valid_tags);
     }
-    std::vector<Tensor> grads = tensor::autodiff::Grad(loss, current, create_graph);
     // Full-network inner steps on the paper's summed task loss are large;
-    // rescale by the global norm (detached factor, paper's clip of 5.0) so a
-    // single step cannot blow up the whole backbone.
-    const float clip_scale = InnerClipScale(grads);
-    for (size_t i = 0; i < current.size(); ++i) {
-      if (create_graph) {
-        current[i] = tensor::Sub(
-            current[i], tensor::MulScalar(grads[i], inner_lr * clip_scale));
-      } else {
-        // First-order test-time path: plain arithmetic into fresh leaves.
-        std::vector<float> updated = current[i].data();
-        const auto& g = grads[i].data();
-        for (size_t j = 0; j < updated.size(); ++j) {
-          updated[j] -= inner_lr * clip_scale * g[j];
-        }
-        Tensor leaf = Tensor::FromData(current[i].shape(), std::move(updated),
-                                       /*requires_grad=*/true);
-        current[i] = leaf;
-      }
-    }
+    // InnerStep rescales by the global norm (detached factor, paper's clip of
+    // 5.0) so a single step cannot blow up the whole backbone.
+    current = InnerStep(current, tensor::autodiff::Grad(loss, current, create_graph),
+                        inner_lr, create_graph);
   }
   return current;
 }
@@ -58,40 +40,28 @@ void Maml::Train(const data::EpisodeSampler& sampler,
                  const models::EpisodeEncoder& encoder, const TrainConfig& config) {
   test_inner_steps_ = config.inner_steps_test;
   inner_lr_ = config.inner_lr;
-  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
+  auto query_loss = [&](nn::Module* model, const models::EncodedEpisode& enc) {
+    auto* net = static_cast<models::Backbone*>(model);
+    std::vector<Tensor> adapted =
+        InnerAdaptOn(net, enc.support, enc.valid_tags, config.inner_steps_train,
+                     config.inner_lr, /*create_graph=*/!config.first_order);
+    Tensor loss;
+    {
+      nn::ParameterPatch patch(net->Parameters(), adapted);
+      loss = net->BatchLoss(models::PackBatch(enc.query), Tensor(), enc.valid_tags);
+    }
+    // Eq. 3: meta-gradient w.r.t. the original parameters (the replica's own
+    // leaves), flowing through the full-network inner updates; per-task
+    // backward bounds peak memory.  In first-order mode the inner updates are
+    // detached, so the FOMAML gradient is taken at the adapted parameters and
+    // applied to the originals (identical layouts).
+    if (!config.first_order) return TaskLoss{loss};
+    return TaskLoss{loss, std::move(adapted)};
+  };
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  RunOuterLoop(
-      config, backbone_.get(), &batch, name(), "query loss",
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        models::EncodedEpisode enc =
-            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        std::vector<Tensor> adapted =
-            InnerAdaptOn(net, enc.support, enc.valid_tags, config.inner_steps_train,
-                         config.inner_lr, /*create_graph=*/!config.first_order);
-        Tensor query_loss;
-        {
-          nn::ParameterPatch patch(net->Parameters(), adapted);
-          query_loss = net->BatchLoss(models::PackBatch(enc.query), Tensor(),
-                                      enc.valid_tags);
-        }
-        // Eq. 3: meta-gradient w.r.t. the original parameters (the replica's
-        // own leaves), flowing through the full-network inner updates;
-        // per-task backward bounds peak memory.  In first-order mode the inner
-        // updates are detached, so the FOMAML gradient is taken at the adapted
-        // parameters and applied to the originals (identical layouts).
-        *grads = tensor::autodiff::Grad(
-            query_loss, config.first_order ? adapted : replica_params);
-        return query_loss.item();
-      },
-      [&](int64_t iteration, std::vector<Tensor> grads) {
-        nn::ClipGradNorm(&grads, config.grad_clip);
-        optimizer.Step(grads);
-        if (LrDecayDue(config, iteration)) optimizer.DecayLr(config.lr_decay);
-      });
+  RunOuterLoop(config, backbone_.get(), &batch, name(), "query loss",
+               GradientTask(sampler, encoder, config, query_loss),
+               AdamUpdate(config, backbone_.get(), /*decay_lr=*/true));
 }
 
 std::vector<std::vector<int64_t>> Maml::AdaptAndPredict(

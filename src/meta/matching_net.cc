@@ -1,8 +1,6 @@
 #include "meta/matching_net.h"
 
 #include "meta/parallel.h"
-#include "nn/optim.h"
-#include "tensor/autodiff.h"
 #include "tensor/ops.h"
 
 namespace fewner::meta {
@@ -55,25 +53,13 @@ Tensor MatchingNet::EpisodeLoss(const models::Backbone& net,
 void MatchingNet::Train(const data::EpisodeSampler& sampler,
                         const models::EpisodeEncoder& encoder,
                         const TrainConfig& config) {
-  nn::Adam optimizer(backbone_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
+  auto episode_loss = [this](nn::Module* model, const models::EncodedEpisode& enc) {
+    return TaskLoss{EpisodeLoss(*static_cast<models::Backbone*>(model), enc)};
+  };
   ParallelMetaBatch batch = BackboneMetaBatch(config.num_threads, backbone_.get());
-  RunOuterLoop(
-      config, backbone_.get(), &batch, name(), "loss",
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* net = static_cast<models::Backbone*>(model);
-        models::EncodedEpisode enc =
-            PrepareTrainingTask(sampler, encoder, config, episode_id, net);
-        Tensor loss = EpisodeLoss(*net, enc);
-        *grads = tensor::autodiff::Grad(loss, replica_params);
-        return loss.item();
-      },
-      [&](int64_t, std::vector<Tensor> grads) {
-        nn::ClipGradNorm(&grads, config.grad_clip);
-        optimizer.Step(grads);
-      });
+  RunOuterLoop(config, backbone_.get(), &batch, name(), "loss",
+               GradientTask(sampler, encoder, config, episode_loss),
+               AdamUpdate(config, backbone_.get(), /*decay_lr=*/false));
 }
 
 std::vector<std::vector<int64_t>> MatchingNet::AdaptAndPredict(

@@ -3,12 +3,38 @@
 #include <atomic>
 #include <cmath>
 
+#include "nn/optim.h"
+#include "tensor/autodiff.h"
 #include "tensor/intraop.h"
+#include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace fewner::meta {
+
+namespace {
+
+/// True when the tasks of iteration `iteration` cross a multiple of
+/// `config.lr_decay_every`.  Only valid for a config RunOuterLoop accepts.
+bool LrDecayDue(const TrainConfig& config, int64_t iteration) {
+  const int64_t tasks_seen = (iteration + 1) * config.meta_batch;
+  return tasks_seen / config.lr_decay_every !=
+         (tasks_seen - config.meta_batch) / config.lr_decay_every;
+}
+
+/// InnerStep's clip scale (see parallel.h).
+float InnerClipScale(const std::vector<tensor::Tensor>& grads) {
+  constexpr float kInnerClip = 5.0f;
+  double norm_sq = 0.0;
+  for (const tensor::Tensor& g : grads) {
+    for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
+  }
+  const float norm = static_cast<float>(std::sqrt(norm_sq));
+  return norm > kInnerClip ? kInnerClip / norm : 1.0f;
+}
+
+}  // namespace
 
 ParallelMetaBatch::ParallelMetaBatch(int64_t num_threads, ReplicaFactory factory,
                                      ReplicaSync sync)
@@ -128,6 +154,41 @@ models::EncodedEpisode PrepareTrainingTask(const data::EpisodeSampler& sampler,
   return enc;
 }
 
+OuterTaskFn GradientTask(const data::EpisodeSampler& sampler,
+                         const models::EpisodeEncoder& encoder,
+                         const TrainConfig& config, TaskLossFn loss,
+                         BackboneOf backbone_of) {
+  return [&sampler, &encoder, &config, loss = std::move(loss), backbone_of](
+             uint64_t episode_id, nn::Module* model,
+             const std::vector<tensor::Tensor>& replica_params,
+             std::vector<tensor::Tensor>* grads) -> double {
+    models::Backbone* net = backbone_of != nullptr
+                                ? backbone_of(model)
+                                : static_cast<models::Backbone*>(model);
+    const models::EncodedEpisode episode =
+        PrepareTrainingTask(sampler, encoder, config, episode_id, net);
+    const TaskLoss task = loss(model, episode);
+    *grads = tensor::autodiff::Grad(task.loss,
+                                    task.wrt.empty() ? replica_params : task.wrt);
+    return task.loss.item();
+  };
+}
+
+OuterUpdateFn AdamUpdate(const TrainConfig& config, nn::Module* master,
+                         bool decay_lr) {
+  auto optimizer =
+      std::make_shared<nn::Adam>(master->Parameters(), config.meta_lr, 0.9f,
+                                 0.999f, 1e-8f, config.weight_decay);
+  return [optimizer, config, decay_lr](int64_t iteration,
+                                       std::vector<tensor::Tensor> grads) {
+    nn::ClipGradNorm(&grads, config.grad_clip);
+    optimizer->Step(grads);
+    if (decay_lr && LrDecayDue(config, iteration)) {
+      optimizer->DecayLr(config.lr_decay);
+    }
+  };
+}
+
 void RunOuterLoop(const TrainConfig& config, nn::Module* master,
                   ParallelMetaBatch* batch, std::string_view name,
                   std::string_view loss_name, const OuterTaskFn& task,
@@ -158,26 +219,31 @@ void RunOuterLoop(const TrainConfig& config, nn::Module* master,
   master->SetTraining(false);
 }
 
-bool LrDecayDue(const TrainConfig& config, int64_t iteration) {
-  const int64_t tasks_seen = (iteration + 1) * config.meta_batch;
-  return tasks_seen / config.lr_decay_every !=
-         (tasks_seen - config.meta_batch) / config.lr_decay_every;
-}
-
 models::BackboneConfig WithoutConditioning(models::BackboneConfig config) {
   config.conditioning = models::Conditioning::kNone;
   config.context_dim = 0;
   return config;
 }
 
-float InnerClipScale(const std::vector<tensor::Tensor>& grads) {
-  constexpr float kInnerClip = 5.0f;
-  double norm_sq = 0.0;
-  for (const tensor::Tensor& g : grads) {
-    for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
+std::vector<tensor::Tensor> InnerStep(const std::vector<tensor::Tensor>& params,
+                                      const std::vector<tensor::Tensor>& grads,
+                                      float lr, bool create_graph) {
+  const float step = lr * InnerClipScale(grads);
+  std::vector<tensor::Tensor> next;
+  next.reserve(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (create_graph) {
+      next.push_back(tensor::Sub(params[i], tensor::MulScalar(grads[i], step)));
+      continue;
+    }
+    const std::vector<float>& p = params[i].data();
+    const std::vector<float>& g = grads[i].data();
+    std::vector<float> values(p.size());
+    for (size_t j = 0; j < p.size(); ++j) values[j] = p[j] - step * g[j];
+    next.push_back(tensor::Tensor::FromData(params[i].shape(), std::move(values),
+                                            /*requires_grad=*/true));
   }
-  const float norm = static_cast<float>(std::sqrt(norm_sq));
-  return norm > kInnerClip ? kInnerClip / norm : 1.0f;
+  return next;
 }
 
 }  // namespace fewner::meta

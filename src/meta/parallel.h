@@ -118,10 +118,45 @@ using OuterTaskFn = std::function<double(uint64_t episode_id, nn::Module* model,
                                          const std::vector<tensor::Tensor>& params,
                                          std::vector<tensor::Tensor>* grads)>;
 
+/// A method's loss on one prepared training task, and what to differentiate
+/// it against: `wrt` empty means the replica's parameters; MAML's first-order
+/// mode names its adapted θ (same layout) instead.
+struct TaskLoss {
+  tensor::Tensor loss;
+  std::vector<tensor::Tensor> wrt = {};
+};
+
+/// The method's own part of a task: its inner loop and loss on the synced
+/// replica `model` for the prepared `episode`.
+using TaskLossFn = std::function<TaskLoss(nn::Module* model,
+                                          const models::EncodedEpisode& episode)>;
+
+/// The backbone inside a replica, whose dropout stream a task re-forks.
+using BackboneOf = models::Backbone* (*)(nn::Module* model);
+
+/// The task body of every gradient-trained method: PrepareTrainingTask on
+/// the replica's backbone, the method's `loss`, then Grad of the loss against
+/// its `wrt` into the task's grads, returning the loss value.  `backbone_of`
+/// finds the backbone in a replica; null means the replica is one.  The task
+/// reads `sampler`, `encoder` and `config` by reference.
+OuterTaskFn GradientTask(const data::EpisodeSampler& sampler,
+                         const models::EpisodeEncoder& encoder,
+                         const TrainConfig& config, TaskLossFn loss,
+                         BackboneOf backbone_of = nullptr);
+
 /// The method's outer update after iteration `iteration`, given the
 /// 1/meta_batch mean of the meta-batch's task gradients.
 using OuterUpdateFn =
     std::function<void(int64_t iteration, std::vector<tensor::Tensor> mean)>;
+
+/// The Adam meta-update (Eq. 6) of every Adam-trained method: one nn::Adam
+/// over `master`'s parameters (config.meta_lr, β₁ 0.9, β₂ 0.999, ε 1e-8,
+/// config.weight_decay); each call clips the grads' global norm to
+/// config.grad_clip and steps, then, with `decay_lr` (FEWNER and MAML only),
+/// multiplies the rate by config.lr_decay after the iteration whose tasks
+/// cross a multiple of config.lr_decay_every.
+OuterUpdateFn AdamUpdate(const TrainConfig& config, nn::Module* master,
+                         bool decay_lr);
 
 /// Algorithm 1's outer loop, shared by every episode-trained method.  Puts
 /// `master` in training mode, then for each of `config.iterations` iterations
@@ -137,19 +172,20 @@ void RunOuterLoop(const TrainConfig& config, nn::Module* master,
                   std::string_view loss_name, const OuterTaskFn& task,
                   const OuterUpdateFn& update);
 
-/// True when the tasks of iteration `iteration` cross a multiple of
-/// `config.lr_decay_every` — when FEWNER and MAML decay their meta learning
-/// rate.  Only valid for a config RunOuterLoop accepted.
-bool LrDecayDue(const TrainConfig& config, int64_t iteration);
-
 /// `config` without context parameters: conditioning kNone and context_dim
 /// 0, the backbone of every method but FEWNER.
 models::BackboneConfig WithoutConditioning(models::BackboneConfig config);
 
-/// The detached scale of an inner step's global-norm clip (the paper's clip
-/// of 5), shared by FEWNER's φ step and MAML's inner step: the norm of all of
-/// `grads`, accumulated in double in order, and 5 / norm when it exceeds 5,
-/// else 1.  (nn::ClipGradNorm adds an epsilon to the norm, so it is not this.)
-float InnerClipScale(const std::vector<tensor::Tensor>& grads);
+/// One clipped inner step (Eq. 5), FEWNER's φ step and MAML's inner step:
+/// p − s·g for each of `params` and its grad.  s = lr · c, where c is the
+/// detached scale of the paper's global-norm clip of 5: with the norm of all
+/// of `grads` accumulated in double in order, 5 / norm when it exceeds 5,
+/// else 1 (nn::ClipGradNorm adds an epsilon to the norm, so it is not this).
+/// With `create_graph` each result is the graph Sub(p, MulScalar(g, s)),
+/// differentiable through p and g; without, it is a fresh leaf that requires
+/// grad, holding p[j] − s*g[j] (the same bits) and no graph node.
+std::vector<tensor::Tensor> InnerStep(const std::vector<tensor::Tensor>& params,
+                                      const std::vector<tensor::Tensor>& grads,
+                                      float lr, bool create_graph);
 
 }  // namespace fewner::meta

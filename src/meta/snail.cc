@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "nn/optim.h"
-#include "tensor/autodiff.h"
 #include "tensor/ops.h"
 
 namespace fewner::meta {
@@ -92,8 +90,6 @@ Tensor Snail::EpisodeLoss(const Model& m, const models::EncodedEpisode& episode)
 
 void Snail::Train(const data::EpisodeSampler& sampler,
                   const models::EpisodeEncoder& encoder, const TrainConfig& config) {
-  nn::Adam optimizer(model_->Parameters(), config.meta_lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
   Model* master = model_.get();
   ParallelMetaBatch batch(
       config.num_threads,
@@ -108,22 +104,15 @@ void Snail::Train(const data::EpisodeSampler& sampler,
         m->SetTraining(master->training());
         m->backbone->set_dropout_base(master->backbone->dropout_base());
       });
-  RunOuterLoop(
-      config, master, &batch, name(), "loss",
-      [&](uint64_t episode_id, nn::Module* model,
-          const std::vector<Tensor>& replica_params,
-          std::vector<Tensor>* grads) -> double {
-        auto* m = static_cast<Model*>(model);
-        models::EncodedEpisode enc = PrepareTrainingTask(
-            sampler, encoder, config, episode_id, m->backbone.get());
-        Tensor loss = EpisodeLoss(*m, enc);
-        *grads = tensor::autodiff::Grad(loss, replica_params);
-        return loss.item();
-      },
-      [&](int64_t, std::vector<Tensor> grads) {
-        nn::ClipGradNorm(&grads, config.grad_clip);
-        optimizer.Step(grads);
-      });
+  auto episode_loss = [](nn::Module* model, const models::EncodedEpisode& enc) {
+    return TaskLoss{EpisodeLoss(*static_cast<Model*>(model), enc)};
+  };
+  auto backbone_of = [](nn::Module* model) {
+    return static_cast<Model*>(model)->backbone.get();
+  };
+  RunOuterLoop(config, master, &batch, name(), "loss",
+               GradientTask(sampler, encoder, config, episode_loss, backbone_of),
+               AdamUpdate(config, master, /*decay_lr=*/false));
 }
 
 std::vector<std::vector<int64_t>> Snail::AdaptAndPredict(

@@ -218,8 +218,9 @@ class Backbone : public nn::Module {
 
   /// The uncached run walk: forks the lane streams, partitions `batch` into
   /// lane runs, and builds run r's Prefix and Suffix (and `visit`s it) before
-  /// run r + 1.  Grad's fan-in accumulation order follows this node-creation
-  /// order, so the meta-gradient bits depend on it.  `emit` goes to Suffix.
+  /// run r + 1.  Grad folds fan-ins in the DFS post-order of the graph's
+  /// edges, not in node-creation order, so building every run's Prefix
+  /// before any Suffix would give the same bits.  `emit` goes to Suffix.
   void ForEachRun(const EncodedBatch& batch, const tensor::Tensor& phi,
                   const RunVisitor& visit, bool emit = true) const;
 

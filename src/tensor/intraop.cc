@@ -135,8 +135,8 @@ void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, const GemmTile& tile) {
-  // Unsharded, this is exactly MatMulNT.  At m = 1 nothing is packed:
-  // c[1, n]ᵀ = b[n, k]·a[k], and b's rows shard like any NN's.
+  // At m = 1 nothing is packed: c[1, n]ᵀ = b[n, k]·a[k], and b's rows shard
+  // like any NN's.
   if (m == 1) {
     GemmNN(b, a, c, n, k, 1, tile);
     return;

@@ -63,8 +63,8 @@ namespace kernel {
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, const GemmTile& tile = ActiveTile());
 
-/// c[m, n] = a[m, k] * b[n, k]ᵀ — MatMulNT; under sharding, bᵀ is packed
-/// once by the caller and the blocked core is sharded over the pack.  At
+/// c[m, n] = a[m, k] * b[n, k]ᵀ, the one NT entry: bᵀ is packed once by the
+/// caller and the blocked core is sharded over the pack.  At
 /// m = 1 nothing is packed: c[1, n]ᵀ = b·aᵀ runs as GemmNN over b's rows.
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, const GemmTile& tile = ActiveTile());

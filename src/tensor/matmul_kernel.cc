@@ -115,19 +115,6 @@ void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
   tile.gemm(a, /*rs=*/k, /*ks=*/1, b, c, m, k, n);
 }
 
-void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n, const GemmTile& tile) {
-  if (m == 1) {
-    // c[1, n]ᵀ = b[n, k]·a[k]: each c[j] is the same ascending-k chain of the
-    // same products, with b read in place — no pack.
-    MatMulBlocked(b, a, c, n, k, 1, tile);
-    return;
-  }
-  float* bt = TransposeScratch(k * n);
-  PackTranspose(b, bt, n, k);  // b [n, k] -> bt [k, n]
-  MatMulBlocked(a, bt, c, m, k, n, tile);
-}
-
 void MatMulTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
               int64_t n, int64_t lda, const GemmTile& tile) {
   tile.gemm(a, /*rs=*/1, /*ks=*/lda < 0 ? m : lda, b, c, m, k, n);

@@ -34,7 +34,8 @@
 // below take a trailing tile that defaults to ActiveTile(); only tests and
 // bench/gemm_scaling pass one, to drive each host tile.
 //
-// MatMulNT (A·Bᵀ) packs Bᵀ into a per-thread scratch buffer and runs the NN
+// An NT GEMM (A·Bᵀ, kernel::GemmNT in tensor/intraop.h; there is no separate
+// unsharded entry) packs Bᵀ into a per-thread scratch buffer and runs the NN
 // tile.  A direct NT kernel cannot vectorize: both operands stream along k,
 // and the bitwise contract below forbids splitting the k accumulation across
 // SIMD lanes.  Packing performs exactly the data movement the old graph-level
@@ -95,13 +96,6 @@ const GemmTile& ActiveTile();
 void MatMulBlocked(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n, const GemmTile& tile = ActiveTile());
 
-/// c[m, n] = a[m, k] * b[n, k]ᵀ, row-major, c fully overwritten.  Contraction
-/// runs over the shared trailing dimension k in ascending order.  Internally
-/// packs bᵀ into a thread-local scratch buffer, except at m = 1 (see header
-/// comment).
-void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
-              int64_t n, const GemmTile& tile = ActiveTile());
-
 /// c[m, n] = a[k, lda]ᵀ (columns [0, m)) * b[k, n], row-major, c fully
 /// overwritten.  Contraction runs over a's leading dimension k in ascending
 /// order.  `lda` is a's row stride; pass lda == m (the default via -1) for a
@@ -110,7 +104,7 @@ void MatMulNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void MatMulTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
               int64_t n, int64_t lda = -1, const GemmTile& tile = ActiveTile());
 
-/// dst[cols, rows] = src[rows, cols]ᵀ — the pack step MatMulNT uses, a
+/// dst[cols, rows] = src[rows, cols]ᵀ — the pack step of an NT GEMM, a
 /// 16x16 cache-blocked copy.  Exposed so the parallel dispatcher can pack
 /// once and shard the multiply.
 void PackTranspose(const float* src, float* dst, int64_t rows, int64_t cols);

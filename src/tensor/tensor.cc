@@ -79,8 +79,15 @@ Tensor Tensor::Detach() const {
   FEWNER_CHECK(defined(), "Detach() on undefined tensor");
   auto node = std::make_shared<internal::Node>();
   node->shape = node_->shape;
-  node->viewed = shared_storage();
-  if (!node->viewed) node->values = node_->values;
+  // Only a node without graph edges is viewed: holding one that has them
+  // would keep its inputs and backward closure, and so the whole graph
+  // behind it, alive for as long as the result lives.
+  std::shared_ptr<internal::Node> storage = shared_storage();
+  if (storage && storage->inputs.empty()) {
+    node->viewed = std::move(storage);
+  } else {
+    node->values = data();
+  }
   node->requires_grad = false;
   node->op = "detach";
   return FromNode(std::move(node));

@@ -38,11 +38,11 @@ namespace internal {
 struct Node {
   Shape shape;
   std::vector<float> values;
-  /// Set on a view (Reshape or Detach of an op output, FusedOp's
-  /// pass-through node): the node whose `values` this one reads, never itself
-  /// a view.  A view's own `values` stay empty.  Holding the node keeps its
-  /// buffer out of the WorkspaceArena, which recycles only nodes nobody else
-  /// holds.
+  /// Set on a view (Reshape of an op output, Detach of one without graph
+  /// edges, FusedOp's pass-through node): the node whose `values` this one
+  /// reads, never itself a view.  A view's own `values` stay empty.  Holding
+  /// the node keeps its buffer out of the WorkspaceArena, which recycles only
+  /// nodes nobody else holds.
   std::shared_ptr<Node> viewed;
   bool requires_grad = false;
   /// True while a WorkspaceArena holds the node in its pool.
@@ -128,10 +128,13 @@ class Tensor {
   bool requires_grad() const;
 
   /// Returns a new leaf with this tensor's values, cut off from the graph
-  /// (requires_grad false, a fresh node id).  The leaf views an op output's
-  /// values (or those a view reads) instead of copying them: op outputs never
-  /// change.  A leaf's values are copied, since optimizers and
-  /// LoadParameters write leaves in place.
+  /// (requires_grad false, a fresh node id).  The leaf views the values of an
+  /// op output without graph edges (an eval-mode output, a released
+  /// first-order grad), or of the node such a view reads, instead of copying
+  /// them: op outputs never change.  A graph-mode op output is copied, since
+  /// viewing it would keep its inputs and backward closure, and so its whole
+  /// graph, alive; so is a leaf, since optimizers and LoadParameters write
+  /// leaves in place.
   Tensor Detach() const;
 
   /// Marks a leaf as trainable (participates in autodiff).

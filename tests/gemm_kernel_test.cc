@@ -2,7 +2,7 @@
 // deterministic intra-op dispatch (tensor/matmul_kernel.h, tensor/intraop.h).
 //
 // Three claims are pinned here, all to the last bit:
-//   1. MatMulBlocked / MatMulNT / MatMulTN match naive ascending-k references
+//   1. MatMulBlocked / GemmNT / MatMulTN match naive ascending-k references
 //      on shapes that straddle every tile remainder, for every register tile
 //      this host can run — and NT/TN match the transpose-then-MatMulBlocked
 //      composition they replaced.  Each multiply and add rounds separately
@@ -86,6 +86,8 @@ TEST(GemmKernelTest, FamilyMatchesNaiveReferencesBitwiseOnSweep) {
   // m runs past two full row blocks plus every row remainder of the tallest
   // tile (up to 3·MI − 1); n covers every 8-column remainder and the 32-wide
   // panel's masked tails; 24 and 32 are exact multiples.
+  // GemmNT at budget 1 is the unsharded NT: pack bᵀ, then NN (m = 1: b·aᵀ).
+  const ParallelismBudget serial(1);
   int64_t max_rows = 0;
   for (const kernel::GemmTile* tile : kernel::HostTiles()) {
     max_rows = std::max(max_rows, tile->rows);
@@ -121,7 +123,7 @@ TEST(GemmKernelTest, FamilyMatchesNaiveReferencesBitwiseOnSweep) {
 
           // NT with the same operands read as a[m, k], b[n, k].
           const std::vector<float> b_nt = RandomVec(n * k, &rng);
-          kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n, *tile);
+          kernel::GemmNT(a_nn.data(), b_nt.data(), got.data(), m, k, n, *tile);
           NaiveNT(a_nn.data(), b_nt.data(), want.data(), m, k, n);
           ExpectBitwiseEqual(got, want, "NT", m, k, n);
 
@@ -130,7 +132,7 @@ TEST(GemmKernelTest, FamilyMatchesNaiveReferencesBitwiseOnSweep) {
           const std::vector<float> b_nt_t = Transposed(b_nt, n, k);  // [k, n]
           kernel::MatMulBlocked(a_nn.data(), b_nt_t.data(), want.data(), m, k,
                                 n, *tile);
-          kernel::MatMulNT(a_nn.data(), b_nt.data(), got.data(), m, k, n, *tile);
+          kernel::GemmNT(a_nn.data(), b_nt.data(), got.data(), m, k, n, *tile);
           ExpectBitwiseEqual(got, want, "NT-vs-transpose", m, k, n);
 
           // TN with a read as [k, m].
@@ -158,6 +160,7 @@ TEST(GemmKernelTest, EveryTileRoundsMultiplyAndAddSeparately) {
   // give exactly 2⁻¹¹, while a fused multiply-add keeps the 2⁻²⁴ and gives
   // 2⁻¹¹ + 2⁻²⁴.  Every element of a shape that spans full blocks, row
   // remainders and column tails of every tile carries this sum.
+  const ParallelismBudget serial(1);  // unsharded GemmNT
   const float q = 1.0f + std::ldexp(1.0f, -12);
   const float want = std::ldexp(1.0f, -11);
   for (const kernel::GemmTile* tile : kernel::HostTiles()) {
@@ -181,7 +184,7 @@ TEST(GemmKernelTest, EveryTileRoundsMultiplyAndAddSeparately) {
       if (layout == 0) {
         kernel::MatMulBlocked(a.data(), b.data(), got.data(), m, k, n, *tile);
       } else if (layout == 1) {
-        kernel::MatMulNT(a.data(), b_nt.data(), got.data(), m, k, n, *tile);
+        kernel::GemmNT(a.data(), b_nt.data(), got.data(), m, k, n, *tile);
       } else {
         kernel::MatMulTN(a_tn.data(), b.data(), got.data(), m, k, n, -1, *tile);
       }
@@ -227,11 +230,11 @@ TEST(GemmKernelTest, EveryTileRoundsMultiplyAndAddSeparately) {
       if (layout == 0) {
         kernel::MatMulBlocked(a.data(), v.data(), got.data(), m, k, 1, *tile);
       } else if (layout == 1) {
-        kernel::MatMulNT(a.data(), v.data(), got.data(), m, k, 1, *tile);
+        kernel::GemmNT(a.data(), v.data(), got.data(), m, k, 1, *tile);
       } else if (layout == 2) {
         kernel::MatMulTN(a_tn.data(), v.data(), got.data(), m, k, 1, -1, *tile);
       } else {
-        kernel::MatMulNT(v.data(), a.data(), got.data(), 1, k, m, *tile);
+        kernel::GemmNT(v.data(), a.data(), got.data(), 1, k, m, *tile);
       }
       for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i], want)
@@ -335,7 +338,7 @@ TEST(GemmKernelTest, SingleRowNtReadsBInPlaceBitwise) {
   // An m = 1 A·Bᵀ (FiLM's dφ = g·W_filmᵀ) runs as c[1, n]ᵀ = b[n, k]·a[k]:
   // one strided-tile call that reads b in place, with no pack.  It must equal
   // naive NT and the pack-then-NN product on every host tile, through
-  // MatMulNT and through GemmNT at every budget.  n = 1024 with k = 512
+  // GemmNT at every budget.  n = 1024 with k = 512
   // clears the flop threshold, so budgets > 1 shard b's rows there.
   //
   // On the AVX-512 tile this is its one-column path, 16 rows of b per
@@ -378,9 +381,6 @@ TEST(GemmKernelTest, SingleRowNtReadsBInPlaceBitwise) {
           const std::vector<float> bt = Transposed(b, n, k);  // [k, n]
           kernel::MatMulBlocked(a.data(), bt.data(), got.data(), 1, k, n, *tile);
           ExpectBitwiseEqual(got, want, "pack-then-NN", 1, k, n);
-          std::fill(got.begin(), got.end(), -1.0f);
-          kernel::MatMulNT(a.data(), b.data(), got.data(), 1, k, n, *tile);
-          ExpectBitwiseEqual(got, want, "MatMulNT", 1, k, n);
           for (int64_t budget : {1, 2, 3, 8}) {
             ParallelismBudget scoped(budget);
             std::fill(got.begin(), got.end(), -1.0f);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <type_traits>
@@ -16,6 +18,7 @@
 #include "meta/grad_accumulator.h"
 #include "meta/lm_tagger.h"
 #include "meta/maml.h"
+#include "meta/parallel.h"
 #include "meta/matching_net.h"
 #include "meta/protonet.h"
 #include "meta/reptile.h"
@@ -473,6 +476,54 @@ TEST_F(MetaTest, OtherMethodsIgnoreLrDecay) {
   EXPECT_EQ(ThetaAfter<MatchingNet>(3, 0.5f), ThetaAfter<MatchingNet>(3, 1.0f));
   EXPECT_EQ(ThetaAfter<Snail>(3, 0.5f), ThetaAfter<Snail>(3, 1.0f));
   EXPECT_EQ(ThetaAfter<Reptile>(3, 0.5f), ThetaAfter<Reptile>(3, 1.0f));
+}
+
+// ------------------------------------------------------------ inner step
+
+TEST(InnerStepTest, FirstOrderLeavesHoldTheCreateGraphValuesBitwise) {
+  using tensor::Shape;
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float small_sub = std::numeric_limits<float>::min() / 8;  // subnormal
+  // Entries with ±0 and subnormals in both the parameters and the grads,
+  // including products and differences that land on ±0 or stay subnormal.
+  const std::vector<float> p_values = {0.0f,  -0.0f,      sub,   -small_sub,
+                                       0.75f, -1.5e-3f,   3.0f,  -0.0f};
+  const std::vector<float> g_values = {0.0f,  -0.0f, 0.0f,       small_sub,
+                                       -2.0f, 1.25f, -small_sub, 0.5f};
+  for (int64_t count : {1, 3}) {
+    for (float g_scale : {0.5f, 8.0f}) {  // global norm below / above the clip
+      SCOPED_TRACE(testing::Message() << count << " tensors, grad scale " << g_scale);
+      std::vector<Tensor> params, grads;
+      for (int64_t i = 0; i < count; ++i) {
+        std::vector<float> p = p_values, g = g_values;
+        for (float& v : p) v *= static_cast<float>(i + 1);
+        for (float& v : g) v *= g_scale;
+        params.push_back(Tensor::FromData(Shape{2, 4}, std::move(p), /*requires_grad=*/true));
+        grads.push_back(Tensor::FromData(Shape{2, 4}, std::move(g)));
+      }
+      double norm_sq = 0.0;
+      for (const Tensor& g : grads) {
+        for (float v : g.data()) norm_sq += static_cast<double>(v) * v;
+      }
+      EXPECT_EQ(std::sqrt(norm_sq) > 5.0, g_scale > 1.0f);  // the clip engages
+      const std::vector<Tensor> graph = InnerStep(params, grads, 0.1f, true);
+      const std::vector<Tensor> leaves = InnerStep(params, grads, 0.1f, false);
+      ASSERT_EQ(graph.size(), params.size());
+      ASSERT_EQ(leaves.size(), params.size());
+      for (size_t i = 0; i < params.size(); ++i) {
+        EXPECT_FALSE(graph[i].node()->inputs.empty());
+        EXPECT_TRUE(leaves[i].node()->leaf);
+        EXPECT_TRUE(leaves[i].node()->inputs.empty());
+        EXPECT_TRUE(leaves[i].requires_grad());
+        EXPECT_EQ(leaves[i].shape(), params[i].shape());
+        ASSERT_EQ(leaves[i].numel(), graph[i].numel());
+        EXPECT_EQ(std::memcmp(leaves[i].data().data(), graph[i].data().data(),
+                              sizeof(float) * static_cast<size_t>(graph[i].numel())),
+                  0)
+            << "tensor " << i;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- GradAccumulator

@@ -107,15 +107,19 @@ TEST(TensorViewTest, ReshapeAndDetachOfAnOpOutputShareItsBuffer) {
     Tensor r = Reshape(y, Shape{3, 2});
     Tensor d = y.Detach();
     EXPECT_EQ(r.data().data(), y.data().data());
-    EXPECT_EQ(d.data().data(), y.data().data());
+    // Detach views only an output without graph edges (eval mode); a
+    // graph-mode output is copied, so the leaf does not hold its graph.
+    EXPECT_EQ(d.data().data() == y.data().data(), eval);
+    EXPECT_EQ(d.data(), y.data());
     EXPECT_EQ(r.shape(), (Shape{3, 2}));
     EXPECT_EQ(d.shape(), (Shape{2, 3}));
     EXPECT_EQ(r.requires_grad(), !eval);
     EXPECT_FALSE(d.requires_grad());
-    // A view of a view reads the op output's buffer too.
+    // A view of a view reads the op output's buffer too, and Detach of a
+    // view copies in graph mode, as of the op output itself.
     EXPECT_EQ(Reshape(r, Shape{6}).data().data(), y.data().data());
-    EXPECT_EQ(r.Detach().data().data(), y.data().data());
-    EXPECT_EQ(Reshape(d, Shape{6}).data().data(), y.data().data());
+    EXPECT_EQ(r.Detach().data().data() == y.data().data(), eval);
+    EXPECT_EQ(Reshape(d, Shape{6}).data().data() == y.data().data(), eval);
     // A leaf's Reshape and Detach copy its values.
     Tensor rx = Reshape(x, Shape{6});
     Tensor dx = x.Detach();
@@ -124,6 +128,16 @@ TEST(TensorViewTest, ReshapeAndDetachOfAnOpOutputShareItsBuffer) {
     EXPECT_EQ(rx.data(), x.data());
     EXPECT_EQ(dx.data(), x.data());
   }
+}
+
+TEST(TensorViewTest, DetachOfAGraphModeOpOutputLetsItsGraphGo) {
+  Tensor x = Tensor::FromData(Shape{2, 3}, {1, 2, 3, 4, 5, 6}, /*requires_grad=*/true);
+  Tensor d = MulScalar(x, 2.0f).Detach();
+  // The op's handle is gone: nothing but `x` itself holds x's node, so the
+  // detached leaf keeps no input edge or backward closure alive.
+  EXPECT_EQ(x.use_count(), 1);
+  EXPECT_EQ(d.data(), (std::vector<float>{2, 4, 6, 8, 10, 12}));
+  EXPECT_FALSE(d.requires_grad());
 }
 
 TEST(TensorViewTest, AdamStepLeavesEarlierReshapeAndDetachOfALeafUnchanged) {
@@ -139,17 +153,24 @@ TEST(TensorViewTest, AdamStepLeavesEarlierReshapeAndDetachOfALeafUnchanged) {
 }
 
 TEST(TensorViewTest, MutableDataOnADetachedOpOutputCopiesOnWrite) {
-  Tensor x = Tensor::FromData(Shape{3}, {1, 2, 3});
-  Tensor y = MulScalar(x, 2.0f);
-  Tensor r = Reshape(y, Shape{1, 3});
-  Tensor d = y.Detach();
-  const std::vector<float> before = y.data();
-  (*d.mutable_data())[0] = 42.0f;
-  EXPECT_EQ(d.at(0), 42.0f);
-  EXPECT_EQ(d.at(1), 4.0f);
-  EXPECT_NE(d.data().data(), y.data().data());
-  EXPECT_EQ(y.data(), before);
-  EXPECT_EQ(r.data(), before);
+  // In eval mode the Detach is a view, written through copy on write; in
+  // graph mode it is a copy from the start.
+  for (bool eval : {false, true}) {
+    SCOPED_TRACE(eval ? "eval" : "graph");
+    std::optional<EvalMode> scope;
+    if (eval) scope.emplace();
+    Tensor x = Tensor::FromData(Shape{3}, {1, 2, 3});
+    Tensor y = MulScalar(x, 2.0f);
+    Tensor r = Reshape(y, Shape{1, 3});
+    Tensor d = y.Detach();
+    const std::vector<float> before = y.data();
+    (*d.mutable_data())[0] = 42.0f;
+    EXPECT_EQ(d.at(0), 42.0f);
+    EXPECT_EQ(d.at(1), 4.0f);
+    EXPECT_NE(d.data().data(), y.data().data());
+    EXPECT_EQ(y.data(), before);
+    EXPECT_EQ(r.data(), before);
+  }
 }
 
 TEST(OpsTest, AddSubMulDiv) {
